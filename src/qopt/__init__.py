@@ -11,8 +11,8 @@ from .gaussian import (GaussianState, PureGaussianSpec, QRep, from_pure_gaussian
                        make_coherent, make_squeezed_vacuum, make_thermal_oscillator,
                        photon_moments, photon_pnd, photon_pnd_table, q_eval, to_qrep,
                        validate_state, wigner_eval)
-from .hermite import (HermiteParams, MultiIndex, OverlapSpec, fock_wavefunction_eval,
-                      gaussian_hermite_overlap, hermite1d_eval, mv_hermite_eval,
+from .hermite import (HermiteParams, OverlapSpec, fock_wavefunction_eval,
+                      gaussian_hermite_overlap, hermite1d_eval, hermite_box, mv_hermite_eval,
                       mv_hermite_table)
 from .parametric import (EpsilonTrajectory, FrequencyProfile, expression_profile,
                          packet_wavefunction_eval, parametric_cat_wavefunction,

@@ -18,6 +18,7 @@ from .errors import ConventionError
 from .hermite import as_index
 
 _IMAG_RESIDUE_TOL = 1e-12
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,17 @@ class CatState:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
+def _log_weight(c: CatState) -> float:
+    """log cosh |A|^2 for the even branch, log sinh |A|^2 for the odd one, overflow-free."""
+    x = c.norm2
+    if c.parity == "even":
+        return x - _LN2 + math.log1p(math.exp(-2.0 * x))
+    return x - _LN2 + math.log(-math.expm1(-2.0 * x))
+
+
 def cat_normalization(c: CatState) -> float:
     """N+ = e^{|A|^2/2} / (2 sqrt(cosh |A|^2)); sinh for the odd branch."""
-    a2 = c.norm2
-    if c.parity == "even":
-        return math.exp(0.5 * a2) / (2.0 * math.sqrt(math.cosh(a2)))
-    return math.exp(0.5 * a2) / (2.0 * math.sqrt(math.sinh(a2)))
+    return math.exp(0.5 * (c.norm2 - _log_weight(c)) - _LN2)
 
 
 def cat_pnd(c: CatState, n) -> float:
@@ -70,8 +76,7 @@ def cat_pnd(c: CatState, n) -> float:
                 return 0.0
             continue
         log_term += 2 * k * math.log(a) - math.lgamma(k + 1)
-    denom = math.cosh(c.norm2) if c.parity == "even" else math.sinh(c.norm2)
-    return math.exp(log_term) / denom
+    return math.exp(log_term - _log_weight(c))
 
 
 def cat_total_pnd(c: CatState, total: int) -> float:
@@ -85,9 +90,9 @@ def cat_total_pnd(c: CatState, total: int) -> float:
     if total % 2 != (0 if c.parity == "even" else 1):
         return 0.0
     a2 = c.norm2
-    denom = math.cosh(a2) if c.parity == "even" else math.sinh(a2)
-    return math.exp(total * math.log(a2) - math.lgamma(total + 1)) / denom if a2 > 0 \
-        else (1.0 / denom if total == 0 else 0.0)
+    if a2 == 0.0:
+        return 1.0 if total == 0 else 0.0
+    return math.exp(total * math.log(a2) - math.lgamma(total + 1) - _log_weight(c))
 
 
 def cat_ladder_apply(c: CatState, i: int) -> tuple[complex, CatState]:
@@ -131,13 +136,14 @@ def cat_moments(c: CatState) -> CatMoments:
     """Closed-form quadrature and photon-number moments of the superposition."""
     a = c.amplitudes
     a2 = c.norm2
+    damp = math.exp(-2.0 * a2)
     if c.parity == "even":
         weight = math.tanh(a2)
-        cross = 1.0 / math.cosh(a2) ** 2   # sech^2, positive correlations
+        cross = 4.0 * damp / (1.0 + damp) ** 2   # sech^2, positive correlations
         sign = 1.0
     else:
         weight = 1.0 / math.tanh(a2)
-        cross = 1.0 / math.sinh(a2) ** 2   # csch^2, anti-correlations
+        cross = 4.0 * damp / math.expm1(-2.0 * a2) ** 2   # csch^2, anti-correlations
         sign = -1.0
     abs2 = np.abs(a) ** 2
     pair = np.outer(a, a)
@@ -158,11 +164,14 @@ def cat_q_eval(c: CatState, beta) -> np.ndarray | float:
         beta = beta.reshape(1)
     if beta.shape[-1] != c.n_modes:
         raise ValueError(f"beta must have last dimension {c.n_modes}")
-    norm = cat_normalization(c)
-    ab = beta.conj() @ c.amplitudes
-    envelope = np.cosh(ab) if c.parity == "even" else np.sinh(ab)
-    b2 = np.sum(np.abs(beta) ** 2, axis=-1)
-    out = 4.0 * norm * norm * np.exp(-(c.norm2 + b2)) * np.abs(envelope) ** 2
+    # z = beta*.A = u + iv: |cosh z|^2 = sinh^2 u + cos^2 v, |sinh z|^2 = sinh^2 u + sin^2 v,
+    # 4 N^2 e^{-|A|^2} = 1 / cosh |A|^2 (sinh when odd), sinh^2 u = e^{2u} expm1(-2u)^2 / 4.
+    z = beta.conj() @ c.amplitudes
+    u = np.abs(z.real)
+    trig = np.cos(z.imag) if c.parity == "even" else np.sin(z.imag)
+    log_base = -np.sum(np.abs(beta) ** 2, axis=-1) - _log_weight(c)
+    out = (np.exp(2.0 * u + log_base - 2.0 * _LN2) * np.expm1(-2.0 * u) ** 2
+           + trig ** 2 * np.exp(log_base))
     return out if out.ndim else float(out)
 
 

@@ -20,7 +20,7 @@ complex pair (M(t), N(t)) of dM/dt = M sigma D(t), dN/dt = M sigma E(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -48,25 +48,25 @@ def _as_time_callable(obj, shape, name):
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """H = 1/2 Q.B(t).Q + C(t).Q; B and C may be constants or callables of t."""
+    """H = 1/2 Q.B(t).Q + C(t).Q; B and C may be constants or callables of t.
+
+    ``is_constant`` is true when both were given as arrays, never for a callable.
+    """
 
     b_matrix: Callable[[float], np.ndarray]
     c_vector: Callable[[float], np.ndarray]
     n_modes: int
+    is_constant: bool = field(init=False)
 
     def __post_init__(self):
         dim = 2 * self.n_modes
+        object.__setattr__(self, "is_constant",
+                           not (callable(self.b_matrix) or callable(self.c_vector)))
         b = _as_time_callable(self.b_matrix, (dim, dim), "B")
         c = _as_time_callable(self.c_vector, (dim,), "C")
         check_symmetric(np.asarray(b(0.0)), tol=1e-10, name="B(0)")
         object.__setattr__(self, "b_matrix", b)
         object.__setattr__(self, "c_vector", c)
-
-    @property
-    def is_constant(self) -> bool:
-        b0, b1 = self.b_matrix(0.0), self.b_matrix(0.718281828)
-        c0, c1 = self.c_vector(0.0), self.c_vector(0.718281828)
-        return bool(np.array_equal(b0, b1) and np.array_equal(c0, c1))
 
 
 def free_particle(mass: float = 1.0) -> QuadraticHamiltonian:

@@ -14,7 +14,11 @@ class CausticError(QoptError, ValueError):
 
 
 class ResourceLimitError(QoptError, RuntimeError):
-    """A multi-index enumeration exceeded its configured size cap."""
+    """A requested table would exceed its fixed size cap."""
+
+
+class NonFiniteError(QoptError, ArithmeticError):
+    """A result that must be a finite number overflowed or turned NaN."""
 
 
 class ConventionError(QoptError, RuntimeError):

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConventionError
-from .hermite import as_index, extend_hermite_table, index_count, mv_hermite_table_linear
+from .errors import ConventionError, NonFiniteError
+from .hermite import BOX_ENTRY_CAP, as_index, hermite_box
 from .matrices import block_swap, check_symmetric, quadrature_rotation, symplectic_metric
 
 QREP_CONVENTION = ("R=2U^T(2M+I)^{-1}U-sigma_Nx; Ry=2U^T(2M+I)^{-1}<Q>; "
@@ -44,6 +44,7 @@ QREP_CONVENTION = ("R=2U^T(2M+I)^{-1}U-sigma_Nx; Ry=2U^T(2M+I)^{-1}<Q>; "
 _NEGATIVE_PROB_TOL = 1e-12
 _DEFAULT_MASS_TOL = 1e-10
 _DEFAULT_DEGREE_CAP = 64
+_FIRST_BOX_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -250,23 +251,24 @@ def from_pure_gaussian(spec: PureGaussianSpec) -> GaussianState:
     return GaussianState(np.concatenate([p_bar, x_bar]), 0.5 * (M + M.T))
 
 
-def _pnd_value(rep: QRep, table: dict, idx: tuple[int, ...]) -> float:
-    combined = idx + idx
-    raw = rep.p0 * table[combined] / math.prod(math.factorial(k) for k in idx)
-    if abs(raw.imag) > 1e-9 * max(1.0, abs(raw.real)):
-        raise ConventionError(f"photon probability for {idx} is not real: {raw}")
-    val = raw.real
-    if val < -_NEGATIVE_PROB_TOL:
-        raise ConventionError(f"photon probability for {idx} is negative: {val}")
-    return max(val, 0.0)
+def _checked_probabilities(raw: np.ndarray, indices) -> list[float]:
+    """Real parts of p0 G_(n,n), raising unless each is finite, real and nonnegative."""
+    for idx, val in zip(indices, raw):
+        if not np.isfinite(val):
+            raise NonFiniteError(f"photon probability for {idx} is not finite: {val}")
+        if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
+            raise ConventionError(f"photon probability for {idx} is not real: {val}")
+        if val.real < -_NEGATIVE_PROB_TOL:
+            raise ConventionError(f"photon probability for {idx} is negative: {val.real}")
+    return np.maximum(raw.real, 0.0).tolist()
 
 
 def photon_pnd(s: GaussianState, n) -> float:
     """Probability of the photon-number outcome n = (n_1, ..., n_N)."""
     idx = as_index(n, length=s.n_modes)
     rep = to_qrep(s)
-    table = mv_hermite_table_linear(rep.R, rep.ry, 2 * sum(idx))
-    return _pnd_value(rep, table, idx)
+    box = hermite_box(rep.R, rep.ry, [k + 1 for k in idx + idx])
+    return _checked_probabilities(np.array([rep.p0 * box[idx + idx]]), [idx])[0]
 
 
 @dataclass(frozen=True)
@@ -280,53 +282,51 @@ class PndTable:
 
 
 def photon_pnd_table(s: GaussianState, mass_tol: float = _DEFAULT_MASS_TOL,
-                     degree_cap_per_mode: int = _DEFAULT_DEGREE_CAP,
-                     max_indices: int = 2_000_000) -> PndTable:
+                     degree_cap_per_mode: int = _DEFAULT_DEGREE_CAP) -> PndTable:
     """Enumerate photon-number probabilities until mass 1 - mass_tol is covered.
 
     Enumeration walks shells of constant total photon number; it stops on the
-    mass target, on the configured degree cap, or when the backing polynomial
-    table would outgrow ``max_indices``, whichever comes first.  A truncation
-    is flagged in the result and warned about, never silent.
+    mass target, on the configured degree cap, or when the backing Hermite box
+    would outgrow ``BOX_ENTRY_CAP`` entries, whichever comes first.  A
+    truncation is flagged in the result and warned about, never silent.
+
+    P(n) = p0 G_(n,n) is read off the diagonal of a Hermite box of edge D + 1,
+    rebuilt larger while the mass target is unmet; G does not depend on D.
     """
     n = s.n_modes
     rep = to_qrep(s)
     cap = degree_cap_per_mode * n
+    edge_limit = 1  # largest box edge within the entry cap
+    while (edge_limit + 1) ** (2 * n) <= BOX_ENTRY_CAP:
+        edge_limit += 1
+    edge = min(cap + 1, edge_limit, int(_FIRST_BOX_ENTRIES ** (0.5 / n)))
     probs: dict[tuple[int, ...], float] = {}
-    hermite_table = mv_hermite_table_linear(rep.R, rep.ry, 0)
-    hermite_degree = 0
     cumulative = 0.0
     degree = 0
     while True:
-        needed = 2 * degree
-        while hermite_degree < needed:
-            hermite_degree += 1
-            extend_hermite_table(hermite_table, rep.R, rep.ry, hermite_degree)
-        for idx in _photon_shell(n, degree):
-            p = _pnd_value(rep, hermite_table, idx)
-            probs[idx] = p
-            cumulative += p
-        if cumulative >= 1.0 - mass_tol:
-            return PndTable(probs, cumulative, degree, False)
-        if degree >= cap:
-            warnings.warn(f"photon enumeration hit the degree cap {cap} "
-                          f"with cumulative mass {cumulative:.12f}")
-            return PndTable(probs, cumulative, degree, True)
-        if index_count(2 * n, 2 * (degree + 1)) > max_indices:
-            warnings.warn(f"photon enumeration stopped at total degree {degree}: "
-                          f"polynomial table would exceed {max_indices} indices "
-                          f"(cumulative mass {cumulative:.12f})")
-            return PndTable(probs, cumulative, degree, True)
-        degree += 1
-
-
-def _photon_shell(n_modes: int, degree: int):
-    if n_modes == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in _photon_shell(n_modes - 1, degree - first):
-            yield (first,) + rest
+        box = hermite_box(rep.R, rep.ry, (edge,) * (2 * n))
+        diagonal = box.reshape(edge ** n, edge ** n).diagonal().reshape((edge,) * n)
+        totals = np.indices(diagonal.shape).sum(axis=0)
+        for degree in range(degree, edge):
+            shell = totals == degree
+            indices = [tuple(idx) for idx in np.argwhere(shell).tolist()]
+            for idx, p in zip(indices, _checked_probabilities(rep.p0 * diagonal[shell], indices)):
+                probs[idx] = p
+                cumulative += p
+            if cumulative >= 1.0 - mass_tol:
+                return PndTable(probs, cumulative, degree, False)
+            if degree >= cap:
+                warnings.warn(f"photon enumeration hit the degree cap {cap} "
+                              f"with cumulative mass {cumulative:.12f}")
+                return PndTable(probs, cumulative, degree, True)
+            if degree + 2 > edge_limit:
+                warnings.warn(f"photon enumeration stopped at total degree {degree}: "
+                              f"polynomial table would exceed {BOX_ENTRY_CAP} indices "
+                              f"(cumulative mass {cumulative:.12f})")
+                return PndTable(probs, cumulative, degree, True)
+        degree = edge
+        # about four times the entries per rebuild
+        edge = min(cap + 1, edge_limit, max(edge + 1, int(edge * 2 ** (1 / n))))
 
 
 def _mode_marginal(s: GaussianState, j: int) -> GaussianState:

@@ -8,55 +8,43 @@ over complex symmetric S x S matrices R and complex S-vectors y, where
 a^n = a_1^{n_1}...a_S^{n_S} and n! = n_1!...n_S!.  The scalar case R = 2
 reduces to the classical (physicists') polynomials H_n(y).
 
-Evaluation runs the multi-index recursion
+One engine, :func:`hermite_box`, evaluates the family.  It stores the
+renormalized values G_k = H_k / sqrt(k!) (Miatto & Quesada, Quantum 4, 366,
+2020), which stay within floating-point range far beyond the point where
+H_k or k! overflow, and fills them over a box k < shape by
 
-    H_{n+e_k} = (R y)_k H_n - sum_j R_{kj} n_j H_{n-e_j}
+    G_k = (ry_i G_{k-e_i} - sum_j R_ij sqrt((k-e_i)_j) G_{k-e_i-e_j}) / sqrt(k_i)
 
-which only ever touches R and the product R y.  The product form matters:
-several callers (photon statistics of near-coherent states) have a finite
-linear term R y while y itself diverges, so the low-level entry points take
-the linear vector directly.
+with the pivot i the first nonzero axis of k.  The pivot depends on k alone,
+so every value comes out the same whatever box holds it.  The recursion only
+ever touches R and the product ry = R y.  The product form matters: several
+callers (photon statistics of near-coherent states) have a finite linear
+term R y while y itself diverges, so the engine takes the linear vector
+directly.  Photon probabilities read G with no factorial; single values of
+H_n multiply G_n by sqrt(n!) at the end.
+
+A box holds at most ``BOX_ENTRY_CAP`` entries (2**24, 256 MiB of complex
+values); a larger request raises ``ResourceLimitError``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateOverlapError, ResourceLimitError
+from .errors import DegenerateOverlapError, NonFiniteError, ResourceLimitError
 from .matrices import check_symmetric
 
-_DEFAULT_INDEX_CAP = 2_000_000
+BOX_ENTRY_CAP = 2 ** 24
 _COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Nonnegative integer multi-index n = (n_1, ..., n_S)."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(k) for k in self.entries))
-        if any(k < 0 for k in self.entries):
-            raise ValueError(f"multi-index entries must be nonnegative, got {self.entries}")
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def as_index(n, length: int | None = None) -> tuple[int, ...]:
-    """Normalize ints, sequences, or MultiIndex values to a validated tuple."""
-    if isinstance(n, MultiIndex):
-        idx = n.entries
-    elif isinstance(n, (int, np.integer)):
+    """Normalize ints or integer sequences to a validated tuple."""
+    if isinstance(n, (int, np.integer)):
         idx = (int(n),)
     else:
         idx = tuple(int(k) for k in n)
@@ -162,81 +150,84 @@ def fock_wavefunction_eval(n: int, q, scale: float = 1.0):
     return out if np.ndim(out) else complex(out)
 
 
-def _degree_indices(dim: int, degree: int):
-    """All multi-indices of the given total degree, lexicographic by construction."""
-    # stars-and-bars over the bar positions
-    for bars in combinations(range(degree + dim - 1), dim - 1):
-        prev, idx = -1, []
-        for b in bars:
-            idx.append(b - prev - 1)
-            prev = b
-        idx.append(degree + dim - 1 - prev - 1)
-        yield tuple(idx)
+def hermite_box(R, ry, shape) -> np.ndarray:
+    """Renormalized values G_k = H_k / sqrt(k!) for every multi-index k < shape.
 
-
-def index_count(dim: int, max_total_degree: int) -> int:
-    """Number of multi-indices with total degree <= max_total_degree."""
-    return math.comb(max_total_degree + dim, dim)
-
-
-def extend_hermite_table(table: dict[tuple[int, ...], complex], R: np.ndarray,
-                         linear: np.ndarray, degree: int) -> None:
-    """Add the shell of total degree ``degree`` to an existing table in place.
-
-    The table must already hold every index of total degree ``degree - 1``
-    and ``degree - 2``.
-    """
-    dim = R.shape[0]
-    for idx in _degree_indices(dim, degree):
-        k = next(i for i, v in enumerate(idx) if v > 0)
-        low = list(idx)
-        low[k] -= 1
-        val = linear[k] * table[tuple(low)]
-        for j in range(dim):
-            if low[j] > 0:
-                lower = list(low)
-                lower[j] -= 1
-                val -= R[k, j] * low[j] * table[tuple(lower)]
-        table[idx] = val
-
-
-def mv_hermite_table_linear(R: np.ndarray, linear: np.ndarray, max_total_degree: int,
-                            max_indices: int = _DEFAULT_INDEX_CAP) -> dict[tuple[int, ...], complex]:
-    """Table of H_n for all |n| <= max_total_degree, generating function
-    exp(-1/2 a.R.a + a.linear).
-
-    One upward pass of the recursion; every value is computed exactly once.
+    The generating function is exp(-1/2 a.R.a + a.ry).  Raises
+    ``ResourceLimitError`` when the box would exceed ``BOX_ENTRY_CAP`` entries
+    and ``NonFiniteError`` when the recursion overflows.
     """
     R = np.asarray(R, dtype=complex)
-    linear = np.asarray(linear, dtype=complex).reshape(-1)
+    ry = np.asarray(ry, dtype=complex).reshape(-1)
+    shape = tuple(int(s) for s in shape)
     dim = R.shape[0]
-    if R.shape != (dim, dim) or linear.shape[0] != dim:
-        raise ValueError(f"R {R.shape} and linear vector ({linear.shape[0]},) do not match")
+    if R.shape != (dim, dim) or ry.shape != (dim,) or len(shape) != dim:
+        raise ValueError(f"R {R.shape}, linear vector {ry.shape} and box {shape} do not match")
+    if min(shape) < 1:
+        raise ValueError(f"box extents must be positive, got {shape}")
+    entries = math.prod(shape)
+    if entries > BOX_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"box {shape} would hold {entries} entries, exceeding the cap {BOX_ENTRY_CAP}")
+    box = np.zeros(shape, dtype=complex)
+    box[(0,) * dim] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _fill(box, R, ry, np.sqrt(np.arange(max(shape))), 0)
+    if not np.isfinite(box).all():
+        raise NonFiniteError(f"Hermite recursion overflowed in the box {shape}")
+    return box
+
+
+def _fill(sub: np.ndarray, R: np.ndarray, ry: np.ndarray, root: np.ndarray, axis: int) -> None:
+    """Fill ``sub``, the part of the box whose axes before ``axis`` are zero.
+
+    Entries with k_axis = 0 form a smaller box of the same kind, filled
+    first; every other entry has ``axis`` as its pivot and is computed one
+    slab k_axis = const at a time from the two slabs below it.  ``root``
+    holds sqrt(0), sqrt(1), ... up to the longest box edge.
+    """
+    if sub.ndim > 1:
+        _fill(sub[0], R, ry, root, axis + 1)
+    for k in range(1, sub.shape[0]):
+        prev = sub[k - 1]
+        slab = ry[axis] * prev
+        if k > 1:
+            slab -= R[axis, axis] * root[k - 1] * sub[k - 2]
+        for j in range(prev.ndim):
+            # lower axis + 1 + j, which is axis j of the slab
+            n = prev.shape[j]
+            hi = (slice(None),) * j + (slice(1, None),)
+            lo = (slice(None),) * j + (slice(None, n - 1),)
+            weight = R[axis, axis + 1 + j] * root[1:n].reshape((-1,) + (1,) * (prev.ndim - j - 1))
+            slab[hi] -= weight * prev[lo]
+        sub[k] = slab / root[k]
+
+
+def _from_renormalized(value: complex, idx: tuple[int, ...]) -> complex:
+    """H_n = G_n sqrt(n!), raising ``NonFiniteError`` if it leaves double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = complex(value * np.exp(0.5 * sum(math.lgamma(k + 1) for k in idx)))
+    if not cmath.isfinite(out):
+        raise NonFiniteError(f"H_{idx} is not representable as a finite double")
+    return out
+
+
+def mv_hermite_table(params: HermiteParams,
+                     max_total_degree: int) -> dict[tuple[int, ...], complex]:
+    """All H_n^{R}(y) with total degree up to ``max_total_degree``."""
     if max_total_degree < 0:
         raise ValueError("max_total_degree must be nonnegative")
-    total = index_count(dim, max_total_degree)
-    if total > max_indices:
-        raise ResourceLimitError(
-            f"table would hold {total} indices, exceeding the cap {max_indices}")
-
-    table: dict[tuple[int, ...], complex] = {(0,) * dim: 1.0 + 0j}
-    for degree in range(1, max_total_degree + 1):
-        extend_hermite_table(table, R, linear, degree)
-    return table
-
-
-def mv_hermite_table(params: HermiteParams, max_total_degree: int,
-                     max_indices: int = _DEFAULT_INDEX_CAP) -> dict[tuple[int, ...], complex]:
-    """All H_n^{R}(y) with total degree up to ``max_total_degree``."""
-    return mv_hermite_table_linear(params.R, params.R @ params.y, max_total_degree,
-                                   max_indices=max_indices)
+    box = hermite_box(params.R, params.R @ params.y, (max_total_degree + 1,) * params.dim)
+    totals = sum(np.ix_(*[np.arange(max_total_degree + 1)] * params.dim))
+    return {idx: _from_renormalized(box[idx], idx)
+            for idx in map(tuple, np.argwhere(totals <= max_total_degree).tolist())}
 
 
 def mv_hermite_eval(params: HermiteParams, n) -> complex:
     """Single value H_n^{R}(y)."""
     idx = as_index(n, length=params.dim)
-    table = mv_hermite_table_linear(params.R, params.R @ params.y, sum(idx))
-    return table[idx]
+    box = hermite_box(params.R, params.R @ params.y, [k + 1 for k in idx])
+    return _from_renormalized(box[idx], idx)
 
 
 def gaussian_hermite_overlap(spec: OverlapSpec, n, m_idx) -> complex:
@@ -273,5 +264,5 @@ def gaussian_hermite_overlap(spec: OverlapSpec, n, m_idx) -> complex:
     prefactor = math.pi ** (N / 2) / det_root * np.exp(0.25 * spec.c @ minv @ spec.c)
 
     combined = idx_n + idx_m
-    table = mv_hermite_table_linear(rho, linear, sum(combined))
-    return complex(prefactor * table[combined])
+    box = hermite_box(rho, linear, [k + 1 for k in combined])
+    return complex(prefactor * _from_renormalized(box[combined], combined))

@@ -351,22 +351,30 @@ def sinogram_to_csv(sino: Sinogram, path, meta: dict | None = None) -> None:
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def sinogram_from_csv(path) -> Sinogram:
-    """Read a sinogram written by :func:`sinogram_to_csv`."""
+def _read_lattice_csv(path, header: str, kind: str):
+    """Rows (a, b, value) of a full a-major lattice as (a_grid, b_grid, values).
+
+    Raises ``ValueError`` unless the rows list every (a, b) pair of the two
+    sorted grids exactly once, in row-major order.
+    """
     path = Path(path)
     rows = path.read_text(encoding="utf-8").strip().splitlines()
-    if rows[0] != "theta,x,value":
-        raise ValueError(f"{path} is not a sinogram CSV")
-    thetas, xs, vals = [], [], []
-    for row in rows[1:]:
-        t, x, v = row.split(",")
-        thetas.append(float(t))
-        xs.append(float(x))
-        vals.append(float(v))
-    theta_grid = np.unique(thetas)
-    x_grid = np.unique(xs)
-    values = np.asarray(vals).reshape(theta_grid.shape[0], x_grid.shape[0])
-    return Sinogram(theta_grid, x_grid, values)
+    if rows[0] != header:
+        raise ValueError(f"{path} is not a {kind} CSV")
+    outer, inner, vals = np.array([row.split(",") for row in rows[1:]], dtype=float).T
+    a_grid = np.unique(outer)
+    b_grid = np.unique(inner)
+    if (len(vals) != a_grid.shape[0] * b_grid.shape[0]
+            or not np.array_equal(outer, np.repeat(a_grid, b_grid.shape[0]))
+            or not np.array_equal(inner, np.tile(b_grid, a_grid.shape[0]))):
+        raise ValueError(f"{path}: {len(vals)} rows do not form the row-major "
+                         f"{a_grid.shape[0]} x {b_grid.shape[0]} lattice of its grids")
+    return a_grid, b_grid, vals.reshape(a_grid.shape[0], b_grid.shape[0])
+
+
+def sinogram_from_csv(path) -> Sinogram:
+    """Read a sinogram written by :func:`sinogram_to_csv`."""
+    return Sinogram(*_read_lattice_csv(path, "theta,x,value", "sinogram"))
 
 
 def wigner_grid_to_csv(grid: WignerGrid, path, meta: dict | None = None) -> None:
@@ -393,17 +401,4 @@ def wigner_grid_to_csv(grid: WignerGrid, path, meta: dict | None = None) -> None
 
 def wigner_grid_from_csv(path) -> WignerGrid:
     """Read a Wigner grid written by :func:`wigner_grid_to_csv`."""
-    path = Path(path)
-    rows = path.read_text(encoding="utf-8").strip().splitlines()
-    if rows[0] != "q,p,value":
-        raise ValueError(f"{path} is not a Wigner-grid CSV")
-    qs, ps, vals = [], [], []
-    for row in rows[1:]:
-        qv, pv, v = row.split(",")
-        qs.append(float(qv))
-        ps.append(float(pv))
-        vals.append(float(v))
-    q_grid = np.unique(qs)
-    p_grid = np.unique(ps)
-    values = np.asarray(vals).reshape(q_grid.shape[0], p_grid.shape[0])
-    return WignerGrid(q_grid, p_grid, values)
+    return WignerGrid(*_read_lattice_csv(path, "q,p,value", "Wigner-grid"))

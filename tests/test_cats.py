@@ -1,6 +1,7 @@
 import math
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,6 +39,39 @@ class TestNormalization:
     def test_multimode_modulus(self):
         c = CatState([1.0, 1j, -0.5], "even")
         assert c.norm2 == pytest.approx(2.25, rel=1e-14)
+
+
+class TestLargeAmplitude:
+    # |A|^2 = 900: cosh |A|^2 and e^{|A|^2} overflow a double; the log-domain
+    # weights do not.
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_against_mpmath(self, parity):
+        c = CatState([30.0], parity)
+        with mpmath.workdps(40):
+            x = mpmath.mpf(900)
+            weight = mpmath.cosh(x) if parity == "even" else mpmath.sinh(x)
+            norm = mpmath.exp(x / 2) / (2 * mpmath.sqrt(weight))
+            n = 900 if parity == "even" else 901
+            pnd = x ** n / mpmath.factorial(n) / weight
+            assert cat_normalization(c) == pytest.approx(float(norm), rel=1e-12)
+            assert cat_pnd(c, [n]) == pytest.approx(float(pnd), rel=1e-11)
+            assert cat_total_pnd(c, n) == pytest.approx(float(pnd), rel=1e-11)
+            beta = mpmath.mpc(29.5, 0.3)
+            env = mpmath.cosh(beta.conjugate() * 30) if parity == "even" \
+                else mpmath.sinh(beta.conjugate() * 30)
+            q = 4 * norm ** 2 * mpmath.exp(-(x + abs(beta) ** 2)) * abs(env) ** 2
+            assert cat_q_eval(c, [29.5 + 0.3j]) == pytest.approx(float(q), rel=1e-12)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_shell_mass_sums_to_one(self, parity):
+        c = CatState([30.0], parity)
+        assert math.fsum(cat_total_pnd(c, n) for n in range(2500)) == pytest.approx(
+            1.0, abs=1e-12)
+
+    def test_moments_finite(self):
+        m = cat_moments(CatState([30.0, 0.5j], "odd"))
+        assert np.all(np.isfinite(m.number_covariance))
+        assert m.mean_photon == pytest.approx([900.0, 0.25], rel=1e-14)
 
 
 class TestPnd:

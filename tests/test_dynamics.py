@@ -119,6 +119,17 @@ class TestFlowExpm:
         with pytest.raises(ValueError):
             flow_expm(ham, 1.0)
 
+    def test_callable_counts_as_time_dependent(self):
+        # B(t) agrees at t = 0 and t = 0.718281828, so sampling two times
+        # would take it for a constant Hamiltonian
+        ham = QuadraticHamiltonian(lambda t: np.diag([1.0, 1.0 + t * (t - 0.718281828)]),
+                                   np.zeros(2), 1)
+        assert not ham.is_constant
+        with pytest.raises(ValueError):
+            flow_expm(ham, 2.0)
+        assert QuadraticHamiltonian(np.eye(2), lambda t: np.zeros(2), 1).is_constant is False
+        assert harmonic_oscillator().is_constant is True
+
 
 class TestComplexFlow:
     def test_stationary_oscillator_phases(self):

@@ -9,6 +9,7 @@ from qopt.gaussian import (GaussianState, PureGaussianSpec, QRep, from_pure_gaus
                            make_thermal_oscillator, photon_moments, photon_pnd,
                            photon_pnd_table, q_eval, state_from_dict, state_to_dict,
                            to_qrep, validate_state, wigner_eval)
+from qopt.errors import NonFiniteError, QoptError
 from qopt.matrices import symplectic_metric
 
 from oracles import trapz_nd
@@ -302,6 +303,25 @@ class TestPhotonStatistics:
                     * (math.tanh(r) / 2) ** (2 * m) / math.cosh(r))
             assert photon_pnd(s, [2 * m]) == pytest.approx(want, abs=1e-11)
             assert photon_pnd(s, [2 * m + 1]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [144, 190])
+    def test_large_photon_number_matches_log_poisson(self, n):
+        # the raw Hermite value and n! both overflow here; G_(n,n) does not
+        want = math.exp(-144.0 + n * math.log(144.0) - math.lgamma(n + 1))
+        assert photon_pnd(make_coherent(12.0), [n]) == pytest.approx(want, rel=1e-12)
+
+    def test_overflow_raises_typed_error(self):
+        with pytest.raises(NonFiniteError):
+            photon_pnd(make_coherent(30.0), [900])
+        assert issubclass(NonFiniteError, QoptError)
+
+    def test_table_entries_equal_single_evaluations(self):
+        # the table reads a larger Hermite box than photon_pnd; values agree exactly
+        s = random_valid_state(2, np.random.default_rng(8), mean_scale=0.4,
+                               noise_scale=0.7, symplectic_scale=0.2)
+        table = photon_pnd_table(s)
+        for idx in [(0, 0), (3, 1), (0, table.max_total_degree)]:
+            assert photon_pnd(s, idx) == table.probabilities[idx]
 
     def test_two_mode_coherent_factorizes(self):
         s = make_coherent([0.8, 1.1 - 0.5j])

@@ -1,14 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from numpy.polynomial.hermite import hermval
 
-from qopt.errors import DegenerateOverlapError, ResourceLimitError
-from qopt.hermite import (HermiteParams, MultiIndex, OverlapSpec, fock_wavefunction_eval,
-                          gaussian_hermite_overlap, hermite1d_eval, mv_hermite_eval,
-                          mv_hermite_table)
+from qopt.errors import DegenerateOverlapError, NonFiniteError, ResourceLimitError
+from qopt.hermite import (BOX_ENTRY_CAP, HermiteParams, OverlapSpec, fock_wavefunction_eval,
+                          gaussian_hermite_overlap, hermite1d_eval, hermite_box,
+                          mv_hermite_eval, mv_hermite_table)
 
 from oracles import gauss_box, hermite_by_series, trapz_nd
 
@@ -136,12 +139,71 @@ class TestMultivariableHermite:
         with pytest.raises(ValueError):
             mv_hermite_eval(params, [1, 2])
 
-    def test_multi_index_carrier(self):
-        idx = MultiIndex((1, 0, 4))
-        assert idx.total_degree == 5
-        assert len(idx) == 3
+    def test_rejects_negative_index(self):
+        params = HermiteParams(R=[[2.0, 0.0], [0.0, 2.0]], y=[1.0, 0.0])
         with pytest.raises(ValueError):
-            MultiIndex((1, -1))
+            mv_hermite_eval(params, (1, -1))
+
+
+def _unit_floats():
+    return st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def box_problems(draw):
+    dim = draw(st.integers(1, 3))
+    parts = draw(st.lists(_unit_floats(), min_size=2 * dim * dim + 2 * dim,
+                          max_size=2 * dim * dim + 2 * dim))
+    a = np.array(parts[:2 * dim * dim]).reshape(2, dim, dim)
+    R = a[0] + a[0].T + 1j * (a[1] + a[1].T)
+    y = np.array(parts[2 * dim * dim:2 * dim * dim + dim]) \
+        + 1j * np.array(parts[2 * dim * dim + dim:])
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    idx = tuple(draw(st.integers(0, s - 1)) for s in shape)
+    return R, y, shape, idx
+
+
+class TestHermiteBox:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(box_problems())
+    def test_matches_series_oracle(self, problem):
+        R, y, shape, idx = problem
+        box = hermite_box(R, R @ y, shape)
+        assert box.shape == shape
+        want = hermite_by_series(R, y, idx) / math.sqrt(math.prod(math.factorial(k) for k in idx))
+        assert box[idx] == pytest.approx(want, rel=1e-10)
+
+    def test_values_do_not_depend_on_the_box(self):
+        rng = np.random.default_rng(31)
+        R = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        R = R + R.T
+        ry = rng.normal(size=3) + 1j * rng.normal(size=3)
+        big = hermite_box(R, ry, (9, 7, 11))
+        for shape in [(4, 7, 5), (9, 1, 3), (2, 2, 11)]:
+            small = hermite_box(R, ry, shape)
+            assert np.array_equal(big[tuple(slice(0, k) for k in shape)], small)
+
+    def test_entry_cap_enforced(self):
+        with pytest.raises(ResourceLimitError):
+            hermite_box(2 * np.eye(2), np.zeros(2), (4097, 4096))
+        assert 4096 ** 2 == BOX_ENTRY_CAP
+
+    def test_overflow_raises(self):
+        with pytest.raises(NonFiniteError):
+            hermite_box(np.zeros((1, 1)), [1e200], (3,))
+
+    def test_rejects_mismatched_shape(self):
+        with pytest.raises(ValueError):
+            hermite_box(np.eye(2), np.zeros(2), (3,))
+        with pytest.raises(ValueError):
+            hermite_box(np.eye(1), np.zeros(1), (0,))
+
+    def test_high_degree_against_mpmath(self):
+        # H_150(0.8) = -8.2e152 comes out as G_150 = -3.4e21 times sqrt(150!)
+        params = HermiteParams(R=[[2.0]], y=[0.8])
+        got = mv_hermite_eval(params, [150])
+        want = complex(mpmath.hermite(150, mpmath.mpf("0.8")))
+        assert got == pytest.approx(want, rel=1e-11)
 
 
 class TestHermiteTable:

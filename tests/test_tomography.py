@@ -314,6 +314,28 @@ class TestCsvRoundTrips:
         back = wigner_grid_from_csv(path)
         assert np.allclose(back.values, w.values)
 
+    @pytest.mark.parametrize("damage", ["reordered", "missing", "duplicate"])
+    def test_readers_reject_broken_lattice(self, tmp_path, damage):
+        g = np.linspace(-2, 2, 5)
+        w = wigner_grid_from_callable(gaussian_wigner_fn(make_coherent(0.5)), g, g)
+        sino = gaussian_sinogram(make_coherent(0.5), np.arange(4) * math.pi / 4, g)
+        for write, read, obj in [(wigner_grid_to_csv, wigner_grid_from_csv, w),
+                                 (sinogram_to_csv, sinogram_from_csv, sino)]:
+            path = tmp_path / "grid.csv"
+            write(obj, path)
+            header, *rows = path.read_text(encoding="utf-8").splitlines()
+            if damage == "reordered":
+                # the same lattice, second coordinate varying slowest
+                n_outer, n_inner = obj.values.shape
+                rows = [rows[i * n_inner + j] for j in range(n_inner) for i in range(n_outer)]
+            elif damage == "missing":
+                del rows[7]
+            else:
+                rows.insert(3, rows[3])
+            path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="lattice"):
+                read(path)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             WignerGrid(np.array([0.0, 1.0, 1.5]), np.array([0.0, 1.0]), np.zeros((3, 2)))
