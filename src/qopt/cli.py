@@ -27,9 +27,11 @@ from .dynamics import (evolve_gaussian, hamiltonian_from_dict, integrate_symplec
 from .gaussian import (QREP_CONVENTION, GaussianState, make_coherent, make_squeezed_vacuum,
                        make_thermal_oscillator, photon_pnd_table, q_eval, state_from_dict,
                        wigner_eval)
+from .io import PHASE_SPACE_HEADER, format_lattice, format_table, sinogram_csv
 from .parametric import profile_from_dict, solve_epsilon
-from .tomography import (forward_marginal_numeric, gaussian_sinogram, inverse_radon,
-                         sinogram_from_csv, wigner_grid_from_callable)
+from .tomography import (boundary_peak_ratio, forward_marginal_numeric, gaussian_sinogram,
+                         inverse_radon, lattice_mass, sinogram_from_csv,
+                         wigner_grid_from_callable)
 from .verification import run_verification
 
 COMMANDS = ("pnd", "wigner", "qfunc", "evolve", "epsilon", "cat",
@@ -157,18 +159,6 @@ def parse_config(text: str, command: str | None = None) -> JobConfig:
     return JobConfig(cmd, options)
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, (int, np.integer)) else str(int(v))
-                              for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _chunked_eval(fn, q_grid, p_grid, threads: int) -> np.ndarray:
     """Evaluate fn on the (q, p) product grid, optionally splitting rows across threads."""
     qq, pp = np.meshgrid(q_grid, p_grid, indexing="ij")
@@ -199,22 +189,30 @@ def _job_pnd(options, threads):
     state = _parse_state(options["state"], "state")
     if isinstance(state, CatState):
         max_total = int(options.get("max_total", 32))
-        rows = []
-        for idx in _total_degree_indices(state.n_modes, max_total):
-            rows.append(list(idx) + [cat_pnd(state, idx)])
-        cumulative = sum(r[-1] for r in rows)
-        meta = {"cumulative_probability": cumulative, "max_total": max_total}
+        indices, probs = _cat_pnd_columns(state, max_total)
+        meta = {"cumulative_probability": sum(probs), "max_total": max_total}
     else:
         table = photon_pnd_table(state,
                                  mass_tol=float(options.get("mass_tol", 1e-10)),
                                  degree_cap_per_mode=int(options.get("degree_cap", 64)))
-        rows = [list(idx) + [p] for idx, p in sorted(table.probabilities.items())]
+        indices, probs = zip(*sorted(table.probabilities.items()))
         meta = {"cumulative_probability": table.cumulative,
                 "max_total_degree": table.max_total_degree,
                 "cap_hit": table.cap_hit}
-    n_modes = len(rows[0]) - 1
-    header = [f"n{j + 1}" for j in range(n_modes)] + ["probability"]
-    return {"pnd.csv": _csv(header, rows)}, meta
+    return {"pnd.csv": _pnd_csv(indices, probs)}, meta
+
+
+def _cat_pnd_columns(state, max_total):
+    """(indices, probabilities) of a cat state over all total degrees <= max_total."""
+    indices = list(_total_degree_indices(state.n_modes, max_total))
+    return indices, [cat_pnd(state, idx) for idx in indices]
+
+
+def _pnd_csv(indices, probs) -> str:
+    """Rows (n_1, ..., n_N, probability): integer counts, float probabilities."""
+    counts = np.array(indices, dtype=np.int64)
+    header = [f"n{j + 1}" for j in range(counts.shape[1])] + ["probability"]
+    return format_table(header, [*counts.T, np.array(probs, dtype=float)])
 
 
 def _total_degree_indices(n_modes, max_total):
@@ -235,13 +233,19 @@ def _job_wigner(options, threads):
     q_grid = _parse_grid(options["grid"]["q"], "grid.q")
     p_grid = _parse_grid(options["grid"]["p"], "grid.p")
     values = _chunked_eval(_state_wigner_fn(state), q_grid, p_grid, threads)
-    rows = [(q_grid[i], p_grid[j], values[i, j])
-            for i in range(q_grid.shape[0]) for j in range(p_grid.shape[0])]
-    artifacts = {"wigner.csv": _csv(["q", "p", "value"], rows)}
+    artifacts = {"wigner.csv": format_lattice(PHASE_SPACE_HEADER, q_grid, p_grid, values)}
     if options.get("plot", False):
         artifacts["wigner.gp"] = _plot_script("wigner.csv", q_grid.shape[0], p_grid.shape[0],
                                               "Wigner density")
-    return artifacts, {"negative_fraction": float(np.mean(values < 0.0))}
+    return artifacts, {"negative_fraction": float(np.mean(values < 0.0)),
+                       **_grid_health(q_grid, p_grid, values)}
+
+
+def _grid_health(q_grid, p_grid, values) -> dict:
+    """Sidecar figures of a phase-space density: its mass (1 when the grid holds
+    the state) and its boundary-to-peak ratio (small when it holds the support)."""
+    return {"mass": lattice_mass(q_grid, p_grid, values),
+            "boundary_peak_ratio": boundary_peak_ratio(values)}
 
 
 def _job_qfunc(options, threads):
@@ -254,13 +258,12 @@ def _job_qfunc(options, threads):
     else:
         fn = lambda q, p: q_eval(state, ((q + 1j * p) / math.sqrt(2))[..., np.newaxis])
     values = _chunked_eval(fn, q_grid, p_grid, threads)
-    rows = [(q_grid[i], p_grid[j], values[i, j])
-            for i in range(q_grid.shape[0]) for j in range(p_grid.shape[0])]
-    artifacts = {"qfunc.csv": _csv(["q", "p", "value"], rows)}
+    artifacts = {"qfunc.csv": format_lattice(PHASE_SPACE_HEADER, q_grid, p_grid, values)}
     if options.get("plot", False):
         artifacts["qfunc.gp"] = _plot_script("qfunc.csv", q_grid.shape[0], p_grid.shape[0],
                                              "Husimi density")
-    return artifacts, {"beta_convention": "beta = (q + i p) / sqrt(2)"}
+    return artifacts, {"beta_convention": "beta = (q + i p) / sqrt(2)",
+                       **_grid_health(q_grid, p_grid, values)}
 
 
 def _job_evolve(options, threads):
@@ -289,15 +292,15 @@ def _job_evolve(options, threads):
     for t in ts:
         sample = flow.at(t)
         st = evolve_gaussian(state, sample)
-        state_rows.append([t] + list(st.mean) + list(st.disp.ravel()))
-        flow_rows.append([t] + list(sample.lam.ravel()) + list(sample.delta))
+        state_rows.append(np.concatenate([[t], st.mean, st.disp.ravel()]))
+        flow_rows.append(np.concatenate([[t], sample.lam.ravel(), sample.delta]))
     mean_cols = [f"mean_{i}" for i in range(dim)]
     disp_cols = [f"disp_{i}{j}" for i in range(dim) for j in range(dim)]
     lam_cols = [f"lam_{i}{j}" for i in range(dim) for j in range(dim)]
     delta_cols = [f"delta_{i}" for i in range(dim)]
     artifacts = {
-        "evolve.csv": _csv(["t"] + mean_cols + disp_cols, state_rows),
-        "flow.csv": _csv(["t"] + lam_cols + delta_cols, flow_rows),
+        "evolve.csv": format_table(["t"] + mean_cols + disp_cols, np.array(state_rows).T),
+        "flow.csv": format_table(["t"] + lam_cols + delta_cols, np.array(flow_rows).T),
     }
     return artifacts, {"tol": tol, "symplectic_defect": flow.max_symplectic_defect()}
 
@@ -316,7 +319,7 @@ def _job_epsilon(options, threads):
         eps, epsdot = traj.at(t)
         rows.append([t, eps.real, eps.imag, epsdot.real, epsdot.imag])
     header = ["t", "re_eps", "im_eps", "re_epsdot", "im_epsdot"]
-    return ({"epsilon.csv": _csv(header, rows)},
+    return ({"epsilon.csv": format_table(header, np.array(rows, dtype=float).T)},
             {"tol": tol, "wronskian_defect": traj.wronskian_defect,
              "profile_kind": profile.kind})
 
@@ -326,17 +329,16 @@ def _job_cat(options, threads):
     if not isinstance(state, CatState):
         raise ConfigError("state.kind", "cat command requires a cat state")
     max_total = int(options.get("max_total", 32))
-    pnd_rows = [list(idx) + [cat_pnd(state, idx)]
-                for idx in _total_degree_indices(state.n_modes, max_total)]
+    indices, probs = _cat_pnd_columns(state, max_total)
     moments = cat_moments(state)
-    moment_rows = [[j, moments.mean_photon[j], moments.number_covariance[j, j],
-                    moments.mandel_q[j]] for j in range(state.n_modes)]
-    header = [f"n{j + 1}" for j in range(state.n_modes)] + ["probability"]
+    moment_columns = [np.arange(state.n_modes), moments.mean_photon,
+                      np.diagonal(moments.number_covariance), moments.mandel_q]
     artifacts = {
-        "cat_pnd.csv": _csv(header, pnd_rows),
-        "cat_moments.csv": _csv(["mode", "mean_photon", "variance", "mandel_q"], moment_rows),
+        "cat_pnd.csv": _pnd_csv(indices, probs),
+        "cat_moments.csv": format_table(["mode", "mean_photon", "variance", "mandel_q"],
+                                        moment_columns),
     }
-    meta = {"cumulative_probability": sum(r[-1] for r in pnd_rows), "max_total": max_total}
+    meta = {"cumulative_probability": sum(probs), "max_total": max_total}
     return artifacts, meta
 
 
@@ -358,11 +360,9 @@ def _job_tomo_forward(options, threads):
         sino = forward_marginal_numeric(grid, thetas, x_grid)
     else:
         raise ConfigError("method", f"unknown method {method!r}")
-    rows = [(thetas[i], x_grid[j], sino.values[i, j])
-            for i in range(sino.n_angles) for j in range(x_grid.shape[0])]
     meta = {"n_angles": n_angles, "method": method,
             "max_normalization_defect": float(sino.normalization_defects.max())}
-    return {"sinogram.csv": _csv(["theta", "x", "value"], rows)}, meta
+    return {"sinogram.csv": sinogram_csv(sino)}, meta
 
 
 def _job_tomo_invert(options, threads):
@@ -374,10 +374,11 @@ def _job_tomo_invert(options, threads):
     p_grid = _parse_grid(options["grid"]["p"], "grid.p")
     reg_s = float(options.get("reg_s", 1e-2))
     grid = inverse_radon(sino, q_grid, p_grid, reg_s=reg_s)
-    rows = [(q_grid[i], p_grid[j], grid.values[i, j])
-            for i in range(q_grid.shape[0]) for j in range(p_grid.shape[0])]
-    meta = {"reg_s": reg_s, "n_angles": sino.n_angles, "reconstructed_mass": grid.mass()}
-    return {"wigner_reconstructed.csv": _csv(["q", "p", "value"], rows)}, meta
+    # filtered backprojection blurs W by an isotropic Gaussian of this variance per axis
+    meta = {"reg_s": reg_s, "n_angles": sino.n_angles, "reconstructed_mass": grid.mass(),
+            "blur_variance": reg_s / 4.0}
+    text = format_lattice(PHASE_SPACE_HEADER, grid.q_grid, grid.p_grid, grid.values)
+    return {"wigner_reconstructed.csv": text}, meta
 
 
 def _job_verify(options, threads):

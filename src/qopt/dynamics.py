@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .errors import CausticError
 from .gaussian import GaussianState
@@ -153,6 +151,9 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
         ddelta = lam_sigma @ hamiltonian.c_vector(t)
         return np.concatenate([dlam.ravel(), ddelta])
 
+    # imported on first use: scipy.integrate would otherwise dominate `import qopt`
+    from scipy.integrate import solve_ivp
+
     y0 = np.concatenate([np.eye(dim).ravel(), np.zeros(dim)])
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=tol, atol=tol * 1e-2,
                     dense_output=True)
@@ -201,6 +202,8 @@ def integrate_complex_flow(d_matrix, e_vector, t_end: float, tol: float = 1e-9,
         return np.concatenate([(m_sigma @ np.asarray(d_fn(t), dtype=complex)).ravel(),
                                m_sigma @ np.asarray(e_fn(t), dtype=complex)])
 
+    from scipy.integrate import solve_ivp
+
     y0 = np.concatenate([np.eye(dim, dtype=complex).ravel(), np.zeros(dim, dtype=complex)])
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=tol, atol=tol * 1e-2,
                     dense_output=True)
@@ -233,6 +236,8 @@ def flow_expm(hamiltonian: QuadraticHamiltonian, t: float) -> FlowSample:
     gen = np.zeros((dim + 1, dim + 1))
     gen[:dim, :dim] = sigma @ hamiltonian.b_matrix(0.0)
     gen[:dim, dim] = sigma @ hamiltonian.c_vector(0.0)
+    from scipy.linalg import expm
+
     block = expm(gen * t)
     return FlowSample(float(t), block[:dim, :dim], block[:dim, dim])
 

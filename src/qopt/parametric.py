@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .gaussian import GaussianState
 from .hermite import hermite1d_eval
@@ -200,6 +199,9 @@ def solve_epsilon(profile: FrequencyProfile, t_end: float, tol: float = 1e-9) ->
         ts = np.linspace(0.0, t_end, max(81, int(10 * t_end) + 1))
         eps, epsdot = closed(ts)
         return EpsilonTrajectory(ts, eps, epsdot, closed, tol, profile)
+
+    # imported on first use: scipy.integrate would otherwise dominate `import qopt`
+    from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         return np.array([y[1], -profile(t) * y[0]])

@@ -19,15 +19,15 @@ isotropic Gaussian of variance reg_s / 4 per axis.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import map_coordinates, spline_filter
 
 from .gaussian import GaussianState
+# the CSV writers live in qopt.io; they stay importable from here
+from .io import (PHASE_SPACE_HEADER, SINOGRAM_HEADER, read_lattice,  # noqa: F401
+                 sinogram_to_csv, wigner_grid_to_csv)
 
 _FFT_PAD = 4
 _FFT_UPSAMPLE = 4
@@ -68,14 +68,25 @@ class WignerGrid:
 
     def mass(self) -> float:
         """Integral of W dq dp / (2 pi)."""
-        inner = np.trapezoid(self.values, self.p_grid, axis=1)
-        return float(np.trapezoid(inner, self.q_grid) / (2.0 * math.pi))
+        return lattice_mass(self.q_grid, self.p_grid, self.values)
 
     def boundary_peak_ratio(self) -> float:
-        peak = np.abs(self.values).max()
-        edge = max(np.abs(self.values[0]).max(), np.abs(self.values[-1]).max(),
-                   np.abs(self.values[:, 0]).max(), np.abs(self.values[:, -1]).max())
-        return float(edge / peak) if peak > 0 else 0.0
+        return boundary_peak_ratio(self.values)
+
+
+def lattice_mass(q_grid, p_grid, values) -> float:
+    """Trapezoid integral of values[i, j] = f(q_i, p_j) against dq dp / (2 pi)."""
+    inner = np.trapezoid(values, p_grid, axis=1)
+    return float(np.trapezoid(inner, q_grid) / (2.0 * math.pi))
+
+
+def boundary_peak_ratio(values) -> float:
+    """Largest |value| on the lattice's edge over the largest anywhere (0 if all vanish)."""
+    values = np.asarray(values)
+    peak = np.abs(values).max()
+    edge = max(np.abs(values[0]).max(), np.abs(values[-1]).max(),
+               np.abs(values[:, 0]).max(), np.abs(values[:, -1]).max())
+    return float(edge / peak) if peak > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -134,6 +145,9 @@ class _GridSampler:
     """Cubic-spline sampling of a WignerGrid at arbitrary (q, p) points."""
 
     def __init__(self, grid: WignerGrid):
+        from scipy.ndimage import map_coordinates, spline_filter
+
+        self._map_coordinates = map_coordinates
         self.grid = grid
         self.coeffs = spline_filter(grid.values, order=3, mode="constant")
         self.q0 = grid.q_grid[0]
@@ -144,8 +158,8 @@ class _GridSampler:
     def __call__(self, q_pts, p_pts) -> np.ndarray:
         coords = np.stack([(np.asarray(q_pts) - self.q0) / self.dq,
                            (np.asarray(p_pts) - self.p0) / self.dp])
-        return map_coordinates(self.coeffs, coords, order=3, mode="constant",
-                               cval=0.0, prefilter=False)
+        return self._map_coordinates(self.coeffs, coords, order=3, mode="constant",
+                                     cval=0.0, prefilter=False)
 
     def transverse_grid(self) -> np.ndarray:
         half = math.hypot(max(abs(self.grid.q_grid[0]), self.grid.q_grid[-1]),
@@ -329,76 +343,11 @@ def wigner_from_symplectic(marginal_fn, q, p, x_grid, n_angles: int = 180,
     return out if out.ndim else float(out)
 
 
-def sinogram_to_csv(sino: Sinogram, path, meta: dict | None = None) -> None:
-    """Write rows (theta, x, value) plus a JSON sidecar with the grid layout."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("theta,x,value\n")
-        for i, theta in enumerate(sino.theta_grid):
-            for j, x in enumerate(sino.x_grid):
-                fh.write(f"{float(theta)!r},{float(x)!r},{float(sino.values[i, j])!r}\n")
-    sidecar = {
-        "kind": "sinogram",
-        "n_angles": int(sino.n_angles),
-        "x_min": float(sino.x_grid[0]),
-        "x_max": float(sino.x_grid[-1]),
-        "n_x": int(sino.x_grid.shape[0]),
-        "normalization_defects": [float(d) for d in sino.normalization_defects],
-    }
-    if meta:
-        sidecar.update(meta)
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _read_lattice_csv(path, header: str, kind: str):
-    """Rows (a, b, value) of a full a-major lattice as (a_grid, b_grid, values).
-
-    Raises ``ValueError`` unless the rows list every (a, b) pair of the two
-    sorted grids exactly once, in row-major order.
-    """
-    path = Path(path)
-    rows = path.read_text(encoding="utf-8").strip().splitlines()
-    if rows[0] != header:
-        raise ValueError(f"{path} is not a {kind} CSV")
-    outer, inner, vals = np.array([row.split(",") for row in rows[1:]], dtype=float).T
-    a_grid = np.unique(outer)
-    b_grid = np.unique(inner)
-    if (len(vals) != a_grid.shape[0] * b_grid.shape[0]
-            or not np.array_equal(outer, np.repeat(a_grid, b_grid.shape[0]))
-            or not np.array_equal(inner, np.tile(b_grid, a_grid.shape[0]))):
-        raise ValueError(f"{path}: {len(vals)} rows do not form the row-major "
-                         f"{a_grid.shape[0]} x {b_grid.shape[0]} lattice of its grids")
-    return a_grid, b_grid, vals.reshape(a_grid.shape[0], b_grid.shape[0])
-
-
 def sinogram_from_csv(path) -> Sinogram:
     """Read a sinogram written by :func:`sinogram_to_csv`."""
-    return Sinogram(*_read_lattice_csv(path, "theta,x,value", "sinogram"))
-
-
-def wigner_grid_to_csv(grid: WignerGrid, path, meta: dict | None = None) -> None:
-    """Write rows (q, p, value) plus a JSON sidecar with the grid layout."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("q,p,value\n")
-        for i, q in enumerate(grid.q_grid):
-            for j, p in enumerate(grid.p_grid):
-                fh.write(f"{float(q)!r},{float(p)!r},{float(grid.values[i, j])!r}\n")
-    sidecar = {
-        "kind": "wigner_grid",
-        "q_min": float(grid.q_grid[0]), "q_max": float(grid.q_grid[-1]),
-        "n_q": int(grid.q_grid.shape[0]),
-        "p_min": float(grid.p_grid[0]), "p_max": float(grid.p_grid[-1]),
-        "n_p": int(grid.p_grid.shape[0]),
-        "mass": grid.mass(),
-    }
-    if meta:
-        sidecar.update(meta)
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return Sinogram(*read_lattice(path, SINOGRAM_HEADER, "sinogram"))
 
 
 def wigner_grid_from_csv(path) -> WignerGrid:
     """Read a Wigner grid written by :func:`wigner_grid_to_csv`."""
-    return WignerGrid(*_read_lattice_csv(path, "q,p,value", "Wigner-grid"))
+    return WignerGrid(*read_lattice(path, PHASE_SPACE_HEADER, "Wigner-grid"))

@@ -1,8 +1,9 @@
 """Independent numerical oracles shared by the test suite.
 
-Nothing here touches the library's recursion or overlap code paths: the
-generating function is expanded by explicit polynomial arithmetic, and
-integrals are done by brute-force quadrature.
+Nothing here touches the library's recursion, overlap or formatting code
+paths: the generating function is expanded by explicit polynomial
+arithmetic, integrals are done by brute-force quadrature, and CSV text is
+built one cell at a time.
 """
 
 from __future__ import annotations
@@ -87,3 +88,17 @@ def quadratic_phase_integral(a: complex, b: complex, c: complex,
     s = s_star + phase * u
     vals = np.exp(1j * a * s * s + b * s + c)
     return phase * np.trapezoid(vals, u)
+
+
+def repr_csv(header, rows) -> str:
+    """CSV text written one cell at a time: integers as digits, anything else
+    as ``repr(float(v))``, rows joined by newlines with a trailing one.
+
+    This is the per-cell formatter the CLI used before ``qopt.io``; the
+    writers there must reproduce its bytes exactly.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+                              for v in row))
+    return "\n".join(lines) + "\n"

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qopt
 from qopt.cli import ConfigError, execute_job, main, parse_config, write_output
 
 
@@ -215,3 +220,48 @@ class TestDeterminismAndErrors:
                            "p": {"min": -3, "max": 3, "num": 33}}}
         cfg = parse_config(json.dumps(config), "wigner")
         assert execute_job(cfg, threads=1) == execute_job(cfg, threads=4)
+
+
+class TestSidecarHealth:
+    """The README's Gaussian example state on the README's tomography grid."""
+
+    STATE = {"kind": "squeezed_vacuum", "r": 1.0}
+    GRID = {"q": {"min": -12, "max": 12, "num": 257}, "p": {"min": -12, "max": 12, "num": 257}}
+
+    @pytest.mark.parametrize("command", ["wigner", "qfunc"])
+    def test_density_mass_and_boundary(self, command):
+        cfg = parse_config(json.dumps({"state": self.STATE, "grid": self.GRID}), command)
+        meta = json.loads(execute_job(cfg)[f"{command}.meta.json"])
+        assert meta["mass"] == pytest.approx(1.0, abs=1e-6)
+        assert 0.0 <= meta["boundary_peak_ratio"] < 1e-6
+
+    def test_small_grid_reports_lost_mass(self):
+        cfg = parse_config(json.dumps({"state": {"kind": "coherent", "alpha": 0.0},
+                                       "grid": {"q": {"min": -2, "max": 2, "num": 9},
+                                                "p": {"min": -2, "max": 2, "num": 9}}}),
+                           "qfunc")
+        meta = json.loads(execute_job(cfg)["qfunc.meta.json"])
+        assert meta["mass"] < 0.95
+        assert meta["boundary_peak_ratio"] == pytest.approx(math.exp(-2.0), rel=1e-12)
+
+    def test_tomo_invert_blur_variance(self, tmp_path):
+        fwd = parse_config(json.dumps({"state": self.STATE}), "tomo-forward")
+        write_output(execute_job(fwd), tmp_path)
+        inv = parse_config(json.dumps({"sinogram": str(tmp_path / "sinogram.csv"),
+                                       "grid": self.GRID, "reg_s": 0.02}), "tomo-invert")
+        meta = json.loads(execute_job(inv)["tomo-invert.meta.json"])
+        assert meta["blur_variance"] == 0.02 / 4
+        assert meta["reconstructed_mass"] == pytest.approx(1.0, abs=1e-2)
+
+
+def test_import_loads_no_scipy_solvers():
+    """scipy.integrate, scipy.linalg and scipy.ndimage load only when a job needs them."""
+    code = ("import sys, qopt, qopt.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'scipy.ndimage') "
+            "if m in sys.modules))")
+    src = str(Path(qopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,0 +1,155 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qopt.gaussian import make_coherent, make_squeezed_vacuum
+from qopt.io import (PHASE_SPACE_HEADER, SINOGRAM_HEADER, format_lattice, format_table,
+                     read_lattice, sinogram_csv)
+from qopt.tomography import (gaussian_sinogram, sinogram_from_csv, sinogram_to_csv,
+                             wigner_grid_from_callable, wigner_grid_from_csv,
+                             wigner_grid_to_csv)
+
+from oracles import repr_csv
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 0.0001, 1e16, -1e16, 0.1, 1 / 3,
+               float("inf"), float("-inf"), float("nan"), 2.2250738585072014e-308,
+               1.7976931348623157e308, 123456789.0, 1e-7, 0.5]
+
+
+def lattice_rows(a_grid, b_grid, values):
+    return [(a_grid[i], b_grid[j], values[i, j])
+            for i in range(a_grid.shape[0]) for j in range(b_grid.shape[0])]
+
+
+def edge_lattice(n_a=21, n_b=17, seed=3):
+    """A non-square lattice whose values include every edge float."""
+    rng = np.random.default_rng(seed)
+    a_grid = np.linspace(-3.0, 7.0, n_a)
+    b_grid = np.linspace(-0.2, 0.6, n_b) ** 3
+    values = rng.normal(size=(n_a, n_b)) * np.exp(-rng.uniform(0, 700, size=(n_a, n_b)))
+    values.flat[:len(EDGE_FLOATS)] = EDGE_FLOATS
+    return a_grid, b_grid, values
+
+
+def assert_bit_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestWriterMatchesPerCellOracle:
+    def test_lattice_with_edge_floats(self):
+        a_grid, b_grid, values = edge_lattice()
+        want = repr_csv(["q", "p", "value"], lattice_rows(a_grid, b_grid, values))
+        assert format_lattice(PHASE_SPACE_HEADER, a_grid, b_grid, values) == want
+        # an axis swap would show: the transposed lattice prints differently
+        assert format_lattice(PHASE_SPACE_HEADER, b_grid, a_grid, values.T) != want
+
+    def test_table_of_integer_and_float_columns(self):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 40, size=(23, 2))
+        probs = np.abs(rng.normal(size=23)) * np.exp(-rng.uniform(0, 400, size=23))
+        probs[:7] = [-0.0, 5e-324, 1e-05, 0.0001, 1e16, float("inf"), 0.0]
+        rows = [[int(n1), int(n2), p] for (n1, n2), p in zip(counts, probs)]
+        got = format_table(["n1", "n2", "probability"], [counts[:, 0], counts[:, 1], probs])
+        assert got == repr_csv(["n1", "n2", "probability"], rows)
+        assert got.splitlines()[1].split(",")[0] == str(counts[0, 0])  # digits, not 3.0
+
+    def test_float_block_with_nan(self):
+        block = np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]])
+        header = [f"c{i}" for i in range(block.shape[1])]
+        assert format_table(header, block.T) == repr_csv(header, block.tolist())
+
+    def test_sinogram_text_matches_oracle(self):
+        sino = gaussian_sinogram(make_squeezed_vacuum(0.5), np.arange(6) * math.pi / 6,
+                                 np.linspace(-4.0, 4.0, 9))
+        want = repr_csv(SINOGRAM_HEADER, lattice_rows(sino.theta_grid, sino.x_grid,
+                                                      sino.values))
+        assert sinogram_csv(sino) == want
+
+    def test_file_writers_share_the_text_writer(self, tmp_path):
+        sino = gaussian_sinogram(make_coherent(0.3), np.arange(5) * math.pi / 5,
+                                 np.linspace(-3.0, 3.0, 7))
+        sinogram_to_csv(sino, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_text(encoding="utf-8") == sinogram_csv(sino)
+        g = np.linspace(-2.0, 2.0, 5)
+        w = wigner_grid_from_callable(lambda q, p: np.exp(-q * q - p * p), g, g[:4])
+        wigner_grid_to_csv(w, tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_text(encoding="utf-8") == repr_csv(
+            PHASE_SPACE_HEADER, lattice_rows(w.q_grid, w.p_grid, w.values))
+
+    def test_empty_table_is_header_only(self):
+        assert format_table(["a", "b"], [[], []]) == "a,b\n"
+
+    def test_shape_mismatches_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            format_lattice(PHASE_SPACE_HEADER, np.arange(3.0), np.arange(4.0),
+                           np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="header"):
+            format_table(["a"], [[1], [2]])
+        with pytest.raises(ValueError):
+            format_table(["a", "b"], [[1], [2, 3]])
+
+
+class TestLatticeReader:
+    def test_edge_lattice_round_trip(self, tmp_path):
+        a_grid, b_grid, values = edge_lattice()
+        path = tmp_path / "grid.csv"
+        path.write_text(format_lattice(PHASE_SPACE_HEADER, a_grid, b_grid, values),
+                        encoding="utf-8")
+        got_a, got_b, got_values = read_lattice(path, PHASE_SPACE_HEADER, "test")
+        assert_bit_equal(got_a, a_grid)
+        assert_bit_equal(got_b, b_grid)
+        nan = np.isnan(values)
+        assert np.array_equal(np.isnan(got_values), nan)
+        assert_bit_equal(got_values[~nan], values[~nan])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_write_then_read_is_bit_exact(self, tmp_path_factory, data):
+        axis = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                        max_size=6, unique=True).map(sorted)
+        a_grid = np.array(data.draw(axis))
+        b_grid = np.array(data.draw(axis))
+        values = np.array(data.draw(st.lists(st.floats(allow_nan=False),
+                                             min_size=a_grid.size * b_grid.size,
+                                             max_size=a_grid.size * b_grid.size)))
+        values = values.reshape(a_grid.size, b_grid.size)
+        path = tmp_path_factory.mktemp("rt") / "lattice.csv"
+        text = format_lattice(SINOGRAM_HEADER, a_grid, b_grid, values)
+        assert text == repr_csv(SINOGRAM_HEADER, lattice_rows(a_grid, b_grid, values))
+        path.write_text(text, encoding="utf-8")
+        got_a, got_b, got_values = read_lattice(path, SINOGRAM_HEADER, "test")
+        assert_bit_equal(got_a, a_grid)
+        assert_bit_equal(got_b, b_grid)
+        assert_bit_equal(got_values, values)
+
+    @pytest.mark.parametrize("reader", [sinogram_from_csv, wigner_grid_from_csv])
+    def test_empty_file_names_the_path(self, tmp_path, reader):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match="empty.csv"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader, header", [(sinogram_from_csv, "theta,x,value"),
+                                                (wigner_grid_from_csv, "q,p,value")])
+    def test_header_only_file_names_the_path(self, tmp_path, reader, header):
+        path = tmp_path / "header_only.csv"
+        path.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="header_only.csv.*no data rows"):
+            reader(path)
+
+    def test_wrong_column_count_names_the_path(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("q,p,value\n0.0,1.0,2.0,3.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="wide.csv.*columns"):
+            wigner_grid_from_csv(path)
+
+    def test_unparsable_cell_names_the_path(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("q,p,value\n0.0,1.0,oops\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.csv"):
+            wigner_grid_from_csv(path)
