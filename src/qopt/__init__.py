@@ -4,9 +4,10 @@ for Gaussian, squeezed, and even/odd cat states of N-mode light."""
 __version__ = "0.1.0"
 
 from .cats import CatState, cat_moments, cat_normalization, cat_pnd, cat_q_eval, cat_wigner_eval
-from .dynamics import (FlowSample, FreeSystem, OscillatorSystem, QuadraticHamiltonian,
-                       SymplecticFlow, evolve_gaussian, flow_expm, free_particle,
-                       harmonic_oscillator, integrate_complex_flow, integrate_symplectic_flow)
+from .dynamics import (FlowSample, QuadraticHamiltonian, SymplecticFlow, evolve_gaussian,
+                       flow_expm, flow_to_creation_annihilation, free_particle,
+                       harmonic_oscillator, integrate_symplectic_flow, invariant_residual_check,
+                       parametric_oscillator, propagator_position)
 from .gaussian import (GaussianState, PureGaussianSpec, QRep, from_pure_gaussian, from_qrep,
                        make_coherent, make_squeezed_vacuum, make_thermal_oscillator,
                        photon_moments, photon_pnd, photon_pnd_table, q_eval, to_qrep,

@@ -13,8 +13,13 @@ W(Q, t) = W_0(Lam Q + Delta), which for Gaussian states is the pushforward
 
     mean' = Lam^{-1} (mean_0 - Delta),   M' = Lam^{-1} M_0 Lam^{-T}.
 
-The same machinery in the (a_1..a_N, a_1^dag..a_N^dag) basis integrates the
-complex pair (M(t), N(t)) of dM/dt = M sigma D(t), dN/dt = M sigma E(t).
+This flow is the one engine: `flow_expm` samples it exactly for a constant
+H, `integrate_symplectic_flow` integrates it otherwise, and everything else
+is read from a sample.  In the (a_1..a_N, a_1^dag..a_N^dag) basis the pair
+(M, N) = (U^dag Lam U, U^dag Delta) solves dM/dt = M sigma D(t),
+dN/dt = M sigma E(t).  For one mode the position propagator is the Van Vleck
+kernel of the q-block of Lam^{-1}, and the classical solution eps(t) of
+`qopt.parametric` is the q-row of Lam^{-1}.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import CausticError
 from .gaussian import GaussianState
-from .matrices import check_symmetric, complex_structure, quadrature_rotation, symplectic_metric
+from .matrices import check_symmetric, quadrature_rotation, symplectic_metric
 
 _CAUSTIC_GUARD = 1e-8
 
@@ -102,7 +107,7 @@ class FlowSample:
 class SymplecticFlow:
     """Integrated flow samples (t, Lam(t), Delta(t)) with dense evaluation."""
 
-    def __init__(self, ts, lams, deltas, tol, interpolant=None):
+    def __init__(self, ts, lams, deltas, tol, interpolant):
         self.ts = np.array(ts, dtype=float)
         self.lams = np.array(lams, dtype=float)
         self.deltas = np.array(deltas, dtype=float)
@@ -116,18 +121,17 @@ class SymplecticFlow:
     def t_end(self) -> float:
         return float(self.ts[-1])
 
-    def at(self, t: float) -> FlowSample:
-        if not self.ts[0] <= t <= self.ts[-1] + 1e-12:
+    def evaluate(self, t):
+        """(Lam, Delta) at one time or an array of times, from the dense interpolant."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < self.ts[0]) or np.any(t > self.ts[-1] + 1e-12):
             raise ValueError(f"t={t} outside integrated range [{self.ts[0]}, {self.ts[-1]}]")
         dim = 2 * self.n_modes
-        if self._interpolant is not None:
-            y = self._interpolant(min(t, self.ts[-1]))
-        else:
-            i = int(np.searchsorted(self.ts, t))
-            if not math.isclose(self.ts[min(i, len(self.ts) - 1)], t, abs_tol=1e-12):
-                raise ValueError(f"t={t} not among stored samples and no interpolant")
-            y = np.concatenate([self.lams[i].ravel(), self.deltas[i]])
-        return FlowSample(float(t), y[:dim * dim].reshape(dim, dim), y[dim * dim:])
+        y = np.moveaxis(self._interpolant(np.minimum(t, self.ts[-1])), 0, -1)
+        return y[..., :dim * dim].reshape(t.shape + (dim, dim)), y[..., dim * dim:]
+
+    def at(self, t: float) -> FlowSample:
+        return FlowSample(float(t), *self.evaluate(t))
 
     def max_symplectic_defect(self) -> float:
         n = self.n_modes
@@ -164,55 +168,6 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
     return SymplecticFlow(sol.t, lams, deltas, tol, interpolant=sol.sol)
 
 
-class ComplexFlow:
-    """Samples (t, M(t), N(t)) of the flow in the creation/annihilation basis."""
-
-    def __init__(self, ts, ms, ns, tol, interpolant=None):
-        self.ts = np.asarray(ts, dtype=float)
-        self.ms = np.asarray(ms, dtype=complex)
-        self.ns = np.asarray(ns, dtype=complex)
-        self.tol = float(tol)
-        self._interpolant = interpolant
-        self.n_modes = self.ms.shape[-1] // 2
-
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if not self.ts[0] <= t <= self.ts[-1] + 1e-12:
-            raise ValueError(f"t={t} outside integrated range [{self.ts[0]}, {self.ts[-1]}]")
-        dim = 2 * self.n_modes
-        y = self._interpolant(min(t, self.ts[-1]))
-        return y[:dim * dim].reshape(dim, dim), y[dim * dim:]
-
-
-def integrate_complex_flow(d_matrix, e_vector, t_end: float, tol: float = 1e-9,
-                           n_modes: int | None = None) -> ComplexFlow:
-    """Solve dM/dt = M sigma D(t), dN/dt = M sigma E(t) from (I, 0)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if n_modes is None:
-        probe = np.asarray(d_matrix(0.0) if callable(d_matrix) else d_matrix)
-        n_modes = probe.shape[0] // 2
-    dim = 2 * n_modes
-    d_fn = d_matrix if callable(d_matrix) else (lambda t, _a=np.asarray(d_matrix, dtype=complex): _a)
-    e_fn = e_vector if callable(e_vector) else (lambda t, _a=np.asarray(e_vector, dtype=complex): _a)
-    sigma = complex_structure(n_modes)
-
-    def rhs(t, y):
-        m = y[:dim * dim].reshape(dim, dim)
-        m_sigma = m @ sigma
-        return np.concatenate([(m_sigma @ np.asarray(d_fn(t), dtype=complex)).ravel(),
-                               m_sigma @ np.asarray(e_fn(t), dtype=complex)])
-
-    from scipy.integrate import solve_ivp
-
-    y0 = np.concatenate([np.eye(dim, dtype=complex).ravel(), np.zeros(dim, dtype=complex)])
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"flow integration failed: {sol.message}")
-    ms = sol.y[:dim * dim].T.reshape(-1, dim, dim)
-    return ComplexFlow(sol.t, ms, sol.y[dim * dim:].T, tol, interpolant=sol.sol)
-
-
 def hamiltonian_to_creation_annihilation(hamiltonian: QuadraticHamiltonian):
     """Constant (D, E) with H = 1/2 A.D.A + E.A in the (a, a^dag) ordering."""
     if not hamiltonian.is_constant:
@@ -221,6 +176,17 @@ def hamiltonian_to_creation_annihilation(hamiltonian: QuadraticHamiltonian):
     d = u.T @ hamiltonian.b_matrix(0.0) @ u
     e = u.T @ hamiltonian.c_vector(0.0)
     return 0.5 * (d + d.T), e
+
+
+def flow_to_creation_annihilation(sample: FlowSample) -> tuple[np.ndarray, np.ndarray]:
+    """(M, N) = (U^dag Lam U, U^dag Delta): the flow sample in the (a, a^dag) basis.
+
+    The pair solves dM/dt = M sigma D(t), dN/dt = M sigma E(t) from (I, 0),
+    with (D, E) the Hamiltonian in that basis.
+    """
+    u = quadrature_rotation(sample.lam.shape[0] // 2)
+    u_dag = u.conj().T
+    return u_dag @ sample.lam @ u, u_dag @ sample.delta
 
 
 def flow_expm(hamiltonian: QuadraticHamiltonian, t: float) -> FlowSample:
@@ -261,62 +227,48 @@ def evolve_gaussian(state: GaussianState, flow, t: float | None = None) -> Gauss
     return GaussianState(mean, 0.5 * (disp + disp.T))
 
 
-@dataclass(frozen=True)
-class FreeSystem:
-    """Free particle of the given mass (hbar = 1)."""
-
-    mass: float = 1.0
-
-
-@dataclass(frozen=True)
-class OscillatorSystem:
-    """Harmonic oscillator of the given mass and frequency (hbar = 1)."""
-
-    mass: float = 1.0
-    omega: float = 1.0
-
-
-def free_propagator(q, qp, t: float, mass: float = 1.0):
-    """Position-space amplitude <q| exp(-iHt) |q'> for H = p^2/2m."""
+def _kernel_flow(hamiltonian: QuadraticHamiltonian, t: float):
+    """Lam(t) and the Maslov count of a constant one-mode H with C = 0, B_pp > 0."""
+    if not hamiltonian.is_constant:
+        raise ValueError("the position propagator needs a time-independent Hamiltonian")
+    if hamiltonian.n_modes != 1:
+        raise ValueError("the position propagator is implemented for one mode")
+    if np.any(hamiltonian.c_vector(0.0) != 0.0):
+        raise ValueError("the position propagator needs C = 0")
+    b = hamiltonian.b_matrix(0.0)
+    if not b[0, 0] > 0:
+        raise ValueError("the position propagator needs B_pp > 0")
     if t <= 0:
         raise ValueError("t must be positive")
-    q = np.asarray(q, dtype=float)
-    qp = np.asarray(qp, dtype=float)
-    amp = math.sqrt(mass / (2.0 * math.pi * t)) * np.exp(-0.25j * math.pi)
-    out = amp * np.exp(0.5j * mass * (q - qp) ** 2 / t)
-    return out if out.ndim else complex(out)
+    det_b = float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
+    maslov = 0
+    if det_b > 0:
+        # the q-block of Lam^{-1} is B_pp sin(wt)/w, which vanishes at the foci wt = k pi
+        wt = math.sqrt(det_b) * t
+        if abs(math.sin(wt)) < _CAUSTIC_GUARD:
+            raise CausticError(f"wt={wt} is within the guard band of a focal time k*pi")
+        maslov = math.floor(wt / math.pi)
+    return flow_expm(hamiltonian, t).lam, maslov
 
 
-def oscillator_propagator(q, qp, t: float, mass: float = 1.0, omega: float = 1.0):
-    """Position-space oscillator amplitude with continuous branch across foci.
+def propagator_position(hamiltonian: QuadraticHamiltonian, q, qp, t: float):
+    """Position-space amplitude <q| exp(-iHt) |q'> of a constant one-mode H.
 
-    Each passage through sin(wt) = 0 contributes a quarter-turn phase; the
-    amplitude at wt in (k pi, (k+1) pi) is
-    sqrt(mw / (2 pi |sin wt|)) exp(-i pi/4 - i k pi/2).
+    With Lam^{-1} = [[d, .], [b, a]] in (p, q) order (a = l00, b = -l10,
+    d = l11), the Van Vleck kernel is
+    (2 pi |b|)^{-1/2} exp(-i(pi/4 + k pi/2)) exp(i(d q^2 - 2 q q' + a q'^2) / 2b),
+    where k counts the foci passed, floor(wt/pi) with w = sqrt(det B) when
+    det B > 0 and 0 otherwise.  Needs C = 0 and B_pp > 0; inside the guard
+    band |sin wt| < 1e-8 of a focus it raises CausticError.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    wt = omega * t
-    sin_wt = math.sin(wt)
-    if abs(sin_wt) < _CAUSTIC_GUARD:
-        raise CausticError(f"wt={wt} is within the guard band of a focal time k*pi")
+    lam, maslov = _kernel_flow(hamiltonian, t)
+    a, b, d = lam[0, 0], -lam[1, 0], lam[1, 1]
     q = np.asarray(q, dtype=float)
     qp = np.asarray(qp, dtype=float)
-    k = math.floor(wt / math.pi)
-    amp = (math.sqrt(mass * omega / (2.0 * math.pi * abs(sin_wt)))
-           * np.exp(-1j * (0.25 * math.pi + 0.5 * math.pi * k)))
-    phase = 0.5 * mass * omega * ((q * q + qp * qp) / math.tan(wt) - 2.0 * q * qp / sin_wt)
-    out = amp * np.exp(1j * phase)
+    amp = ((2.0 * math.pi * abs(b)) ** -0.5
+           * np.exp(-1j * (0.25 * math.pi + 0.5 * math.pi * maslov)))
+    out = amp * np.exp(0.5j * (d * q * q - 2.0 * q * qp + a * qp * qp) / b)
     return out if out.ndim else complex(out)
-
-
-def propagator_position(system, q, qp, t: float):
-    """Dispatch the closed-form position propagator for a FreeSystem or OscillatorSystem."""
-    if isinstance(system, FreeSystem):
-        return free_propagator(q, qp, t, mass=system.mass)
-    if isinstance(system, OscillatorSystem):
-        return oscillator_propagator(q, qp, t, mass=system.mass, omega=system.omega)
-    raise TypeError(f"no closed-form propagator for {type(system).__name__}")
 
 
 def coherent_basis_propagator(alpha: complex, beta: complex, omega: float, t: float) -> complex:
@@ -345,38 +297,27 @@ class ResidualReport:
     position_residual: float
 
 
-def invariant_residual_check(system, q_values, qp_values, t: float,
+def invariant_residual_check(hamiltonian: QuadraticHamiltonian, q_values, qp_values, t: float,
                              step: float = 1e-3) -> ResidualReport:
     """Check the evaluated propagator against its defining invariant equations.
 
-    The conserved momentum/position combinations applied (by central finite
-    differences) to the q argument of G must reproduce i dG/dq' and q' G.
+    The conserved combinations Lam_p.(p, q) and Lam_q.(p, q), with p = -i d/dq
+    applied by central finite differences to the q argument of G, must
+    reproduce i dG/dq' and q' G.
     """
     q = np.asarray(q_values, dtype=float).reshape(-1, 1)
     qp = np.asarray(qp_values, dtype=float).reshape(1, -1)
+    lam, _ = _kernel_flow(hamiltonian, t)
 
     def g(qq, qqp):
-        return propagator_position(system, qq, qqp, t)
+        return propagator_position(hamiltonian, qq, qqp, t)
 
+    center = g(q, qp)
     dq = (g(q + step, qp) - g(q - step, qp)) / (2.0 * step)
     dqp = (g(q, qp + step) - g(q, qp - step)) / (2.0 * step)
-    center = g(q, qp)
-
-    if isinstance(system, FreeSystem):
-        cos_wt, sin_wt, m_omega = 1.0, 0.0, 1.0  # sin wt / (m w) -> t/m as w -> 0
-        sin_over_momega = t / system.mass
-        mw_sin = 0.0
-    elif isinstance(system, OscillatorSystem):
-        wt = system.omega * t
-        cos_wt, sin_wt = math.cos(wt), math.sin(wt)
-        sin_over_momega = sin_wt / (system.mass * system.omega)
-        mw_sin = system.mass * system.omega * sin_wt
-    else:
-        raise TypeError(f"no invariant equations for {type(system).__name__}")
-
-    momentum_lhs = -1j * cos_wt * dq + mw_sin * q * center
+    momentum_lhs = -1j * lam[0, 0] * dq + lam[0, 1] * q * center
+    position_lhs = -1j * lam[1, 0] * dq + lam[1, 1] * q * center
     momentum_res = np.abs(momentum_lhs - 1j * dqp).max()
-    position_lhs = 1j * sin_over_momega * dq + cos_wt * q * center
     position_res = np.abs(position_lhs - qp * center).max()
     return ResidualReport(float(momentum_res), float(position_res))
 

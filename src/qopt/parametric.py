@@ -11,6 +11,10 @@ momentum noise of the adiabatic ground packet are |eps|^2/2 and |eps'|^2/2,
 and the photon statistics of that packet follow a one-parameter squeezed
 law.
 
+eps is not integrated on its own: it is the q-row of Lam^{-1} for the
+symplectic flow of `qopt.dynamics`, so the Wronskian is -2i det Lam.  The
+named presets evaluate their closed forms instead and need no scipy.
+
 Wavefunction evaluators need eps^{-1/2} and (eps*/eps)^{m/2}; both are taken
 with the phase of eps tracked continuously from t = 0, never the principal
 branch, so nothing jumps when eps winds around the origin.
@@ -24,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import integrate_symplectic_flow, parametric_oscillator
 from .gaussian import GaussianState
 from .hermite import hermite1d_eval
 
@@ -111,16 +116,20 @@ def closed_form_epsilon(preset: str, t):
 
 
 class EpsilonTrajectory:
-    """Solution samples of the classical equation with continuous phase tracking."""
+    """Solution samples of the classical equation with continuous phase tracking.
 
-    def __init__(self, ts, eps, epsdot, interpolant, tol, profile):
+    ``interpolant(t)`` returns the stacked (eps, epsdot) at a time or an
+    array of times.
+    """
+
+    def __init__(self, ts, interpolant, tol, profile):
         self.ts = np.asarray(ts, dtype=float)
-        self.eps = np.asarray(eps, dtype=complex)
-        self.epsdot = np.asarray(epsdot, dtype=complex)
         self._interpolant = interpolant
         self.tol = float(tol)
         self.profile = profile
-        wron = self.eps * np.conj(self.epsdot) - np.conj(self.eps) * self.epsdot
+        # -2i det Lam on the integrated path, so this is 2 max |det Lam - 1|
+        eps, epsdot = self._eval(self.ts)
+        wron = eps * np.conj(epsdot) - np.conj(eps) * epsdot
         self.wronskian_defect = float(np.abs(wron + 2j).max())
         # phase grid fine enough that eps never winds more than ~pi/2 per step
         t_grid = np.union1d(self.ts, np.arange(0.0, self.t_end + 0.25, 0.25))
@@ -181,8 +190,10 @@ def solve_epsilon(profile: FrequencyProfile, t_end: float, tol: float = 1e-9) ->
 
     Named presets short-circuit to their closed forms (the repulsive branch
     grows like e^t, where an integrated solution could never track the exact
-    one to fixed absolute accuracy); every other profile is integrated with
-    the adaptive scheme at the requested tolerance.
+    one to fixed absolute accuracy).  Every other profile reads eps from the
+    symplectic flow Lam(t) of H = p^2/2 + w^2(t) q^2/2, integrated at the
+    requested tolerance: in (p, q) order eps = l00 - i l10 and
+    epsdot = -l01 + i l11, the q-row of Lam^{-1} = adj(Lam).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -197,20 +208,16 @@ def solve_epsilon(profile: FrequencyProfile, t_end: float, tol: float = 1e-9) ->
                              np.asarray(closed_form_epsilon_derivative(preset, t))])
 
         ts = np.linspace(0.0, t_end, max(81, int(10 * t_end) + 1))
-        eps, epsdot = closed(ts)
-        return EpsilonTrajectory(ts, eps, epsdot, closed, tol, profile)
+        return EpsilonTrajectory(ts, closed, tol, profile)
 
-    # imported on first use: scipy.integrate would otherwise dominate `import qopt`
-    from scipy.integrate import solve_ivp
+    flow = integrate_symplectic_flow(parametric_oscillator(profile), t_end, tol)
 
-    def rhs(t, y):
-        return np.array([y[1], -profile(t) * y[0]])
+    def from_flow(t):
+        lam = flow.evaluate(t)[0]
+        return np.stack([lam[..., 0, 0] - 1j * lam[..., 1, 0],
+                         -lam[..., 0, 1] + 1j * lam[..., 1, 1]])
 
-    sol = solve_ivp(rhs, (0.0, t_end), np.array([1.0 + 0j, 1j]), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"epsilon integration failed: {sol.message}")
-    return EpsilonTrajectory(sol.t, sol.y[0], sol.y[1], sol.sol, tol, profile)
+    return EpsilonTrajectory(flow.ts, from_flow, tol, profile)
 
 
 def variances_correlation(traj: EpsilonTrajectory, t: float) -> tuple[float, float, float]:
@@ -257,11 +264,18 @@ def squeezed_vacuum_pnd(traj: EpsilonTrajectory, t: float, n: int) -> float:
 
 
 def to_gaussian_state(traj: EpsilonTrajectory, t: float) -> GaussianState:
-    """The evolved vacuum packet as a Gaussian state carrier."""
+    """The evolved vacuum packet as a Gaussian state carrier.
+
+    The moments are divided by the sample's own Wronskian Im(eps* epsdot)
+    (1 up to integrator error), so the carrier is exactly pure: raw moments
+    can fall below the vacuum bound by the defect, which the trajectory
+    still reports as ``wronskian_defect``.
+    """
     eps, epsdot = traj.at(t)
-    s_x = 0.5 * abs(eps) ** 2
-    s_p = 0.5 * abs(epsdot) ** 2
-    s_xp = 0.5 * np.real(np.conj(eps) * epsdot)
+    scale = 0.5 / np.imag(np.conj(eps) * epsdot)
+    s_x = scale * abs(eps) ** 2
+    s_p = scale * abs(epsdot) ** 2
+    s_xp = scale * np.real(np.conj(eps) * epsdot)
     return GaussianState(np.zeros(2), np.array([[s_p, s_xp], [s_xp, s_x]]))
 
 

@@ -1,14 +1,20 @@
 """Independent numerical oracles shared by the test suite.
 
-Nothing here touches the library's recursion, overlap or formatting code
-paths: the generating function is expanded by explicit polynomial
-arithmetic, integrals are done by brute-force quadrature, and CSV text is
-built one cell at a time.
+Nothing here touches the library's recursion, overlap, flow or formatting
+code paths: the generating function is expanded by explicit polynomial
+arithmetic, integrals are done by brute-force quadrature, propagators are
+the textbook closed forms, and CSV text is built one cell at a time.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from qopt.errors import CausticError
+
+_CAUSTIC_GUARD = 1e-8
 
 
 def _poly_mul(p: dict, q: dict, max_deg: int) -> dict:
@@ -102,3 +108,37 @@ def repr_csv(header, rows) -> str:
         lines.append(",".join(str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
                               for v in row))
     return "\n".join(lines) + "\n"
+
+
+def free_propagator(q, qp, t: float, mass: float = 1.0):
+    """Position-space amplitude <q| exp(-iHt) |q'> for H = p^2/2m."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    q = np.asarray(q, dtype=float)
+    qp = np.asarray(qp, dtype=float)
+    amp = math.sqrt(mass / (2.0 * math.pi * t)) * np.exp(-0.25j * math.pi)
+    out = amp * np.exp(0.5j * mass * (q - qp) ** 2 / t)
+    return out if out.ndim else complex(out)
+
+
+def oscillator_propagator(q, qp, t: float, mass: float = 1.0, omega: float = 1.0):
+    """Position-space oscillator amplitude with continuous branch across foci.
+
+    Each passage through sin(wt) = 0 contributes a quarter-turn phase; the
+    amplitude at wt in (k pi, (k+1) pi) is
+    sqrt(mw / (2 pi |sin wt|)) exp(-i pi/4 - i k pi/2).
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    wt = omega * t
+    sin_wt = math.sin(wt)
+    if abs(sin_wt) < _CAUSTIC_GUARD:
+        raise CausticError(f"wt={wt} is within the guard band of a focal time k*pi")
+    q = np.asarray(q, dtype=float)
+    qp = np.asarray(qp, dtype=float)
+    k = math.floor(wt / math.pi)
+    amp = (math.sqrt(mass * omega / (2.0 * math.pi * abs(sin_wt)))
+           * np.exp(-1j * (0.25 * math.pi + 0.5 * math.pi * k)))
+    phase = 0.5 * mass * omega * ((q * q + qp * qp) / math.tan(wt) - 2.0 * q * qp / sin_wt)
+    out = amp * np.exp(1j * phase)
+    return out if out.ndim else complex(out)

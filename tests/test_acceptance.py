@@ -12,9 +12,9 @@ import numpy as np
 
 from qopt.cats import CatState, cat_moments, cat_pnd, cat_wigner_eval
 from qopt.cli import execute_job, parse_config, write_output
-from qopt.dynamics import (FreeSystem, OscillatorSystem, fock_basis_propagator,
-                           harmonic_oscillator, integrate_symplectic_flow,
-                           invariant_residual_check, parametric_oscillator)
+from qopt.dynamics import (fock_basis_propagator, free_particle, harmonic_oscillator,
+                           integrate_symplectic_flow, invariant_residual_check,
+                           parametric_oscillator)
 from qopt.gaussian import (make_coherent, make_squeezed_vacuum, make_thermal_oscillator,
                            photon_pnd, q_eval, to_qrep, validate_state, wigner_eval)
 from qopt.hermite import HermiteParams, OverlapSpec, gaussian_hermite_overlap, mv_hermite_eval
@@ -120,15 +120,15 @@ def test_criterion_04_symplectic_and_wronskian():
 def test_criterion_05_propagators():
     grid = np.linspace(-2.0, 2.0, 9)
     residuals = []
-    for system, t in ((FreeSystem(), 1.0), (OscillatorSystem(), 1.0)):
-        rep = invariant_residual_check(system, grid, grid, t, step=1e-3)
+    for ham, t in ((free_particle(), 1.0), (harmonic_oscillator(), 1.0)):
+        rep = invariant_residual_check(ham, grid, grid, t, step=1e-3)
         residuals.append(max(rep.momentum_residual, rep.position_residual))
     residual_ok = max(residuals) <= 1e-4
 
     semis = []
-    for system, t1, t2 in ((FreeSystem(), 0.4, 0.9), (OscillatorSystem(), 0.3, 0.5),
-                           (OscillatorSystem(), 2.0, 2.0)):
-        semis.append(semigroup_defect(system, 0.3, -0.2, t1, t2))
+    for ham, t1, t2 in ((free_particle(), 0.4, 0.9), (harmonic_oscillator(), 0.3, 0.5),
+                        (harmonic_oscillator(), 2.0, 2.0)):
+        semis.append(semigroup_defect(ham, 0.3, -0.2, t1, t2))
     semigroup_ok = max(semis) <= 1e-6
 
     fock_exact = all(

@@ -254,14 +254,27 @@ class TestSidecarHealth:
         assert meta["reconstructed_mass"] == pytest.approx(1.0, abs=1e-2)
 
 
-def test_import_loads_no_scipy_solvers():
-    """scipy.integrate, scipy.linalg and scipy.ndimage load only when a job needs them."""
+def test_import_loads_no_scipy_solvers(tmp_path):
+    """scipy.integrate, scipy.linalg and scipy.ndimage load only when a job needs them;
+    a constant-H evolve job samples the exact flow and never loads scipy.integrate."""
     code = ("import sys, qopt, qopt.cli; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'scipy.ndimage') "
             "if m in sys.modules))")
+    evolve = {"state": {"kind": "coherent", "alpha": 1.0},
+              "hamiltonian": {"preset": "oscillator", "mass": 1.0, "omega": 1.0},
+              "t_end": 2 * math.pi}
+    (tmp_path / "evolve.json").write_text(json.dumps(evolve), encoding="utf-8")
+    evolve_code = ("import sys; from qopt.cli import main; "
+                   f"code = main(['evolve', '--config', {str(tmp_path / 'evolve.json')!r}, "
+                   f"'--out-dir', {str(tmp_path / 'out')!r}]); "
+                   "print(code, 'scipy.integrate' in sys.modules)")
     src = str(Path(qopt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", evolve_code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0 False"
+    assert (tmp_path / "out" / "evolve.csv").exists()

@@ -2,42 +2,59 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from qopt.dynamics import (FlowSample, FreeSystem, OscillatorSystem,
-                           QuadraticHamiltonian, coherent_basis_propagator, evolve_gaussian,
-                           flow_expm, fock_basis_propagator, free_particle, free_propagator,
-                           hamiltonian_from_dict, hamiltonian_to_creation_annihilation,
-                           harmonic_oscillator, integrate_complex_flow,
+from qopt.dynamics import (FlowSample, QuadraticHamiltonian, coherent_basis_propagator,
+                           evolve_gaussian, flow_expm, flow_to_creation_annihilation,
+                           fock_basis_propagator, free_particle, hamiltonian_from_dict,
+                           hamiltonian_to_creation_annihilation, harmonic_oscillator,
                            integrate_symplectic_flow, invariant_residual_check,
-                           oscillator_propagator, parametric_oscillator, propagator_position)
+                           parametric_oscillator, propagator_position)
 from qopt.errors import CausticError
 from qopt.gaussian import GaussianState, make_coherent, validate_state
-from qopt.matrices import quadrature_rotation, symplectic_metric
+from qopt.matrices import complex_structure, symplectic_metric
 
-from oracles import quadratic_phase_integral
+from oracles import free_propagator, oscillator_propagator, quadratic_phase_integral
+
+REPULSIVE = QuadraticHamiltonian(np.diag([1.0, -1.0]), np.zeros(2), 1)
+CROSS_TERM = QuadraticHamiltonian(np.array([[1.0, 0.3], [0.3, 0.8]]), np.zeros(2), 1)
 
 
-def semigroup_defect(system, q, qp, t1, t2):
-    """|int G(q,q'',t1) G(q'',q',t2) dq'' - G(q,q',t1+t2)| by contour quadrature."""
-    if isinstance(system, FreeSystem):
-        m = system.mass
-        a = 0.5 * m * (1.0 / t1 + 1.0 / t2)
-        b = -m * (q / t1 + qp / t2)
-        c = 0.5 * m * (q * q / t1 + qp * qp / t2)
-        pref = (math.sqrt(m / (2 * math.pi * t1)) * math.sqrt(m / (2 * math.pi * t2))
-                * np.exp(-0.5j * math.pi))
+def kernel_coefficients(hamiltonian, t):
+    """(a, b, d, k) of the one-mode Van Vleck kernel from the closed form of exp(t Sigma B).
+
+    (Sigma B)^2 = -det(B) I, so exp(t Sigma B) = c(t) I + s(t) Sigma B with
+    (c, s) = (cos wt, sin(wt)/w), (cosh kt, sinh(kt)/k) or (1, t); k counts
+    the foci wt = j pi passed.
+    """
+    b = hamiltonian.b_matrix(0.0)
+    det = b[0, 0] * b[1, 1] - b[0, 1] ** 2
+    foci = 0
+    if det > 0:
+        w = math.sqrt(det)
+        c, s = math.cos(w * t), math.sin(w * t) / w
+        foci = math.floor(w * t / math.pi)
+    elif det < 0:
+        kappa = math.sqrt(-det)
+        c, s = math.cosh(kappa * t), math.sinh(kappa * t) / kappa
     else:
-        m, w = system.mass, system.omega
-        s1, s2 = math.sin(w * t1), math.sin(w * t2)
-        a = 0.5 * m * w * (1.0 / math.tan(w * t1) + 1.0 / math.tan(w * t2))
-        b = -m * w * (q / s1 + qp / s2)
-        c = 0.5 * m * w * (q * q / math.tan(w * t1) + qp * qp / math.tan(w * t2))
-        k1, k2 = math.floor(w * t1 / math.pi), math.floor(w * t2 / math.pi)
-        pref = (math.sqrt(m * w / (2 * math.pi * abs(s1)))
-                * math.sqrt(m * w / (2 * math.pi * abs(s2)))
-                * np.exp(-1j * (0.5 * math.pi + 0.5 * math.pi * (k1 + k2))))
+        c, s = 1.0, t
+    return c + s * b[0, 1], s * b[0, 0], c - s * b[0, 1], foci
+
+
+def semigroup_defect(hamiltonian, q, qp, t1, t2):
+    """|int G(q,q'',t1) G(q'',q',t2) dq'' - G(q,q',t1+t2)| by contour quadrature."""
+    a1, b1, d1, k1 = kernel_coefficients(hamiltonian, t1)
+    a2, b2, d2, k2 = kernel_coefficients(hamiltonian, t2)
+    a = 0.5 * (a1 / b1 + d2 / b2)
+    b = -(q / b1 + qp / b2)
+    c = 0.5 * (d1 * q * q / b1 + a2 * qp * qp / b2)
+    pref = ((2 * math.pi * abs(b1)) ** -0.5 * (2 * math.pi * abs(b2)) ** -0.5
+            * np.exp(-1j * (0.5 * math.pi + 0.5 * math.pi * (k1 + k2))))
     composed = pref * quadratic_phase_integral(a, 1j * b, 1j * c)
-    direct = propagator_position(system, q, qp, t1 + t2)
+    direct = propagator_position(hamiltonian, q, qp, t1 + t2)
     return abs(composed - direct)
 
 
@@ -131,21 +148,87 @@ class TestFlowExpm:
         assert harmonic_oscillator().is_constant is True
 
 
+def _complex_expm(hamiltonian, t):
+    """(M, N) of constant (D, E) by one augmented exponential of [[sigma D, sigma E], [0, 0]]."""
+    d, e = hamiltonian_to_creation_annihilation(hamiltonian)
+    sigma = complex_structure(hamiltonian.n_modes)
+    dim = 2 * hamiltonian.n_modes
+    gen = np.zeros((dim + 1, dim + 1), dtype=complex)
+    gen[:dim, :dim] = sigma @ d
+    gen[:dim, dim] = sigma @ e
+    block = expm(gen * t)
+    return block[:dim, :dim], block[:dim, dim]
+
+
+def _generator_residual(hamiltonian, sample_at, t, h=1e-4):
+    """max |dM/dt - M sigma D(t)|, |dN/dt - M sigma E(t)| by central differences."""
+    n = hamiltonian.n_modes
+    frozen = QuadraticHamiltonian(hamiltonian.b_matrix(t), hamiltonian.c_vector(t), n)
+    d, e = hamiltonian_to_creation_annihilation(frozen)
+    sigma = complex_structure(n)
+    m, _ = flow_to_creation_annihilation(sample_at(t))
+    m_hi, n_hi = flow_to_creation_annihilation(sample_at(t + h))
+    m_lo, n_lo = flow_to_creation_annihilation(sample_at(t - h))
+    return max(np.abs((m_hi - m_lo) / (2 * h) - m @ sigma @ d).max(),
+               np.abs((n_hi - n_lo) / (2 * h) - m @ sigma @ e).max())
+
+
+def _symplectic_eigenvalues(disp):
+    n = disp.shape[0] // 2
+    # i Sigma M has eigenvalues +-nu_k
+    return np.sort(np.abs(np.linalg.eigvals(1j * symplectic_metric(n) @ disp)))[::2]
+
+
+@st.composite
+def flow_problems(draw):
+    """Random symmetric B and C (entries in [-1, 1]), t <= 2 and a random Gaussian state."""
+    n = draw(st.integers(1, 2))
+    dim = 2 * n
+    entry = st.floats(-1.0, 1.0, allow_nan=False)
+    b = np.array(draw(st.lists(entry, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    c = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
+    t = draw(st.floats(0.01, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = 0.3 * rng.normal(size=(dim, dim))
+    sympl = expm(symplectic_metric(n) @ (g + g.T))
+    nu = np.tile(0.5 + rng.uniform(0.0, 1.0, size=n), 2)
+    state = GaussianState(rng.normal(size=dim), sympl @ np.diag(nu) @ sympl.T)
+    return 0.5 * (b + b.T), c, t, state
+
+
+class TestFlowProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(flow_problems())
+    def test_expm_and_ode_paths_evolve_alike(self, problem):
+        b, c, t, state = problem
+        n = b.shape[0] // 2
+        sample = flow_expm(QuadraticHamiltonian(b, c, n), t)
+        ode = integrate_symplectic_flow(
+            QuadraticHamiltonian(lambda s: b, lambda s: c, n), t, tol=1e-10)
+        exact = evolve_gaussian(state, sample)
+        along_ode = evolve_gaussian(state, ode, t)
+        scale = max(1.0, np.abs(sample.lam).max(), np.abs(sample.delta).max())
+        bound = 1e-7 * scale ** 2 * max(1.0, np.abs(state.mean).max(), np.abs(state.disp).max())
+        assert np.abs(along_ode.mean - exact.mean).max() <= bound
+        assert np.abs(along_ode.disp - exact.disp).max() <= bound
+        nu0 = _symplectic_eigenvalues(state.disp)
+        for evolved in (exact, along_ode):
+            assert np.abs(_symplectic_eigenvalues(evolved.disp) - nu0).max() <= 1e-8 * nu0.max()
+
+
 class TestComplexFlow:
     def test_stationary_oscillator_phases(self):
         omega = 1.3
-        d = np.array([[0.0, omega], [omega, 0.0]])
-        flow = integrate_complex_flow(d, np.zeros(2, dtype=complex), 4.0, tol=1e-11)
+        ham = QuadraticHamiltonian(omega * np.eye(2), np.zeros(2), 1)
         for t in [0.0, 1.0, 3.7]:
-            m, n = flow.at(t)
+            m, n = flow_to_creation_annihilation(flow_expm(ham, t))
             want = np.diag([np.exp(1j * omega * t), np.exp(-1j * omega * t)])
             assert np.abs(m - want).max() < 1e-9
             assert np.abs(n).max() < 1e-12
 
     def test_initial_condition(self):
-        d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        flow = integrate_complex_flow(d, np.array([0.2, 0.2]), 1.0)
-        m, n = flow.at(0.0)
+        ham = QuadraticHamiltonian(np.eye(2), np.array([0.2, 0.2]), 1)
+        m, n = flow_to_creation_annihilation(flow_expm(ham, 0.0))
         assert np.allclose(m, np.eye(2))
         assert np.allclose(n, 0.0)
 
@@ -153,15 +236,27 @@ class TestComplexFlow:
         rng = np.random.default_rng(14)
         b = rng.normal(size=(4, 4))
         ham = QuadraticHamiltonian(b + b.T, rng.normal(size=4), 2)
-        d, e = hamiltonian_to_creation_annihilation(ham)
         sflow = integrate_symplectic_flow(ham, 2.0, tol=1e-11)
-        cflow = integrate_complex_flow(d, e, 2.0, tol=1e-11)
-        u = quadrature_rotation(2)
         for t in [0.7, 2.0]:
-            sample = sflow.at(t)
-            m, n = cflow.at(t)
-            assert np.abs(m - u.conj().T @ sample.lam @ u).max() < 1e-9
-            assert np.abs(n - u.conj().T @ sample.delta).max() < 1e-9
+            m, n = flow_to_creation_annihilation(sflow.at(t))
+            want_m, want_n = _complex_expm(ham, t)
+            assert np.abs(m - want_m).max() < 1e-9
+            assert np.abs(n - want_n).max() < 1e-9
+
+    def test_generator_residual_two_mode(self):
+        rng = np.random.default_rng(15)
+        b = rng.normal(size=(4, 4))
+        ham = QuadraticHamiltonian(b + b.T, rng.normal(size=4), 2)
+        for t in [0.3, 1.1]:
+            assert _generator_residual(ham, lambda s: flow_expm(ham, s), t) < 1e-6
+
+    def test_generator_residual_time_dependent(self):
+        ham = QuadraticHamiltonian(
+            lambda t: np.array([[1.0, 0.2 * math.sin(t)], [0.2 * math.sin(t), 1.0 + 0.5 * t]]),
+            lambda t: np.array([0.1 * t, math.cos(t)]), 1)
+        flow = integrate_symplectic_flow(ham, 2.0, tol=1e-12)
+        for t in [0.4, 1.5]:
+            assert _generator_residual(ham, flow.at, t) < 1e-6
 
 
 class TestEvolveGaussian:
@@ -226,12 +321,12 @@ class TestEvolveGaussian:
 class TestPositionPropagators:
     def test_free_translation_invariance(self):
         t = 0.8
-        vals = [free_propagator(q, q - 0.6, t, mass=1.3) for q in [-1.0, 0.0, 2.5]]
+        vals = [propagator_position(free_particle(1.3), q, q - 0.6, t) for q in [-1.0, 0.0, 2.5]]
         assert np.abs(np.diff(vals)).max() < 1e-14
 
     def test_free_short_time_width(self):
         # |G|^2 = m / (2 pi t)
-        assert abs(free_propagator(0.3, -0.2, 0.5, mass=2.0)) ** 2 == pytest.approx(
+        assert abs(propagator_position(free_particle(2.0), 0.3, -0.2, 0.5)) ** 2 == pytest.approx(
             2.0 / (2 * math.pi * 0.5), rel=1e-12)
 
     def test_oscillator_quarter_period(self):
@@ -240,17 +335,60 @@ class TestPositionPropagators:
         for q, qp in [(0.5, 0.3), (-1.0, 0.7)]:
             want = math.sqrt(m * w / (2 * math.pi)) * np.exp(-0.25j * math.pi) \
                 * np.exp(-1j * m * w * q * qp)
-            assert oscillator_propagator(q, qp, t, m, w) == pytest.approx(want, rel=1e-12)
+            assert propagator_position(harmonic_oscillator(m, w), q, qp, t) == pytest.approx(
+                want, rel=1e-12)
 
     def test_caustic_guard(self):
         with pytest.raises(CausticError):
-            oscillator_propagator(0.1, 0.2, math.pi, 1.0, 1.0)
+            propagator_position(harmonic_oscillator(1.0, 1.0), 0.1, 0.2, math.pi)
+        with pytest.raises(CausticError):
+            propagator_position(CROSS_TERM, 0.1, 0.2, 2 * math.pi / math.sqrt(0.71))
+
+    @pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
+    def test_free_matches_closed_form(self, mass):
+        q, qp = np.meshgrid([-1.3, 0.0, 0.4, 2.2], [-0.7, 0.5, 1.9])
+        for t in [0.05, 0.6, 2.0, 11.0]:
+            got = propagator_position(free_particle(mass), q, qp, t)
+            want = free_propagator(q, qp, t, mass=mass)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("omega", [0.7, 1.0, 1.9])
+    def test_oscillator_matches_closed_form_across_foci(self, mass, omega):
+        q, qp = np.meshgrid([-1.3, 0.0, 0.4, 2.2], [-0.7, 0.5, 1.9])
+        checked = 0
+        for t in np.linspace(0.1, 11.0, 60):
+            if abs(math.sin(omega * t)) < 0.1:
+                continue
+            got = propagator_position(harmonic_oscillator(mass, omega), q, qp, t)
+            want = oscillator_propagator(q, qp, t, mass, omega)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            checked += 1
+        assert checked > 40
+
+    @pytest.mark.parametrize("ham", [
+        parametric_oscillator(lambda t: 1.0 + 0.1 * t),                 # time-dependent
+        QuadraticHamiltonian(np.eye(4), np.zeros(4), 2),                 # two modes
+        QuadraticHamiltonian(np.eye(2), np.array([0.0, 0.5]), 1),        # linear term
+        QuadraticHamiltonian(np.diag([0.0, 1.0]), np.zeros(2), 1),       # no kinetic term
+    ])
+    def test_unsupported_hamiltonians_rejected(self, ham):
+        with pytest.raises(ValueError):
+            propagator_position(ham, 0.1, 0.2, 1.0)
+        with pytest.raises(ValueError):
+            invariant_residual_check(ham, [0.0], [0.0], 1.0)
+
+    def test_nonpositive_time_rejected(self):
+        with pytest.raises(ValueError):
+            propagator_position(free_particle(), 0.1, 0.2, 0.0)
 
     @pytest.mark.parametrize("system,t1,t2", [
-        (FreeSystem(mass=1.0), 0.4, 0.9),
-        (FreeSystem(mass=2.0), 1.1, 0.3),
-        (OscillatorSystem(1.0, 1.0), 0.3, 0.5),
-        (OscillatorSystem(1.0, 1.0), 2.0, 2.0),   # crosses a focal time
+        (free_particle(mass=1.0), 0.4, 0.9),
+        (free_particle(mass=2.0), 1.1, 0.3),
+        (harmonic_oscillator(1.0, 1.0), 0.3, 0.5),
+        (harmonic_oscillator(1.0, 1.0), 2.0, 2.0),   # crosses a focal time
+        (REPULSIVE, 0.4, 0.7),
+        (CROSS_TERM, 2.5, 2.5),                      # w = sqrt(0.71): crosses a focal time
     ])
     def test_semigroup_property(self, system, t1, t2):
         for q, qp in [(0.2, -0.4), (1.0, 0.8)]:
@@ -263,7 +401,7 @@ class TestPositionPropagators:
         errs = []
         for t, n_pts in [(3e-2, 200001), (3e-3, 600001)]:
             qs = np.linspace(-10, 10, n_pts)
-            vals = free_propagator(q0, qs, t) * f(qs)
+            vals = propagator_position(free_particle(), q0, qs, t) * f(qs)
             integral = np.trapezoid(vals, qs)
             errs.append(abs(integral - f(q0)))
         assert errs[1] < 0.2 * errs[0]
@@ -301,19 +439,27 @@ class TestBasisPropagators:
 class TestInvariantResiduals:
     def test_free_particle(self):
         grid = np.linspace(-2, 2, 9)
-        report = invariant_residual_check(FreeSystem(), grid, grid, 1.0)
+        report = invariant_residual_check(free_particle(), grid, grid, 1.0)
         assert report.momentum_residual < 1e-4
         assert report.position_residual < 1e-4
 
     def test_oscillator(self):
         grid = np.linspace(-2, 2, 9)
-        report = invariant_residual_check(OscillatorSystem(), grid, grid, 1.0)
+        report = invariant_residual_check(harmonic_oscillator(), grid, grid, 1.0)
         assert report.momentum_residual < 1e-4
         assert report.position_residual < 1e-4
 
     def test_oscillator_other_mass(self):
         grid = np.linspace(-1.5, 1.5, 9)
-        report = invariant_residual_check(OscillatorSystem(mass=1.7, omega=0.8), grid, grid, 2.2)
+        report = invariant_residual_check(harmonic_oscillator(mass=1.7, omega=0.8), grid, grid,
+                                          2.2)
+        assert report.momentum_residual < 1e-4
+        assert report.position_residual < 1e-4
+
+    @pytest.mark.parametrize("ham,t", [(REPULSIVE, 1.0), (CROSS_TERM, 1.0), (CROSS_TERM, 4.5)])
+    def test_repulsive_and_cross_term(self, ham, t):
+        grid = np.linspace(-1.5, 1.5, 9)
+        report = invariant_residual_check(ham, grid, grid, t)
         assert report.momentum_residual < 1e-4
         assert report.position_residual < 1e-4
 

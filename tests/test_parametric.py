@@ -207,6 +207,20 @@ class TestSqueezedVacuumPnd:
             assert rep.p0 == pytest.approx(want, abs=1e-9)
 
 
+class TestGaussianCarrier:
+    @pytest.mark.parametrize("expr,tol", [("1 + 0.3*cos(2*t)", 1e-11),
+                                          ("1 + 0.3*cos(2*t)", 1e-9),
+                                          ("1 + 0.4*sin(3*t)", 1e-9)])
+    def test_carrier_is_never_sub_vacuum(self, expr, tol):
+        # integrator noise in (eps, epsdot) must not push det disp below 1/4,
+        # where photon_pnd rejects the carrier with P(1) < 0
+        traj = solve_epsilon(expression_profile(expr), 12.0, tol)
+        for t in np.linspace(0.1, 12.0, 400):
+            state = to_gaussian_state(traj, t)
+            assert abs(photon_pnd(state, [1])) < 1e-12
+            assert np.linalg.det(state.disp) == pytest.approx(0.25, rel=1e-12)
+
+
 class TestPacketWavefunctions:
     def test_ground_state_at_zero_time(self):
         traj = make_traj()
