@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConventionError
-from .hermite import as_index
+from .errors import ConventionError, ResourceLimitError
+from .hermite import BOX_ENTRY_CAP, as_index
 
 _IMAG_RESIDUE_TOL = 1e-12
 _LN2 = math.log(2.0)
@@ -34,8 +34,8 @@ class CatState:
             raise ValueError("amplitudes must be a nonempty complex vector")
         if self.parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if self.parity == "odd" and np.abs(amp).max() == 0.0:
-            raise ValueError("odd superposition of A = 0 is not normalizable")
+        if self.parity == "odd" and np.sum(np.abs(amp) ** 2) == 0.0:
+            raise ValueError("odd superposition with |A|^2 = 0 is not normalizable")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
@@ -65,18 +65,45 @@ def cat_normalization(c: CatState) -> float:
 def cat_pnd(c: CatState, n) -> float:
     """Probability of the photon-number outcome n; zero on parity mismatch."""
     idx = as_index(n, length=c.n_modes)
-    total = sum(idx)
-    if total % 2 != (0 if c.parity == "even" else 1):
-        return 0.0
-    log_term = 0.0
-    for alpha, k in zip(c.amplitudes, idx):
+    return float(_cat_probabilities(c, np.array([idx], dtype=np.int64))[0])
+
+
+def cat_pnd_table(c: CatState, max_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, probabilities) of every outcome with at most max_total photons: an
+    (M, N) array ordered by total, then lexicographically, and the M probabilities.
+    Raises ``ResourceLimitError`` when M = C(max_total + N, N) exceeds ``BOX_ENTRY_CAP``."""
+    if max_total < 0:
+        raise ValueError("max_total must be nonnegative")
+    rows = math.comb(max_total + c.n_modes, c.n_modes)
+    if rows > BOX_ENTRY_CAP:
+        raise ResourceLimitError(f"{rows} photon-number rows up to total {max_total} "
+                                 f"exceed the cap {BOX_ENTRY_CAP}")
+    # all indices with sum <= max_total in lexicographic order, one mode at a time
+    indices = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(c.n_modes):
+        room = max_total + 1 - indices.sum(axis=1)
+        last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        indices = np.column_stack([np.repeat(indices, room, axis=0), last])
+    indices = indices[np.argsort(indices.sum(axis=1), kind="stable")]
+    return indices, _cat_probabilities(c, indices)
+
+
+def _cat_probabilities(c: CatState, indices: np.ndarray) -> np.ndarray:
+    """P(n) = prod_m |alpha_m|^(2 n_m) / n_m! / cosh |A|^2 (sinh if odd), per index row."""
+    log_term = np.zeros(indices.shape[0])
+    possible = indices.sum(axis=1) % 2 == (0 if c.parity == "even" else 1)
+    counts = np.unique(indices)
+    log_factorial = np.array([math.lgamma(k + 1) for k in counts.tolist()])
+    for alpha, k in zip(c.amplitudes, indices.T):
         a = abs(alpha)
         if a == 0.0:
-            if k > 0:
-                return 0.0
-            continue
-        log_term += 2 * k * math.log(a) - math.lgamma(k + 1)
-    return math.exp(log_term - _log_weight(c))
+            possible &= k == 0
+        else:
+            log_term += 2 * k * math.log(a) - log_factorial[np.searchsorted(counts, k)]
+    probs = np.zeros(indices.shape[0])
+    # math.exp, not np.exp: the two differ in the last bit on some arguments
+    probs[possible] = [math.exp(v) for v in (log_term[possible] - _log_weight(c)).tolist()]
+    return probs
 
 
 def cat_total_pnd(c: CatState, total: int) -> float:

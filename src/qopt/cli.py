@@ -6,6 +6,9 @@ Commands: pnd, wigner, qfunc, evolve, epsilon, cat, tomo-forward, tomo-invert,
 verify.  Outputs are byte-stable across runs: floats are written with their
 shortest round-trip decimal (Python repr), JSON keys are sorted, and nothing
 depends on wall-clock time or randomized defaults.
+Jobs run serially; ``--threads`` is accepted for old scripts and ignored, since
+splitting grid rows over threads gained nothing.  Bad counts and a ``mass_tol``
+outside (0, 1) are configuration errors naming the field (exit status 2).
 """
 
 from __future__ import annotations
@@ -15,14 +18,13 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cats import CatState, cat_from_dict, cat_moments, cat_pnd, cat_q_eval, cat_wigner_eval
+from .cats import CatState, cat_from_dict, cat_moments, cat_pnd_table, cat_q_eval, cat_wigner_eval
 from .dynamics import (evolve_gaussian, flow_expm, hamiltonian_from_dict,
                        integrate_symplectic_flow, parametric_oscillator)
 from .gaussian import (QREP_CONVENTION, GaussianState, make_coherent, make_squeezed_vacuum,
@@ -128,6 +130,7 @@ _REQUIRED = {
     "tomo-invert": ("sinogram", "grid"),
     "verify": (),
 }
+_LEAST_COUNT = {"max_total": 0, "degree_cap": 0, "num": 1, "n_angles": 1, "wigner_samples": 2}
 
 
 def parse_config(text: str, command: str | None = None) -> JobConfig:
@@ -157,21 +160,12 @@ def parse_config(text: str, command: str | None = None) -> JobConfig:
             raise ConfigError("grid", "must be an object with 'q' and 'p'")
         _parse_grid(_require(grid, "q", "grid"), "grid.q")
         _parse_grid(_require(grid, "p", "grid"), "grid.p")
+    for field, least in _LEAST_COUNT.items():
+        if field in options and int(options[field]) < least:
+            raise ConfigError(field, f"must be an integer >= {least}, got {options[field]!r}")
+    if "mass_tol" in options and not 0.0 < float(options["mass_tol"]) < 1.0:
+        raise ConfigError("mass_tol", f"must lie in (0, 1), got {options['mass_tol']!r}")
     return JobConfig(cmd, options)
-
-
-def _chunked_eval(fn, q_grid, p_grid, threads: int) -> np.ndarray:
-    """Evaluate fn on the (q, p) product grid, optionally splitting rows across threads."""
-    qq, pp = np.meshgrid(q_grid, p_grid, indexing="ij")
-    if threads <= 1:
-        return fn(qq, pp)
-    chunks = np.array_split(np.arange(q_grid.shape[0]), threads)
-    out = np.empty_like(qq)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(idx, pool.submit(fn, qq[idx], pp[idx])) for idx in chunks if idx.size]
-        for idx, fut in futures:
-            out[idx] = fut.result()
-    return out
 
 
 def _require_one_mode(state, path):
@@ -186,12 +180,33 @@ def _state_wigner_fn(state):
     return lambda q, p: wigner_eval(state, np.stack([p, q], axis=-1))
 
 
-def _job_pnd(options, threads):
+def _state_qfunc_fn(state):
+    q_eval_fn = cat_q_eval if isinstance(state, CatState) else q_eval
+    return lambda q, p: q_eval_fn(state, ((q + 1j * p) / math.sqrt(2))[..., np.newaxis])
+
+
+def _grid_job(options, name: str, density_fn, title: str):
+    """(artifacts, values, sidecar health figures) of a one-mode density on the config's
+    grid: the mass (1 when the grid holds the state) and the boundary-to-peak ratio
+    (small when it holds the support)."""
+    state = _require_one_mode(_parse_state(options["state"], "state"), "state")
+    q_grid = _parse_grid(options["grid"]["q"], "grid.q")
+    p_grid = _parse_grid(options["grid"]["p"], "grid.p")
+    values = density_fn(state)(*np.meshgrid(q_grid, p_grid, indexing="ij"))
+    artifacts = {f"{name}.csv": format_lattice(PHASE_SPACE_HEADER, q_grid, p_grid, values)}
+    if options.get("plot", False):
+        artifacts[f"{name}.gp"] = _plot_script(f"{name}.csv", q_grid.shape[0],
+                                               p_grid.shape[0], title)
+    return artifacts, values, {"mass": lattice_mass(q_grid, p_grid, values),
+                               "boundary_peak_ratio": boundary_peak_ratio(values)}
+
+
+def _job_pnd(options):
     state = _parse_state(options["state"], "state")
     if isinstance(state, CatState):
         max_total = int(options.get("max_total", 32))
-        indices, probs = _cat_pnd_columns(state, max_total)
-        meta = {"cumulative_probability": sum(probs), "max_total": max_total}
+        indices, probs = cat_pnd_table(state, max_total)
+        meta = {"cumulative_probability": sum(probs.tolist()), "max_total": max_total}
     else:
         table = photon_pnd_table(state,
                                  mass_tol=float(options.get("mass_tol", 1e-10)),
@@ -203,12 +218,6 @@ def _job_pnd(options, threads):
     return {"pnd.csv": _pnd_csv(indices, probs)}, meta
 
 
-def _cat_pnd_columns(state, max_total):
-    """(indices, probabilities) of a cat state over all total degrees <= max_total."""
-    indices = list(_total_degree_indices(state.n_modes, max_total))
-    return indices, [cat_pnd(state, idx) for idx in indices]
-
-
 def _pnd_csv(indices, probs) -> str:
     """Rows (n_1, ..., n_N, probability): integer counts, float probabilities."""
     counts = np.array(indices, dtype=np.int64)
@@ -216,58 +225,17 @@ def _pnd_csv(indices, probs) -> str:
     return format_table(header, [*counts.T, np.array(probs, dtype=float)])
 
 
-def _total_degree_indices(n_modes, max_total):
-    def shells(remaining, depth):
-        if depth == n_modes - 1:
-            yield (remaining,)
-            return
-        for k in range(remaining + 1):
-            for tail in shells(remaining - k, depth + 1):
-                yield (k,) + tail
-
-    for total in range(max_total + 1):
-        yield from shells(total, 0)
+def _job_wigner(options):
+    artifacts, values, health = _grid_job(options, "wigner", _state_wigner_fn, "Wigner density")
+    return artifacts, {"negative_fraction": float(np.mean(values < 0.0)), **health}
 
 
-def _job_wigner(options, threads):
-    state = _require_one_mode(_parse_state(options["state"], "state"), "state")
-    q_grid = _parse_grid(options["grid"]["q"], "grid.q")
-    p_grid = _parse_grid(options["grid"]["p"], "grid.p")
-    values = _chunked_eval(_state_wigner_fn(state), q_grid, p_grid, threads)
-    artifacts = {"wigner.csv": format_lattice(PHASE_SPACE_HEADER, q_grid, p_grid, values)}
-    if options.get("plot", False):
-        artifacts["wigner.gp"] = _plot_script("wigner.csv", q_grid.shape[0], p_grid.shape[0],
-                                              "Wigner density")
-    return artifacts, {"negative_fraction": float(np.mean(values < 0.0)),
-                       **_grid_health(q_grid, p_grid, values)}
+def _job_qfunc(options):
+    artifacts, _, health = _grid_job(options, "qfunc", _state_qfunc_fn, "Husimi density")
+    return artifacts, {"beta_convention": "beta = (q + i p) / sqrt(2)", **health}
 
 
-def _grid_health(q_grid, p_grid, values) -> dict:
-    """Sidecar figures of a phase-space density: its mass (1 when the grid holds
-    the state) and its boundary-to-peak ratio (small when it holds the support)."""
-    return {"mass": lattice_mass(q_grid, p_grid, values),
-            "boundary_peak_ratio": boundary_peak_ratio(values)}
-
-
-def _job_qfunc(options, threads):
-    state = _require_one_mode(_parse_state(options["state"], "state"), "state")
-    q_grid = _parse_grid(options["grid"]["q"], "grid.q")
-    p_grid = _parse_grid(options["grid"]["p"], "grid.p")
-
-    if isinstance(state, CatState):
-        fn = lambda q, p: cat_q_eval(state, ((q + 1j * p) / math.sqrt(2))[..., np.newaxis])
-    else:
-        fn = lambda q, p: q_eval(state, ((q + 1j * p) / math.sqrt(2))[..., np.newaxis])
-    values = _chunked_eval(fn, q_grid, p_grid, threads)
-    artifacts = {"qfunc.csv": format_lattice(PHASE_SPACE_HEADER, q_grid, p_grid, values)}
-    if options.get("plot", False):
-        artifacts["qfunc.gp"] = _plot_script("qfunc.csv", q_grid.shape[0], p_grid.shape[0],
-                                             "Husimi density")
-    return artifacts, {"beta_convention": "beta = (q + i p) / sqrt(2)",
-                       **_grid_health(q_grid, p_grid, values)}
-
-
-def _job_evolve(options, threads):
+def _job_evolve(options):
     state = _parse_state(options["state"], "state")
     if isinstance(state, CatState):
         raise ConfigError("state.kind", "evolve requires a Gaussian-family state")
@@ -310,7 +278,7 @@ def _job_evolve(options, threads):
     return artifacts, {"tol": tol, "symplectic_defect": defect}
 
 
-def _job_epsilon(options, threads):
+def _job_epsilon(options):
     try:
         profile = profile_from_dict(options["profile"])
     except ValueError as exc:
@@ -329,25 +297,23 @@ def _job_epsilon(options, threads):
              "profile_kind": profile.kind})
 
 
-def _job_cat(options, threads):
+def _job_cat(options):
     state = _parse_state(options["state"], "state")
     if not isinstance(state, CatState):
         raise ConfigError("state.kind", "cat command requires a cat state")
-    max_total = int(options.get("max_total", 32))
-    indices, probs = _cat_pnd_columns(state, max_total)
+    pnd, meta = _job_pnd(options)
     moments = cat_moments(state)
     moment_columns = [np.arange(state.n_modes), moments.mean_photon,
                       np.diagonal(moments.number_covariance), moments.mandel_q]
     artifacts = {
-        "cat_pnd.csv": _pnd_csv(indices, probs),
+        "cat_pnd.csv": pnd["pnd.csv"],
         "cat_moments.csv": format_table(["mode", "mean_photon", "variance", "mandel_q"],
                                         moment_columns),
     }
-    meta = {"cumulative_probability": sum(probs), "max_total": max_total}
     return artifacts, meta
 
 
-def _job_tomo_forward(options, threads):
+def _job_tomo_forward(options):
     state = _require_one_mode(_parse_state(options["state"], "state"), "state")
     n_angles = int(options.get("n_angles", 180))
     x_grid = _parse_grid(options.get("x", {"min": -12.0, "max": 12.0, "num": 257}), "x")
@@ -370,7 +336,7 @@ def _job_tomo_forward(options, threads):
     return {"sinogram.csv": sinogram_csv(sino)}, meta
 
 
-def _job_tomo_invert(options, threads):
+def _job_tomo_invert(options):
     sino_path = Path(options["sinogram"])
     if not sino_path.exists():
         raise ConfigError("sinogram", f"file {sino_path} does not exist")
@@ -386,7 +352,7 @@ def _job_tomo_invert(options, threads):
     return {"wigner_reconstructed.csv": text}, meta
 
 
-def _job_verify(options, threads):
+def _job_verify(options):
     results = run_verification()
     all_passed = all(r["passed"] for r in results)
     doc = {"passed": all_passed, "checks": results, "version": __version__}
@@ -419,9 +385,9 @@ _JOBS = {
 }
 
 
-def execute_job(cfg: JobConfig, threads: int = 1) -> dict[str, str]:
+def execute_job(cfg: JobConfig) -> dict[str, str]:
     """Run a validated job; returns {filename: text content} artifacts."""
-    artifacts, meta = _JOBS[cfg.command](cfg.options, max(1, threads))
+    artifacts, meta = _JOBS[cfg.command](cfg.options)
     sidecar = {
         "command": cfg.command,
         "config": cfg.options,
@@ -456,7 +422,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON job description (required except for verify)")
     parser.add_argument("--out-dir", default="out", help="output directory (default: out)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid evaluations")
+                        help="ignored; accepted for compatibility, jobs run serially")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -471,7 +437,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--config", f"file {path} does not exist")
             text = path.read_text(encoding="utf-8")
         cfg = parse_config(text, args.command)
-        artifacts = execute_job(cfg, threads=args.threads)
+        artifacts = execute_job(cfg)
         written = write_output(artifacts, args.out_dir)
     except ConfigError as exc:
         json.dump({"error": {"kind": "config", "field": exc.field, "message": str(exc)}},

@@ -288,13 +288,16 @@ def photon_pnd_table(s: GaussianState, mass_tol: float = _DEFAULT_MASS_TOL,
     Enumeration walks shells of constant total photon number; it stops on the
     mass target, on the configured degree cap, or when the backing Hermite box
     would outgrow ``BOX_ENTRY_CAP`` entries, whichever comes first.  A
-    truncation is flagged in the result and warned about, never silent.
+    truncation is flagged in the result and warned about, never silent.  A
+    state whose vacuum probability p0 underflows raises ``NonFiniteError``.
 
     P(n) = p0 G_(n,n) is read off the diagonal of a Hermite box of edge D + 1,
     rebuilt larger while the mass target is unmet; G does not depend on D.
     """
     n = s.n_modes
     rep = to_qrep(s)
+    if rep.p0 == 0.0:
+        raise NonFiniteError("vacuum probability p0 underflows to 0; every P(n) would read 0")
     cap = degree_cap_per_mode * n
     edge_limit = 1  # largest box edge within the entry cap
     while (edge_limit + 1) ** (2 * n) <= BOX_ENTRY_CAP:

@@ -3,7 +3,8 @@
 Nothing here touches the library's recursion, overlap, flow or formatting
 code paths: the generating function is expanded by explicit polynomial
 arithmetic, integrals are done by brute-force quadrature, propagators are
-the textbook closed forms, and CSV text is built one cell at a time.
+the textbook closed forms, CSV text is built one cell at a time, and cat
+photon probabilities are evaluated one outcome at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from qopt.errors import CausticError
+from qopt.hermite import as_index
 
 _CAUSTIC_GUARD = 1e-8
 
@@ -108,6 +110,35 @@ def repr_csv(header, rows) -> str:
         lines.append(",".join(str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
                               for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _cat_log_weight(c) -> float:
+    """log cosh |A|^2 (even) or log sinh |A|^2 (odd), as ``qopt.cats`` writes it."""
+    x = c.norm2
+    if c.parity == "even":
+        return x - math.log(2.0) + math.log1p(math.exp(-2.0 * x))
+    return x - math.log(2.0) + math.log(-math.expm1(-2.0 * x))
+
+
+def cat_pnd_by_index(c, n) -> float:
+    """Cat photon probability of one outcome, evaluated mode by mode in Python floats.
+
+    This is the per-index body ``qopt.cats.cat_pnd`` had before the vectorized
+    table kernel; the kernel must reproduce it bit for bit.
+    """
+    idx = as_index(n, length=c.n_modes)
+    total = sum(idx)
+    if total % 2 != (0 if c.parity == "even" else 1):
+        return 0.0
+    log_term = 0.0
+    for alpha, k in zip(c.amplitudes, idx):
+        a = abs(alpha)
+        if a == 0.0:
+            if k > 0:
+                return 0.0
+            continue
+        log_term += 2 * k * math.log(a) - math.lgamma(k + 1)
+    return math.exp(log_term - _cat_log_weight(c))
 
 
 def free_propagator(q, qp, t: float, mass: float = 1.0):

@@ -4,13 +4,17 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qopt.cats import (CatState, cat_from_dict, cat_ladder_apply, cat_moments,
-                       cat_normalization, cat_pnd, cat_q_eval, cat_to_dict,
+                       cat_normalization, cat_pnd, cat_pnd_table, cat_q_eval, cat_to_dict,
                        cat_total_pnd, cat_wigner_eval)
+from qopt.errors import ResourceLimitError
 from qopt.gaussian import make_coherent, wigner_eval
+from qopt.hermite import BOX_ENTRY_CAP
 
-from oracles import trapz_nd
+from oracles import cat_pnd_by_index, trapz_nd
 
 
 def pnd_series(c, max_total=60):
@@ -35,6 +39,11 @@ class TestNormalization:
     def test_odd_zero_rejected(self):
         with pytest.raises(ValueError):
             CatState([0.0], "odd")
+
+    def test_odd_underflowing_norm_rejected(self):
+        # |A|^2 = 1e-400 is 0 in double precision, so sinh |A|^2 cannot normalize
+        with pytest.raises(ValueError, match="not normalizable"):
+            CatState([1e-200j, 0.0], "odd")
 
     def test_multimode_modulus(self):
         c = CatState([1.0, 1j, -0.5], "even")
@@ -129,6 +138,46 @@ class TestPnd:
             marg2[n2] = marg2.get(n2, 0.0) + prob
         gap = abs(joint[(1, 1)] - marg1[1] * marg2[1])
         assert gap >= 1e-3
+
+
+_AMPLITUDE = st.one_of(
+    st.just(0.0),
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+
+
+class TestPndTable:
+    """The vectorized table against the per-index oracle, bit for bit and row for row."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(amplitudes=st.lists(_AMPLITUDE, min_size=1, max_size=3),
+           parity=st.sampled_from(["even", "odd"]), max_total=st.integers(0, 32))
+    @example(amplitudes=[0.0], parity="even", max_total=0)
+    @example(amplitudes=[0.9 + 0.3j, 0.0], parity="odd", max_total=32)
+    @example(amplitudes=[0.0, 0.8 + 0.2j, 0.5 - 0.5j], parity="even", max_total=32)
+    @example(amplitudes=[0.7 + 0.1j, -0.5 + 0.6j, 1.1], parity="odd", max_total=1)
+    def test_matches_per_index_oracle(self, amplitudes, parity, max_total):
+        if parity == "odd" and sum(abs(a) ** 2 for a in amplitudes) == 0.0:
+            with pytest.raises(ValueError, match="not normalizable"):
+                CatState(amplitudes, parity)
+            return
+        c = CatState(amplitudes, parity)
+        indices, probs = cat_pnd_table(c, max_total)
+        want_indices = sorted((idx for idx in product(range(max_total + 1), repeat=c.n_modes)
+                               if sum(idx) <= max_total), key=lambda idx: (sum(idx), idx))
+        assert [tuple(row) for row in indices.tolist()] == want_indices
+        want = [cat_pnd_by_index(c, idx) for idx in want_indices]
+        assert probs.tolist() == want
+        assert [cat_pnd(c, idx) for idx in want_indices[-3:]] == want[-3:]
+
+    def test_row_cap(self):
+        c = CatState([1.0, 0.5, 0.25], "even")
+        max_total = next(t for t in range(1000) if math.comb(t + 3, 3) > BOX_ENTRY_CAP)
+        with pytest.raises(ResourceLimitError, match="exceed the cap"):
+            cat_pnd_table(c, max_total)
+
+    def test_negative_max_total_rejected(self):
+        with pytest.raises(ValueError, match="max_total"):
+            cat_pnd_table(CatState([1.0], "even"), -1)
 
 
 class TestLadder:

@@ -147,6 +147,9 @@ class TestJobs:
         assert out.count("[pass]") == len(doc["checks"])
 
 
+_CAT2 = {"kind": "cat", "A": [[0.9, 0.3], [0.4, -0.7]], "parity": "odd"}
+
+
 class TestDeterminismAndErrors:
     def test_reruns_are_byte_identical(self, tmp_path):
         jobs = [
@@ -215,11 +218,51 @@ class TestDeterminismAndErrors:
         assert err["error"]["kind"] == "config"
 
     def test_threads_give_identical_results(self, tmp_path):
+        # --threads is accepted and ignored: every job runs the same serial path
         config = {"state": {"kind": "cat", "A": [[1.0, 0.5]], "parity": "even"},
                   "grid": {"q": {"min": -3, "max": 3, "num": 33},
                            "p": {"min": -3, "max": 3, "num": 33}}}
-        cfg = parse_config(json.dumps(config), "wigner")
-        assert execute_job(cfg, threads=1) == execute_job(cfg, threads=4)
+        for run in ("serial", "threads"):
+            (tmp_path / run).mkdir()
+        assert run_cli(tmp_path / "serial", "wigner", config) == 0
+        assert run_cli(tmp_path / "threads", "wigner", config, ["--threads", "4"]) == 0
+        serial = sorted((tmp_path / "serial" / "out").iterdir())
+        assert [p.name for p in serial] == ["wigner.csv", "wigner.meta.json"]
+        for path in serial:
+            assert path.read_bytes() == (tmp_path / "threads" / "out" / path.name).read_bytes()
+
+    @pytest.mark.parametrize("command, config, field", [
+        ("pnd", {"state": _CAT2, "max_total": -1}, "max_total"),
+        ("cat", {"state": _CAT2, "max_total": -1}, "max_total"),
+        ("pnd", {"state": {"kind": "thermal", "temperature": 1.0}, "degree_cap": -1},
+         "degree_cap"),
+        ("pnd", {"state": {"kind": "thermal", "temperature": 1.0}, "mass_tol": -1},
+         "mass_tol"),
+        ("pnd", {"state": {"kind": "thermal", "temperature": 1.0}, "mass_tol": 0},
+         "mass_tol"),
+        ("pnd", {"state": {"kind": "thermal", "temperature": 1.0}, "mass_tol": 1},
+         "mass_tol"),
+        ("tomo-forward", {"state": {"kind": "coherent", "alpha": 0.0}, "n_angles": 0},
+         "n_angles"),
+        ("tomo-forward", {"state": {"kind": "cat", "A": [[1.0, 0.0]], "parity": "odd"},
+                          "method": "numeric", "wigner_samples": 1}, "wigner_samples"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
+                    "hamiltonian": {"preset": "oscillator"}, "t_end": 1.0, "num": 0}, "num"),
+        ("epsilon", {"profile": {"preset": "free"}, "t_end": 1.0, "num": 0}, "num"),
+    ])
+    def test_bad_count_field_is_config_error(self, tmp_path, capsys, command, config, field):
+        assert run_cli(tmp_path, command, config) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert err["field"] == field
+        assert not (tmp_path / "out").exists()
+
+    def test_underflowing_vacuum_probability_fails(self, tmp_path, capsys):
+        # p0 = exp(-900) is 0 in double precision, so every probability would read 0
+        assert run_cli(tmp_path, "pnd", {"state": {"kind": "coherent", "alpha": 30.0}}) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "NonFiniteError"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSidecarHealth:

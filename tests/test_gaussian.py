@@ -315,6 +315,11 @@ class TestPhotonStatistics:
             photon_pnd(make_coherent(30.0), [900])
         assert issubclass(NonFiniteError, QoptError)
 
+    def test_table_rejects_underflowing_vacuum_probability(self):
+        # p0 = exp(-900) underflows; the table would hold only zeros and mass 0
+        with pytest.raises(NonFiniteError, match="p0"):
+            photon_pnd_table(make_coherent(30.0))
+
     def test_table_entries_equal_single_evaluations(self):
         # the table reads a larger Hermite box than photon_pnd; values agree exactly
         s = random_valid_state(2, np.random.default_rng(8), mean_scale=0.4,
