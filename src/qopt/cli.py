@@ -7,8 +7,12 @@ verify.  Outputs are byte-stable across runs: floats are written with their
 shortest round-trip decimal (Python repr), JSON keys are sorted, and nothing
 depends on wall-clock time or randomized defaults.
 Jobs run serially; ``--threads`` is accepted for old scripts and ignored, since
-splitting grid rows over threads gained nothing.  Bad counts and a ``mass_tol``
-outside (0, 1) are configuration errors naming the field (exit status 2).
+splitting grid rows over threads gained nothing.  Counts that are not integral
+or fall below their bound, a ``wigner_span`` that is not a positive number and
+a ``mass_tol`` outside (0, 1) are configuration errors naming the field (exit
+status 2).  An artifact that would hold inf or nan is a ``NonFiniteError``
+naming it (exit status 1).  Library warnings raised during a job are listed in
+the sidecar's ``warnings`` key and written to stderr as JSON lines.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +32,7 @@ from . import __version__
 from .cats import CatState, cat_from_dict, cat_moments, cat_pnd_table, cat_q_eval, cat_wigner_eval
 from .dynamics import (evolve_gaussian, flow_expm, hamiltonian_from_dict,
                        integrate_symplectic_flow, parametric_oscillator)
+from .errors import NonFiniteError
 from .gaussian import (QREP_CONVENTION, GaussianState, make_coherent, make_squeezed_vacuum,
                        make_thermal_oscillator, photon_pnd_table, q_eval, state_from_dict,
                        wigner_eval)
@@ -65,11 +71,10 @@ def _parse_grid(obj, path: str) -> np.ndarray:
     if isinstance(obj, dict):
         for key in ("min", "max", "num"):
             _require(obj, key, path)
-        if int(obj["num"]) < 2:
-            raise ConfigError(f"{path}.num", "grid needs at least two points")
+        num = _integral(obj["num"], f"{path}.num", 2)
         if not obj["min"] < obj["max"]:
             raise ConfigError(f"{path}.min", "grid bounds must satisfy min < max")
-        return np.linspace(float(obj["min"]), float(obj["max"]), int(obj["num"]))
+        return np.linspace(float(obj["min"]), float(obj["max"]), num)
     grid = np.asarray(obj, dtype=float)
     if grid.ndim != 1 or grid.shape[0] == 0:
         raise ConfigError(path, "grid must be a nonempty list of numbers")
@@ -133,6 +138,30 @@ _REQUIRED = {
 _LEAST_COUNT = {"max_total": 0, "degree_cap": 0, "num": 1, "n_angles": 1, "wigner_samples": 2}
 
 
+def _integral(value, field: str, least: int) -> int:
+    """``value`` as an int: an int or a float with no fractional part, at least ``least``.
+
+    Bools, strings, fractions and non-finite numbers are config errors naming ``field``.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value != int(value) or value < least):
+        raise ConfigError(field, f"must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _count(options: dict, field: str, default: int) -> int:
+    """The count ``field`` of a job's options (``default`` when absent)."""
+    return _integral(options.get(field, default), field, _LEAST_COUNT[field])
+
+
+def _positive(value, field: str) -> float:
+    """``value`` as a float when it is a finite positive number; else a config error."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise ConfigError(field, f"must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 def parse_config(text: str, command: str | None = None) -> JobConfig:
     """Validate a JSON job description; errors carry the offending field path."""
     try:
@@ -161,8 +190,10 @@ def parse_config(text: str, command: str | None = None) -> JobConfig:
         _parse_grid(_require(grid, "q", "grid"), "grid.q")
         _parse_grid(_require(grid, "p", "grid"), "grid.p")
     for field, least in _LEAST_COUNT.items():
-        if field in options and int(options[field]) < least:
-            raise ConfigError(field, f"must be an integer >= {least}, got {options[field]!r}")
+        if field in options:
+            _integral(options[field], field, least)
+    if "wigner_span" in options:
+        _positive(options["wigner_span"], "wigner_span")
     if "mass_tol" in options and not 0.0 < float(options["mass_tol"]) < 1.0:
         raise ConfigError("mass_tol", f"must lie in (0, 1), got {options['mass_tol']!r}")
     return JobConfig(cmd, options)
@@ -172,6 +203,13 @@ def _require_one_mode(state, path):
     if state.n_modes != 1:
         raise ConfigError(path, "phase-space grids are defined for one-mode states")
     return state
+
+
+def _check_finite(artifact: str, *arrays):
+    """Raise NonFiniteError naming ``artifact`` when any of ``arrays`` holds inf or nan."""
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{artifact} would hold a non-finite value")
 
 
 def _state_wigner_fn(state):
@@ -193,6 +231,7 @@ def _grid_job(options, name: str, density_fn, title: str):
     q_grid = _parse_grid(options["grid"]["q"], "grid.q")
     p_grid = _parse_grid(options["grid"]["p"], "grid.p")
     values = density_fn(state)(*np.meshgrid(q_grid, p_grid, indexing="ij"))
+    _check_finite(f"{name}.csv", q_grid, p_grid, values)
     artifacts = {f"{name}.csv": format_lattice(PHASE_SPACE_HEADER, q_grid, p_grid, values)}
     if options.get("plot", False):
         artifacts[f"{name}.gp"] = _plot_script(f"{name}.csv", q_grid.shape[0],
@@ -201,21 +240,22 @@ def _grid_job(options, name: str, density_fn, title: str):
                                "boundary_peak_ratio": boundary_peak_ratio(values)}
 
 
-def _job_pnd(options):
+def _job_pnd(options, artifact: str = "pnd.csv"):
     state = _parse_state(options["state"], "state")
     if isinstance(state, CatState):
-        max_total = int(options.get("max_total", 32))
+        max_total = _count(options, "max_total", 32)
         indices, probs = cat_pnd_table(state, max_total)
         meta = {"cumulative_probability": sum(probs.tolist()), "max_total": max_total}
     else:
         table = photon_pnd_table(state,
                                  mass_tol=float(options.get("mass_tol", 1e-10)),
-                                 degree_cap_per_mode=int(options.get("degree_cap", 64)))
+                                 degree_cap_per_mode=_count(options, "degree_cap", 64))
         indices, probs = zip(*sorted(table.probabilities.items()))
         meta = {"cumulative_probability": table.cumulative,
                 "max_total_degree": table.max_total_degree,
                 "cap_hit": table.cap_hit}
-    return {"pnd.csv": _pnd_csv(indices, probs)}, meta
+    _check_finite(artifact, probs)
+    return {artifact: _pnd_csv(indices, probs)}, meta
 
 
 def _pnd_csv(indices, probs) -> str:
@@ -251,7 +291,7 @@ def _job_evolve(options):
     if 2 * ham.n_modes != state.mean.shape[0]:
         raise ConfigError("hamiltonian", "mode count does not match the state")
     t_end = float(options["t_end"])
-    num = int(options.get("num", 51))
+    num = _count(options, "num", 51)
     tol = float(options.get("tol", 1e-9))
     if ham.is_constant:
         sample_at = functools.partial(flow_expm, ham)
@@ -267,6 +307,8 @@ def _job_evolve(options):
         defect = max(defect, sample.symplectic_defect())
         state_rows.append(np.concatenate([[t], st.mean, st.disp.ravel()]))
         flow_rows.append(np.concatenate([[t], sample.lam.ravel(), sample.delta]))
+    _check_finite("evolve.csv", state_rows)
+    _check_finite("flow.csv", flow_rows)
     mean_cols = [f"mean_{i}" for i in range(dim)]
     disp_cols = [f"disp_{i}{j}" for i in range(dim) for j in range(dim)]
     lam_cols = [f"lam_{i}{j}" for i in range(dim) for j in range(dim)]
@@ -284,7 +326,7 @@ def _job_epsilon(options):
     except ValueError as exc:
         raise ConfigError("profile", str(exc)) from exc
     t_end = float(options["t_end"])
-    num = int(options.get("num", 201))
+    num = _count(options, "num", 201)
     tol = float(options.get("tol", 1e-9))
     traj = solve_epsilon(profile, t_end, tol)
     rows = []
@@ -292,6 +334,7 @@ def _job_epsilon(options):
         eps, epsdot = traj.at(t)
         rows.append([t, eps.real, eps.imag, epsdot.real, epsdot.imag])
     header = ["t", "re_eps", "im_eps", "re_epsdot", "im_epsdot"]
+    _check_finite("epsilon.csv", rows)
     return ({"epsilon.csv": format_table(header, np.array(rows, dtype=float).T)},
             {"tol": tol, "wronskian_defect": traj.wronskian_defect,
              "profile_kind": profile.kind})
@@ -301,21 +344,19 @@ def _job_cat(options):
     state = _parse_state(options["state"], "state")
     if not isinstance(state, CatState):
         raise ConfigError("state.kind", "cat command requires a cat state")
-    pnd, meta = _job_pnd(options)
+    artifacts, meta = _job_pnd(options, "cat_pnd.csv")
     moments = cat_moments(state)
     moment_columns = [np.arange(state.n_modes), moments.mean_photon,
                       np.diagonal(moments.number_covariance), moments.mandel_q]
-    artifacts = {
-        "cat_pnd.csv": pnd["pnd.csv"],
-        "cat_moments.csv": format_table(["mode", "mean_photon", "variance", "mandel_q"],
-                                        moment_columns),
-    }
+    _check_finite("cat_moments.csv", *moment_columns)
+    artifacts["cat_moments.csv"] = format_table(["mode", "mean_photon", "variance", "mandel_q"],
+                                                moment_columns)
     return artifacts, meta
 
 
 def _job_tomo_forward(options):
     state = _require_one_mode(_parse_state(options["state"], "state"), "state")
-    n_angles = int(options.get("n_angles", 180))
+    n_angles = _count(options, "n_angles", 180)
     x_grid = _parse_grid(options.get("x", {"min": -12.0, "max": 12.0, "num": 257}), "x")
     thetas = np.arange(n_angles) * math.pi / n_angles
     method = options.get("method", "exact" if isinstance(state, GaussianState) else "numeric")
@@ -324,13 +365,15 @@ def _job_tomo_forward(options):
             raise ConfigError("method", "exact marginals need a one-mode Gaussian state")
         sino = gaussian_sinogram(state, thetas, x_grid)
     elif method == "numeric":
-        num = int(options.get("wigner_samples", 513))
-        span = float(options.get("wigner_span", max(abs(x_grid[0]), abs(x_grid[-1]))))
+        num = _count(options, "wigner_samples", 513)
+        span = _positive(options.get("wigner_span", max(abs(x_grid[0]), abs(x_grid[-1]))),
+                         "wigner_span")
         inner = np.linspace(-span, span, num)
         grid = wigner_grid_from_callable(_state_wigner_fn(state), inner, inner)
         sino = forward_marginal_numeric(grid, thetas, x_grid)
     else:
         raise ConfigError("method", f"unknown method {method!r}")
+    _check_finite("sinogram.csv", sino.theta_grid, sino.x_grid, sino.values)
     meta = {"n_angles": n_angles, "method": method,
             "max_normalization_defect": float(sino.normalization_defects.max())}
     return {"sinogram.csv": sinogram_csv(sino)}, meta
@@ -345,6 +388,7 @@ def _job_tomo_invert(options):
     p_grid = _parse_grid(options["grid"]["p"], "grid.p")
     reg_s = float(options.get("reg_s", 1e-2))
     grid = inverse_radon(sino, q_grid, p_grid, reg_s=reg_s)
+    _check_finite("wigner_reconstructed.csv", grid.q_grid, grid.p_grid, grid.values)
     # filtered backprojection blurs W by an isotropic Gaussian of this variance per axis
     meta = {"reg_s": reg_s, "n_angles": sino.n_angles, "reconstructed_mass": grid.mass(),
             "blur_variance": reg_s / 4.0}
@@ -386,8 +430,15 @@ _JOBS = {
 
 
 def execute_job(cfg: JobConfig) -> dict[str, str]:
-    """Run a validated job; returns {filename: text content} artifacts."""
-    artifacts, meta = _JOBS[cfg.command](cfg.options)
+    """Run a validated job; returns {filename: text content} artifacts.
+
+    Warnings that the active filters show, raised during the job, go into the sidecar
+    as a ``warnings`` list of {category, message} entries in the order raised; the
+    key is absent if there was none.  Entering the recording context resets the
+    once-per-location registry, so every job records its own warnings.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        artifacts, meta = _JOBS[cfg.command](cfg.options)
     sidecar = {
         "command": cfg.command,
         "config": cfg.options,
@@ -396,6 +447,9 @@ def execute_job(cfg: JobConfig) -> dict[str, str]:
         "numeric_format": "shortest round-trip decimal (repr)",
     }
     sidecar.update(meta)
+    if caught:
+        sidecar["warnings"] = [{"category": w.category.__name__, "message": str(w.message)}
+                               for w in caught]
     artifacts[f"{cfg.command}.meta.json"] = json.dumps(
         sidecar, indent=2, sort_keys=True, default=str) + "\n"
     return artifacts
@@ -451,6 +505,10 @@ def main(argv=None) -> int:
         sys.stderr.write("\n")
         return 1
 
+    sidecar = json.loads(artifacts[f"{args.command}.meta.json"])
+    for warning in sidecar.get("warnings", []):
+        json.dump({"warning": warning}, sys.stderr, sort_keys=True)
+        sys.stderr.write("\n")
     if args.verbose:
         for path in written:
             print(path)

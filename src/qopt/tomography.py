@@ -10,6 +10,11 @@ and the marginal w(X, Theta) integrates W/(2pi) over V, so every slice is a
 unit-mass probability density.  (The sign of sin matters: common CT codes
 use q cos + p sin.)
 
+Sampled densities are projected row by row (Joseph's CT reprojector): for
+|cos| >= |sin| a line meets each p row at q = (X + p sin)/cos, where W is a
+cubic spline along q only; the line integral is the trapezoid sum over those
+exact p nodes, step dp/|cos|.  Otherwise q and p swap (step dq/|sin|).
+
 Inversion is ramp-filtered backprojection.  The formal inverse carries the
 filter |y| with a regularizer exp(s y^2 / 8) whose printed sign diverges; the
 stable realization is the s -> 0+ limit, i.e. Gaussian apodization
@@ -31,6 +36,8 @@ from .io import (PHASE_SPACE_HEADER, SINOGRAM_HEADER, read_lattice,  # noqa: F40
 
 _FFT_PAD = 4
 _FFT_UPSAMPLE = 4
+_ROW_PAD = 4  # zero spline coefficients beyond each end of the interpolated axis
+_ROW_BLOCK = 32  # x values per gather block; keeps the temporaries in cache
 
 
 def _check_uniform(grid, name):
@@ -60,11 +67,9 @@ class WignerGrid:
         if vals.shape != (q.shape[0], p.shape[0]):
             raise ValueError(f"values shape {vals.shape} does not match grids "
                              f"({q.shape[0]}, {p.shape[0]})")
-        for arr in (q, p, vals):
+        for name, arr in (("q_grid", q), ("p_grid", p), ("values", vals)):
             arr.flags.writeable = False
-        object.__setattr__(self, "q_grid", q)
-        object.__setattr__(self, "p_grid", p)
-        object.__setattr__(self, "values", vals)
+            object.__setattr__(self, name, arr)
 
     def mass(self) -> float:
         """Integral of W dq dp / (2 pi)."""
@@ -109,12 +114,10 @@ class Sinogram:
                              f"({theta.shape[0]}, {x.shape[0]})")
         defects = self.normalization_defects
         defects = np.zeros(theta.shape[0]) if defects is None else np.array(defects, dtype=float)
-        for arr in (theta, x, vals, defects):
+        for name, arr in (("theta_grid", theta), ("x_grid", x), ("values", vals),
+                          ("normalization_defects", defects)):
             arr.flags.writeable = False
-        object.__setattr__(self, "theta_grid", theta)
-        object.__setattr__(self, "x_grid", x)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "normalization_defects", defects)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_angles(self) -> int:
@@ -123,8 +126,7 @@ class Sinogram:
 
 def wigner_grid_from_callable(f, q_grid, p_grid) -> WignerGrid:
     """Sample W(q, p) = f(q, p) on the lattice; f must broadcast over arrays."""
-    q = np.asarray(q_grid, dtype=float)
-    p = np.asarray(p_grid, dtype=float)
+    q, p = np.asarray(q_grid, dtype=float), np.asarray(p_grid, dtype=float)
     qq, pp = np.meshgrid(q, p, indexing="ij")
     return WignerGrid(q, p, np.asarray(f(qq, pp), dtype=float))
 
@@ -141,31 +143,41 @@ def forward_marginal_gaussian(state: GaussianState, theta: float) -> tuple[float
     return float(mean), float(var)
 
 
-class _GridSampler:
-    """Cubic-spline sampling of a WignerGrid at arbitrary (q, p) points."""
+def _projector(grid: WignerGrid):
+    """``project(theta, x)``: line integrals of W / (2 pi) along X(theta) = x (module doc)."""
+    from scipy.ndimage import spline_filter1d
 
-    def __init__(self, grid: WignerGrid):
-        from scipy.ndimage import map_coordinates, spline_filter
+    axes = (grid.q_grid, grid.p_grid)
+    # per axis: coefficients splined along it, that axis first, zero-padded, flattened
+    rows = [np.pad(np.moveaxis(spline_filter1d(grid.values, order=3, axis=axis, mode="constant"),
+                               axis, 0), [(_ROW_PAD, _ROW_PAD), (0, 0)]).ravel()
+            for axis in (0, 1)]
 
-        self._map_coordinates = map_coordinates
-        self.grid = grid
-        self.coeffs = spline_filter(grid.values, order=3, mode="constant")
-        self.q0 = grid.q_grid[0]
-        self.p0 = grid.p_grid[0]
-        self.dq = grid.q_grid[1] - grid.q_grid[0]
-        self.dp = grid.p_grid[1] - grid.p_grid[0]
+    def project(theta: float, x: np.ndarray) -> np.ndarray:
+        c, s = math.cos(theta), math.sin(theta)
+        # on the line, the interpolated coordinate is lead * x + slope * (node coordinate)
+        axis, lead, slope, cross = ((0, 1 / c, s / c, c) if abs(c) >= abs(s)
+                                    else (1, -1 / s, c / s, s))
+        along, nodes = axes[axis], axes[1 - axis]
+        h, n, stride = along[1] - along[0], along.shape[0], nodes.shape[0]
+        offset = nodes * (slope / h) + (_ROW_PAD - along[0] / h)
+        taps = [rows[axis][k * stride:] for k in range(4)]  # taps -1..2 as shifted views
+        out = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], _ROW_BLOCK):
+            t = np.add.outer(x[start:start + _ROW_BLOCK] * (lead / h), offset)
+            np.clip(t, _ROW_PAD - 2.0, n + _ROW_PAD + 1.0, out=t)  # past the grid: zero taps
+            cell = np.floor(t)
+            t -= cell
+            index = (cell.astype(np.intp) - 1) * stride + np.arange(stride)
+            t2, s = t * t, 1.0 - t  # cubic B-spline weights (times 6) of taps -1..2
+            acc = np.take(taps[0], index) * (s * s * s)
+            acc += np.take(taps[1], index) * ((3.0 * t - 6.0) * t2 + 4.0)
+            acc += np.take(taps[2], index) * ((3.0 * s - 6.0) * (s * s) + 4.0)
+            acc += np.take(taps[3], index) * (t2 * t)
+            out[start:start + _ROW_BLOCK] = acc.sum(axis=1) - 0.5 * (acc[:, 0] + acc[:, -1])
+        return out * ((nodes[1] - nodes[0]) / (12.0 * math.pi * abs(cross)))
 
-    def __call__(self, q_pts, p_pts) -> np.ndarray:
-        coords = np.stack([(np.asarray(q_pts) - self.q0) / self.dq,
-                           (np.asarray(p_pts) - self.p0) / self.dp])
-        return self._map_coordinates(self.coeffs, coords, order=3, mode="constant",
-                                     cval=0.0, prefilter=False)
-
-    def transverse_grid(self) -> np.ndarray:
-        half = math.hypot(max(abs(self.grid.q_grid[0]), self.grid.q_grid[-1]),
-                          max(abs(self.grid.p_grid[0]), self.grid.p_grid[-1]))
-        dv = min(self.dq, self.dp)
-        return np.arange(-half, half + dv, dv)
+    return project
 
 
 def gaussian_sinogram(state: GaussianState, theta_grid, x_grid) -> Sinogram:
@@ -192,19 +204,13 @@ def forward_marginal_numeric(grid: WignerGrid, theta_grid, x_grid=None,
         raise ValueError(f"Wigner grid boundary carries {ratio:.2e} of the peak; "
                          f"support is not covered (tolerance {boundary_tol:.1e})")
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if x_grid is None:
-        x_grid = grid.q_grid
-    x_grid = _check_uniform(np.asarray(x_grid, dtype=float), "x_grid")
+    x_grid = _check_uniform(grid.q_grid if x_grid is None else x_grid, "x_grid")
 
-    sampler = _GridSampler(grid)
-    v_grid = sampler.transverse_grid()
+    project = _projector(grid)
     values = np.empty((theta_grid.shape[0], x_grid.shape[0]))
     defects = np.empty(theta_grid.shape[0])
     for i, theta in enumerate(theta_grid):
-        c, s = math.cos(theta), math.sin(theta)
-        xx, vv = np.meshgrid(x_grid, v_grid, indexing="ij")
-        line = sampler(xx * c + vv * s, -xx * s + vv * c)
-        slice_vals = np.trapezoid(line, v_grid, axis=1) / (2.0 * math.pi)
+        slice_vals = project(theta, x_grid)
         mass = np.trapezoid(slice_vals, x_grid)
         defects[i] = abs(mass - 1.0)
         values[i] = slice_vals / mass if mass > 0 else slice_vals
@@ -261,7 +267,6 @@ def inverse_radon(sino: Sinogram, q_grid, p_grid, reg_s: float = 1e-2) -> Wigner
 
     dx = sino.x_grid[1] - sino.x_grid[0]
     filtered, dx_fine = _ramp_filter_slices(sino.values, dx, reg_s)
-    x_fine_0 = sino.x_grid[0]
     n_fine = filtered.shape[1]
 
     qq, pp = np.meshgrid(q_grid, p_grid, indexing="ij")
@@ -269,7 +274,7 @@ def inverse_radon(sino: Sinogram, q_grid, p_grid, reg_s: float = 1e-2) -> Wigner
     d_theta = math.pi / sino.n_angles
     for i, theta in enumerate(sino.theta_grid):
         x0 = qq * math.cos(theta) - pp * math.sin(theta)
-        pos = (x0 - x_fine_0) / dx_fine
+        pos = (x0 - sino.x_grid[0]) / dx_fine
         idx = np.clip(pos.astype(int), 0, n_fine - 2)
         frac = np.clip(pos - idx, 0.0, 1.0)
         sl = filtered[i]
@@ -295,13 +300,8 @@ def symplectic_marginal(grid: WignerGrid, mu: float, nu: float, delta: float = 0
         x_grid = np.linspace(-half, half, 2 * n + 1)
     x_grid = _check_uniform(np.asarray(x_grid, dtype=float), "x_grid")
 
-    sampler = _GridSampler(grid)
-    v_grid = sampler.transverse_grid()
-    xx, vv = np.meshgrid(x_grid, v_grid, indexing="ij")
-    c = (xx - delta) / (scale * scale)
-    line = sampler(c * mu - vv * nu / scale, c * nu + vv * mu / scale)
-    density = np.trapezoid(line, v_grid, axis=1) / (2.0 * math.pi * scale)
-    return x_grid, density
+    # X = scale X(theta) + delta, with cos(theta) = mu / scale and sin(theta) = -nu / scale
+    return x_grid, _projector(grid)(math.atan2(-nu, mu), (x_grid - delta) / scale) / scale
 
 
 def wigner_from_symplectic(marginal_fn, q, p, x_grid, n_angles: int = 180,

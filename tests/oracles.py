@@ -3,8 +3,9 @@
 Nothing here touches the library's recursion, overlap, flow or formatting
 code paths: the generating function is expanded by explicit polynomial
 arithmetic, integrals are done by brute-force quadrature, propagators are
-the textbook closed forms, CSV text is built one cell at a time, and cat
-photon probabilities are evaluated one outcome at a time.
+the textbook closed forms, CSV text is built one cell at a time, cat
+photon probabilities are evaluated one outcome at a time, and cat homodyne
+marginals come from the rotated coherent-state wavefunctions.
 """
 
 from __future__ import annotations
@@ -139,6 +140,25 @@ def cat_pnd_by_index(c, n) -> float:
             continue
         log_term += 2 * k * math.log(a) - math.lgamma(k + 1)
     return math.exp(log_term - _cat_log_weight(c))
+
+
+def coherent_wavefunction(beta: complex, x):
+    """<x|beta> = pi^(-1/4) exp(-x^2/2 + sqrt(2) beta x - beta^2/2 - |beta|^2/2), with the
+    phase that the Fock expansion exp(-|beta|^2/2) sum beta^n/sqrt(n!) |n> fixes."""
+    x = np.asarray(x, dtype=float)
+    return math.pi ** -0.25 * np.exp(-0.5 * x * x + math.sqrt(2.0) * beta * x
+                                     - 0.5 * beta * beta - 0.5 * abs(beta) ** 2)
+
+
+def cat_marginal(amplitude: complex, parity: str, theta: float, x):
+    """Homodyne density of X = q cos(theta) - p sin(theta) for a one-mode cat
+    N (|A> +- |-A>): the rotated quadrature reads the amplitude A e^{i theta}, so
+    the density is N^2 |psi_{A e^{i theta}}(x) +- psi_{-A e^{i theta}}(x)|^2."""
+    sign = 1.0 if parity == "even" else -1.0
+    norm2 = 1.0 / (2.0 * (1.0 + sign * math.exp(-2.0 * abs(amplitude) ** 2)))
+    beta = complex(amplitude) * complex(math.cos(theta), math.sin(theta))
+    amp = coherent_wavefunction(beta, x) + sign * coherent_wavefunction(-beta, x)
+    return norm2 * np.abs(amp) ** 2
 
 
 def free_propagator(q, qp, t: float, mass: float = 1.0):

@@ -148,6 +148,7 @@ class TestJobs:
 
 
 _CAT2 = {"kind": "cat", "A": [[0.9, 0.3], [0.4, -0.7]], "parity": "odd"}
+_CAT1 = {"kind": "cat", "A": [[1.0, 0.0]], "parity": "odd"}
 
 
 class TestDeterminismAndErrors:
@@ -256,6 +257,103 @@ class TestDeterminismAndErrors:
         assert err["kind"] == "config"
         assert err["field"] == field
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config, field", [
+        ("pnd", {"state": _CAT2, "max_total": "ten"}, "max_total"),
+        ("pnd", {"state": _CAT2, "max_total": 2.7}, "max_total"),
+        ("pnd", {"state": _CAT2, "max_total": True}, "max_total"),
+        ("pnd", {"state": _CAT2, "max_total": float("inf")}, "max_total"),
+        ("pnd", {"state": {"kind": "thermal", "temperature": 1.0}, "degree_cap": "64"},
+         "degree_cap"),
+        ("tomo-forward", {"state": {"kind": "coherent", "alpha": 0.0}, "n_angles": 90.5},
+         "n_angles"),
+        ("tomo-forward", {"state": {"kind": "coherent", "alpha": 0.0}, "n_angles": float("nan")},
+         "n_angles"),
+        ("tomo-forward", {"state": {"kind": "coherent", "alpha": 0.0},
+                          "x": {"min": -6, "max": 6, "num": 64.5}}, "x.num"),
+        ("epsilon", {"profile": {"preset": "free"}, "t_end": 1.0, "num": [3]}, "num"),
+        ("tomo-forward", {"state": _CAT1, "method": "numeric", "wigner_samples": False},
+         "wigner_samples"),
+        ("tomo-forward", {"state": _CAT1, "method": "numeric", "wigner_span": 0}, "wigner_span"),
+        ("tomo-forward", {"state": _CAT1, "method": "numeric", "wigner_span": -12.0},
+         "wigner_span"),
+        ("tomo-forward", {"state": _CAT1, "method": "numeric", "wigner_span": float("inf")},
+         "wigner_span"),
+        ("tomo-forward", {"state": _CAT1, "method": "numeric", "wigner_span": "12"},
+         "wigner_span"),
+    ])
+    def test_non_integral_count_or_bad_span_is_config_error(self, tmp_path, capsys, command,
+                                                            config, field):
+        assert run_cli(tmp_path, command, config) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert err["field"] == field
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_count_runs_as_int(self, tmp_path):
+        for run, max_total in (("int", 6), ("float", 6.0)):
+            (tmp_path / run).mkdir()
+            assert run_cli(tmp_path / run, "pnd", {"state": _CAT2, "max_total": max_total}) == 0
+        assert ((tmp_path / "int" / "out" / "pnd.csv").read_bytes()
+                == (tmp_path / "float" / "out" / "pnd.csv").read_bytes())
+
+    def test_non_finite_artifact_fails(self, tmp_path, capsys):
+        # the repulsive solution grows like e^t and overflows long before t = 800
+        config = {"profile": {"preset": "repulsive"}, "t_end": 800.0, "num": 3}
+        assert run_cli(tmp_path, "epsilon", config) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert err["type"] == "NonFiniteError"
+        assert "epsilon.csv" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config, target, artifact", [
+        ("pnd", {"state": _CAT2, "max_total": 4}, "cat_pnd_table", "pnd.csv"),
+        ("cat", {"state": _CAT2, "max_total": 4}, "cat_pnd_table", "cat_pnd.csv"),
+        ("wigner", {"state": _CAT1, "grid": {"q": [0.0, 1.0], "p": [0.0, 1.0]}},
+         "cat_wigner_eval", "wigner.csv"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
+                    "hamiltonian": {"preset": "oscillator"}, "t_end": 1.0, "num": 3},
+         "evolve_gaussian", "evolve.csv"),
+        ("tomo-forward", {"state": {"kind": "coherent", "alpha": 0.0}, "n_angles": 4},
+         "gaussian_sinogram", "sinogram.csv"),
+    ])
+    def test_non_finite_value_names_artifact(self, tmp_path, capsys, monkeypatch, command,
+                                             config, target, artifact):
+        import qopt.cli
+
+        real = getattr(qopt.cli, target)
+
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if target == "cat_pnd_table":
+                return out[0], np.full_like(out[1], np.nan)
+            if target == "evolve_gaussian":
+                return type(out)(out.mean, np.full_like(out.disp, np.inf))
+            if target == "gaussian_sinogram":
+                return type(out)(out.theta_grid, out.x_grid, np.full_like(out.values, np.nan))
+            return np.full_like(out, np.nan)
+
+        monkeypatch.setattr(qopt.cli, target, poisoned)
+        assert run_cli(tmp_path, command, config) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert err["type"] == "NonFiniteError"
+        assert err["message"].startswith(artifact)
+        assert not (tmp_path / "out").exists()
+
+    def test_library_warnings_go_to_sidecar_and_stderr(self, tmp_path, capsys):
+        # the README pnd example: squeezed vacuum at r = 1 hits the degree cap of 64
+        assert run_cli(tmp_path, "pnd", {"state": {"kind": "squeezed_vacuum", "r": 1.0}}) == 0
+        meta = json.loads((tmp_path / "out" / "pnd.meta.json").read_text())
+        assert meta["cap_hit"]
+        assert len(meta["warnings"]) == 1
+        assert meta["warnings"][0]["category"] == "UserWarning"
+        assert "degree cap 64" in meta["warnings"][0]["message"]
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [{"warning": meta["warnings"][0]}]
+        # a job that raises no warning has no key and prints nothing
+        assert run_cli(tmp_path, "pnd", {"state": {"kind": "coherent", "alpha": 1.0}}) == 0
+        assert "warnings" not in json.loads((tmp_path / "out" / "pnd.meta.json").read_text())
+        assert capsys.readouterr().err == ""
 
     def test_underflowing_vacuum_probability_fails(self, tmp_path, capsys):
         # p0 = exp(-900) is 0 in double precision, so every probability would read 0

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import cat_marginal
 from qopt.cats import CatState, cat_wigner_eval
 from qopt.gaussian import (GaussianState, make_coherent, make_squeezed_vacuum,
                            make_thermal_oscillator, wigner_eval)
@@ -136,6 +139,29 @@ class TestForwardNumeric:
         with pytest.raises(ValueError, match="support"):
             forward_marginal_numeric(w, self.thetas)
 
+    # the bench shape (513^2 over +-12) and a non-square grid with dq != dp
+    ORACLE_GRIDS = ((np.linspace(-12, 12, 513), np.linspace(-12, 12, 513)),
+                    (np.linspace(-12, 12, 513), np.linspace(-10, 10, 401)))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(modulus=st.floats(0.1, 2.5), phase=st.floats(0.0, 2 * math.pi),
+           parity=st.sampled_from(["even", "odd"]),
+           angles=st.lists(st.floats(0.0, math.pi, exclude_max=True), max_size=3))
+    @example(modulus=2.5, phase=0.0, parity="even", angles=[])
+    @example(modulus=2.5, phase=math.pi / 2, parity="odd", angles=[0.0, math.pi / 2])
+    def test_cat_marginals_match_wavefunction_oracle(self, modulus, phase, parity, angles):
+        # pi/4 and 3pi/4 are where the projection switches between q and p nodes
+        amplitude = modulus * complex(math.cos(phase), math.sin(phase))
+        c = CatState([amplitude], parity)
+        thetas = np.array(sorted({math.pi / 4, 3 * math.pi / 4, *angles}))
+        x = np.linspace(-12, 12, 257)
+        exact = np.array([cat_marginal(amplitude, parity, t, x) for t in thetas])
+        for q, p in self.ORACLE_GRIDS:
+            w = wigner_grid_from_callable(cat_wigner_fn(c), q, p)
+            numeric = forward_marginal_numeric(w, thetas, x)
+            assert np.abs(numeric.values - exact).max() < 1e-4 * exact.max()
+            assert numeric.normalization_defects.max() < 1e-6
+
     def test_steerability(self):
         # marginals of a rotated state appear at shifted angles
         shift = math.pi / 8
@@ -245,6 +271,16 @@ class TestSymplecticMarginal:
     def test_degenerate_direction_rejected(self):
         with pytest.raises(ValueError):
             symplectic_marginal(self.w, 0.0, 0.0)
+
+    def test_cat_direction_matches_oracle(self):
+        # X = mu q + nu p + delta is |(mu, nu)| X(theta) + delta
+        amplitude, mu, nu, delta = 1.3 - 0.8j, 0.6, 1.1, 0.4
+        grid = np.linspace(-12, 12, 513)
+        w = wigner_grid_from_callable(cat_wigner_fn(CatState([amplitude], "odd")), grid, grid)
+        x, density = symplectic_marginal(w, mu, nu, delta, x_grid=np.linspace(-15, 15, 301))
+        scale = math.hypot(mu, nu)
+        want = cat_marginal(amplitude, "odd", math.atan2(-nu, mu), (x - delta) / scale) / scale
+        assert np.abs(density - want).max() < 1e-4 * want.max()
 
     def test_scaling_normalization(self):
         x, density = symplectic_marginal(self.w, 2.0, 0.0, x_grid=np.linspace(-12, 12, 481))
