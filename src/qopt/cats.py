@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConventionError, ResourceLimitError
-from .hermite import BOX_ENTRY_CAP, as_index
+from .hermite import BOX_ENTRY_CAP, _total_degree_indices, as_index
 
 _IMAG_RESIDUE_TOL = 1e-12
 _LN2 = math.log(2.0)
@@ -78,13 +78,7 @@ def cat_pnd_table(c: CatState, max_total: int) -> tuple[np.ndarray, np.ndarray]:
     if rows > BOX_ENTRY_CAP:
         raise ResourceLimitError(f"{rows} photon-number rows up to total {max_total} "
                                  f"exceed the cap {BOX_ENTRY_CAP}")
-    # all indices with sum <= max_total in lexicographic order, one mode at a time
-    indices = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(c.n_modes):
-        room = max_total + 1 - indices.sum(axis=1)
-        last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
-        indices = np.column_stack([np.repeat(indices, room, axis=0), last])
-    indices = indices[np.argsort(indices.sum(axis=1), kind="stable")]
+    indices = _total_degree_indices(c.n_modes, max_total)
     return indices, _cat_probabilities(c, indices)
 
 

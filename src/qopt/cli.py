@@ -5,14 +5,17 @@ Usage: qopt <command> --config job.json --out-dir out/ [--threads K] [--verbose]
 Commands: pnd, wigner, qfunc, evolve, epsilon, cat, tomo-forward, tomo-invert,
 verify.  Outputs are byte-stable across runs: floats are written with their
 shortest round-trip decimal (Python repr), JSON keys are sorted, and nothing
-depends on wall-clock time or randomized defaults.
-Jobs run serially; ``--threads`` is accepted for old scripts and ignored, since
-splitting grid rows over threads gained nothing.  Counts that are not integral
-or fall below their bound, a ``wigner_span`` that is not a positive number and
-a ``mass_tol`` outside (0, 1) are configuration errors naming the field (exit
-status 2).  An artifact that would hold inf or nan is a ``NonFiniteError``
-naming it (exit status 1).  Library warnings raised during a job are listed in
-the sidecar's ``warnings`` key and written to stderr as JSON lines.
+depends on wall-clock time or randomized defaults.  Jobs run serially;
+``--threads`` is accepted for old scripts and ignored.
+
+``_JOBS`` lists each command's config fields once, as field -> (parser,
+default).  ``parse_config`` runs every parser once and hands the job typed
+values: a field that is missing, mistyped or out of range is a configuration
+error naming it (exit status 2), and every number, also inside state,
+Hamiltonian and profile documents, must be a finite JSON number.  An artifact
+that would hold inf or nan is a ``NonFiniteError`` naming it (exit status 1).
+Library warnings raised during a job go to the sidecar's ``warnings`` key and
+to stderr as JSON lines, before the error line when the job fails.
 """
 
 from __future__ import annotations
@@ -57,8 +60,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class JobConfig:
+    """The raw ``options`` (echoed in the sidecar) and parsed ``values`` of a job."""
+
     command: str
     options: dict
+    values: dict
 
 
 def _require(options: dict, field: str, path: str):
@@ -67,15 +73,53 @@ def _require(options: dict, field: str, path: str):
     return options[field]
 
 
+def _rule(ok, expected: str, convert=None):
+    """Parser of the values for which ``ok`` holds, converted by ``convert``; any other
+    value is a config error naming the field and what it ``expected``."""
+    def parse(value, field: str):
+        if not ok(value):
+            raise ConfigError(field, f"must be {expected}, got {value!r}")
+        return value if convert is None else convert(value)
+    return parse
+
+
+# a JSON number is an int or a float, never a bool; the strict bounds reject inf and nan
+def _number(low: float = -math.inf, high: float = math.inf):
+    return _rule(lambda v: type(v) in (int, float) and low < v < high,
+                 f"a finite number in ({low:g}, {high:g})", float)
+
+
+def _integral(least: int):
+    """Counts: an int or a float with no fractional part, at least ``least``."""
+    return _rule(lambda v: type(v) in (int, float) and least <= v < math.inf and v == int(v),
+                 f"an integer >= {least}", int)
+
+
+_finite, _positive = _number(), _number(0.0)
+_flag = _rule(lambda v: isinstance(v, bool), "true or false")
+_method = _rule(lambda v: v in ("exact", "numeric"), "'exact' or 'numeric'")
+_existing_file = _rule(lambda v: isinstance(v, str) and Path(v).exists(), "a file", Path)
+
+
+def _numbers(value, field: str):
+    """``value`` unchanged when it is a finite number or a nested list of them."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _numbers(item, f"{field}[{i}]")
+    else:
+        _finite(value, field)
+    return value
+
+
 def _parse_grid(obj, path: str) -> np.ndarray:
     if isinstance(obj, dict):
-        for key in ("min", "max", "num"):
-            _require(obj, key, path)
-        num = _integral(obj["num"], f"{path}.num", 2)
-        if not obj["min"] < obj["max"]:
+        num = _integral(2)(_require(obj, "num", path), f"{path}.num")
+        low = _finite(_require(obj, "min", path), f"{path}.min")
+        high = _finite(_require(obj, "max", path), f"{path}.max")
+        if not low < high:
             raise ConfigError(f"{path}.min", "grid bounds must satisfy min < max")
-        return np.linspace(float(obj["min"]), float(obj["max"]), num)
-    grid = np.asarray(obj, dtype=float)
+        return np.linspace(low, high, num)
+    grid = np.asarray(_numbers(obj, path), dtype=float)
     if grid.ndim != 1 or grid.shape[0] == 0:
         raise ConfigError(path, "grid must be a nonempty list of numbers")
     if grid.shape[0] > 1 and np.any(np.diff(grid) <= 0):
@@ -83,83 +127,55 @@ def _parse_grid(obj, path: str) -> np.ndarray:
     return grid
 
 
-def _parse_complex(obj, path: str) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    raise ConfigError(path, "expected a number or an [re, im] pair")
+def _document(obj, path: str, numeric_keys) -> dict:
+    """``obj`` when it is an object whose ``numeric_keys`` all hold finite numbers."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "must be an object")
+    for key in numeric_keys:
+        if key in obj:
+            _numbers(obj[key], f"{path}.{key}")
+    return obj
+
+
+def _parse_phase_grid(obj, path: str) -> tuple[np.ndarray, ...]:
+    doc = _document(obj, path, ())
+    return tuple(_parse_grid(_require(doc, axis, path), f"{path}.{axis}") for axis in "qp")
 
 
 def _parse_state(obj, path: str):
     """Gaussian-family or cat state from its JSON spec."""
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "state must be an object")
+    _document(obj, path, ("alpha", "A", "mean", "disp", "n_modes"))
     kind = obj.get("kind", "gaussian" if "disp" in obj else None)
     if kind is None:
         raise ConfigError(f"{path}.kind", "missing state kind")
-    try:
-        if kind == "gaussian":
-            return state_from_dict({k: v for k, v in obj.items() if k != "kind"})
-        if kind == "coherent":
-            alpha = _require(obj, "alpha", path)
-            if isinstance(alpha, list) and alpha and isinstance(alpha[0], (list, tuple)):
-                amps = [_parse_complex(a, f"{path}.alpha[{i}]") for i, a in enumerate(alpha)]
-            else:
-                amps = [_parse_complex(alpha, f"{path}.alpha")]
-            return make_coherent(amps)
-        if kind == "thermal":
-            return make_thermal_oscillator(float(_require(obj, "temperature", path)),
-                                           float(obj.get("omega", 1.0)))
-        if kind == "squeezed_vacuum":
-            return make_squeezed_vacuum(float(_require(obj, "r", path)))
-        if kind == "cat":
-            _require(obj, "A", path)
-            _require(obj, "parity", path)
-            return cat_from_dict(obj)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+    if kind == "gaussian":
+        return state_from_dict({k: v for k, v in obj.items() if k != "kind"})
+    if kind == "coherent":
+        alpha = np.array(_require(obj, "alpha", path), dtype=float)
+        if alpha.ndim and (alpha.ndim > 2 or alpha.shape[-1] != 2):
+            raise ConfigError(f"{path}.alpha", "expected a number, [re, im] or a list of pairs")
+        return make_coherent(alpha[..., 0] + 1j * alpha[..., 1] if alpha.ndim else alpha)
+    if kind == "thermal":
+        return make_thermal_oscillator(
+            _positive(_require(obj, "temperature", path), f"{path}.temperature"),
+            _positive(obj.get("omega", 1.0), f"{path}.omega"))
+    if kind == "squeezed_vacuum":
+        return make_squeezed_vacuum(_finite(_require(obj, "r", path), f"{path}.r"))
+    if kind == "cat":
+        return cat_from_dict({key: _require(obj, key, path) for key in ("A", "parity")})
     raise ConfigError(f"{path}.kind", f"unknown state kind {kind!r}")
 
 
-_REQUIRED = {
-    "pnd": ("state",),
-    "wigner": ("state", "grid"),
-    "qfunc": ("state", "grid"),
-    "evolve": ("state", "hamiltonian", "t_end"),
-    "epsilon": ("profile", "t_end"),
-    "cat": ("state",),
-    "tomo-forward": ("state",),
-    "tomo-invert": ("sinogram", "grid"),
-    "verify": (),
-}
-_LEAST_COUNT = {"max_total": 0, "degree_cap": 0, "num": 1, "n_angles": 1, "wigner_samples": 2}
+def _parse_profile(obj, path: str):
+    return profile_from_dict(_document(obj, path, ("table",)))
 
 
-def _integral(value, field: str, least: int) -> int:
-    """``value`` as an int: an int or a float with no fractional part, at least ``least``.
-
-    Bools, strings, fractions and non-finite numbers are config errors naming ``field``.
-    """
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value != int(value) or value < least):
-        raise ConfigError(field, f"must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
-def _count(options: dict, field: str, default: int) -> int:
-    """The count ``field`` of a job's options (``default`` when absent)."""
-    return _integral(options.get(field, default), field, _LEAST_COUNT[field])
-
-
-def _positive(value, field: str) -> float:
-    """``value`` as a float when it is a finite positive number; else a config error."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value <= 0):
-        raise ConfigError(field, f"must be a finite positive number, got {value!r}")
-    return float(value)
+def _parse_hamiltonian(obj, path: str):
+    doc = _document(obj, path, ("mass", "omega", "B", "C"))
+    if doc.get("preset") == "parametric":
+        profile = _parse_profile(_require(doc, "omega_squared", path), f"{path}.omega_squared")
+        return parametric_oscillator(profile, mass=float(doc.get("mass", 1.0)))
+    return hamiltonian_from_dict(doc)
 
 
 def parse_config(text: str, command: str | None = None) -> JobConfig:
@@ -178,25 +194,18 @@ def parse_config(text: str, command: str | None = None) -> JobConfig:
     if command is not None and cmd != command:
         raise ConfigError("command", f"config says {cmd!r} but {command!r} was invoked")
     options = {k: v for k, v in doc.items() if k != "command"}
-    for field in _REQUIRED[cmd]:
-        _require(options, field, "")
-    # eagerly validate the pieces shared across commands
-    if "state" in options and cmd in _REQUIRED and "state" in _REQUIRED[cmd]:
-        _parse_state(options["state"], "state")
-    if "grid" in options and cmd in ("wigner", "qfunc", "tomo-invert"):
-        grid = options["grid"]
-        if not isinstance(grid, dict):
-            raise ConfigError("grid", "must be an object with 'q' and 'p'")
-        _parse_grid(_require(grid, "q", "grid"), "grid.q")
-        _parse_grid(_require(grid, "p", "grid"), "grid.p")
-    for field, least in _LEAST_COUNT.items():
-        if field in options:
-            _integral(options[field], field, least)
-    if "wigner_span" in options:
-        _positive(options["wigner_span"], "wigner_span")
-    if "mass_tol" in options and not 0.0 < float(options["mass_tol"]) < 1.0:
-        raise ConfigError("mass_tol", f"must lie in (0, 1), got {options['mass_tol']!r}")
-    return JobConfig(cmd, options)
+    values = {}
+    for field, (parse, default) in _JOBS[cmd][1].items():
+        if field not in options:
+            values[field] = _require(options, field, "") if default is _NO_DEFAULT else default
+            continue
+        try:
+            values[field] = parse(options[field], field)
+        except ConfigError:
+            raise
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
+            raise ConfigError(field, str(exc)) from exc
+    return JobConfig(cmd, options, values)
 
 
 def _require_one_mode(state, path):
@@ -223,85 +232,63 @@ def _state_qfunc_fn(state):
     return lambda q, p: q_eval_fn(state, ((q + 1j * p) / math.sqrt(2))[..., np.newaxis])
 
 
-def _grid_job(options, name: str, density_fn, title: str):
+def _grid_job(job, name: str, density_fn, title: str):
     """(artifacts, values, sidecar health figures) of a one-mode density on the config's
     grid: the mass (1 when the grid holds the state) and the boundary-to-peak ratio
     (small when it holds the support)."""
-    state = _require_one_mode(_parse_state(options["state"], "state"), "state")
-    q_grid = _parse_grid(options["grid"]["q"], "grid.q")
-    p_grid = _parse_grid(options["grid"]["p"], "grid.p")
+    state = _require_one_mode(job["state"], "state")
+    q_grid, p_grid = job["grid"]
     values = density_fn(state)(*np.meshgrid(q_grid, p_grid, indexing="ij"))
     _check_finite(f"{name}.csv", q_grid, p_grid, values)
     artifacts = {f"{name}.csv": format_lattice(PHASE_SPACE_HEADER, q_grid, p_grid, values)}
-    if options.get("plot", False):
+    if job["plot"]:
         artifacts[f"{name}.gp"] = _plot_script(f"{name}.csv", q_grid.shape[0],
                                                p_grid.shape[0], title)
     return artifacts, values, {"mass": lattice_mass(q_grid, p_grid, values),
                                "boundary_peak_ratio": boundary_peak_ratio(values)}
 
 
-def _job_pnd(options, artifact: str = "pnd.csv"):
-    state = _parse_state(options["state"], "state")
+def _job_pnd(job, artifact: str = "pnd.csv"):
+    state = job["state"]
     if isinstance(state, CatState):
-        max_total = _count(options, "max_total", 32)
-        indices, probs = cat_pnd_table(state, max_total)
-        meta = {"cumulative_probability": sum(probs.tolist()), "max_total": max_total}
+        indices, probs = cat_pnd_table(state, job["max_total"])
+        meta = {"cumulative_probability": sum(probs.tolist()), "max_total": job["max_total"]}
     else:
-        table = photon_pnd_table(state,
-                                 mass_tol=float(options.get("mass_tol", 1e-10)),
-                                 degree_cap_per_mode=_count(options, "degree_cap", 64))
+        table = photon_pnd_table(state, mass_tol=job["mass_tol"],
+                                 degree_cap_per_mode=job["degree_cap"])
         indices, probs = zip(*sorted(table.probabilities.items()))
         meta = {"cumulative_probability": table.cumulative,
                 "max_total_degree": table.max_total_degree,
                 "cap_hit": table.cap_hit}
     _check_finite(artifact, probs)
-    return {artifact: _pnd_csv(indices, probs)}, meta
-
-
-def _pnd_csv(indices, probs) -> str:
-    """Rows (n_1, ..., n_N, probability): integer counts, float probabilities."""
+    # rows (n_1, ..., n_N, probability): integer counts, float probabilities
     counts = np.array(indices, dtype=np.int64)
     header = [f"n{j + 1}" for j in range(counts.shape[1])] + ["probability"]
-    return format_table(header, [*counts.T, np.array(probs, dtype=float)])
+    return {artifact: format_table(header, [*counts.T, np.array(probs, dtype=float)])}, meta
 
 
-def _job_wigner(options):
-    artifacts, values, health = _grid_job(options, "wigner", _state_wigner_fn, "Wigner density")
+def _job_wigner(job):
+    artifacts, values, health = _grid_job(job, "wigner", _state_wigner_fn, "Wigner density")
     return artifacts, {"negative_fraction": float(np.mean(values < 0.0)), **health}
 
 
-def _job_qfunc(options):
-    artifacts, _, health = _grid_job(options, "qfunc", _state_qfunc_fn, "Husimi density")
+def _job_qfunc(job):
+    artifacts, _, health = _grid_job(job, "qfunc", _state_qfunc_fn, "Husimi density")
     return artifacts, {"beta_convention": "beta = (q + i p) / sqrt(2)", **health}
 
 
-def _job_evolve(options):
-    state = _parse_state(options["state"], "state")
+def _job_evolve(job):
+    state, ham, t_end = job["state"], job["hamiltonian"], job["t_end"]
     if isinstance(state, CatState):
         raise ConfigError("state.kind", "evolve requires a Gaussian-family state")
-    ham_doc = options["hamiltonian"]
-    if isinstance(ham_doc, dict) and ham_doc.get("preset") == "parametric":
-        profile = profile_from_dict(_require(ham_doc, "omega_squared", "hamiltonian"))
-        ham = parametric_oscillator(profile, mass=float(ham_doc.get("mass", 1.0)))
-    else:
-        try:
-            ham = hamiltonian_from_dict(ham_doc)
-        except ValueError as exc:
-            raise ConfigError("hamiltonian", str(exc)) from exc
     if 2 * ham.n_modes != state.mean.shape[0]:
         raise ConfigError("hamiltonian", "mode count does not match the state")
-    t_end = float(options["t_end"])
-    num = _count(options, "num", 51)
-    tol = float(options.get("tol", 1e-9))
     if ham.is_constant:
         sample_at = functools.partial(flow_expm, ham)
     else:
-        sample_at = integrate_symplectic_flow(ham, t_end, tol).at
-    ts = np.linspace(0.0, t_end, num)
-    dim = 2 * ham.n_modes
-
+        sample_at = integrate_symplectic_flow(ham, t_end, job["tol"]).at
     state_rows, flow_rows, defect = [], [], 0.0
-    for t in ts:
+    for t in np.linspace(0.0, t_end, job["num"]):
         sample = sample_at(t)
         st = evolve_gaussian(state, sample)
         defect = max(defect, sample.symplectic_defect())
@@ -309,42 +296,33 @@ def _job_evolve(options):
         flow_rows.append(np.concatenate([[t], sample.lam.ravel(), sample.delta]))
     _check_finite("evolve.csv", state_rows)
     _check_finite("flow.csv", flow_rows)
-    mean_cols = [f"mean_{i}" for i in range(dim)]
-    disp_cols = [f"disp_{i}{j}" for i in range(dim) for j in range(dim)]
-    lam_cols = [f"lam_{i}{j}" for i in range(dim) for j in range(dim)]
-    delta_cols = [f"delta_{i}" for i in range(dim)]
-    artifacts = {
-        "evolve.csv": format_table(["t"] + mean_cols + disp_cols, np.array(state_rows).T),
-        "flow.csv": format_table(["t"] + lam_cols + delta_cols, np.array(flow_rows).T),
-    }
-    return artifacts, {"tol": tol, "symplectic_defect": defect}
+    axes = range(2 * ham.n_modes)
+    pairs = [f"{i}{j}" for i in axes for j in axes]
+    state_header = ["t", *(f"mean_{i}" for i in axes), *(f"disp_{ij}" for ij in pairs)]
+    flow_header = ["t", *(f"lam_{ij}" for ij in pairs), *(f"delta_{i}" for i in axes)]
+    artifacts = {"evolve.csv": format_table(state_header, np.array(state_rows).T),
+                 "flow.csv": format_table(flow_header, np.array(flow_rows).T)}
+    return artifacts, {"tol": job["tol"], "symplectic_defect": defect}
 
 
-def _job_epsilon(options):
-    try:
-        profile = profile_from_dict(options["profile"])
-    except ValueError as exc:
-        raise ConfigError("profile", str(exc)) from exc
-    t_end = float(options["t_end"])
-    num = _count(options, "num", 201)
-    tol = float(options.get("tol", 1e-9))
-    traj = solve_epsilon(profile, t_end, tol)
+def _job_epsilon(job):
+    traj = solve_epsilon(job["profile"], job["t_end"], job["tol"])
     rows = []
-    for t in np.linspace(0.0, t_end, num):
+    for t in np.linspace(0.0, job["t_end"], job["num"]):
         eps, epsdot = traj.at(t)
         rows.append([t, eps.real, eps.imag, epsdot.real, epsdot.imag])
     header = ["t", "re_eps", "im_eps", "re_epsdot", "im_epsdot"]
     _check_finite("epsilon.csv", rows)
     return ({"epsilon.csv": format_table(header, np.array(rows, dtype=float).T)},
-            {"tol": tol, "wronskian_defect": traj.wronskian_defect,
-             "profile_kind": profile.kind})
+            {"tol": job["tol"], "wronskian_defect": traj.wronskian_defect,
+             "profile_kind": job["profile"].kind})
 
 
-def _job_cat(options):
-    state = _parse_state(options["state"], "state")
+def _job_cat(job):
+    state = job["state"]
     if not isinstance(state, CatState):
         raise ConfigError("state.kind", "cat command requires a cat state")
-    artifacts, meta = _job_pnd(options, "cat_pnd.csv")
+    artifacts, meta = _job_pnd(job, "cat_pnd.csv")
     moments = cat_moments(state)
     moment_columns = [np.arange(state.n_modes), moments.mean_photon,
                       np.diagonal(moments.number_covariance), moments.mandel_q]
@@ -354,49 +332,39 @@ def _job_cat(options):
     return artifacts, meta
 
 
-def _job_tomo_forward(options):
-    state = _require_one_mode(_parse_state(options["state"], "state"), "state")
-    n_angles = _count(options, "n_angles", 180)
-    x_grid = _parse_grid(options.get("x", {"min": -12.0, "max": 12.0, "num": 257}), "x")
+def _job_tomo_forward(job):
+    state = _require_one_mode(job["state"], "state")
+    x_grid, n_angles = job["x"], job["n_angles"]
     thetas = np.arange(n_angles) * math.pi / n_angles
-    method = options.get("method", "exact" if isinstance(state, GaussianState) else "numeric")
+    method = job["method"] or ("exact" if isinstance(state, GaussianState) else "numeric")
     if method == "exact":
-        if not isinstance(state, GaussianState) or state.n_modes != 1:
+        if not isinstance(state, GaussianState):
             raise ConfigError("method", "exact marginals need a one-mode Gaussian state")
         sino = gaussian_sinogram(state, thetas, x_grid)
-    elif method == "numeric":
-        num = _count(options, "wigner_samples", 513)
-        span = _positive(options.get("wigner_span", max(abs(x_grid[0]), abs(x_grid[-1]))),
-                         "wigner_span")
-        inner = np.linspace(-span, span, num)
+    else:
+        span = job["wigner_span"] or _positive(float(np.abs(x_grid).max()), "wigner_span")
+        inner = np.linspace(-span, span, job["wigner_samples"])
         grid = wigner_grid_from_callable(_state_wigner_fn(state), inner, inner)
         sino = forward_marginal_numeric(grid, thetas, x_grid)
-    else:
-        raise ConfigError("method", f"unknown method {method!r}")
     _check_finite("sinogram.csv", sino.theta_grid, sino.x_grid, sino.values)
     meta = {"n_angles": n_angles, "method": method,
             "max_normalization_defect": float(sino.normalization_defects.max())}
     return {"sinogram.csv": sinogram_csv(sino)}, meta
 
 
-def _job_tomo_invert(options):
-    sino_path = Path(options["sinogram"])
-    if not sino_path.exists():
-        raise ConfigError("sinogram", f"file {sino_path} does not exist")
-    sino = sinogram_from_csv(sino_path)
-    q_grid = _parse_grid(options["grid"]["q"], "grid.q")
-    p_grid = _parse_grid(options["grid"]["p"], "grid.p")
-    reg_s = float(options.get("reg_s", 1e-2))
-    grid = inverse_radon(sino, q_grid, p_grid, reg_s=reg_s)
+def _job_tomo_invert(job):
+    sino = sinogram_from_csv(job["sinogram"])
+    q_grid, p_grid = job["grid"]
+    grid = inverse_radon(sino, q_grid, p_grid, reg_s=job["reg_s"])
     _check_finite("wigner_reconstructed.csv", grid.q_grid, grid.p_grid, grid.values)
     # filtered backprojection blurs W by an isotropic Gaussian of this variance per axis
-    meta = {"reg_s": reg_s, "n_angles": sino.n_angles, "reconstructed_mass": grid.mass(),
-            "blur_variance": reg_s / 4.0}
+    meta = {"reg_s": job["reg_s"], "n_angles": sino.n_angles,
+            "reconstructed_mass": grid.mass(), "blur_variance": job["reg_s"] / 4.0}
     text = format_lattice(PHASE_SPACE_HEADER, grid.q_grid, grid.p_grid, grid.values)
     return {"wigner_reconstructed.csv": text}, meta
 
 
-def _job_verify(options):
+def _job_verify(job):
     results = run_verification()
     all_passed = all(r["passed"] for r in results)
     doc = {"passed": all_passed, "checks": results, "version": __version__}
@@ -416,16 +384,33 @@ def _plot_script(csv_name: str, n_q: int, n_p: int, title: str) -> str:
     ]) + "\n"
 
 
+_NO_DEFAULT = object()  # the default of a required field
+_STATE = (_parse_state, _NO_DEFAULT)
+_PND_FIELDS = {"state": _STATE, "max_total": (_integral(0), 32),
+               "degree_cap": (_integral(0), 64), "mass_tol": (_number(0.0, 1.0), 1e-10)}
+_GRID_FIELDS = {"state": _STATE, "grid": (_parse_phase_grid, _NO_DEFAULT),
+                "plot": (_flag, False)}
+# command -> (job, {field: (parser, default)}); a default of None is derived in the job
 _JOBS = {
-    "pnd": _job_pnd,
-    "wigner": _job_wigner,
-    "qfunc": _job_qfunc,
-    "evolve": _job_evolve,
-    "epsilon": _job_epsilon,
-    "cat": _job_cat,
-    "tomo-forward": _job_tomo_forward,
-    "tomo-invert": _job_tomo_invert,
-    "verify": _job_verify,
+    "pnd": (_job_pnd, _PND_FIELDS),
+    "wigner": (_job_wigner, _GRID_FIELDS),
+    "qfunc": (_job_qfunc, _GRID_FIELDS),
+    "evolve": (_job_evolve, {
+        "state": _STATE, "hamiltonian": (_parse_hamiltonian, _NO_DEFAULT),
+        "t_end": (_finite, _NO_DEFAULT), "num": (_integral(1), 51), "tol": (_positive, 1e-9)}),
+    "epsilon": (_job_epsilon, {
+        "profile": (_parse_profile, _NO_DEFAULT), "t_end": (_positive, _NO_DEFAULT),
+        "num": (_integral(1), 201), "tol": (_positive, 1e-9)}),
+    "cat": (_job_cat, _PND_FIELDS),
+    "tomo-forward": (_job_tomo_forward, {
+        "state": _STATE, "n_angles": (_integral(1), 180),
+        "x": (_parse_grid, _parse_grid({"min": -12.0, "max": 12.0, "num": 257}, "x")),
+        "method": (_method, None), "wigner_samples": (_integral(2), 513),
+        "wigner_span": (_positive, None)}),
+    "tomo-invert": (_job_tomo_invert, {
+        "sinogram": (_existing_file, _NO_DEFAULT), "grid": (_parse_phase_grid, _NO_DEFAULT),
+        "reg_s": (_positive, 1e-2)}),
+    "verify": (_job_verify, {}),
 }
 
 
@@ -434,37 +419,42 @@ def execute_job(cfg: JobConfig) -> dict[str, str]:
 
     Warnings that the active filters show, raised during the job, go into the sidecar
     as a ``warnings`` list of {category, message} entries in the order raised; the
-    key is absent if there was none.  Entering the recording context resets the
-    once-per-location registry, so every job records its own warnings.
+    key is absent if there was none; a job that raises carries it as the exception's
+    ``job_warnings``.  Entering the recording context resets the once-per-location
+    registry, so every job records its own warnings.
     """
     with warnings.catch_warnings(record=True) as caught:
-        artifacts, meta = _JOBS[cfg.command](cfg.options)
-    sidecar = {
-        "command": cfg.command,
-        "config": cfg.options,
-        "version": __version__,
-        "qrep_convention": QREP_CONVENTION,
-        "numeric_format": "shortest round-trip decimal (repr)",
-    }
-    sidecar.update(meta)
+        try:
+            artifacts, meta = _JOBS[cfg.command][0](cfg.values)
+        except Exception as exc:
+            exc.job_warnings = _warning_records(caught)
+            raise
+    sidecar = {"command": cfg.command, "config": cfg.options, "version": __version__,
+               "qrep_convention": QREP_CONVENTION,
+               "numeric_format": "shortest round-trip decimal (repr)", **meta}
     if caught:
-        sidecar["warnings"] = [{"category": w.category.__name__, "message": str(w.message)}
-                               for w in caught]
+        sidecar["warnings"] = _warning_records(caught)
     artifacts[f"{cfg.command}.meta.json"] = json.dumps(
         sidecar, indent=2, sort_keys=True, default=str) + "\n"
     return artifacts
+
+
+def _warning_records(caught) -> list[dict]:
+    return [{"category": w.category.__name__, "message": str(w.message)} for w in caught]
 
 
 def write_output(artifacts: dict[str, str], out_dir) -> list[Path]:
     """Write artifacts under out_dir; byte-stable for identical inputs."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for name in sorted(artifacts):
-        path = out_dir / name
-        path.write_text(artifacts[name], encoding="utf-8")
-        written.append(path)
-    return written
+        (out_dir / name).write_text(artifacts[name], encoding="utf-8")
+    return [out_dir / name for name in sorted(artifacts)]
+
+
+def _stderr_line(doc: dict) -> None:
+    json.dump(doc, sys.stderr, sort_keys=True)
+    sys.stderr.write("\n")
 
 
 def main(argv=None) -> int:
@@ -481,34 +471,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.config is None:
-            if args.command != "verify":
-                raise ConfigError("--config", "a config file is required for this command")
-            text = "{}"
-        else:
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigError("--config", f"file {path} does not exist")
-            text = path.read_text(encoding="utf-8")
-        cfg = parse_config(text, args.command)
-        artifacts = execute_job(cfg)
+        if args.config is None and args.command != "verify":
+            raise ConfigError("--config", "a config file is required for this command")
+        if args.config is not None and not Path(args.config).exists():
+            raise ConfigError("--config", f"file {args.config} does not exist")
+        text = "{}" if args.config is None else Path(args.config).read_text(encoding="utf-8")
+        artifacts = execute_job(parse_config(text, args.command))
+        for warning in json.loads(artifacts[f"{args.command}.meta.json"]).get("warnings", []):
+            _stderr_line({"warning": warning})
         written = write_output(artifacts, args.out_dir)
-    except ConfigError as exc:
-        json.dump({"error": {"kind": "config", "field": exc.field, "message": str(exc)}},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit nonzero
-        json.dump({"error": {"kind": "execution", "command": args.command,
-                             "type": type(exc).__name__, "message": str(exc)}},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
+        for warning in getattr(exc, "job_warnings", []):
+            _stderr_line({"warning": warning})
+        if isinstance(exc, ConfigError):
+            _stderr_line({"error": {"kind": "config", "field": exc.field, "message": str(exc)}})
+            return 2
+        _stderr_line({"error": {"kind": "execution", "command": args.command,
+                                "type": type(exc).__name__, "message": str(exc)}})
         return 1
 
-    sidecar = json.loads(artifacts[f"{args.command}.meta.json"])
-    for warning in sidecar.get("warnings", []):
-        json.dump({"warning": warning}, sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
     if args.verbose:
         for path in written:
             print(path)

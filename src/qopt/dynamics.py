@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CausticError
+from .errors import CausticError, NonFiniteError
 from .gaussian import GaussianState
 from .matrices import check_symmetric, quadrature_rotation, symplectic_metric
 
@@ -209,7 +209,8 @@ def flow_expm(hamiltonian: QuadraticHamiltonian, t: float) -> FlowSample:
 
 
 def evolve_gaussian(state: GaussianState, flow, t: float | None = None) -> GaussianState:
-    """Push a Gaussian state along a flow: W(Q, t) = W_0(Lam Q + Delta)."""
+    """Push a Gaussian state along a flow: W(Q, t) = W_0(Lam Q + Delta).  A flow sample
+    or result that is not finite, or a singular Lam, raises ``NonFiniteError`` naming t."""
     if isinstance(flow, SymplecticFlow):
         if t is None:
             raise ValueError("t is required when evolving along a SymplecticFlow")
@@ -221,9 +222,15 @@ def evolve_gaussian(state: GaussianState, flow, t: float | None = None) -> Gauss
     else:
         raise TypeError(f"cannot evolve along {type(flow).__name__}")
     lam, delta = sample.lam, sample.delta
-    mean = np.linalg.solve(lam, state.mean - delta)
-    inner = np.linalg.solve(lam, state.disp)
-    disp = np.linalg.solve(lam, inner.T).T
+    try:
+        mean = np.linalg.solve(lam, state.mean - delta)
+        inner = np.linalg.solve(lam, state.disp)
+        disp = np.linalg.solve(lam, inner.T).T
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteError(f"flow sample at t={sample.t} is singular to working precision: "
+                             f"{exc}") from exc
+    if not all(np.isfinite(a).all() for a in (lam, delta, mean, disp)):
+        raise NonFiniteError(f"flow sample or evolved state at t={sample.t} is not finite")
     return GaussianState(mean, 0.5 * (disp + disp.T))
 
 

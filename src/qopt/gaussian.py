@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConventionError, NonFiniteError
-from .hermite import BOX_ENTRY_CAP, as_index, hermite_box
+from .hermite import BOX_ENTRY_CAP, _total_degree_indices, as_index, hermite_box
 from .matrices import block_swap, check_symmetric, quadrature_rotation, symplectic_metric
 
 QREP_CONVENTION = ("R=2U^T(2M+I)^{-1}U-sigma_Nx; Ry=2U^T(2M+I)^{-1}<Q>; "
@@ -251,16 +251,17 @@ def from_pure_gaussian(spec: PureGaussianSpec) -> GaussianState:
     return GaussianState(np.concatenate([p_bar, x_bar]), 0.5 * (M + M.T))
 
 
-def _checked_probabilities(raw: np.ndarray, indices) -> list[float]:
-    """Real parts of p0 G_(n,n), raising unless each is finite, real and nonnegative."""
-    for idx, val in zip(indices, raw):
+def _checked_probabilities(raw: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Real parts of p0 G_(n,n); raises at the first row not finite, real and nonnegative."""
+    bad = ~np.isfinite(raw) | (raw.real < -_NEGATIVE_PROB_TOL) \
+        | (np.abs(raw.imag) > 1e-9 * np.maximum(1.0, np.abs(raw.real)))
+    for idx, val in zip(map(tuple, indices[bad].tolist()), raw[bad]):
         if not np.isfinite(val):
             raise NonFiniteError(f"photon probability for {idx} is not finite: {val}")
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise ConventionError(f"photon probability for {idx} is not real: {val}")
-        if val.real < -_NEGATIVE_PROB_TOL:
-            raise ConventionError(f"photon probability for {idx} is negative: {val.real}")
-    return np.maximum(raw.real, 0.0).tolist()
+        raise ConventionError(f"photon probability for {idx} is negative: {val.real}")
+    return np.maximum(raw.real, 0.0)
 
 
 def photon_pnd(s: GaussianState, n) -> float:
@@ -268,7 +269,7 @@ def photon_pnd(s: GaussianState, n) -> float:
     idx = as_index(n, length=s.n_modes)
     rep = to_qrep(s)
     box = hermite_box(rep.R, rep.ry, [k + 1 for k in idx + idx])
-    return _checked_probabilities(np.array([rep.p0 * box[idx + idx]]), [idx])[0]
+    return float(_checked_probabilities(np.array([rep.p0 * box[idx + idx]]), np.array([idx]))[0])
 
 
 @dataclass(frozen=True)
@@ -303,30 +304,33 @@ def photon_pnd_table(s: GaussianState, mass_tol: float = _DEFAULT_MASS_TOL,
     while (edge_limit + 1) ** (2 * n) <= BOX_ENTRY_CAP:
         edge_limit += 1
     edge = min(cap + 1, edge_limit, int(_FIRST_BOX_ENTRIES ** (0.5 / n)))
-    probs: dict[tuple[int, ...], float] = {}
-    cumulative = 0.0
-    degree = 0
+    probs, cumulative, degree = {}, 0.0, 0
     while True:
         box = hermite_box(rep.R, rep.ry, (edge,) * (2 * n))
-        diagonal = box.reshape(edge ** n, edge ** n).diagonal().reshape((edge,) * n)
-        totals = np.indices(diagonal.shape).sum(axis=0)
-        for degree in range(degree, edge):
-            shell = totals == degree
-            indices = [tuple(idx) for idx in np.argwhere(shell).tolist()]
-            for idx, p in zip(indices, _checked_probabilities(rep.p0 * diagonal[shell], indices)):
-                probs[idx] = p
-                cumulative += p
-            if cumulative >= 1.0 - mass_tol:
-                return PndTable(probs, cumulative, degree, False)
-            if degree >= cap:
-                warnings.warn(f"photon enumeration hit the degree cap {cap} "
-                              f"with cumulative mass {cumulative:.12f}")
-                return PndTable(probs, cumulative, degree, True)
-            if degree + 2 > edge_limit:
-                warnings.warn(f"photon enumeration stopped at total degree {degree}: "
-                              f"polynomial table would exceed {BOX_ENTRY_CAP} indices "
-                              f"(cumulative mass {cumulative:.12f})")
-                return PndTable(probs, cumulative, degree, True)
+        indices = _total_degree_indices(n, edge - 1)
+        starts = np.searchsorted(indices.sum(axis=1), np.arange(degree, edge + 1))
+        indices = indices[starts[0]:]  # the shells degree, ..., edge - 1
+        raw = rep.p0 * box[tuple(indices.T) * 2]
+        # cumsum adds in sequence, so the mass carries the bits of a row-by-row sum
+        running = np.cumsum(np.concatenate([[cumulative], np.maximum(raw.real, 0.0)]))[1:]
+        # the first shell that meets a stop rule, else the last; checked up to its end
+        for degree, end in zip(range(degree, edge), starts[1:] - starts[0]):
+            cumulative = float(running[end - 1])
+            if cumulative >= 1.0 - mass_tol or degree >= cap or degree + 2 > edge_limit:
+                break
+        probs.update(zip(map(tuple, indices[:end].tolist()),
+                         _checked_probabilities(raw[:end], indices[:end]).tolist()))
+        if cumulative >= 1.0 - mass_tol:
+            return PndTable(probs, cumulative, degree, False)
+        if degree >= cap:
+            warnings.warn(f"photon enumeration hit the degree cap {cap} "
+                          f"with cumulative mass {cumulative:.12f}")
+            return PndTable(probs, cumulative, degree, True)
+        if degree + 2 > edge_limit:
+            warnings.warn(f"photon enumeration stopped at total degree {degree}: "
+                          f"polynomial table would exceed {BOX_ENTRY_CAP} indices "
+                          f"(cumulative mass {cumulative:.12f})")
+            return PndTable(probs, cumulative, degree, True)
         degree = edge
         # about four times the entries per rebuild
         edge = min(cap + 1, edge_limit, max(edge + 1, int(edge * 2 ** (1 / n))))

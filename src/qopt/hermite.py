@@ -25,6 +25,10 @@ H_n multiply G_n by sqrt(n!) at the end.
 
 A box holds at most ``BOX_ENTRY_CAP`` entries (2**24, 256 MiB of complex
 values); a larger request raises ``ResourceLimitError``.
+
+Tables by total degree (``mv_hermite_table`` and the Gaussian and cat photon-number
+tables) share one index enumerator, ``_total_degree_indices``: totals up to D, in
+order of total and then lexicographically, so each shell is a contiguous slice.
 """
 
 from __future__ import annotations
@@ -212,15 +216,25 @@ def _from_renormalized(value: complex, idx: tuple[int, ...]) -> complex:
     return out
 
 
+def _total_degree_indices(dim: int, max_total: int) -> np.ndarray:
+    """Every multi-index of length ``dim`` with total at most ``max_total``, as the rows of
+    an int64 array ordered by total, then lexicographically."""
+    indices = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(dim):  # lexicographic, one axis at a time
+        room = max_total + 1 - indices.sum(axis=1)
+        last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        indices = np.column_stack([np.repeat(indices, room, axis=0), last])
+    return indices[np.argsort(indices.sum(axis=1), kind="stable")]
+
+
 def mv_hermite_table(params: HermiteParams,
                      max_total_degree: int) -> dict[tuple[int, ...], complex]:
     """All H_n^{R}(y) with total degree up to ``max_total_degree``."""
     if max_total_degree < 0:
         raise ValueError("max_total_degree must be nonnegative")
     box = hermite_box(params.R, params.R @ params.y, (max_total_degree + 1,) * params.dim)
-    totals = sum(np.ix_(*[np.arange(max_total_degree + 1)] * params.dim))
     return {idx: _from_renormalized(box[idx], idx)
-            for idx in map(tuple, np.argwhere(totals <= max_total_degree).tolist())}
+            for idx in map(tuple, _total_degree_indices(params.dim, max_total_degree).tolist())}
 
 
 def mv_hermite_eval(params: HermiteParams, n) -> complex:

@@ -281,6 +281,40 @@ class TestDeterminismAndErrors:
          "wigner_span"),
         ("tomo-forward", {"state": _CAT1, "method": "numeric", "wigner_span": "12"},
          "wigner_span"),
+        ("epsilon", {"profile": {"preset": "free"}, "t_end": "ten"}, "t_end"),
+        ("epsilon", {"profile": {"preset": "free"}, "t_end": True}, "t_end"),
+        ("epsilon", {"profile": {"preset": "free"}, "t_end": float("nan")}, "t_end"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
+                    "hamiltonian": {"preset": "oscillator"}, "t_end": float("nan")}, "t_end"),
+        ("epsilon", {"profile": {"preset": "free"}, "t_end": 1.0, "tol": "1e-9"}, "tol"),
+        ("epsilon", {"profile": {"preset": "free"}, "t_end": 1.0, "tol": False}, "tol"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
+                    "hamiltonian": {"preset": "oscillator"}, "t_end": 1.0,
+                    "tol": float("nan")}, "tol"),
+        ("epsilon", {"profile": {"preset": "free"}, "t_end": 1.0, "tol": 0}, "tol"),
+        ("tomo-invert", {"sinogram": __file__, "grid": {"q": [0.0, 1.0], "p": [0.0, 1.0]},
+                         "reg_s": "0.01"}, "reg_s"),
+        ("tomo-invert", {"sinogram": __file__, "grid": {"q": [0.0, 1.0], "p": [0.0, 1.0]},
+                         "reg_s": True}, "reg_s"),
+        ("tomo-invert", {"sinogram": __file__, "grid": {"q": [0.0, 1.0], "p": [0.0, 1.0]},
+                         "reg_s": float("nan")}, "reg_s"),
+        ("pnd", {"state": {"kind": "thermal", "temperature": 1.0}, "mass_tol": "x"},
+         "mass_tol"),
+        ("wigner", {"state": _CAT1, "grid": {"q": {"min": "-4", "max": 4, "num": 9},
+                                             "p": {"min": -4, "max": 4, "num": 9}}},
+         "grid.q.min"),
+        ("wigner", {"state": _CAT1, "grid": {"q": [0.0, 1.0], "p": [0.0, 1.0]}, "plot": "no"},
+         "plot"),
+        ("pnd", {"state": {"kind": "gaussian", "mean": [0, 0],
+                           "disp": [[float("nan"), 0], [0, 0.5]]}}, "state.disp[0][0]"),
+        ("pnd", {"state": {"kind": "thermal", "temperature": "1"}}, "state.temperature"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
+                    "hamiltonian": {"preset": "oscillator", "mass": "2"}, "t_end": 1.0},
+         "hamiltonian.mass"),
+        ("epsilon", {"profile": {"table": [[0, 1], [1, float("inf")]]}, "t_end": 1.0},
+         "profile.table[1][1]"),
+        ("epsilon", {"profile": {"preset": "free"}, "t_end": 0}, "t_end"),
+        ("epsilon", {"profile": {"preset": "free"}, "t_end": 10 ** 400}, "t_end"),
     ])
     def test_non_integral_count_or_bad_span_is_config_error(self, tmp_path, capsys, command,
                                                             config, field):
@@ -355,6 +389,25 @@ class TestDeterminismAndErrors:
         assert "warnings" not in json.loads((tmp_path / "out" / "pnd.meta.json").read_text())
         assert capsys.readouterr().err == ""
 
+    def test_overflowing_evolve_fails(self, tmp_path, capsys):
+        # the inverted oscillator's flow leaves double range long before t = 800
+        config = {"state": {"kind": "coherent", "alpha": 1.0},
+                  "hamiltonian": {"B": [[1.0, 0.0], [0.0, -1.0]]}, "t_end": 800.0}
+        assert run_cli(tmp_path, "evolve", config) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert err["type"] == "NonFiniteError"
+        assert "t=" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_job_reports_its_warnings(self, tmp_path, capsys):
+        # the overflow warnings explain why the repulsive preset fails at t_end = 800
+        config = {"profile": {"preset": "repulsive"}, "t_end": 800.0, "num": 3}
+        assert run_cli(tmp_path, "epsilon", config) == 1
+        *warned, last = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert last["error"]["type"] == "NonFiniteError"
+        assert warned and all(doc["warning"]["category"] == "RuntimeWarning" for doc in warned)
+        assert any("overflow" in doc["warning"]["message"] for doc in warned)
+
     def test_underflowing_vacuum_probability_fails(self, tmp_path, capsys):
         # p0 = exp(-900) is 0 in double precision, so every probability would read 0
         assert run_cli(tmp_path, "pnd", {"state": {"kind": "coherent", "alpha": 30.0}}) == 1
@@ -393,6 +446,33 @@ class TestSidecarHealth:
         meta = json.loads(execute_job(inv)["tomo-invert.meta.json"])
         assert meta["blur_variance"] == 0.02 / 4
         assert meta["reconstructed_mass"] == pytest.approx(1.0, abs=1e-2)
+
+
+def test_readme_field_table_matches_parser():
+    """The README's CLI field table lists exactly the fields and defaults of ``_JOBS``."""
+    from qopt.cli import _JOBS, _NO_DEFAULT
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 4:
+            for command in cells[0].split(", "):
+                documented[command.strip("`"), cells[1].strip("`")] = cells[2]
+    parsed = {(command, field): default for command, (_, fields) in _JOBS.items()
+              for field, (_, default) in fields.items()}
+    assert documented.keys() == parsed.keys()
+    for key, default in parsed.items():
+        text = documented[key]
+        if default is _NO_DEFAULT:
+            assert text == "required", key
+        elif isinstance(default, bool):
+            assert text == json.dumps(default), key
+        elif isinstance(default, np.ndarray):
+            grid = json.loads(text.strip("`"))
+            assert np.array_equal(default, np.linspace(grid["min"], grid["max"], grid["num"]))
+        elif default is not None:
+            assert float(text) == default, key
 
 
 def test_import_loads_no_scipy_solvers(tmp_path):

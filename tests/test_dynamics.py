@@ -12,7 +12,7 @@ from qopt.dynamics import (FlowSample, QuadraticHamiltonian, coherent_basis_prop
                            hamiltonian_to_creation_annihilation, harmonic_oscillator,
                            integrate_symplectic_flow, invariant_residual_check,
                            parametric_oscillator, propagator_position)
-from qopt.errors import CausticError
+from qopt.errors import CausticError, NonFiniteError
 from qopt.gaussian import GaussianState, make_coherent, validate_state
 from qopt.matrices import complex_structure, symplectic_metric
 
@@ -311,6 +311,15 @@ class TestEvolveGaussian:
         st = evolve_gaussian(make_coherent(1.0), sample)
         want = make_coherent(np.exp(-1j))
         assert np.abs(st.mean - want.mean).max() < 1e-12
+
+    @pytest.mark.parametrize("t", [350.0, 800.0])
+    def test_overflowing_flow_raises_non_finite(self, t):
+        # the inverted oscillator's Lam grows like e^t: numerically singular at t = 350
+        # (a bare LinAlgError before) and inf at t = 800 (a silent NaN state before)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample = flow_expm(QuadraticHamiltonian(np.diag([1.0, -1.0]), np.zeros(2), 1), t)
+        with pytest.raises(NonFiniteError, match=f"t={t}"):
+            evolve_gaussian(make_coherent(1.0), sample)
 
     def test_time_mismatch_rejected(self):
         sample = FlowSample(1.0, np.eye(2), np.zeros(2))
