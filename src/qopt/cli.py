@@ -21,7 +21,6 @@ to stderr as JSON lines, before the error line when the job fails.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .cats import CatState, cat_from_dict, cat_moments, cat_pnd_table, cat_q_eval, cat_wigner_eval
-from .dynamics import (evolve_gaussian, flow_expm, hamiltonian_from_dict,
+from .dynamics import (FlowSample, evolve_gaussian, hamiltonian_from_dict,
                        integrate_symplectic_flow, parametric_oscillator)
 from .errors import NonFiniteError
 from .gaussian import (QREP_CONVENTION, GaussianState, make_coherent, make_squeezed_vacuum,
@@ -283,13 +282,11 @@ def _job_evolve(job):
         raise ConfigError("state.kind", "evolve requires a Gaussian-family state")
     if 2 * ham.n_modes != state.mean.shape[0]:
         raise ConfigError("hamiltonian", "mode count does not match the state")
-    if ham.is_constant:
-        sample_at = functools.partial(flow_expm, ham)
-    else:
-        sample_at = integrate_symplectic_flow(ham, t_end, job["tol"]).at
+    flow = integrate_symplectic_flow(ham, t_end, job["tol"])
+    times = np.linspace(0.0, t_end, job["num"])
     state_rows, flow_rows, defect = [], [], 0.0
-    for t in np.linspace(0.0, t_end, job["num"]):
-        sample = sample_at(t)
+    for t, lam, delta in zip(times, *flow.evaluate(times)):
+        sample = FlowSample(float(t), lam, delta)
         st = evolve_gaussian(state, sample)
         defect = max(defect, sample.symplectic_defect())
         state_rows.append(np.concatenate([[t], st.mean, st.disp.ravel()]))
@@ -302,20 +299,20 @@ def _job_evolve(job):
     flow_header = ["t", *(f"lam_{ij}" for ij in pairs), *(f"delta_{i}" for i in axes)]
     artifacts = {"evolve.csv": format_table(state_header, np.array(state_rows).T),
                  "flow.csv": format_table(flow_header, np.array(flow_rows).T)}
-    return artifacts, {"tol": job["tol"], "symplectic_defect": defect}
+    return artifacts, {"tol": job["tol"], "symplectic_defect": defect,
+                       "error_estimate": flow.error_estimate}
 
 
 def _job_epsilon(job):
     traj = solve_epsilon(job["profile"], job["t_end"], job["tol"])
-    rows = []
-    for t in np.linspace(0.0, job["t_end"], job["num"]):
-        eps, epsdot = traj.at(t)
-        rows.append([t, eps.real, eps.imag, epsdot.real, epsdot.imag])
+    times = np.linspace(0.0, job["t_end"], job["num"])
+    eps, epsdot = traj.at(times)
+    columns = np.array([times, eps.real, eps.imag, epsdot.real, epsdot.imag])
     header = ["t", "re_eps", "im_eps", "re_epsdot", "im_epsdot"]
-    _check_finite("epsilon.csv", rows)
-    return ({"epsilon.csv": format_table(header, np.array(rows, dtype=float).T)},
+    _check_finite("epsilon.csv", columns)
+    return ({"epsilon.csv": format_table(header, columns)},
             {"tol": job["tol"], "wronskian_defect": traj.wronskian_defect,
-             "profile_kind": job["profile"].kind})
+             "error_estimate": traj.error_estimate, "profile_kind": job["profile"].kind})
 
 
 def _job_cat(job):

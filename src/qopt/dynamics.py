@@ -6,17 +6,18 @@ Q_0(t) = Lam(t) Q + Delta(t) stay constant in time when
     dLam/dt = Lam Sigma B(t),   Lam(0) = I,
     dDelta/dt = Lam Sigma C(t), Delta(0) = 0,
 
-with Sigma the symplectic metric.  Lam(t) is symplectic up to integrator
-error; the defect is monitored, never corrected, so it remains an honest
-accuracy indicator.  A Wigner density evolves by plain argument substitution
-W(Q, t) = W_0(Lam Q + Delta), which for Gaussian states is the pushforward
+with Sigma the symplectic metric.  Every flow sample comes from one engine, a
+fourth-order Magnus step: the exponential of a symplectic generator, so Lam(t)
+is symplectic to round-off and only the steps' error estimates measure accuracy.
+`integrate_symplectic_flow` chains steps under error control; `flow_expm` is
+the one step from 0 to t, exact for a constant H.  A Wigner density evolves by
+plain argument substitution W(Q, t) = W_0(Lam Q + Delta), which for Gaussian
+states is the pushforward
 
-    mean' = Lam^{-1} (mean_0 - Delta),   M' = Lam^{-1} M_0 Lam^{-T}.
+    mean' = Lam^{-1} (mean_0 - Delta),   M' = Lam^{-1} M_0 Lam^{-T},
 
-This flow is the one engine: `flow_expm` samples it exactly for a constant
-H, `integrate_symplectic_flow` integrates it otherwise, and everything else
-is read from a sample.  In the (a_1..a_N, a_1^dag..a_N^dag) basis the pair
-(M, N) = (U^dag Lam U, U^dag Delta) solves dM/dt = M sigma D(t),
+with Lam^{-1} = -Sigma Lam^T Sigma.  In the (a_1..a_N, a_1^dag..a_N^dag) basis
+the pair (M, N) = (U^dag Lam U, U^dag Delta) solves dM/dt = M sigma D(t),
 dN/dt = M sigma E(t).  For one mode the position propagator is the Van Vleck
 kernel of the q-block of Lam^{-1}, and the classical solution eps(t) of
 `qopt.parametric` is the q-row of Lam^{-1}.
@@ -104,17 +105,66 @@ class FlowSample:
         return float(np.abs(self.lam @ sigma @ self.lam.T - sigma).max())
 
 
-class SymplecticFlow:
-    """Integrated flow samples (t, Lam(t), Delta(t)) with dense evaluation."""
+_MIN_STEP = 1e-12  # relative to max(1, |t|); the smallest step the error control asks for
+_ROUND_OFF = 16 * np.finfo(float).eps  # an error estimate below this, times |Lam|, is noise
 
-    def __init__(self, ts, lams, deltas, tol, interpolant):
+
+def _expm(mats: np.ndarray) -> np.ndarray:
+    """exp of each matrix in a stack: halve it to 1-norm <= 1/2, sum the Taylor series to
+    degree 14 (truncation < 3e-17), and square back; the error stays near 1e-14 where
+    scipy's expm leaves up to 1e-12 relative at exponents of norm 3 to 30."""
+    flat = mats.reshape((-1,) + mats.shape[-2:])
+    halvings = np.maximum(np.frexp(np.abs(flat).sum(axis=-2).max(axis=-1))[1] + 1, 0)
+    x = np.ldexp(flat, -halvings[:, np.newaxis, np.newaxis])
+    eye = np.eye(x.shape[-1])
+    out = eye + x / 14.0
+    for k in range(13, 0, -1):
+        out = eye + (x @ out) / k
+    for j in range(int(halvings.max(initial=0))):
+        out[halvings > j] = out[halvings > j] @ out[halvings > j]
+    return out.reshape(mats.shape)
+
+
+def _generators(hamiltonian: QuadraticHamiltonian, times: np.ndarray) -> np.ndarray:
+    """Stack of the generators A(s) = [[Sigma B(s), Sigma C(s)], [0, 0]] at ``times``."""
+    dim = 2 * hamiltonian.n_modes
+    sigma = symplectic_metric(hamiltonian.n_modes)
+    gens = np.zeros(times.shape + (dim + 1, dim + 1))
+    for idx, s in np.ndenumerate(times):
+        gens[idx][:dim, :dim] = sigma @ hamiltonian.b_matrix(s)
+        gens[idx][:dim, dim] = sigma @ hamiltonian.c_vector(s)
+    return gens
+
+
+def _magnus_step(hamiltonian: QuadraticHamiltonian, t, h) -> np.ndarray:
+    """exp(Omega), the augmented propagator [[Lam, Delta], [0, 1]] from t to t + h.
+
+    Fourth-order Magnus on the Simpson nodes t, t + h/2, t + h, so B is sampled at
+    both ends of the step: Omega = h A_mid + h/6 (A_0 - 2 A_mid + A_1)
+    + h^2/12 (A_0 A_1 - A_1 A_0), exactly h A for a constant H; the commutator takes
+    this sign because the flow multiplies on the right.  ``t`` and ``h`` broadcast
+    to a stack of steps.
+    """
+    t, h = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(h, dtype=float))
+    a0, mid, a1 = _generators(hamiltonian, t + np.multiply.outer((0.0, 0.5, 1.0), h))
+    hh = h[..., np.newaxis, np.newaxis]
+    return _expm(hh * mid + (hh / 6.0) * (a0 - 2.0 * mid + a1)
+                 + (hh * hh / 12.0) * (a0 @ a1 - a1 @ a0))
+
+
+class SymplecticFlow:
+    """Flow samples [[Lam, Delta], [0, 1]] at the accepted step boundaries ``ts``;
+    ``error_estimate`` is the sum of the accepted steps' error estimates."""
+
+    def __init__(self, hamiltonian: QuadraticHamiltonian, ts, samples, error_estimate: float):
+        self.hamiltonian = hamiltonian
         self.ts = np.array(ts, dtype=float)
-        self.lams = np.array(lams, dtype=float)
-        self.deltas = np.array(deltas, dtype=float)
-        self.tol = float(tol)
-        self._interpolant = interpolant
-        self.n_modes = self.lams.shape[-1] // 2
-        for arr in (self.ts, self.lams, self.deltas):
+        self._samples = np.array(samples, dtype=float)
+        self.error_estimate = float(error_estimate)
+        dim = 2 * hamiltonian.n_modes
+        self.lams = self._samples[:, :dim, :dim]
+        self.deltas = self._samples[:, :dim, dim]
+        for arr in (self.ts, self._samples):
             arr.flags.writeable = False
 
     @property
@@ -122,50 +172,70 @@ class SymplecticFlow:
         return float(self.ts[-1])
 
     def evaluate(self, t):
-        """(Lam, Delta) at one time or an array of times, from the dense interpolant."""
+        """(Lam, Delta) at one time or an array of times: the last boundary sample at or
+        before t, times one Magnus step to t, so every value is symplectic to round-off."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.ts[0]) or np.any(t > self.ts[-1] + 1e-12):
-            raise ValueError(f"t={t} outside integrated range [{self.ts[0]}, {self.ts[-1]}]")
-        dim = 2 * self.n_modes
-        y = np.moveaxis(self._interpolant(np.minimum(t, self.ts[-1])), 0, -1)
-        return y[..., :dim * dim].reshape(t.shape + (dim, dim)), y[..., dim * dim:]
+        sign = -1.0 if self.t_end < 0 else 1.0
+        if np.any(sign * t < 0.0) or np.any(sign * (t - self.t_end) > 1e-12):
+            raise ValueError(f"t={t} outside integrated range [{self.ts[0]}, {self.t_end}]")
+        t = sign * np.minimum(sign * t, sign * self.t_end)
+        i = np.searchsorted(sign * self.ts, sign * t, side="right") - 1
+        aug = self._samples[i] @ _magnus_step(self.hamiltonian, self.ts[i], t - self.ts[i])
+        dim = 2 * self.hamiltonian.n_modes
+        return aug[..., :dim, :dim], aug[..., :dim, dim]
 
     def at(self, t: float) -> FlowSample:
         return FlowSample(float(t), *self.evaluate(t))
 
     def max_symplectic_defect(self) -> float:
-        n = self.n_modes
-        sigma = symplectic_metric(n)
+        sigma = symplectic_metric(self.hamiltonian.n_modes)
         prods = np.einsum("tij,jk,tlk->til", self.lams, sigma, self.lams)
         return float(np.abs(prods - sigma).max())
 
 
 def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
                               tol: float = 1e-9) -> SymplecticFlow:
-    """Solve the flow equations for (Lam, Delta) up to t_end with adaptive error tol."""
+    """Step (Lam, Delta) from 0 to t_end with fourth-order Magnus steps at error tol.
+
+    A step of size h is accepted, as the product of two half steps, when
+    |Lam(t) (full - half)|_max / 15 <= max(tol |h|, 16 eps) max(1, |Lam(t + h)|_max).
+    Every step samples B at both of its ends, so a jump or kink anywhere in it shows
+    in the estimate.  The first trial covers the whole interval, so a constant H
+    takes one step.  Below a relative size of 1e-12 a finite step is accepted (a
+    jump of B is crossed there, its estimate reported) and a non-finite one raises
+    ``NonFiniteError`` naming t.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    t_end = float(t_end)
+    if not math.isfinite(t_end):
+        raise ValueError("t_end must be finite")
     dim = 2 * hamiltonian.n_modes
-    sigma = symplectic_metric(hamiltonian.n_modes)
-
-    def rhs(t, y):
-        lam = y[:dim * dim].reshape(dim, dim)
-        lam_sigma = lam @ sigma
-        dlam = lam_sigma @ hamiltonian.b_matrix(t)
-        ddelta = lam_sigma @ hamiltonian.c_vector(t)
-        return np.concatenate([dlam.ravel(), ddelta])
-
-    # imported on first use: scipy.integrate would otherwise dominate `import qopt`
-    from scipy.integrate import solve_ivp
-
-    y0 = np.concatenate([np.eye(dim).ravel(), np.zeros(dim)])
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"flow integration failed: {sol.message}")
-    lams = sol.y[:dim * dim].T.reshape(-1, dim, dim)
-    deltas = sol.y[dim * dim:].T
-    return SymplecticFlow(sol.t, lams, deltas, tol, interpolant=sol.sol)
+    aug, t, h, error = np.eye(dim + 1), 0.0, t_end, 0.0
+    ts, samples = [t], [aug]
+    while t != t_end:
+        last = abs(h) >= abs(t_end - t)
+        if last:
+            h = t_end - t
+        with np.errstate(over="ignore", invalid="ignore"):
+            full, first, second = _magnus_step(hamiltonian, [t, t, t + 0.5 * h],
+                                               [h, 0.5 * h, 0.5 * h])
+            half = first @ second
+            trial = aug @ half
+            err = np.abs(aug[:dim, :dim] @ (full - half)[:dim]).max() / 15.0
+        bound = max(tol * abs(h), _ROUND_OFF) * max(1.0, np.abs(trial[:dim, :dim]).max())
+        finite = np.isfinite(trial).all() and np.isfinite(err)
+        floor = abs(h) < _MIN_STEP * max(1.0, abs(t))
+        if finite and (err <= bound or floor):
+            aug, t, error = trial, t_end if last else t + h, error + err
+            ts.append(t)
+            samples.append(aug)
+        elif floor:
+            raise NonFiniteError(f"flow step at t={t} is not finite")
+        # a step taken at the floor is not shrunk further, so t keeps advancing
+        factor = min(4.0, 0.9 * (bound / err) ** 0.25) if finite and err > 0 else 4.0
+        h *= max(1.0 if floor else 0.2, factor) if finite else 0.25
+    return SymplecticFlow(hamiltonian, ts, samples, error)
 
 
 def hamiltonian_to_creation_annihilation(hamiltonian: QuadraticHamiltonian):
@@ -190,27 +260,19 @@ def flow_to_creation_annihilation(sample: FlowSample) -> tuple[np.ndarray, np.nd
 
 
 def flow_expm(hamiltonian: QuadraticHamiltonian, t: float) -> FlowSample:
-    """Closed-form flow sample for constant B, C via one matrix exponential.
-
-    Lam(t) = exp(Sigma B t) and Delta(t) = int_0^t exp(Sigma B u) Sigma C du
-    come out of the single augmented exponential exp(t [[Sigma B, Sigma C], [0, 0]]).
-    """
+    """Closed-form flow sample for constant B, C: the one Magnus step from 0 to t,
+    exp(t [[Sigma B, Sigma C], [0, 0]]) = [[Lam(t), Delta(t)], [0, 1]]."""
     if not hamiltonian.is_constant:
         raise ValueError("flow_expm requires a time-independent Hamiltonian")
     dim = 2 * hamiltonian.n_modes
-    sigma = symplectic_metric(hamiltonian.n_modes)
-    gen = np.zeros((dim + 1, dim + 1))
-    gen[:dim, :dim] = sigma @ hamiltonian.b_matrix(0.0)
-    gen[:dim, dim] = sigma @ hamiltonian.c_vector(0.0)
-    from scipy.linalg import expm
-
-    block = expm(gen * t)
+    block = _magnus_step(hamiltonian, 0.0, t)
     return FlowSample(float(t), block[:dim, :dim], block[:dim, dim])
 
 
 def evolve_gaussian(state: GaussianState, flow, t: float | None = None) -> GaussianState:
-    """Push a Gaussian state along a flow: W(Q, t) = W_0(Lam Q + Delta).  A flow sample
-    or result that is not finite, or a singular Lam, raises ``NonFiniteError`` naming t."""
+    """Push a Gaussian state along a flow: W(Q, t) = W_0(Lam Q + Delta), with the exact
+    symplectic inverse Lam^{-1} = -Sigma Lam^T Sigma.  A flow sample or result that is
+    not finite raises ``NonFiniteError`` naming t."""
     if isinstance(flow, SymplecticFlow):
         if t is None:
             raise ValueError("t is required when evolving along a SymplecticFlow")
@@ -222,13 +284,11 @@ def evolve_gaussian(state: GaussianState, flow, t: float | None = None) -> Gauss
     else:
         raise TypeError(f"cannot evolve along {type(flow).__name__}")
     lam, delta = sample.lam, sample.delta
-    try:
-        mean = np.linalg.solve(lam, state.mean - delta)
-        inner = np.linalg.solve(lam, state.disp)
-        disp = np.linalg.solve(lam, inner.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NonFiniteError(f"flow sample at t={sample.t} is singular to working precision: "
-                             f"{exc}") from exc
+    sigma = symplectic_metric(lam.shape[0] // 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse = -sigma @ lam.T @ sigma
+        mean = inverse @ (state.mean - delta)
+        disp = inverse @ state.disp @ inverse.T
     if not all(np.isfinite(a).all() for a in (lam, delta, mean, disp)):
         raise NonFiniteError(f"flow sample or evolved state at t={sample.t} is not finite")
     return GaussianState(mean, 0.5 * (disp + disp.T))

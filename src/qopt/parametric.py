@@ -12,8 +12,10 @@ and the photon statistics of that packet follow a one-parameter squeezed
 law.
 
 eps is not integrated on its own: it is the q-row of Lam^{-1} for the
-symplectic flow of `qopt.dynamics`, so the Wronskian is -2i det Lam.  The
-named presets evaluate their closed forms instead and need no scipy.
+symplectic flow of `qopt.dynamics`, so the Wronskian is -2i det Lam, conserved
+to round-off by every flow step; the accuracy of eps is the flow's
+``error_estimate``, which the trajectory carries.  The named presets evaluate
+their closed forms instead (error estimate 0).
 
 Wavefunction evaluators need eps^{-1/2} and (eps*/eps)^{m/2}; both are taken
 with the phase of eps tracked continuously from t = 0, never the principal
@@ -118,16 +120,17 @@ def closed_form_epsilon(preset: str, t):
 class EpsilonTrajectory:
     """Solution samples of the classical equation with continuous phase tracking.
 
-    ``interpolant(t)`` returns the stacked (eps, epsdot) at a time or an
-    array of times.
+    ``solution(t)`` returns the stacked (eps, epsdot) at a time or an array of
+    times; ``error_estimate`` is the flow solver's (0 for a closed form).
     """
 
-    def __init__(self, ts, interpolant, tol, profile):
+    def __init__(self, ts, solution, tol, profile, error_estimate: float = 0.0):
         self.ts = np.asarray(ts, dtype=float)
-        self._interpolant = interpolant
+        self._solution = solution
         self.tol = float(tol)
         self.profile = profile
-        # -2i det Lam on the integrated path, so this is 2 max |det Lam - 1|
+        self.error_estimate = float(error_estimate)
+        # -2i det Lam at the step boundaries, so this is 2 max |det Lam - 1|
         eps, epsdot = self._eval(self.ts)
         wron = eps * np.conj(epsdot) - np.conj(eps) * epsdot
         self.wronskian_defect = float(np.abs(wron + 2j).max())
@@ -141,19 +144,19 @@ class EpsilonTrajectory:
     def t_end(self) -> float:
         return float(self.ts[-1])
 
-    def _check_range(self, t: float):
-        if not -1e-12 <= t <= self.t_end + 1e-12:
+    def _check_range(self, t):
+        if not np.all((-1e-12 <= t) & (t <= self.t_end + 1e-12)):
             raise ValueError(f"t={t} outside solved range [0, {self.t_end}]")
 
     def _eval(self, t):
-        y = self._interpolant(np.clip(t, 0.0, self.t_end))
+        y = self._solution(np.clip(t, 0.0, self.t_end))
         return y[0], y[1]
 
-    def at(self, t: float) -> tuple[complex, complex]:
-        """(eps, epsdot) at time t."""
+    def at(self, t):
+        """(eps, epsdot) at time t, or the two arrays at an array of times."""
         self._check_range(t)
         e, ed = self._eval(t)
-        return complex(e), complex(ed)
+        return (e, ed) if np.ndim(t) else (complex(e), complex(ed))
 
     def phase_at(self, t: float) -> float:
         """arg eps(t), continuous from arg eps(0) = 0."""
@@ -191,7 +194,7 @@ def solve_epsilon(profile: FrequencyProfile, t_end: float, tol: float = 1e-9) ->
     Named presets short-circuit to their closed forms (the repulsive branch
     grows like e^t, where an integrated solution could never track the exact
     one to fixed absolute accuracy).  Every other profile reads eps from the
-    symplectic flow Lam(t) of H = p^2/2 + w^2(t) q^2/2, integrated at the
+    symplectic flow Lam(t) of H = p^2/2 + w^2(t) q^2/2, stepped at the
     requested tolerance: in (p, q) order eps = l00 - i l10 and
     epsdot = -l01 + i l11, the q-row of Lam^{-1} = adj(Lam).
     """
@@ -217,7 +220,7 @@ def solve_epsilon(profile: FrequencyProfile, t_end: float, tol: float = 1e-9) ->
         return np.stack([lam[..., 0, 0] - 1j * lam[..., 1, 0],
                          -lam[..., 0, 1] + 1j * lam[..., 1, 1]])
 
-    return EpsilonTrajectory(flow.ts, from_flow, tol, profile)
+    return EpsilonTrajectory(flow.ts, from_flow, tol, profile, flow.error_estimate)
 
 
 def variances_correlation(traj: EpsilonTrajectory, t: float) -> tuple[float, float, float]:
@@ -267,9 +270,9 @@ def to_gaussian_state(traj: EpsilonTrajectory, t: float) -> GaussianState:
     """The evolved vacuum packet as a Gaussian state carrier.
 
     The moments are divided by the sample's own Wronskian Im(eps* epsdot)
-    (1 up to integrator error), so the carrier is exactly pure: raw moments
-    can fall below the vacuum bound by the defect, which the trajectory
-    still reports as ``wronskian_defect``.
+    (1 up to round-off), so the carrier is exactly pure: raw moments can
+    fall below the vacuum bound by the defect, which the trajectory still
+    reports as ``wronskian_defect``.
     """
     eps, epsdot = traj.at(t)
     scale = 0.5 / np.imag(np.conj(eps) * epsdot)

@@ -17,6 +17,7 @@ from .dynamics import (QuadraticHamiltonian, flow_expm, free_particle, harmonic_
 from .gaussian import (GaussianState, from_qrep, make_coherent, make_thermal_oscillator,
                        photon_pnd, q_eval, to_qrep)
 from .hermite import HermiteParams, mv_hermite_eval
+from .matrices import symplectic_metric
 from .parametric import (preset_profile, solve_epsilon, squeezed_vacuum_pnd,
                          tabulated_profile, to_gaussian_state)
 from .tomography import gaussian_sinogram, inverse_radon, wigner_grid_from_callable
@@ -60,7 +61,6 @@ def _coherent_poisson():
 def _qrep_round_trip():
     rng = np.random.default_rng(11)
     from scipy.linalg import expm
-    from .matrices import symplectic_metric
     b = 0.3 * rng.normal(size=(4, 4))
     sympl = expm(symplectic_metric(2) @ (b + b.T))
     disp = sympl @ np.diag([0.6, 0.9, 0.6, 0.9]) @ sympl.T
@@ -90,12 +90,16 @@ def _symplectic_defect():
 
 
 def _flow_expm_consistency():
+    # both flow paths against scipy's expm of the generator [[Sigma B, Sigma C], [0, 0]]
+    from scipy.linalg import expm
     rng = np.random.default_rng(21)
     b = 0.4 * rng.normal(size=(2, 2))
     ham = QuadraticHamiltonian(b + b.T + np.eye(2), rng.normal(size=2), 1)
-    ode = integrate_symplectic_flow(ham, 1.0, tol=1e-11).at(1.0)
-    closed = flow_expm(ham, 1.0)
-    worst = max(np.abs(ode.lam - closed.lam).max(), np.abs(ode.delta - closed.delta).max())
+    want = expm(np.vstack([symplectic_metric(1) @ np.column_stack(
+        [ham.b_matrix(0.0), ham.c_vector(0.0)]), np.zeros(3)]))
+    samples = (flow_expm(ham, 1.0), integrate_symplectic_flow(ham, 1.0, tol=1e-11).at(1.0))
+    worst = max(max(np.abs(s.lam - want[:2, :2]).max(), np.abs(s.delta - want[:2, 2]).max())
+                for s in samples)
     return _check("flow_expm_vs_ode", worst, 1e-9)
 
 

@@ -4,8 +4,9 @@ Nothing here touches the library's recursion, overlap, flow or formatting
 code paths: the generating function is expanded by explicit polynomial
 arithmetic, integrals are done by brute-force quadrature, propagators are
 the textbook closed forms, CSV text is built one cell at a time, cat
-photon probabilities are evaluated one outcome at a time, and cat homodyne
-marginals come from the rotated coherent-state wavefunctions.
+photon probabilities are evaluated one outcome at a time, cat homodyne
+marginals come from the rotated coherent-state wavefunctions, and flows are
+integrated by a general-purpose Runge-Kutta solver.
 """
 
 from __future__ import annotations
@@ -193,3 +194,30 @@ def oscillator_propagator(q, qp, t: float, mass: float = 1.0, omega: float = 1.0
     phase = 0.5 * mass * omega * ((q * q + qp * qp) / math.tan(wt) - 2.0 * q * qp / sin_wt)
     out = amp * np.exp(1j * phase)
     return out if out.ndim else complex(out)
+
+
+def flow_by_ode(ham, ts, knots=()):
+    """(Lam, Delta) of H at the increasing times 0 <= ts, ts[-1] > 0, from dense DOP853 solves at
+    rtol 1e-13, restarted at each of the ``knots`` where B or C has a kink."""
+    from scipy.integrate import solve_ivp
+
+    ts = np.asarray(ts, dtype=float)
+    n = ham.n_modes
+    dim = 2 * n
+    sigma = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+
+    def rhs(t, y):
+        lam_sigma = y[:dim * dim].reshape(dim, dim) @ sigma
+        return np.concatenate([(lam_sigma @ ham.b_matrix(t)).ravel(),
+                               lam_sigma @ ham.c_vector(t)])
+
+    bounds = [0.0, *(k for k in sorted(knots) if 0.0 < k < ts[-1]), ts[-1]]
+    y = np.concatenate([np.eye(dim).ravel(), np.zeros(dim)])
+    out = np.empty((ts.size, y.size))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-13, atol=1e-15,
+                        dense_output=True)
+        inside = (ts >= lo) & (ts <= hi)
+        out[inside] = sol.sol(ts[inside]).T
+        y = sol.y[:, -1]
+    return out[:, :dim * dim].reshape(-1, dim, dim), out[:, dim * dim:]

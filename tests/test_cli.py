@@ -106,6 +106,9 @@ class TestJobs:
         flow_header, flow_rows = read_csv(tmp_path / "out" / "flow.csv")
         assert flow_header[1:5] == ["lam_00", "lam_01", "lam_10", "lam_11"]
         assert flow_rows[-1, 1] == pytest.approx(1.0, abs=1e-8)
+        meta = json.loads((tmp_path / "out" / "evolve.meta.json").read_text())
+        assert meta["error_estimate"] == 0.0  # one exact step
+        assert meta["symplectic_defect"] < 1e-13
 
     def test_epsilon_free_particle(self, tmp_path):
         config = {"profile": {"preset": "free"}, "t_end": 2.0, "num": 5}
@@ -117,6 +120,14 @@ class TestJobs:
             assert im_e == pytest.approx(t, abs=1e-9)
         meta = json.loads((tmp_path / "out" / "epsilon.meta.json").read_text())
         assert meta["wronskian_defect"] < 1e-7
+        assert meta["error_estimate"] == 0.0  # closed form
+
+    def test_epsilon_table_reports_error_estimate(self, tmp_path):
+        config = {"profile": {"table": [[0, 1], [6, 0.7], [13, 1.3], [20, 0.9]]}, "t_end": 20.0}
+        assert run_cli(tmp_path, "epsilon", config) == 0
+        meta = json.loads((tmp_path / "out" / "epsilon.meta.json").read_text())
+        assert 0.0 < meta["error_estimate"] < 20.0 * 1e-9 * 10
+        assert meta["wronskian_defect"] < 1e-13
 
     def test_cat_moments(self, tmp_path):
         config = {"state": {"kind": "cat", "A": [[1.0, 0.0]], "parity": "even"}}
@@ -475,27 +486,38 @@ def test_readme_field_table_matches_parser():
             assert float(text) == default, key
 
 
-def test_import_loads_no_scipy_solvers(tmp_path):
+_PARAMETRIC = {"preset": "parametric", "omega_squared": {"expression": "1 + 0.2*sin(t)"}}
+
+
+@pytest.mark.parametrize("command, config, artifact", [
+    ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
+                "hamiltonian": {"preset": "oscillator", "mass": 1.0, "omega": 1.0},
+                "t_end": 2 * math.pi}, "evolve.csv"),
+    ("evolve", {"state": {"kind": "coherent", "alpha": 1.0}, "hamiltonian": _PARAMETRIC,
+                "t_end": 12.0}, "evolve.csv"),
+    ("epsilon", {"profile": {"table": [[0, 1], [6, 0.7], [13, 1.3], [20, 0.9]]},
+                 "t_end": 20.0}, "epsilon.csv"),
+    ("verify", None, "verify.json"),
+], ids=["evolve-constant", "evolve-parametric", "epsilon-table", "verify"])
+def test_import_loads_no_scipy_solvers(tmp_path, command, config, artifact):
     """scipy.integrate, scipy.linalg and scipy.ndimage load only when a job needs them;
-    a constant-H evolve job samples the exact flow and never loads scipy.integrate."""
+    no job loads scipy.integrate: every flow is stepped without an ODE solver."""
     code = ("import sys, qopt, qopt.cli; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'scipy.ndimage') "
             "if m in sys.modules))")
-    evolve = {"state": {"kind": "coherent", "alpha": 1.0},
-              "hamiltonian": {"preset": "oscillator", "mass": 1.0, "omega": 1.0},
-              "t_end": 2 * math.pi}
-    (tmp_path / "evolve.json").write_text(json.dumps(evolve), encoding="utf-8")
-    evolve_code = ("import sys; from qopt.cli import main; "
-                   f"code = main(['evolve', '--config', {str(tmp_path / 'evolve.json')!r}, "
-                   f"'--out-dir', {str(tmp_path / 'out')!r}]); "
-                   "print(code, 'scipy.integrate' in sys.modules)")
+    argv = [command, "--out-dir", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "job.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "job.json")]
+    job_code = ("import sys; from qopt.cli import main; "
+                f"code = main({argv!r}); print(code, 'scipy.integrate' in sys.modules)")
     src = str(Path(qopt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
-    out = subprocess.run([sys.executable, "-c", evolve_code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", job_code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "0 False"
-    assert (tmp_path / "out" / "evolve.csv").exists()
+    assert out.strip().splitlines()[-1] == "0 False"  # verify prints its checks first
+    assert (tmp_path / "out" / artifact).exists()

@@ -15,11 +15,23 @@ from qopt.dynamics import (FlowSample, QuadraticHamiltonian, coherent_basis_prop
 from qopt.errors import CausticError, NonFiniteError
 from qopt.gaussian import GaussianState, make_coherent, validate_state
 from qopt.matrices import complex_structure, symplectic_metric
+from qopt.parametric import expression_profile, tabulated_profile
 
-from oracles import free_propagator, oscillator_propagator, quadratic_phase_integral
+from oracles import flow_by_ode, free_propagator, oscillator_propagator, quadratic_phase_integral
 
 REPULSIVE = QuadraticHamiltonian(np.diag([1.0, -1.0]), np.zeros(2), 1)
 CROSS_TERM = QuadraticHamiltonian(np.array([[1.0, 0.3], [0.3, 0.8]]), np.zeros(2), 1)
+TWO_FIELD = QuadraticHamiltonian(
+    lambda t: np.array([[1.0, 0.2 * math.sin(t)], [0.2 * math.sin(t), 1.0 + 0.5 * t]]),
+    lambda t: np.array([0.1 * t, math.cos(t)]), 1)
+VERIFY_TABLE = [[0.0, 1.0], [6.0, 0.7], [13.0, 1.3], [20.0, 0.9]]
+# (H, t_end, rows, kinks of B): the table's kinks fall between the 51 written times
+TIME_DEPENDENT = {
+    "expression": (parametric_oscillator(expression_profile("1 + 0.3*cos(2*t)")), 12.0, 201, ()),
+    "table": (parametric_oscillator(tabulated_profile(VERIFY_TABLE)), 20.0, 51,
+              [row[0] for row in VERIFY_TABLE]),
+    "two_field": (TWO_FIELD, 6.0, 51, ()),
+}
 
 
 def kernel_coefficients(hamiltonian, t):
@@ -101,6 +113,43 @@ class TestSymplecticFlow:
         with pytest.raises(ValueError):
             flow.at(1.5)
 
+    @pytest.mark.parametrize("case", sorted(TIME_DEPENDENT))
+    def test_rows_match_ode_reference(self, case):
+        # every row, also between step boundaries, is within 10 tol |Lam| of a tight ODE
+        # solve and within 10x the reported error estimate, and symplectic to round-off
+        ham, t_end, num, kinks = TIME_DEPENDENT[case]
+        tol = 1e-9
+        flow = integrate_symplectic_flow(ham, t_end, tol)
+        ts = np.linspace(0.0, t_end, num)
+        lams, deltas = flow.evaluate(ts)
+        ref_lams, ref_deltas = flow_by_ode(ham, ts, kinks)
+        scale = np.maximum(1.0, np.abs(ref_lams).max(axis=(1, 2)))
+        err = np.maximum(np.abs(lams - ref_lams).max(axis=(1, 2)),
+                         np.abs(deltas - ref_deltas).max(axis=1))
+        assert np.all(err <= 10 * tol * scale)
+        assert err.max() <= 10 * flow.error_estimate
+        for t, lam, delta, s in zip(ts, lams, deltas, scale):
+            assert FlowSample(t, lam, delta).symplectic_defect() <= 1e-13 * s ** 2
+
+    def test_constant_hamiltonian_takes_one_exact_step(self):
+        flow = integrate_symplectic_flow(CROSS_TERM, 20.0)
+        assert flow.ts.tolist() == [0.0, 20.0]
+        assert flow.error_estimate == 0.0
+        for t in [0.0, 3.7, 19.9]:
+            assert np.array_equal(flow.at(t).lam, flow_expm(CROSS_TERM, t).lam)
+
+    def test_backward_time_dependent_flow(self):
+        flow = integrate_symplectic_flow(parametric_oscillator(lambda t: 1.0), -3.0)
+        for t in [-0.5, -2.0, -3.0]:
+            assert np.abs(flow.at(t).lam - flow_expm(harmonic_oscillator(), t).lam).max() < 1e-8
+        with pytest.raises(ValueError):
+            flow.at(0.5)
+
+    def test_non_finite_step_raises(self):
+        # Lam grows like e^t and leaves double range near t = 710
+        with pytest.raises(NonFiniteError, match="t=7"):
+            integrate_symplectic_flow(REPULSIVE, 800.0)
+
     def test_omega_to_zero_limit_reproduces_free(self):
         flow_osc = integrate_symplectic_flow(harmonic_oscillator(omega=1e-6), 5.0, tol=1e-10)
         flow_free = integrate_symplectic_flow(free_particle(), 5.0, tol=1e-10)
@@ -125,11 +174,26 @@ class TestFlowExpm:
         rng = np.random.default_rng(9)
         b = rng.normal(size=(4, 4))
         ham = QuadraticHamiltonian(b + b.T, rng.normal(size=4), 2)
-        flow = integrate_symplectic_flow(ham, 1.0, tol=1e-11)
-        sample = flow_expm(ham, 1.0)
-        ode = flow.at(1.0)
-        assert np.abs(sample.lam - ode.lam).max() < 1e-9
-        assert np.abs(sample.delta - ode.delta).max() < 1e-9
+        (ode_lam,), (ode_delta,) = flow_by_ode(ham, [1.0])
+        stepped = integrate_symplectic_flow(ham, 1.0, tol=1e-11).at(1.0)
+        for sample in (flow_expm(ham, 1.0), stepped):
+            assert np.abs(sample.lam - ode_lam).max() < 1e-9
+            assert np.abs(sample.delta - ode_delta).max() < 1e-9
+
+    @pytest.mark.parametrize("t", [0.3, 4.2, 12.0, 30.0])
+    def test_matches_scipy_expm(self, t):
+        rng = np.random.default_rng(7)
+        b = rng.normal(size=(4, 4))
+        b = b @ b.T + np.eye(4)  # positive definite: Lam stays bounded
+        ham = QuadraticHamiltonian(b, rng.normal(size=4), 2)
+        gen = np.zeros((5, 5))
+        gen[:4, :4] = symplectic_metric(2) @ b
+        gen[:4, 4] = symplectic_metric(2) @ ham.c_vector(0.0)
+        want = expm(t * gen)
+        sample = flow_expm(ham, t)
+        scale = np.abs(want).max()
+        assert np.abs(sample.lam - want[:4, :4]).max() <= 1e-11 * scale
+        assert np.abs(sample.delta - want[:4, 4]).max() <= 1e-11 * scale
 
     def test_rejects_time_dependent(self):
         ham = parametric_oscillator(lambda t: 1.0 + 0.5 * math.sin(t))
@@ -203,16 +267,19 @@ class TestFlowProperties:
         b, c, t, state = problem
         n = b.shape[0] // 2
         sample = flow_expm(QuadraticHamiltonian(b, c, n), t)
-        ode = integrate_symplectic_flow(
+        stepped = integrate_symplectic_flow(
             QuadraticHamiltonian(lambda s: b, lambda s: c, n), t, tol=1e-10)
+        (ode_lam,), (ode_delta,) = flow_by_ode(QuadraticHamiltonian(b, c, n), [t])
         exact = evolve_gaussian(state, sample)
-        along_ode = evolve_gaussian(state, ode, t)
+        along_stepper = evolve_gaussian(state, stepped, t)
+        along_ode = evolve_gaussian(state, FlowSample(t, ode_lam, ode_delta))
         scale = max(1.0, np.abs(sample.lam).max(), np.abs(sample.delta).max())
         bound = 1e-7 * scale ** 2 * max(1.0, np.abs(state.mean).max(), np.abs(state.disp).max())
-        assert np.abs(along_ode.mean - exact.mean).max() <= bound
-        assert np.abs(along_ode.disp - exact.disp).max() <= bound
+        for evolved in (exact, along_stepper):
+            assert np.abs(evolved.mean - along_ode.mean).max() <= bound
+            assert np.abs(evolved.disp - along_ode.disp).max() <= bound
         nu0 = _symplectic_eigenvalues(state.disp)
-        for evolved in (exact, along_ode):
+        for evolved in (exact, along_stepper):
             assert np.abs(_symplectic_eigenvalues(evolved.disp) - nu0).max() <= 1e-8 * nu0.max()
 
 
@@ -251,12 +318,9 @@ class TestComplexFlow:
             assert _generator_residual(ham, lambda s: flow_expm(ham, s), t) < 1e-6
 
     def test_generator_residual_time_dependent(self):
-        ham = QuadraticHamiltonian(
-            lambda t: np.array([[1.0, 0.2 * math.sin(t)], [0.2 * math.sin(t), 1.0 + 0.5 * t]]),
-            lambda t: np.array([0.1 * t, math.cos(t)]), 1)
-        flow = integrate_symplectic_flow(ham, 2.0, tol=1e-12)
+        flow = integrate_symplectic_flow(TWO_FIELD, 2.0, tol=1e-12)
         for t in [0.4, 1.5]:
-            assert _generator_residual(ham, flow.at, t) < 1e-6
+            assert _generator_residual(TWO_FIELD, flow.at, t) < 1e-6
 
 
 class TestEvolveGaussian:
@@ -312,10 +376,22 @@ class TestEvolveGaussian:
         want = make_coherent(np.exp(-1j))
         assert np.abs(st.mean - want.mean).max() < 1e-12
 
-    @pytest.mark.parametrize("t", [350.0, 800.0])
+    @pytest.mark.parametrize("t", [10.0, 15.0, 19.0, 25.0, 350.0])
+    def test_inverted_oscillator_uses_exact_inverse(self, t):
+        # q(t) = q cosh t + p sinh t, p(t) = p cosh t + q sinh t; Lam is the inverse of
+        # that matrix and has cond ~ e^{2t}, so a numerical inverse of it loses the mean
+        # from t ~ 15 on and calls Lam singular from t ~ 20
+        heisenberg = np.array([[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]])
+        st = evolve_gaussian(make_coherent(1.0), flow_expm(REPULSIVE, t))
+        want_mean = heisenberg @ make_coherent(1.0).mean
+        want_disp = 0.5 * heisenberg @ heisenberg.T
+        assert np.abs(st.mean - want_mean).max() <= 1e-12 * np.abs(want_mean).max()
+        assert np.abs(st.disp - want_disp).max() <= 1e-12 * np.abs(want_disp).max()
+
+    @pytest.mark.parametrize("t", [400.0, 800.0])
     def test_overflowing_flow_raises_non_finite(self, t):
-        # the inverted oscillator's Lam grows like e^t: numerically singular at t = 350
-        # (a bare LinAlgError before) and inf at t = 800 (a silent NaN state before)
+        # the inverted oscillator's dispersion grows like e^{2t}: inf at t = 400, and at
+        # t = 800 Lam itself is inf (a silent NaN state before)
         with np.errstate(over="ignore", invalid="ignore"):
             sample = flow_expm(QuadraticHamiltonian(np.diag([1.0, -1.0]), np.zeros(2), 1), t)
         with pytest.raises(NonFiniteError, match=f"t={t}"):

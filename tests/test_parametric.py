@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qopt.dynamics import parametric_oscillator
 from qopt.gaussian import photon_pnd, to_qrep
 from qopt.hermite import fock_wavefunction_eval
 from qopt.parametric import (closed_form_epsilon, expression_profile,
@@ -12,6 +13,8 @@ from qopt.parametric import (closed_form_epsilon, expression_profile,
                              squeezed_number_wavefunction, squeezed_vacuum_pnd,
                              squeezing_coefficient, tabulated_profile, to_gaussian_state,
                              variances_correlation)
+
+from oracles import flow_by_ode
 
 
 def make_traj(preset="free", t_end=5.0, tol=1e-10):
@@ -56,6 +59,31 @@ class TestSolveEpsilon:
                         expression_profile("1 + 0.3*sin(2*t)")]:
             traj = solve_epsilon(profile, 20.0, tol)
             assert traj.wronskian_defect < 100 * tol
+
+    def test_table_rows_match_ode_reference(self):
+        # eps = l00 - i l10 of the flow, between the table's kinks as well as at them
+        tol = 1e-9
+        profile = tabulated_profile([[0, 1.0], [5, 0.5], [10, 1.4], [20, 0.9]])
+        traj = solve_epsilon(profile, 20.0, tol)
+        ts = np.linspace(0.0, 20.0, 201)
+        lams, _ = flow_by_ode(parametric_oscillator(profile), ts, [5, 10])
+        eps, _ = traj.at(ts)  # all rows in one call
+        assert abs(eps[37] - traj.at(ts[37])[0]) < 1e-14
+        err = np.abs(eps - (lams[:, 0, 0] - 1j * lams[:, 1, 0])).max()
+        assert err <= 10 * tol
+        assert err <= 10 * traj.error_estimate
+        assert make_traj().error_estimate == 0.0
+        with pytest.raises(ValueError):
+            traj.at(np.array([1.0, 20.5]))
+
+    @pytest.mark.parametrize("jump_at, t_end", [(3.0, 6.0), (1.3, 20.0)])
+    def test_sudden_frequency_jump(self, jump_at, t_end):
+        # w^2 jumps from 1 to 3: eps = e^{it} up to the jump, then the w = sqrt(3)
+        # solution from there; a step whose samples all miss the jump would hide it
+        traj = solve_epsilon(expression_profile(f"1 + 2*(t > {jump_at})"), t_end, tol=1e-9)
+        w, tau, e0 = math.sqrt(3.0), t_end - jump_at, np.exp(1j * jump_at)
+        want = e0 * math.cos(w * tau) + 1j * e0 * math.sin(w * tau) / w
+        assert abs(traj.at(t_end)[0] - want) < 1e-8
 
     def test_wronskian_conserved_repulsive(self):
         # the conserved combination cancels e^{2t}-sized terms, so float64 can
