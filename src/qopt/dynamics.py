@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CausticError, NonFiniteError
+from .errors import CausticError, NonFiniteError, ResourceLimitError
 from .gaussian import GaussianState
 from .matrices import check_symmetric, quadrature_rotation, symplectic_metric
 
@@ -105,6 +105,7 @@ class FlowSample:
         return float(np.abs(self.lam @ sigma @ self.lam.T - sigma).max())
 
 
+_MAX_TRIAL_STEPS = 25_000  # per solve: 25 times the most any test, example or benchmark flow takes
 _MIN_STEP = 1e-12  # relative to max(1, |t|); the smallest step the error control asks for
 _ROUND_OFF = 16 * np.finfo(float).eps  # an error estimate below this, times |Lam|, is noise
 
@@ -213,7 +214,9 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
     dim = 2 * hamiltonian.n_modes
     aug, t, h, error = np.eye(dim + 1), 0.0, t_end, 0.0
     ts, samples = [t], [aug]
-    while t != t_end:
+    for _ in range(_MAX_TRIAL_STEPS):
+        if t == t_end:
+            break
         last = abs(h) >= abs(t_end - t)
         if last:
             h = t_end - t
@@ -235,6 +238,9 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
         # a step taken at the floor is not shrunk further, so t keeps advancing
         factor = min(4.0, 0.9 * (bound / err) ** 0.25) if finite and err > 0 else 4.0
         h *= max(1.0 if floor else 0.2, factor) if finite else 0.25
+    if t != t_end:
+        raise ResourceLimitError(f"flow stopped at t={t} of {t_end} after "
+                                 f"{_MAX_TRIAL_STEPS} trial steps")
     return SymplecticFlow(hamiltonian, ts, samples, error)
 
 

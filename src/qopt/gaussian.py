@@ -24,6 +24,15 @@ often-quoted variant with (I - 2M)^{-1} inside y is the same function under
 the conjugate ordering of B and is singular exactly at coherent states,
 where R vanishes while the product R y stays finite.  QRep therefore stores
 the product as ``ry`` and treats ``y`` as derived data.
+
+Photon numbers.  P(n) = P0 G_(n,n) with G the renormalized Hermite family
+of (R, R y); ``qopt.hermite.hermite_diagonal`` fills only a near-diagonal
+set of indices (m, n) with |m - n|_1 <= 2, one total-degree shell at a time.  ``photon_pnd_table``
+checks the mass after each diagonal shell and stops on the mass target, the
+degree cap, or before the set behind the next shell would exceed
+``BOX_ENTRY_CAP`` entries; ``photon_pnd`` reads the same fill, so a table
+row and a single value agree bit for bit.  Photon-number mean and variance
+come in closed form from each mode's 2 x 2 marginal.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConventionError, NonFiniteError
-from .hermite import BOX_ENTRY_CAP, _total_degree_indices, as_index, hermite_box
+from .hermite import BOX_ENTRY_CAP, _near_diagonal_entries, as_index, hermite_diagonal
 from .matrices import block_swap, check_symmetric, quadrature_rotation, symplectic_metric
 
 QREP_CONVENTION = ("R=2U^T(2M+I)^{-1}U-sigma_Nx; Ry=2U^T(2M+I)^{-1}<Q>; "
@@ -44,7 +53,6 @@ QREP_CONVENTION = ("R=2U^T(2M+I)^{-1}U-sigma_Nx; Ry=2U^T(2M+I)^{-1}<Q>; "
 _NEGATIVE_PROB_TOL = 1e-12
 _DEFAULT_MASS_TOL = 1e-10
 _DEFAULT_DEGREE_CAP = 64
-_FIRST_BOX_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -268,8 +276,9 @@ def photon_pnd(s: GaussianState, n) -> float:
     """Probability of the photon-number outcome n = (n_1, ..., n_N)."""
     idx = as_index(n, length=s.n_modes)
     rep = to_qrep(s)
-    box = hermite_box(rep.R, rep.ry, [k + 1 for k in idx + idx])
-    return float(_checked_probabilities(np.array([rep.p0 * box[idx + idx]]), np.array([idx]))[0])
+    *_, (indices, diagonal) = hermite_diagonal(rep.R, rep.ry, sum(idx))
+    row = np.flatnonzero((indices == idx).all(axis=1))
+    return float(_checked_probabilities(rep.p0 * diagonal[row], indices[row])[0])
 
 
 @dataclass(frozen=True)
@@ -287,79 +296,63 @@ def photon_pnd_table(s: GaussianState, mass_tol: float = _DEFAULT_MASS_TOL,
     """Enumerate photon-number probabilities until mass 1 - mass_tol is covered.
 
     Enumeration walks shells of constant total photon number; it stops on the
-    mass target, on the configured degree cap, or when the backing Hermite box
-    would outgrow ``BOX_ENTRY_CAP`` entries, whichever comes first.  A
-    truncation is flagged in the result and warned about, never silent.  A
-    state whose vacuum probability p0 underflows raises ``NonFiniteError``.
+    mass target, on the configured degree cap, or before the near-diagonal
+    Hermite set behind the next shell would outgrow ``BOX_ENTRY_CAP`` entries,
+    whichever comes first.  A truncation is flagged in the result and warned
+    about, never silent.  A state whose vacuum probability p0 underflows raises
+    ``NonFiniteError``.
 
-    P(n) = p0 G_(n,n) is read off the diagonal of a Hermite box of edge D + 1,
-    rebuilt larger while the mass target is unmet; G does not depend on D.
+    P(n) = p0 G_(n,n) is read off ``hermite_diagonal`` one shell at a time, and
+    the mass is checked after each shell; G does not depend on how far the fill
+    runs, so every row equals ``photon_pnd`` bit for bit.
     """
     n = s.n_modes
+    if degree_cap_per_mode < 0:
+        raise ValueError("degree_cap_per_mode must be nonnegative")
     rep = to_qrep(s)
     if rep.p0 == 0.0:
         raise NonFiniteError("vacuum probability p0 underflows to 0; every P(n) would read 0")
     cap = degree_cap_per_mode * n
-    edge_limit = 1  # largest box edge within the entry cap
-    while (edge_limit + 1) ** (2 * n) <= BOX_ENTRY_CAP:
-        edge_limit += 1
-    edge = min(cap + 1, edge_limit, int(_FIRST_BOX_ENTRIES ** (0.5 / n)))
-    probs, cumulative, degree = {}, 0.0, 0
-    while True:
-        box = hermite_box(rep.R, rep.ry, (edge,) * (2 * n))
-        indices = _total_degree_indices(n, edge - 1)
-        starts = np.searchsorted(indices.sum(axis=1), np.arange(degree, edge + 1))
-        indices = indices[starts[0]:]  # the shells degree, ..., edge - 1
-        raw = rep.p0 * box[tuple(indices.T) * 2]
-        # cumsum adds in sequence, so the mass carries the bits of a row-by-row sum
-        running = np.cumsum(np.concatenate([[cumulative], np.maximum(raw.real, 0.0)]))[1:]
-        # the first shell that meets a stop rule, else the last; checked up to its end
-        for degree, end in zip(range(degree, edge), starts[1:] - starts[0]):
-            cumulative = float(running[end - 1])
-            if cumulative >= 1.0 - mass_tol or degree >= cap or degree + 2 > edge_limit:
-                break
-        probs.update(zip(map(tuple, indices[:end].tolist()),
-                         _checked_probabilities(raw[:end], indices[:end]).tolist()))
+    top = cap  # the last shell within the entry cap
+    while _near_diagonal_entries(n, top) > BOX_ENTRY_CAP:
+        top -= 1
+    shells, cumulative = [], 0.0
+    for degree, (indices, diagonal) in enumerate(hermite_diagonal(rep.R, rep.ry, top)):
+        raw = rep.p0 * diagonal
+        shells.append((indices, raw))
+        for p in np.maximum(raw.real, 0.0).tolist():  # in sequence, as a row-by-row sum
+            cumulative += p
         if cumulative >= 1.0 - mass_tol:
-            return PndTable(probs, cumulative, degree, False)
-        if degree >= cap:
-            warnings.warn(f"photon enumeration hit the degree cap {cap} "
-                          f"with cumulative mass {cumulative:.12f}")
-            return PndTable(probs, cumulative, degree, True)
-        if degree + 2 > edge_limit:
-            warnings.warn(f"photon enumeration stopped at total degree {degree}: "
-                          f"polynomial table would exceed {BOX_ENTRY_CAP} indices "
-                          f"(cumulative mass {cumulative:.12f})")
-            return PndTable(probs, cumulative, degree, True)
-        degree = edge
-        # about four times the entries per rebuild
-        edge = min(cap + 1, edge_limit, max(edge + 1, int(edge * 2 ** (1 / n))))
-
-
-def _mode_marginal(s: GaussianState, j: int) -> GaussianState:
-    n = s.n_modes
-    if not 0 <= j < n:
-        raise ValueError(f"mode index {j} out of range for {n} modes")
-    sel = [j, n + j]
-    return GaussianState(s.mean[sel], s.disp[np.ix_(sel, sel)])
+            break
+    indices, raw = (np.concatenate(parts) for parts in zip(*shells))
+    probs = dict(zip(map(tuple, indices.tolist()), _checked_probabilities(raw, indices).tolist()))
+    if cumulative >= 1.0 - mass_tol:
+        return PndTable(probs, cumulative, degree, False)
+    if degree >= cap:
+        warnings.warn(f"photon enumeration hit the degree cap {cap} "
+                      f"with cumulative mass {cumulative:.12f}")
+    else:
+        warnings.warn(f"photon enumeration stopped at total degree {degree}: "
+                      f"polynomial table would exceed {BOX_ENTRY_CAP} indices "
+                      f"(cumulative mass {cumulative:.12f})")
+    return PndTable(probs, cumulative, degree, True)
 
 
 def photon_moments(s: GaussianState, j: int = 0) -> tuple[float, float]:
-    """Mean and variance of the photon number in mode j.
+    """Mean and variance of the photon number in mode j, in closed form.
 
-    The mean is the closed quadrature-moment form; the variance is summed
-    from the marginal photon-number series.
+    With V the mode's 2 x 2 dispersion block and d its mean (p_j, q_j),
+    <n> = (Tr V - 1)/2 + |d|^2/2 and Var n = (Tr V^2 - 1/2)/2 + d.V.d; no
+    photon table is built, so a bright or strongly squeezed mode is exact.
     """
     n = s.n_modes
     if not 0 <= j < n:
         raise ValueError(f"mode index {j} out of range for {n} modes")
-    mean = 0.5 * (s.disp[j, j] + s.disp[n + j, n + j] - 1.0) \
-        + 0.5 * (s.mean[j] ** 2 + s.mean[n + j] ** 2)
-    marg = _mode_marginal(s, j)
-    table = photon_pnd_table(marg)
-    m1 = sum(k[0] * p for k, p in table.probabilities.items())
-    m2 = sum(k[0] ** 2 * p for k, p in table.probabilities.items())
-    return float(mean), float(m2 - m1 * m1)
+    sel = [j, n + j]
+    V, d = s.disp[np.ix_(sel, sel)], s.mean[sel]
+    mean = 0.5 * (V[0, 0] + V[1, 1] - 1.0) + 0.5 * (d[0] ** 2 + d[1] ** 2)
+    variance = 0.5 * (np.sum(V * V) - 0.5) + d @ V @ d
+    return float(mean), float(variance)
 
 
 def state_to_dict(s: GaussianState) -> dict:

@@ -8,10 +8,11 @@ over complex symmetric S x S matrices R and complex S-vectors y, where
 a^n = a_1^{n_1}...a_S^{n_S} and n! = n_1!...n_S!.  The scalar case R = 2
 reduces to the classical (physicists') polynomials H_n(y).
 
-One engine, :func:`hermite_box`, evaluates the family.  It stores the
+One recursion evaluates the family, over a box in :func:`hermite_box` and over
+a near-diagonal set in :func:`hermite_diagonal`.  It runs on the
 renormalized values G_k = H_k / sqrt(k!) (Miatto & Quesada, Quantum 4, 366,
 2020), which stay within floating-point range far beyond the point where
-H_k or k! overflow, and fills them over a box k < shape by
+H_k or k! overflow; the box fills every k < shape by
 
     G_k = (ry_i G_{k-e_i} - sum_j R_ij sqrt((k-e_i)_j) G_{k-e_i-e_j}) / sqrt(k_i)
 
@@ -26,15 +27,35 @@ H_n multiply G_n by sqrt(n!) at the end.
 A box holds at most ``BOX_ENTRY_CAP`` entries (2**24, 256 MiB of complex
 values); a larger request raises ``ResourceLimitError``.
 
-Tables by total degree (``mv_hermite_table`` and the Gaussian and cat photon-number
-tables) share one index enumerator, ``_total_degree_indices``: totals up to D, in
-order of total and then lexicographically, so each shell is a contiguous slice.
+Photon statistics read only the diagonal G_(n,n) of a 2N-variable family, and
+:func:`hermite_diagonal` fills only a near-diagonal set of (m, n) with
+|m - n|_1 <= 2 (the diagonal recursion of De Prins, Yao, Apte and Miatto,
+Quantum 7, 1097, 2023).  The pivot is the first axis of the m block where
+m - n > 0, else the first of the n block where m - n < 0, else (on the
+diagonal) the first axis with m_a > 0.  Each lowering step then moves
+|m - n|_1 toward 0 or keeps it at most 2, and never reaches an offset
+m - n = e_a + e_c from the diagonal, so the set leaves those out: about
+(1 + 3N(N + 1)/2) C(D + N, N) entries up to total degree D, where a box
+needs (D + 1)^(2N).
+The fill runs one shell of |m| + |n| per step with one gather of the 2N + 1
+terms of every entry; the gather tables depend only on N and the shell and
+are kept per process up to a fixed byte budget.  Each value sees the same
+operations however far the fill runs, so a diagonal is bitwise the same for
+every ``max_degree`` that reaches it.  The set, not a box, counts against
+``BOX_ENTRY_CAP``.
+
+Tables by total degree (``mv_hermite_table``, the Gaussian and cat photon-number
+tables and the near-diagonal fill) share one index enumerator,
+``_total_degree_indices``: totals up to D, in order of total and then
+lexicographically, so each shell is a contiguous slice.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,15 +237,297 @@ def _from_renormalized(value: complex, idx: tuple[int, ...]) -> complex:
     return out
 
 
-def _total_degree_indices(dim: int, max_total: int) -> np.ndarray:
-    """Every multi-index of length ``dim`` with total at most ``max_total``, as the rows of
-    an int64 array ordered by total, then lexicographically."""
+def _total_degree_indices(dim: int, max_total: int, min_total: int = 0) -> np.ndarray:
+    """Every multi-index of length ``dim`` with total from ``min_total`` to ``max_total``,
+    as the rows of an int64 array ordered by total, then lexicographically."""
     indices = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(dim):  # lexicographic, one axis at a time
-        room = max_total + 1 - indices.sum(axis=1)
-        last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+    for axis in range(dim):  # lexicographic, one axis at a time; the last reaches min_total
+        used = indices.sum(axis=1)
+        lowest = np.maximum(min_total - used, 0) if axis == dim - 1 else np.zeros_like(used)
+        room = max_total + 1 - used - lowest
+        last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room - lowest, room)
         indices = np.column_stack([np.repeat(indices, room, axis=0), last])
     return indices[np.argsort(indices.sum(axis=1), kind="stable")]
+
+
+def _near_diagonal_entries(n_modes: int, max_degree: int) -> int:
+    """Size of the near-diagonal set that :func:`hermite_diagonal` fills for ``max_degree``:
+    the (m, n) at the ``_offsets`` with |m| + |n| <= 2 max_degree."""
+    return (math.comb(max_degree + n_modes, n_modes)
+            + (len(_offsets(n_modes)) - 1) * math.comb(max_degree - 1 + n_modes, n_modes))
+
+
+def _shell_entries(n_modes: int, shell: int) -> int:
+    """Entries of the near-diagonal set with |m| + |n| = ``shell``: the diagonal and the
+    offsets of norm 2 in even shells, the 2N offsets of norm 1 in odd ones."""
+    if shell < 0:
+        return 0
+    half, odd = divmod(shell, 2)
+    if odd:
+        return 2 * n_modes * math.comb(half + n_modes - 1, n_modes - 1)
+    below = math.comb(half + n_modes - 2, n_modes - 1) if half else 0
+    pairs = len(_offsets(n_modes)) - 1 - 2 * n_modes
+    return math.comb(half + n_modes - 1, n_modes - 1) + pairs * below
+
+
+@functools.lru_cache(maxsize=8)
+def _offsets(n_modes: int) -> np.ndarray:
+    """The 1 + 2N + (3N^2 - N)/2 offsets d = m - n that a diagonal value reaches, by norm:
+    zero, the +-e_a, then the sums of two of those that do not cancel and keep a negative
+    entry.  The pivot rule lowers m first wherever m - n > 0, so no recursion from the
+    diagonal steps onto d = e_a + e_c; the other offsets of norm at most 2 are closed
+    under its lowering steps."""
+    eye = np.eye(n_modes, dtype=np.int64)
+    steps = np.concatenate([eye, -eye])
+    pairs = np.add(*steps[np.array(np.triu_indices(2 * n_modes))])  # each sum once
+    pairs = pairs[(np.abs(pairs).sum(axis=1) == 2) & (pairs < 0).any(axis=1)]
+    out = np.concatenate([np.zeros((1, n_modes), dtype=np.int64), steps, pairs])
+    out.flags.writeable = False
+    return out
+
+
+def _lex_rank(base: np.ndarray, total: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Position of each multi-index among those with the same total, in lexicographic
+    order; ``base`` holds the entries axis first, ``binom[x, q]`` holds C(x, q).  Axis i
+    adds the count of completions with a smaller entry there, C(r + q, q) - C(r - b_i + q,
+    q), with r the total left at axis i and q the axes after it."""
+    rank, left = np.zeros_like(total), total
+    for i, after in enumerate(range(len(base) - 1, 0, -1)):
+        column = binom[:, after]
+        rank = rank + column.take(left + after) - column.take(left - base[i] + after)
+        left = left - base[i]
+    return rank
+
+
+def _lower(diff: np.ndarray, axis: np.ndarray, n_modes: int):
+    """Lower axis ``axis`` of the 2N-index (m, n) = (b + max(d, 0), b + max(-d, 0)) with
+    offsets ``diff``: the new offsets and the lowering of the base b (e_a or 0)."""
+    side = np.where(axis < n_modes, 1, -1)  # lowering m_a lowers d_a, lowering n_a raises it
+    unit = np.eye(n_modes, dtype=np.int64)[axis % n_modes]
+    d_a = np.take_along_axis(diff, (axis % n_modes)[..., np.newaxis], axis=-1)
+    return diff - side[..., np.newaxis] * unit, unit * (side[..., np.newaxis] * d_a <= 0)
+
+
+@functools.lru_cache(maxsize=8)
+def _term_templates(n_modes: int):
+    """The recursion terms of an entry by template id 2N o + p, for offset o and pivot p.
+
+    Returns (pivots, offsets, lowering ids, lowerings): the pivot the rule picks for each
+    offset (the diagonal's depends on its base and reads 0), and for each template the
+    offsets of the terms k - e_p and k - e_p - e_j and the ids of the vectors (rows of
+    ``lowerings``) their bases sit below the entry's base.
+    """
+    dim = 2 * n_modes
+    offsets = _offsets(n_modes)
+    up, down = offsets > 0, offsets < 0
+    pivots = np.where(up.any(axis=1), up.argmax(axis=1), n_modes + down.argmax(axis=1))
+    pivots[0] = 0
+    axes = np.arange(dim)
+    diff1, low1 = _lower(np.repeat(offsets[:, np.newaxis], dim, axis=1),
+                         np.broadcast_to(axes, (len(offsets), dim)), n_modes)
+    diff2, low2 = _lower(np.repeat(diff1[:, :, np.newaxis], dim, axis=2),
+                         np.broadcast_to(axes, (len(offsets), dim, dim)), n_modes)
+    diffs = np.concatenate([diff1[:, :, np.newaxis], diff2], axis=2).reshape(-1, dim + 1, n_modes)
+    lows = np.concatenate([low1[:, :, np.newaxis], low1[:, :, np.newaxis] + low2], axis=2)
+    lows = lows.reshape(-1, n_modes)  # entries 0, 1 or 2: distinct rows by base-3 key
+    _, first, low_ids = np.unique(lows @ 3 ** np.arange(n_modes), return_index=True,
+                                  return_inverse=True)
+    lowerings = lows[first]
+    keys = (offsets + 2) @ 5 ** np.arange(n_modes)
+    sorter = np.argsort(keys)
+    # a pivot the rule never picks for an offset may step out of the set; clip those rows
+    found = np.searchsorted(keys[sorter], (diffs + 2) @ 5 ** np.arange(n_modes))
+    term_offsets = sorter[np.minimum(found, len(offsets) - 1)]
+    templates = pivots, term_offsets, low_ids.reshape(diffs.shape[:2]), lowerings
+    for table in templates:
+        table.flags.writeable = False
+    return templates
+
+
+@functools.lru_cache(maxsize=2)
+def _layers(n_modes: int, low: int, high: int):
+    """The bases of totals ``low`` to ``high`` (by total, then lexicographically), the
+    rank of each base lowered by each of ``_term_templates``' lowerings among the bases
+    of its own total (-1 where an entry turns negative), as (lowering, base), and the
+    layer sizes C(s + N - 1, N - 1) for s up to ``high``.  The parts of one large shell
+    share them."""
+    bases = _total_degree_indices(n_modes, high, low)
+    binom = np.array([[math.comb(x, q) for q in range(n_modes)]
+                      for x in range(high + n_modes + 1)], dtype=np.int64)
+    lowerings = _term_templates(n_modes)[3]
+    moved = bases.T[:, np.newaxis] - lowerings.T[:, :, np.newaxis]
+    valid = np.ones(moved.shape[1:], dtype=bool)
+    for axis in moved:
+        valid &= axis >= 0
+    layer = binom[n_modes - 1:, n_modes - 1]
+    totals = np.repeat(np.arange(low, high + 1), layer[low:high + 1])
+    moved_total = totals - lowerings.sum(axis=1)[:, np.newaxis]
+    rank = np.where(valid, _lex_rank(np.maximum(moved, 0), moved_total.clip(0), binom), -1)
+    for table in (bases, rank, layer):
+        table.flags.writeable = False
+    return bases, rank, layer
+
+
+def _near_diagonal_block(n_modes: int, first: int, skip: int):
+    """Gather tables of the near-diagonal set from entry ``skip`` of shell ``first`` on.
+
+    A block is the rest of that shell plus whole shells after it, as far as
+    ``_BLOCK_SHELLS`` shells or ``_BLOCK_ENTRIES`` entries reach; a shell with more
+    entries left than that comes in parts of ``_BLOCK_ENTRIES``, so no table outgrows a
+    fixed size however large the shells get.  A shell lists its entries (b, d),
+    m = b + max(d, 0), n = b + max(-d, 0), by offset in ``_offsets`` order, then base b
+    lexicographically.  Each entry gets the positions of its 2N + 1 recursion terms in
+    the window [shell - 1, shell - 2, 0], the indices of their coefficients in [ry | -R]
+    flattened (row: the pivot), and their weights, sqrt(k_pivot)^-1 and
+    sqrt((k - e_pivot)_j) / sqrt(k_pivot); a term with a negative index points at the
+    trailing zero.  Returns (chunks, bytes): a chunk per shell or part of one, holding
+    (coefficient indices, positions, weights, diagonal bases, whether it ends its shell),
+    with the bases of the diagonal, which leads an even shell, on the chunk that ends it.
+    """
+    dim = 2 * n_modes
+    last, entries = first, _shell_entries(n_modes, first) - skip
+    if entries > _BLOCK_ENTRIES:
+        entries = _BLOCK_ENTRIES
+    while (entries < _BLOCK_ENTRIES and last + 1 - first < _BLOCK_SHELLS
+           and entries + _shell_entries(n_modes, last + 1) <= _BLOCK_ENTRIES):
+        last += 1
+        entries += _shell_entries(n_modes, last)
+    offsets = _offsets(n_modes)
+    norm = np.abs(offsets).sum(axis=1)
+    pivots, term_offsets, low_ids, _ = _term_templates(n_modes)
+    low, high = max(0, first // 2 - 1), last // 2
+    bases, rank, layer = _layers(n_modes, low, high)
+    layer_start = np.cumsum(layer) - layer - layer[:low].sum()
+    # entries per (shell, offset) for the shells first - 2, ..., last, and where each starts
+    half, odd = np.divmod(np.arange(first - 2, last + 1)[:, np.newaxis] - norm, 2)
+    counts = np.where((odd == 0) & (half >= 0), layer[np.clip(half, 0, high)], 0)
+    starts = np.cumsum(counts, axis=1) - counts
+    sizes = counts.sum(axis=1)
+    # the block's entries skip, ..., skip + entries - 1 of its shells, group by group
+    lengths = counts[2:].ravel()
+    group_start = np.cumsum(lengths) - lengths
+    cut = np.clip(skip - group_start, 0, lengths)
+    kept = np.clip(skip + entries - group_start, 0, lengths) - cut
+    which = np.repeat(np.tile(np.arange(len(offsets)), last + 1 - first), kept)
+    shell = np.repeat(np.arange(first, last + 1), kept.reshape(-1, len(offsets)).sum(axis=1))
+    row = (np.arange(entries) - np.repeat(np.cumsum(kept) - kept, kept)
+           + np.repeat(layer_start[np.clip(half[2:].ravel(), 0, high)] + cut, kept))
+    base = bases.T[:, row]  # tables run axis first, entries along rows
+    pivot = np.where(which == 0, (base > 0).argmax(axis=0), pivots[which])
+    template = which * dim + pivot
+    k = np.concatenate([base + np.maximum(offsets, 0).T[:, which],
+                        base + np.maximum(-offsets, 0).T[:, which]])
+    entry = np.arange(entries)
+    scale = 1.0 / np.sqrt(k[pivot, entry])
+    weights = np.empty((dim + 1, entries), dtype=complex)
+    weights[0] = scale
+    weights[1:] = np.sqrt(k) * scale
+    weights[1 + pivot, entry] = np.sqrt(k[pivot, entry] - 1) * scale  # k - e_pivot there
+    coefficients = pivot * (dim + 1) + np.arange(dim + 1)[:, np.newaxis]
+    term_rank = rank.take(low_ids.T.take(template, axis=1) * len(bases) + row)
+    # where each template's terms start in the window, shell by shell
+    term_shell = np.arange(1, last + 2 - first)[:, np.newaxis] - (np.arange(dim + 1) > 0)
+    lead = starts[term_shell[:, np.newaxis], term_offsets]
+    lead[..., 1:] += sizes[1:-1, np.newaxis, np.newaxis]
+    lead = lead.reshape(-1, dim + 1).T.take((shell - first) * len(term_offsets) + template, axis=1)
+    end = sizes[shell - first + 1] + sizes[shell - first]
+    positions = np.where(term_rank >= 0, lead + term_rank, end)
+    bounds = np.searchsorted(shell, np.arange(first, last + 2))
+    chunks = []
+    for t, lo, hi in zip(range(first, last + 1), bounds[:-1], bounds[1:]):
+        closes = t < last or skip + entries == sizes[2:].sum()
+        diagonal = None
+        if closes and t % 2 == 0:
+            diagonal = bases[layer_start[t // 2]:layer_start[t // 2] + layer[t // 2]].copy()
+        chunks.append(tuple(np.ascontiguousarray(table[:, lo:hi])
+                            for table in (coefficients, positions, weights)) + (diagonal, closes))
+    return chunks, sum(table.nbytes for chunk in chunks for table in chunk[:3])
+
+
+class _BlockCache:
+    """Gather tables of near-diagonal blocks by (modes, first shell, first entry); the
+    least recently used leave once the kept ones exceed ``limit`` bytes."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self._blocks: dict[tuple[int, int, int], tuple[list, int]] = {}
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def chunks(self, n_modes: int):
+        """The table chunks of shells 1, 2, ... in order, built a block at a time."""
+        shell, skip = 1, 0
+        while True:
+            key = (n_modes, shell, skip)
+            with self._lock:
+                block = self._blocks.pop(key, None)
+                if block is not None:
+                    self._blocks[key] = block
+            if block is None:
+                block = _near_diagonal_block(n_modes, shell, skip)
+                with self._lock:
+                    if key not in self._blocks:
+                        self._blocks[key] = block
+                        self._bytes += block[1]
+                    while self._bytes > self.limit:
+                        self._bytes -= self._blocks.pop(next(iter(self._blocks)))[1]
+            for chunk in block[0]:
+                yield chunk
+                terms, *_, closes = chunk
+                shell, skip = (shell + 1, 0) if closes else (shell, skip + terms.shape[1])
+
+
+_BLOCK_SHELLS = 32
+_BLOCK_ENTRIES = 2 ** 15
+_TABLES = _BlockCache(2 ** 25)
+
+
+def hermite_diagonal(R, ry, max_degree: int):
+    """Diagonal values G_(n,n) = H_(n,n) / n! for every n of total degree up to ``max_degree``.
+
+    R is 2N x 2N and the generating function exp(-1/2 a.R.a + a.ry) with a = (a_m, a_n).
+    Returns an iterator over the shells |n| = 0, 1, ..., ``max_degree``: pairs (indices,
+    values), the rows of ``indices`` lexicographic; a caller may stop early.  Only the
+    near-diagonal set (``_offsets``) is filled, one shell of |m| + |n| per step, about
+    (1 + 3N(N + 1)/2) C(D + N, N) entries against the (D + 1)^(2N) of a box.  Raises
+    ``ResourceLimitError`` up front when the set exceeds ``BOX_ENTRY_CAP`` entries and
+    ``NonFiniteError`` at the first shell whose values overflow.
+    """
+    R = np.asarray(R, dtype=complex)
+    ry = np.asarray(ry, dtype=complex).reshape(-1)
+    dim = R.shape[0]
+    if R.shape != (dim, dim) or ry.shape != (dim,) or dim % 2 or dim == 0:
+        raise ValueError(f"R {R.shape} and linear vector {ry.shape} must be 2N x 2N and 2N")
+    max_degree = int(max_degree)
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    entries = _near_diagonal_entries(dim // 2, max_degree)
+    if entries > BOX_ENTRY_CAP:
+        raise ResourceLimitError(f"the diagonal up to total degree {max_degree} needs {entries} "
+                                 f"entries, exceeding the cap {BOX_ENTRY_CAP}")
+    return _fill_diagonal(R, ry, max_degree)
+
+
+def _fill_diagonal(R: np.ndarray, ry: np.ndarray, max_degree: int):
+    n_modes = R.shape[0] // 2
+    coef = np.concatenate([ry[:, np.newaxis], -R], axis=1).ravel()  # row i: [ry_i, -R_i.]
+    zero = np.zeros(1, dtype=complex)
+    below, above = np.zeros(0, dtype=complex), np.ones(1, dtype=complex)
+    yield np.zeros((1, n_modes), dtype=np.int64), above
+    chunks = _TABLES.chunks(n_modes)
+    for degree in range(1, max_degree + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):  # the odd shell, then the even one that holds the diagonal
+                window, parts, closes = np.concatenate([above, below, zero]), [], False
+                while not closes:
+                    terms, positions, weights, bases, closes = next(chunks)
+                    parts.append(np.add.reduce(coef.take(terms) * weights
+                                               * window.take(positions)))
+                below, above = above, parts[0] if len(parts) == 1 else np.concatenate(parts)
+        diagonal = above[:len(bases)]
+        if not np.isfinite(diagonal).all():
+            raise NonFiniteError(f"Hermite recursion overflowed at total degree {degree}")
+        yield bases, diagonal
 
 
 def mv_hermite_table(params: HermiteParams,

@@ -9,7 +9,9 @@ from qopt.gaussian import (GaussianState, PureGaussianSpec, QRep, from_pure_gaus
                            make_thermal_oscillator, photon_moments, photon_pnd,
                            photon_pnd_table, q_eval, state_from_dict, state_to_dict,
                            to_qrep, validate_state, wigner_eval)
+from qopt import gaussian
 from qopt.errors import NonFiniteError, QoptError
+from qopt.hermite import _near_diagonal_entries
 from qopt.matrices import symplectic_metric
 
 from oracles import trapz_nd
@@ -349,6 +351,38 @@ class TestPhotonStatistics:
         table = photon_pnd_table(state_fn())
         assert table.cumulative >= 1 - 1e-8
 
+    @pytest.mark.parametrize("n_modes", [3, 4])
+    def test_multimode_tables_meet_mass_target(self, n_modes):
+        # three modes: S = expm(J (A + A^T)), A = 0.3 normal(6 x 6), disp = S S^T / 2, mean
+        # 0.7 normal(6) from default_rng(1), which needs total degree 95 (2.8 million
+        # near-diagonal entries); the same draw for four modes needs 130 (3.9e8 entries, 23
+        # times the cap), so four modes take a pure state of 2.5 photons needing degree 20
+        if n_modes == 3:
+            rng = np.random.default_rng(1)
+            a = 0.3 * rng.normal(size=(6, 6))
+            S = expm(symplectic_metric(3) @ (a + a.T))
+            s = GaussianState(0.7 * rng.normal(size=6), S @ S.T / 2)
+        else:
+            s = random_valid_state(4, np.random.default_rng(2), mixed=False, mean_scale=0.6,
+                                   symplectic_scale=0.05)
+        table = photon_pnd_table(s)
+        assert not table.cap_hit
+        assert table.cumulative >= 1 - 1e-10
+        series_mean = sum(sum(k) * p for k, p in table.probabilities.items())
+        closed = sum(photon_moments(s, j)[0] for j in range(n_modes))
+        assert series_mean == pytest.approx(closed, abs=1e-7)
+
+    def test_entry_cap_stop_is_reported(self, monkeypatch):
+        # a smaller cap stands in for 2**24, which a unit test cannot afford to fill
+        monkeypatch.setattr(gaussian, "BOX_ENTRY_CAP", _near_diagonal_entries(2, 6))
+        s = random_valid_state(2, np.random.default_rng(8), mean_scale=0.4,
+                               noise_scale=0.7, symplectic_scale=0.2)
+        with pytest.warns(UserWarning, match="stopped at total degree 6"):
+            table = photon_pnd_table(s)
+        assert table.cap_hit and table.max_total_degree == 6
+        with pytest.warns(UserWarning, match="degree cap 6"):
+            assert table == photon_pnd_table(s, degree_cap_per_mode=3)
+
     def test_cap_hit_is_reported(self):
         s = make_thermal_oscillator(5.0)
         with pytest.warns(UserWarning, match="degree cap"):
@@ -370,6 +404,26 @@ class TestPhotonStatistics:
     def test_moments_squeezed(self):
         mean, var = photon_moments(make_squeezed_vacuum(1.0))
         assert mean == pytest.approx(math.sinh(1.0) ** 2, rel=1e-10)
+        assert var == pytest.approx(math.sinh(2.0) ** 2 / 2, rel=1e-12)
+
+    def test_moments_bright_and_thermal(self):
+        # coherent(12) needs total degree 227, far past the default photon-table cap
+        assert photon_moments(make_coherent(12.0)) == pytest.approx((144.0, 144.0), rel=1e-12)
+        n_bar = 1.0 / math.expm1(1.0 / 2.0)
+        mean, var = photon_moments(make_thermal_oscillator(2.0))
+        assert mean == pytest.approx(n_bar, rel=1e-12)
+        assert var == pytest.approx(n_bar ** 2 + n_bar, rel=1e-12)
+
+    @pytest.mark.parametrize("n_modes, seed", [(1, 5), (1, 6), (2, 7)])
+    def test_variance_matches_series(self, n_modes, seed):
+        s = random_valid_state(n_modes, np.random.default_rng(seed), mean_scale=0.5,
+                               noise_scale=0.8, symplectic_scale=0.15)
+        table = photon_pnd_table(s, mass_tol=1e-14, degree_cap_per_mode=150)
+        assert not table.cap_hit
+        for j in range(n_modes):
+            m1 = sum(k[j] * p for k, p in table.probabilities.items())
+            m2 = sum(k[j] ** 2 * p for k, p in table.probabilities.items())
+            assert photon_moments(s, j)[1] == pytest.approx(m2 - m1 * m1, abs=1e-9)
 
     def test_series_mean_matches_closed_form_one_mode(self):
         # one-mode tables are cheap; a high cap lets strongly squeezed draws converge

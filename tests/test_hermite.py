@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from numpy.polynomial.hermite import hermval
 
+from qopt import hermite
 from qopt.errors import DegenerateOverlapError, NonFiniteError, ResourceLimitError
-from qopt.hermite import (BOX_ENTRY_CAP, HermiteParams, OverlapSpec, fock_wavefunction_eval,
-                          gaussian_hermite_overlap, hermite1d_eval, hermite_box,
-                          mv_hermite_eval, mv_hermite_table)
+from qopt.hermite import (BOX_ENTRY_CAP, HermiteParams, OverlapSpec, _total_degree_indices,
+                          fock_wavefunction_eval, gaussian_hermite_overlap, hermite1d_eval,
+                          hermite_box, hermite_diagonal, mv_hermite_eval, mv_hermite_table)
 
 from oracles import gauss_box, hermite_by_series, trapz_nd
 
@@ -204,6 +205,94 @@ class TestHermiteBox:
         got = mv_hermite_eval(params, [150])
         want = complex(mpmath.hermite(150, mpmath.mpf("0.8")))
         assert got == pytest.approx(want, rel=1e-11)
+
+
+@st.composite
+def diagonal_problems(draw):
+    n_modes = draw(st.integers(1, 3))
+    dim = 2 * n_modes
+    parts = draw(st.lists(_unit_floats(), min_size=2 * dim * dim + 2 * dim,
+                          max_size=2 * dim * dim + 2 * dim))
+    a = np.array(parts[:2 * dim * dim]).reshape(2, dim, dim)
+    R = 0.5 * (a[0] + a[0].T + 1j * (a[1] + a[1].T))
+    y = np.array(parts[2 * dim * dim:2 * dim * dim + dim]) \
+        + 1j * np.array(parts[2 * dim * dim + dim:])
+    return R, y, draw(st.integers(0, 8 if n_modes < 3 else 6))
+
+
+def _diagonal(R, ry, max_degree):
+    """(indices, values) of hermite_diagonal, every shell joined."""
+    shells = list(hermite_diagonal(R, ry, max_degree))
+    return (np.concatenate([idx for idx, _ in shells]),
+            np.concatenate([val for _, val in shells]))
+
+
+class TestHermiteDiagonal:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(diagonal_problems())
+    def test_matches_box_and_series(self, problem):
+        R, y, max_degree = problem
+        n_modes = len(y) // 2
+        indices, values = _diagonal(R, R @ y, max_degree)
+        assert np.array_equal(indices, _total_degree_indices(n_modes, max_degree))
+        box = hermite_box(R, R @ y, (max_degree + 1,) * (2 * n_modes))
+        want = box[tuple(indices.T) * 2]
+        assert np.all(np.abs(values - want) <= 1e-13 * np.abs(want) + 1e-300)
+        # the series oracle expands every monomial up to 2|n|, so keep |n| small
+        for idx, value in zip(indices.tolist(), values):
+            if 0 < sum(idx) <= {1: 8, 2: 4, 3: 2}[n_modes]:
+                series = hermite_by_series(R, y, idx + idx) / math.prod(
+                    math.factorial(k) for k in idx)
+                assert value == pytest.approx(series, rel=1e-10)
+
+    def test_values_do_not_depend_on_how_far_the_fill_runs(self):
+        rng = np.random.default_rng(41)
+        for n_modes in (1, 2, 3):
+            a = rng.normal(size=(2, 2 * n_modes, 2 * n_modes))
+            R = 0.3 * (a[0] + a[0].T + 1j * (a[1] + a[1].T))
+            ry = rng.normal(size=2 * n_modes) + 1j * rng.normal(size=2 * n_modes)
+            _, far = _diagonal(R, ry, 24 if n_modes < 3 else 12)
+            for max_degree in (0, 1, 5, 9):
+                _, near = _diagonal(R, ry, max_degree)
+                assert np.array_equal(far[:len(near)], near)
+
+    def test_values_do_not_depend_on_how_shells_are_split(self, monkeypatch):
+        # parts of 7 entries split every shell past the first few, across block bounds
+        rng = np.random.default_rng(43)
+        for n_modes in (1, 2, 3):
+            a = rng.normal(size=(2, 2 * n_modes, 2 * n_modes))
+            R = 0.3 * (a[0] + a[0].T + 1j * (a[1] + a[1].T))
+            ry = rng.normal(size=2 * n_modes) + 1j * rng.normal(size=2 * n_modes)
+            whole = _diagonal(R, ry, 9)
+            with monkeypatch.context() as patch:
+                patch.setattr(hermite, "_BLOCK_ENTRIES", 7)
+                patch.setattr(hermite, "_TABLES", hermite._BlockCache(2 ** 20))
+                split = _diagonal(R, ry, 9)
+            assert np.array_equal(whole[0], split[0]) and np.array_equal(whole[1], split[1])
+
+    def test_stops_where_the_caller_stops(self):
+        shells = hermite_diagonal(2 * np.eye(2), np.ones(2), 10 ** 6)
+        for degree, (indices, values) in zip(range(5), shells):
+            assert indices.tolist() == [[degree]]
+        assert values[0] == pytest.approx(1.0 / math.factorial(4), rel=1e-14)
+
+    def test_entry_cap_enforced(self):
+        # 8 modes to total degree 14 need 22.3 million near-diagonal entries
+        with pytest.raises(ResourceLimitError, match="exceeding the cap"):
+            hermite_diagonal(np.eye(16), np.zeros(16), 14)
+        hermite_diagonal(np.eye(16), np.zeros(16), 13)  # 13.8 million: within
+
+    def test_overflow_raises(self):
+        shells = hermite_diagonal(np.zeros((2, 2)), [1e200, 1e200], 3)
+        next(shells)
+        with pytest.raises(NonFiniteError, match="total degree 1"):
+            next(shells)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            hermite_diagonal(np.eye(3), np.zeros(3), 2)
+        with pytest.raises(ValueError):
+            hermite_diagonal(np.eye(2), np.zeros(2), -1)
 
 
 class TestHermiteTable:

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from qopt.dynamics import parametric_oscillator
+from qopt.errors import ResourceLimitError
 from qopt.gaussian import photon_pnd, to_qrep
 from qopt.hermite import fock_wavefunction_eval
 from qopt.parametric import (closed_form_epsilon, expression_profile,
@@ -45,6 +46,11 @@ class TestSolveEpsilon:
             eps, _ = traj.at(t)
             want = closed_form_epsilon(preset, t)
             assert abs(eps - want) < 1e-8 * max(1.0, abs(want))
+
+    def test_trial_steps_are_bounded(self):
+        # about 19,000 jumps of w^2, each costing ~40 trial steps: unbounded, this ran for hours
+        with pytest.raises(ResourceLimitError, match=r"t=0\.\d+ of 6\.0 after 25000 trial steps"):
+            solve_epsilon(expression_profile("1 + (sin(1e4*t) > 0)"), 6.0)
 
     def test_initial_data(self):
         traj = make_traj()
