@@ -12,8 +12,9 @@ depends on wall-clock time or randomized defaults.  Jobs run serially;
 default).  ``parse_config`` runs every parser once and hands the job typed
 values: a field that is missing, mistyped or out of range is a configuration
 error naming it (exit status 2), and every number, also inside state,
-Hamiltonian and profile documents, must be a finite JSON number.  An artifact
-that would hold inf or nan is a ``NonFiniteError`` naming it (exit status 1).
+Hamiltonian and profile documents, must be a finite JSON number.  An artifact,
+or a sidecar number, that would hold inf or nan is a ``NonFiniteError`` naming
+it (exit status 1).
 Library warnings raised during a job go to the sidecar's ``warnings`` key and
 to stderr as JSON lines, before the error line when the job fails.
 """
@@ -416,13 +417,17 @@ def execute_job(cfg: JobConfig) -> dict[str, str]:
 
     Warnings that the active filters show, raised during the job, go into the sidecar
     as a ``warnings`` list of {category, message} entries in the order raised; the
-    key is absent if there was none; a job that raises carries it as the exception's
-    ``job_warnings``.  Entering the recording context resets the once-per-location
-    registry, so every job records its own warnings.
+    key is absent if there was none; a job that raises, also on a non-finite float in
+    its sidecar, carries it as the exception's ``job_warnings``.  Entering the recording
+    context resets the once-per-location registry, so every job records its own warnings.
     """
     with warnings.catch_warnings(record=True) as caught:
         try:
             artifacts, meta = _JOBS[cfg.command][0](cfg.values)
+            for key, value in meta.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise NonFiniteError(f"{cfg.command}.meta.json would hold a non-finite "
+                                         f"{key}")
         except Exception as exc:
             exc.job_warnings = _warning_records(caught)
             raise

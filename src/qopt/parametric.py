@@ -14,12 +14,15 @@ law.
 eps is not integrated on its own: it is the q-row of Lam^{-1} for the
 symplectic flow of `qopt.dynamics`, so the Wronskian is -2i det Lam, conserved
 to round-off by every flow step; the accuracy of eps is the flow's
-``error_estimate``, which the trajectory carries.  The named presets evaluate
-their closed forms instead (error estimate 0).
+``error_estimate``, which the trajectory carries.  Every profile takes that
+path: a constant w^2, the named presets included, is one exact Magnus step
+(error estimate 0).  The Gaussian carrier of the evolved vacuum packet is the
+vacuum pushed along the same flow.
 
 Wavefunction evaluators need eps^{-1/2} and (eps*/eps)^{m/2}; both are taken
 with the phase of eps tracked continuously from t = 0, never the principal
-branch, so nothing jumps when eps winds around the origin.
+branch, so nothing jumps when eps winds around the origin.  The phase is
+sampled at a spacing derived from the largest w^2 the flow's steps see.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import integrate_symplectic_flow, parametric_oscillator
+from .dynamics import (SymplecticFlow, evolve_gaussian, integrate_symplectic_flow,
+                       parametric_oscillator)
 from .gaussian import GaussianState
 from .hermite import hermite1d_eval
 
@@ -48,7 +52,6 @@ class FrequencyProfile:
 
     omega_squared: Callable[[float], float]
     kind: str
-    payload: object = None
 
     def __call__(self, t: float) -> float:
         return float(self.omega_squared(t))
@@ -59,8 +62,7 @@ def preset_profile(name: str) -> FrequencyProfile:
     values = {"free": 0.0, "oscillator": 1.0, "repulsive": -1.0}
     if name not in values:
         raise ValueError(f"unknown preset {name!r}; expected one of {_PRESET_NAMES}")
-    w2 = values[name]
-    return FrequencyProfile(lambda t, _w2=w2: _w2, f"preset_{name}", name)
+    return FrequencyProfile(lambda t, _w2=values[name]: _w2, f"preset_{name}")
 
 
 def tabulated_profile(rows) -> FrequencyProfile:
@@ -71,7 +73,7 @@ def tabulated_profile(rows) -> FrequencyProfile:
     ts, w2s = arr[:, 0], arr[:, 1]
     if np.any(np.diff(ts) <= 0):
         raise ValueError("table times must be strictly increasing")
-    return FrequencyProfile(lambda t: float(np.interp(t, ts, w2s)), "tabulated", arr.tolist())
+    return FrequencyProfile(lambda t: float(np.interp(t, ts, w2s)), "tabulated")
 
 
 def expression_profile(expr: str) -> FrequencyProfile:
@@ -89,7 +91,7 @@ def expression_profile(expr: str) -> FrequencyProfile:
         return float(eval(_code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "t": t}))
 
     w2(0.0)  # fail fast on malformed expressions
-    return FrequencyProfile(w2, "expression", expr)
+    return FrequencyProfile(w2, "expression")
 
 
 def profile_from_dict(doc: dict) -> FrequencyProfile:
@@ -103,70 +105,40 @@ def profile_from_dict(doc: dict) -> FrequencyProfile:
     raise ValueError("profile document needs 'preset', 'table', or 'expression'")
 
 
-def closed_form_epsilon(preset: str, t):
-    """Exact eps(t) for the named presets; the anchor the solver is tested against."""
-    t = np.asarray(t, dtype=float)
-    if preset == "free":
-        out = 1.0 + 1j * t
-    elif preset == "oscillator":
-        out = np.exp(1j * t)
-    elif preset == "repulsive":
-        out = np.cosh(t) + 1j * np.sinh(t)
-    else:
-        raise ValueError(f"no closed form for preset {preset!r}")
-    return out if out.ndim else complex(out)
-
-
 class EpsilonTrajectory:
-    """Solution samples of the classical equation with continuous phase tracking.
+    """eps(t) read from the symplectic flow of H = p^2/2 + w^2(t) q^2/2.
 
-    ``solution(t)`` returns the stacked (eps, epsdot) at a time or an array of
-    times; ``error_estimate`` is the flow solver's (0 for a closed form).
+    In (p, q) order eps = l00 - i l10 and epsdot = -l01 + i l11, the q-row of
+    Lam^{-1} = adj(Lam).  ``ts`` and ``error_estimate`` are the flow's, and a
+    time outside [0, t_end] raises the flow's ``ValueError``.
     """
 
-    def __init__(self, ts, solution, tol, profile, error_estimate: float = 0.0):
-        self.ts = np.asarray(ts, dtype=float)
-        self._solution = solution
-        self.tol = float(tol)
-        self.profile = profile
-        self.error_estimate = float(error_estimate)
+    def __init__(self, flow: SymplecticFlow, profile: FrequencyProfile):
+        self.flow, self.profile = flow, profile
+        self.ts, self.error_estimate = flow.ts, flow.error_estimate
         # -2i det Lam at the step boundaries, so this is 2 max |det Lam - 1|
-        eps, epsdot = self._eval(self.ts)
+        eps, epsdot = self.at(self.ts)
         wron = eps * np.conj(epsdot) - np.conj(eps) * epsdot
         self.wronskian_defect = float(np.abs(wron + 2j).max())
-        # phase grid fine enough that eps never winds more than ~pi/2 per step
-        t_grid = np.union1d(self.ts, np.arange(0.0, self.t_end + 0.25, 0.25))
-        eps_grid = self._eval(t_grid)[0]
-        self._phase_ts = t_grid
-        self._phases = np.unwrap(np.angle(eps_grid))
-
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
-
-    def _check_range(self, t):
-        if not np.all((-1e-12 <= t) & (t <= self.t_end + 1e-12)):
-            raise ValueError(f"t={t} outside solved range [0, {self.t_end}]")
-
-    def _eval(self, t):
-        y = self._solution(np.clip(t, 0.0, self.t_end))
-        return y[0], y[1]
+        # by Sturm comparison the phase of eps needs at least pi/w_max to advance by pi,
+        # so at a spacing of (pi/2)/w_max it turns by less than pi between samples
+        w2_max = max(map(profile, np.union1d(self.ts, 0.5 * (self.ts[1:] + self.ts[:-1]))))
+        num = math.ceil(flow.t_end / (0.5 * math.pi / math.sqrt(max(1.0, w2_max)))) + 1
+        self._phase_ts = np.union1d(self.ts, np.linspace(0.0, flow.t_end, num))
+        self._phases = np.unwrap(np.angle(self.at(self._phase_ts)[0]))
 
     def at(self, t):
         """(eps, epsdot) at time t, or the two arrays at an array of times."""
-        self._check_range(t)
-        e, ed = self._eval(t)
-        return (e, ed) if np.ndim(t) else (complex(e), complex(ed))
+        lam = self.flow.evaluate(t)[0]
+        eps = lam[..., 0, 0] - 1j * lam[..., 1, 0]
+        epsdot = -lam[..., 0, 1] + 1j * lam[..., 1, 1]
+        return (eps, epsdot) if np.ndim(t) else (complex(eps), complex(epsdot))
 
     def phase_at(self, t: float) -> float:
         """arg eps(t), continuous from arg eps(0) = 0."""
-        self._check_range(t)
-        i = int(np.searchsorted(self._phase_ts, t, side="right")) - 1
-        i = max(0, min(i, len(self._phase_ts) - 1))
-        e, _ = self._eval(t)
-        anchor = self._phases[i]
-        delta = np.angle(e * np.exp(-1j * anchor))
-        return float(anchor + delta)
+        e, _ = self.at(t)
+        anchor = self._phases[np.searchsorted(self._phase_ts, t, side="right") - 1]
+        return float(anchor + np.angle(e * np.exp(-1j * anchor)))
 
     def sqrt_inv_eps(self, t: float) -> complex:
         """eps(t)^{-1/2} on the branch continuous from 1 at t = 0."""
@@ -174,53 +146,12 @@ class EpsilonTrajectory:
         return abs(e) ** -0.5 * np.exp(-0.5j * self.phase_at(t))
 
 
-def closed_form_epsilon_derivative(preset: str, t):
-    """Exact time derivative of :func:`closed_form_epsilon`."""
-    t = np.asarray(t, dtype=float)
-    if preset == "free":
-        out = 1j * np.ones_like(t)
-    elif preset == "oscillator":
-        out = 1j * np.exp(1j * t)
-    elif preset == "repulsive":
-        out = np.sinh(t) + 1j * np.cosh(t)
-    else:
-        raise ValueError(f"no closed form for preset {preset!r}")
-    return out if out.ndim else complex(out)
-
-
 def solve_epsilon(profile: FrequencyProfile, t_end: float, tol: float = 1e-9) -> EpsilonTrajectory:
-    """Solve the classical equation from (1, i) up to t_end.
-
-    Named presets short-circuit to their closed forms (the repulsive branch
-    grows like e^t, where an integrated solution could never track the exact
-    one to fixed absolute accuracy).  Every other profile reads eps from the
-    symplectic flow Lam(t) of H = p^2/2 + w^2(t) q^2/2, stepped at the
-    requested tolerance: in (p, q) order eps = l00 - i l10 and
-    epsdot = -l01 + i l11, the q-row of Lam^{-1} = adj(Lam).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """eps on [0, t_end] from the flow stepped at ``tol``; a constant w^2 is one exact step."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-
-    if profile.kind.startswith("preset_"):
-        preset = profile.payload
-
-        def closed(t):
-            return np.stack([np.asarray(closed_form_epsilon(preset, t)),
-                             np.asarray(closed_form_epsilon_derivative(preset, t))])
-
-        ts = np.linspace(0.0, t_end, max(81, int(10 * t_end) + 1))
-        return EpsilonTrajectory(ts, closed, tol, profile)
-
     flow = integrate_symplectic_flow(parametric_oscillator(profile), t_end, tol)
-
-    def from_flow(t):
-        lam = flow.evaluate(t)[0]
-        return np.stack([lam[..., 0, 0] - 1j * lam[..., 1, 0],
-                         -lam[..., 0, 1] + 1j * lam[..., 1, 1]])
-
-    return EpsilonTrajectory(flow.ts, from_flow, tol, profile, flow.error_estimate)
+    return EpsilonTrajectory(flow, profile)
 
 
 def variances_correlation(traj: EpsilonTrajectory, t: float) -> tuple[float, float, float]:
@@ -267,19 +198,8 @@ def squeezed_vacuum_pnd(traj: EpsilonTrajectory, t: float, n: int) -> float:
 
 
 def to_gaussian_state(traj: EpsilonTrajectory, t: float) -> GaussianState:
-    """The evolved vacuum packet as a Gaussian state carrier.
-
-    The moments are divided by the sample's own Wronskian Im(eps* epsdot)
-    (1 up to round-off), so the carrier is exactly pure: raw moments can
-    fall below the vacuum bound by the defect, which the trajectory still
-    reports as ``wronskian_defect``.
-    """
-    eps, epsdot = traj.at(t)
-    scale = 0.5 / np.imag(np.conj(eps) * epsdot)
-    s_x = scale * abs(eps) ** 2
-    s_p = scale * abs(epsdot) ** 2
-    s_xp = scale * np.real(np.conj(eps) * epsdot)
-    return GaussianState(np.zeros(2), np.array([[s_p, s_xp], [s_xp, s_x]]))
+    """The evolved vacuum packet as a Gaussian state: the vacuum pushed along the flow."""
+    return evolve_gaussian(GaussianState(np.zeros(2), 0.5 * np.eye(2)), traj.flow.at(t))
 
 
 def _ground_packet(traj: EpsilonTrajectory, t: float, x: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ code paths: the generating function is expanded by explicit polynomial
 arithmetic, integrals are done by brute-force quadrature, propagators are
 the textbook closed forms, CSV text is built one cell at a time, cat
 photon probabilities are evaluated one outcome at a time, cat homodyne
-marginals come from the rotated coherent-state wavefunctions, and flows are
+marginals come from the rotated coherent-state wavefunctions, eps(t) of a
+constant w^2 is the textbook cos/sin (cosh/sinh) solution, and flows are
 integrated by a general-purpose Runge-Kutta solver.
 """
 
@@ -194,6 +195,50 @@ def oscillator_propagator(q, qp, t: float, mass: float = 1.0, omega: float = 1.0
     phase = 0.5 * mass * omega * ((q * q + qp * qp) / math.tan(wt) - 2.0 * q * qp / sin_wt)
     out = amp * np.exp(1j * phase)
     return out if out.ndim else complex(out)
+
+
+PRESET_OMEGA_SQUARED = {"free": 0.0, "oscillator": 1.0, "repulsive": -1.0}
+
+
+def closed_form_epsilon(w2: float, t):
+    """eps(t) = cos(wt) + i sin(wt)/w from (1, i) for a constant w^2, with its limits
+    1 + it at w^2 = 0 and cosh(kt) + i sinh(kt)/k at w^2 = -k^2 < 0."""
+    t = np.asarray(t, dtype=float)
+    if w2 > 0:
+        w = math.sqrt(w2)
+        out = np.cos(w * t) + 1j * np.sin(w * t) / w
+    elif w2 == 0:
+        out = 1.0 + 1j * t
+    else:
+        k = math.sqrt(-w2)
+        out = np.cosh(k * t) + 1j * np.sinh(k * t) / k
+    return out if out.ndim else complex(out)
+
+
+def closed_form_epsilon_derivative(w2: float, t):
+    """Exact time derivative of :func:`closed_form_epsilon`."""
+    t = np.asarray(t, dtype=float)
+    if w2 > 0:
+        w = math.sqrt(w2)
+        out = -w * np.sin(w * t) + 1j * np.cos(w * t)
+    elif w2 == 0:
+        out = 1j * np.ones_like(t)
+    else:
+        k = math.sqrt(-w2)
+        out = k * np.sinh(k * t) + 1j * np.cosh(k * t)
+    return out if out.ndim else complex(out)
+
+
+def closed_form_epsilon_phase(w2: float, t):
+    """arg of :func:`closed_form_epsilon` on the branch continuous from 0 at t = 0: for
+    w^2 > 0 it passes k pi exactly at wt = k pi, and for w^2 <= 0 it stays in [0, pi/2)."""
+    t = np.asarray(t, dtype=float)
+    if w2 <= 0:
+        return np.angle(closed_form_epsilon(w2, t))
+    w = math.sqrt(w2)
+    turns = np.round(w * t / math.pi)
+    rest = w * t - turns * math.pi  # in [-pi/2, pi/2], where cos(rest) >= 0
+    return turns * math.pi + np.arctan2(np.sin(rest) / w, np.cos(rest))
 
 
 def flow_by_ode(ham, ts, knots=()):

@@ -18,13 +18,13 @@ from qopt.dynamics import (fock_basis_propagator, free_particle, harmonic_oscill
 from qopt.gaussian import (make_coherent, make_squeezed_vacuum, make_thermal_oscillator,
                            photon_pnd, q_eval, to_qrep, validate_state, wigner_eval)
 from qopt.hermite import HermiteParams, OverlapSpec, gaussian_hermite_overlap, mv_hermite_eval
-from qopt.parametric import (closed_form_epsilon, expression_profile, preset_profile,
-                             solve_epsilon, squeezed_vacuum_pnd, tabulated_profile,
-                             to_gaussian_state)
+from qopt.parametric import (expression_profile, preset_profile, solve_epsilon,
+                             squeezed_vacuum_pnd, tabulated_profile, to_gaussian_state)
 from qopt.tomography import gaussian_sinogram, inverse_radon, wigner_grid_from_callable
 from qopt.dynamics import evolve_gaussian
 
-from oracles import gauss_box, hermite_by_series, trapz_nd
+from oracles import (PRESET_OMEGA_SQUARED, closed_form_epsilon, gauss_box, hermite_by_series,
+                     trapz_nd)
 from test_dynamics import semigroup_defect
 from test_tomography import even_cat_sinogram
 
@@ -52,9 +52,10 @@ def test_criterion_02_squeezed_vacuum_chain():
     for preset in ("free", "oscillator", "repulsive"):
         t_end = 10.0 if preset != "repulsive" else 8.0
         traj = solve_epsilon(preset_profile(preset), t_end, tol=1e-11)
+        w2 = PRESET_OMEGA_SQUARED[preset]
         for t in np.linspace(0.0, t_end, 81):
             eps, _ = traj.at(t)
-            worst_eps = max(worst_eps, abs(eps - closed_form_epsilon(preset, t)))
+            worst_eps = max(worst_eps, abs(eps - closed_form_epsilon(w2, t)))
     assert worst_eps <= 1e-9
 
     # photon law at specified squeezings: a constant drive w^2 = e^{2r} reaches

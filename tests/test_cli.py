@@ -120,7 +120,7 @@ class TestJobs:
             assert im_e == pytest.approx(t, abs=1e-9)
         meta = json.loads((tmp_path / "out" / "epsilon.meta.json").read_text())
         assert meta["wronskian_defect"] < 1e-7
-        assert meta["error_estimate"] == 0.0  # closed form
+        assert meta["error_estimate"] == 0.0  # one exact step
 
     def test_epsilon_table_reports_error_estimate(self, tmp_path):
         config = {"profile": {"table": [[0, 1], [6, 0.7], [13, 1.3], [20, 0.9]]}, "t_end": 20.0}
@@ -343,12 +343,12 @@ class TestDeterminismAndErrors:
                 == (tmp_path / "float" / "out" / "pnd.csv").read_bytes())
 
     def test_non_finite_artifact_fails(self, tmp_path, capsys):
-        # the repulsive solution grows like e^t and overflows long before t = 800
+        # the repulsive solution grows like e^t and leaves double range long before t = 800
         config = {"profile": {"preset": "repulsive"}, "t_end": 800.0, "num": 3}
         assert run_cli(tmp_path, "epsilon", config) == 1
         err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
         assert err["type"] == "NonFiniteError"
-        assert "epsilon.csv" in err["message"]
+        assert "t=" in err["message"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, config, target, artifact", [
@@ -361,6 +361,8 @@ class TestDeterminismAndErrors:
          "evolve_gaussian", "evolve.csv"),
         ("tomo-forward", {"state": {"kind": "coherent", "alpha": 0.0}, "n_angles": 4},
          "gaussian_sinogram", "sinogram.csv"),
+        ("epsilon", {"profile": {"preset": "free"}, "t_end": 1.0, "num": 3},
+         "solve_epsilon", "epsilon.csv"),
     ])
     def test_non_finite_value_names_artifact(self, tmp_path, capsys, monkeypatch, command,
                                              config, target, artifact):
@@ -376,6 +378,9 @@ class TestDeterminismAndErrors:
                 return type(out)(out.mean, np.full_like(out.disp, np.inf))
             if target == "gaussian_sinogram":
                 return type(out)(out.theta_grid, out.x_grid, np.full_like(out.values, np.nan))
+            if target == "solve_epsilon":
+                out.at = lambda t: (np.full(np.shape(t), np.nan + 0j),) * 2
+                return out
             return np.full_like(out, np.nan)
 
         monkeypatch.setattr(qopt.cli, target, poisoned)
@@ -411,11 +416,15 @@ class TestDeterminismAndErrors:
         assert not (tmp_path / "out").exists()
 
     def test_failed_job_reports_its_warnings(self, tmp_path, capsys):
-        # the overflow warnings explain why the repulsive preset fails at t_end = 800
-        config = {"profile": {"preset": "repulsive"}, "t_end": 800.0, "num": 3}
+        # at t_end = 400 the rows are finite (e^400 ~ 5e173), but the Wronskian's products
+        # overflow; the overflow warnings explain why the sidecar number is not finite
+        config = {"profile": {"preset": "repulsive"}, "t_end": 400.0, "num": 3}
         assert run_cli(tmp_path, "epsilon", config) == 1
         *warned, last = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert last["error"]["type"] == "NonFiniteError"
+        assert last["error"]["message"].startswith("epsilon.meta.json")
+        assert "wronskian_defect" in last["error"]["message"]
+        assert not (tmp_path / "out").exists()
         assert warned and all(doc["warning"]["category"] == "RuntimeWarning" for doc in warned)
         assert any("overflow" in doc["warning"]["message"] for doc in warned)
 

@@ -8,14 +8,14 @@ from qopt.dynamics import parametric_oscillator
 from qopt.errors import ResourceLimitError
 from qopt.gaussian import photon_pnd, to_qrep
 from qopt.hermite import fock_wavefunction_eval
-from qopt.parametric import (closed_form_epsilon, expression_profile,
-                             packet_wavefunction_eval, parametric_cat_wavefunction,
-                             preset_profile, profile_from_dict, solve_epsilon,
-                             squeezed_number_wavefunction, squeezed_vacuum_pnd,
+from qopt.parametric import (expression_profile, packet_wavefunction_eval,
+                             parametric_cat_wavefunction, preset_profile, profile_from_dict,
+                             solve_epsilon, squeezed_number_wavefunction, squeezed_vacuum_pnd,
                              squeezing_coefficient, tabulated_profile, to_gaussian_state,
                              variances_correlation)
 
-from oracles import flow_by_ode
+from oracles import (PRESET_OMEGA_SQUARED, closed_form_epsilon,
+                     closed_form_epsilon_derivative, closed_form_epsilon_phase, flow_by_ode)
 
 
 def make_traj(preset="free", t_end=5.0, tol=1e-10):
@@ -29,23 +29,34 @@ def complex_l2_norm(f, lo=-30.0, hi=30.0, n=120001):
 
 class TestSolveEpsilon:
     @pytest.mark.parametrize("preset", ["free", "oscillator", "repulsive"])
-    def test_presets_evaluate_closed_forms(self, preset):
+    @pytest.mark.parametrize("make_profile", [
+        preset_profile, lambda preset: expression_profile(str(PRESET_OMEGA_SQUARED[preset]))],
+        ids=["preset", "expression"])
+    def test_constant_profiles_reproduce_closed_forms(self, make_profile, preset):
+        # a named preset and the same constant as an expression take the same flow path
         t_end = 10.0 if preset != "repulsive" else 6.0
-        traj = solve_epsilon(preset_profile(preset), t_end, tol=1e-11)
+        w2 = PRESET_OMEGA_SQUARED[preset]
+        traj = solve_epsilon(make_profile(preset), t_end, tol=1e-11)
         for t in np.linspace(0, t_end, 41):
-            eps, _ = traj.at(t)
-            assert abs(eps - closed_form_epsilon(preset, t)) < 1e-9 * max(1.0, abs(eps))
+            eps, epsdot = traj.at(t)
+            want = closed_form_epsilon(w2, t)
+            assert abs(eps - want) < 1e-9 * max(1.0, abs(want))
+            want_dot = closed_form_epsilon_derivative(w2, t)
+            assert abs(epsdot - want_dot) < 1e-9 * max(1.0, abs(want_dot))
 
-    @pytest.mark.parametrize("expr,preset", [("0", "free"), ("1", "oscillator"),
-                                             ("-1", "repulsive")])
-    def test_integrator_reproduces_closed_forms(self, expr, preset):
-        # constant expression profiles force the ODE path onto the same systems
-        t_end = 10.0 if preset != "repulsive" else 6.0
-        traj = solve_epsilon(expression_profile(expr), t_end, tol=1e-11)
-        for t in np.linspace(0, t_end, 41):
-            eps, _ = traj.at(t)
-            want = closed_form_epsilon(preset, t)
-            assert abs(eps - want) < 1e-8 * max(1.0, abs(want))
+    @pytest.mark.parametrize("w2", [-1.0, 0.0, 1.0, 400.0, 2500.0])
+    def test_phase_follows_continuous_branch(self, w2):
+        # one exact step per constant profile: at w^2 = 400 and 2500 a fixed 0.25 phase
+        # grid let eps turn by more than pi between samples and dropped whole turns
+        traj = solve_epsilon(expression_profile(repr(w2)), 3.0)
+        ts = np.linspace(0.0, 3.0, 301)
+        want = closed_form_epsilon_phase(w2, ts)
+        got = np.array([traj.phase_at(t) for t in ts])
+        assert np.abs(got - want).max() < 1e-9
+        for t, phase in zip(ts, want):
+            eps = closed_form_epsilon(w2, t)
+            assert traj.sqrt_inv_eps(t) == pytest.approx(
+                abs(eps) ** -0.5 * np.exp(-0.5j * phase), rel=1e-9)
 
     def test_trial_steps_are_bounded(self):
         # about 19,000 jumps of w^2, each costing ~40 trial steps: unbounded, this ran for hours
