@@ -3,8 +3,8 @@
 A state |A+-> ~ |A> +- |-A> over the mode amplitudes A = (alpha_1..alpha_N)
 carries parity-pure photon statistics: the cosh/sinh normalization couples
 the modes, so the joint photon distribution never factorizes even though
-|A> itself is a product state.  Phase-space densities come out in closed
-form from the two-label Gaussian kernel of coherent-state pairs.
+|A> itself is a product state.  Phase-space densities are those of three
+Gaussian dyads (``CatState.dyads``), evaluated by ``qopt.gaussian``.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConventionError, ResourceLimitError
+from .errors import ResourceLimitError
+from .gaussian import GaussianDyads
 from .hermite import BOX_ENTRY_CAP, _total_degree_indices, as_index
 
-_IMAG_RESIDUE_TOL = 1e-12
 _LN2 = math.log(2.0)
 
 
@@ -47,6 +47,17 @@ class CatState:
     def norm2(self) -> float:
         """|A|^2 = sum |alpha_m|^2."""
         return float(np.sum(np.abs(self.amplitudes) ** 2))
+
+    def dyads(self) -> GaussianDyads:
+        """|A><A|, |-A><-A| at log N^2 and the pair |A><-A| + h.c. folded into one term of
+        weight 2 N^2 e^{-2|A|^2} (negated when odd) and imaginary mean; all of disp I/2."""
+        a, log_n2 = self.amplitudes, self.norm2 - 2.0 * _LN2 - _log_weight(self)
+        cross = log_n2 + _LN2 - 2.0 * self.norm2 + (1j * math.pi if self.parity == "odd" else 0.0)
+        mean = math.sqrt(2.0) * np.concatenate([a.imag, a.real])
+        shift = 1j * math.sqrt(2.0) * np.concatenate([-a.real, a.imag])
+        return GaussianDyads(np.array([log_n2, log_n2, cross], dtype=complex),
+                             np.array([mean, -mean, shift], dtype=complex),
+                             0.5 * np.eye(2 * a.size))
 
 
 def _log_weight(c: CatState) -> float:
@@ -176,65 +187,6 @@ def cat_moments(c: CatState) -> CatMoments:
         mandel = np.where(mean_n > 0, (np.diag(second) - mean_n ** 2 - mean_n)
                           / np.where(mean_n > 0, mean_n, 1.0), 0.0)
     return CatMoments(pair, occupation, mean_n, covariance, second, mandel)
-
-
-def cat_q_eval(c: CatState, beta) -> np.ndarray | float:
-    """Husimi density <B|rho|B> at coherent labels beta of shape (..., N)."""
-    beta = np.asarray(beta, dtype=complex)
-    if beta.ndim == 0:
-        beta = beta.reshape(1)
-    if beta.shape[-1] != c.n_modes:
-        raise ValueError(f"beta must have last dimension {c.n_modes}")
-    # z = beta*.A = u + iv: |cosh z|^2 = sinh^2 u + cos^2 v, |sinh z|^2 = sinh^2 u + sin^2 v,
-    # 4 N^2 e^{-|A|^2} = 1 / cosh |A|^2 (sinh when odd), sinh^2 u = e^{2u} expm1(-2u)^2 / 4.
-    z = beta.conj() @ c.amplitudes
-    u = np.abs(z.real)
-    trig = np.cos(z.imag) if c.parity == "even" else np.sin(z.imag)
-    log_base = -np.sum(np.abs(beta) ** 2, axis=-1) - _log_weight(c)
-    out = (np.exp(2.0 * u + log_base - 2.0 * _LN2) * np.expm1(-2.0 * u) ** 2
-           + trig ** 2 * np.exp(log_base))
-    return out if out.ndim else float(out)
-
-
-def _coherent_pair_wigner(a_vec, b_vec, z):
-    """Two-label Gaussian kernel W_{A,B}(Z) of a coherent dyad |A><B|."""
-    n = a_vec.shape[0]
-    zz = np.sum(z * np.conj(z), axis=-1)
-    az = z.conj() @ a_vec
-    bz = z @ np.conj(b_vec)
-    ab = np.conj(b_vec) @ a_vec
-    a2 = np.sum(np.abs(a_vec) ** 2)
-    b2 = np.sum(np.abs(b_vec) ** 2)
-    return 2.0 ** n * np.exp(-2.0 * zz + 2.0 * az + 2.0 * bz - ab - 0.5 * a2 - 0.5 * b2)
-
-
-def cat_wigner_eval(c: CatState, q, p) -> np.ndarray | float:
-    """Wigner density at quadrature points; q and p broadcast with shape (..., N).
-
-    Four dyad kernels interfere; the result is real up to round-off, which is
-    checked and discarded.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if q.ndim == 0:
-        q = q.reshape(1)
-    if p.ndim == 0:
-        p = p.reshape(1)
-    if q.shape[-1] != c.n_modes or p.shape[-1] != c.n_modes:
-        raise ValueError(f"q and p must have last dimension {c.n_modes}")
-    z = (q + 1j * p) / math.sqrt(2.0)
-    a = c.amplitudes
-    sign = 1.0 if c.parity == "even" else -1.0
-    norm = cat_normalization(c)
-    val = norm * norm * (_coherent_pair_wigner(a, a, z)
-                         + sign * _coherent_pair_wigner(a, -a, z)
-                         + sign * _coherent_pair_wigner(-a, a, z)
-                         + _coherent_pair_wigner(-a, -a, z))
-    residue = np.abs(val.imag).max()
-    if residue > _IMAG_RESIDUE_TOL * max(1.0, np.abs(val.real).max()):
-        raise ConventionError(f"Wigner evaluation left imaginary residue {residue:.3e}")
-    out = val.real
-    return out if out.ndim else float(out)
 
 
 def cat_to_dict(c: CatState) -> dict:

@@ -32,11 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cats import CatState, cat_from_dict, cat_moments, cat_pnd_table, cat_q_eval, cat_wigner_eval
+from .cats import CatState, cat_from_dict, cat_moments, cat_pnd_table
 from .dynamics import (FlowSample, evolve_gaussian, hamiltonian_from_dict,
                        integrate_symplectic_flow, parametric_oscillator)
 from .errors import NonFiniteError
-from .gaussian import (QREP_CONVENTION, GaussianState, make_coherent, make_squeezed_vacuum,
+from .gaussian import (QREP_CONVENTION, make_coherent, make_squeezed_vacuum,
                        make_thermal_oscillator, photon_pnd_table, q_eval, state_from_dict,
                        wigner_eval)
 from .io import PHASE_SPACE_HEADER, format_lattice, format_table, sinogram_csv
@@ -221,15 +221,12 @@ def _check_finite(artifact: str, *arrays):
             raise NonFiniteError(f"{artifact} would hold a non-finite value")
 
 
-def _state_wigner_fn(state):
-    if isinstance(state, CatState):
-        return lambda q, p: cat_wigner_eval(state, q[..., np.newaxis], p[..., np.newaxis])
+def _wigner_fn(state):
     return lambda q, p: wigner_eval(state, np.stack([p, q], axis=-1))
 
 
-def _state_qfunc_fn(state):
-    q_eval_fn = cat_q_eval if isinstance(state, CatState) else q_eval
-    return lambda q, p: q_eval_fn(state, ((q + 1j * p) / math.sqrt(2))[..., np.newaxis])
+def _qfunc_fn(state):
+    return lambda q, p: q_eval(state, ((q + 1j * p) / math.sqrt(2))[..., np.newaxis])
 
 
 def _grid_job(job, name: str, density_fn, title: str):
@@ -268,12 +265,12 @@ def _job_pnd(job, artifact: str = "pnd.csv"):
 
 
 def _job_wigner(job):
-    artifacts, values, health = _grid_job(job, "wigner", _state_wigner_fn, "Wigner density")
+    artifacts, values, health = _grid_job(job, "wigner", _wigner_fn, "Wigner density")
     return artifacts, {"negative_fraction": float(np.mean(values < 0.0)), **health}
 
 
 def _job_qfunc(job):
-    artifacts, _, health = _grid_job(job, "qfunc", _state_qfunc_fn, "Husimi density")
+    artifacts, _, health = _grid_job(job, "qfunc", _qfunc_fn, "Husimi density")
     return artifacts, {"beta_convention": "beta = (q + i p) / sqrt(2)", **health}
 
 
@@ -334,18 +331,15 @@ def _job_tomo_forward(job):
     state = _require_one_mode(job["state"], "state")
     x_grid, n_angles = job["x"], job["n_angles"]
     thetas = np.arange(n_angles) * math.pi / n_angles
-    method = job["method"] or ("exact" if isinstance(state, GaussianState) else "numeric")
-    if method == "exact":
-        if not isinstance(state, GaussianState):
-            raise ConfigError("method", "exact marginals need a one-mode Gaussian state")
+    if job["method"] == "exact":
         sino = gaussian_sinogram(state, thetas, x_grid)
     else:
         span = job["wigner_span"] or _positive(float(np.abs(x_grid).max()), "wigner_span")
         inner = np.linspace(-span, span, job["wigner_samples"])
-        grid = wigner_grid_from_callable(_state_wigner_fn(state), inner, inner)
+        grid = wigner_grid_from_callable(_wigner_fn(state), inner, inner)
         sino = forward_marginal_numeric(grid, thetas, x_grid)
     _check_finite("sinogram.csv", sino.theta_grid, sino.x_grid, sino.values)
-    meta = {"n_angles": n_angles, "method": method,
+    meta = {"n_angles": n_angles, "method": job["method"],
             "max_normalization_defect": float(sino.normalization_defects.max())}
     return {"sinogram.csv": sinogram_csv(sino)}, meta
 
@@ -403,7 +397,7 @@ _JOBS = {
     "tomo-forward": (_job_tomo_forward, {
         "state": _STATE, "n_angles": (_integral(1), 180),
         "x": (_parse_grid, _parse_grid({"min": -12.0, "max": 12.0, "num": 257}, "x")),
-        "method": (_method, None), "wigner_samples": (_integral(2), 513),
+        "method": (_method, "exact"), "wigner_samples": (_integral(2), 513),
         "wigner_span": (_positive, None)}),
     "tomo-invert": (_job_tomo_invert, {
         "sinogram": (_existing_file, _NO_DEFAULT), "grid": (_parse_phase_grid, _NO_DEFAULT),

@@ -8,6 +8,10 @@ The Wigner density is
 
 normalized so that the integral of W dp dq / (2pi)^N is one.
 
+Gaussian dyads.  W = Re sum_k exp(l_k) G(Q; m_k + i n_k, M) has one real term for a Gaussian
+state, three for a cat; with d = Q - m a term is exp(Re l - (d.M^-1.d - n.M^-1.n + log det M)/2)
+cos(Im l + n.M^-1.d).  Q(beta) is the same sum with M + I/2 at Q = sqrt(2) (Im beta, Re beta).
+
 Q-function parametrization.  With B = (beta_1..beta_N, beta_1*..beta_N*)
 and U the unitary with Q_beta = U B, completing the square in
 
@@ -40,6 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +58,7 @@ QREP_CONVENTION = ("R=2U^T(2M+I)^{-1}U-sigma_Nx; Ry=2U^T(2M+I)^{-1}<Q>; "
 _NEGATIVE_PROB_TOL = 1e-12
 _DEFAULT_MASS_TOL = 1e-10
 _DEFAULT_DEGREE_CAP = 64
+_POINT_BLOCK = 8192  # phase-space points per pass of the dyad kernel
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,18 @@ class GaussianState:
     @property
     def n_modes(self) -> int:
         return self.mean.shape[0] // 2
+
+    def dyads(self) -> GaussianDyads:
+        """One real term: log weight 0, the state's mean and dispersion matrix."""
+        return GaussianDyads(np.zeros(1, dtype=complex), self.mean[np.newaxis] + 0j, self.disp)
+
+
+class GaussianDyads(NamedTuple):
+    """Re sum_k exp(l_k) G(Q; mu_k, disp) with complex l (K,) and mu (K, 2N), one real disp."""
+
+    log_weights: np.ndarray
+    means: np.ndarray
+    disp: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -173,19 +191,39 @@ def validate_state(s: GaussianState) -> StateDiagnostics:
     return StateDiagnostics(defect, min_eig, purity, min_eig >= -1e-10)
 
 
-def wigner_eval(s: GaussianState, Q) -> np.ndarray | float:
-    """Wigner density at phase-space points Q of shape (..., 2N)."""
+def _dyad_sum(log_weights, d2, n2, dn):
+    """Re sum_k exp(l_k - (d2_k - n2_k) / 2 + i dn_k) over the leading (term) axis: d and n
+    are a term's whitened offset from the real part of its mean and its imaginary part."""
+    return (np.exp(log_weights.real + 0.5 * (n2 - d2)) * np.cos(log_weights.imag + dn)).sum(0)
+
+
+def _density(dyads: GaussianDyads, Q, noise: float) -> np.ndarray | float:
+    """The dyads' density with dispersion disp + noise I at points Q of shape (..., 2N)."""
     Q = np.asarray(Q, dtype=float)
-    if Q.shape[-1] != 2 * s.n_modes:
-        raise ValueError(f"points must have last dimension {2 * s.n_modes}")
-    sign, logdet = np.linalg.slogdet(s.disp)
+    dim = dyads.disp.shape[0]
+    if Q.shape[-1] != dim:
+        raise ValueError(f"points must have last dimension {dim}")
+    V = dyads.disp + noise * np.eye(dim)
+    sign, logdet = np.linalg.slogdet(V)
     if sign <= 0:
         raise ValueError("dispersion matrix is singular or not positive definite")
-    diff = Q - s.mean
-    sol = np.linalg.solve(s.disp, diff[..., np.newaxis])[..., 0]
-    quad = np.einsum("...i,...i->...", diff, sol)
-    out = np.exp(-0.5 * quad - 0.5 * logdet)
+    white = np.linalg.inv(np.linalg.cholesky(V))  # |white @ x|^2 = x.V^-1.x
+    m, n = dyads.means.real @ white.T, dyads.means.imag @ white.T
+    log_weights = (dyads.log_weights - 0.5 * logdet)[:, np.newaxis]
+    n2 = np.sum(n * n, axis=1)[:, np.newaxis]
+    out = np.empty(Q.shape[:-1])
+    flat, points = out.reshape(-1), Q.reshape(-1, dim)
+    for start in range(0, points.shape[0], _POINT_BLOCK):  # bounds the temporaries
+        block = slice(start, start + _POINT_BLOCK)
+        d = white @ points[block].T - m[:, :, np.newaxis]  # (term, 2N, point)
+        flat[block] = _dyad_sum(log_weights, np.einsum("kjp,kjp->kp", d, d), n2,
+                                np.einsum("kjp,kj->kp", d, n))
     return out if out.ndim else float(out)
+
+
+def wigner_eval(state, Q) -> np.ndarray | float:
+    """Wigner density of a Gaussian or cat state at phase-space points Q of shape (..., 2N)."""
+    return _density(state.dyads(), Q, 0.0)
 
 
 def to_qrep(s: GaussianState) -> QRep:
@@ -226,23 +264,13 @@ def from_qrep(rep: QRep) -> GaussianState:
     return GaussianState(mean_c.real, 0.5 * (M + M.T))
 
 
-def q_eval(s: GaussianState, beta) -> np.ndarray | float:
-    """Husimi function <beta|rho|beta> at coherent labels beta of shape (..., N)."""
-    rep = to_qrep(s)
-    n = s.n_modes
-    beta = np.asarray(beta, dtype=complex)
-    if beta.ndim == 0:
-        beta = beta.reshape(1)
-    if beta.shape[-1] != n:
-        raise ValueError(f"beta must have last dimension {n}")
-    B = np.concatenate([beta, np.conj(beta)], axis=-1)
-    kernel = rep.R + block_swap(n)
-    quad = np.einsum("...i,ij,...j->...", B, kernel, B)
-    val = rep.p0 * np.exp(-0.5 * quad + B @ rep.ry)
-    if np.abs(val.imag).max() > 1e-9 * max(1.0, np.abs(val.real).max()):
-        raise ConventionError("Q-function evaluated to a non-real value")
-    out = val.real
-    return out if out.ndim else float(out)
+def q_eval(state, beta) -> np.ndarray | float:
+    """Husimi function <beta|rho|beta> of a Gaussian or cat state at coherent labels beta of
+    shape (..., N): the vacuum-smoothed density at Q = sqrt(2) (Im beta, Re beta)."""
+    beta = np.atleast_1d(np.asarray(beta, dtype=complex))
+    if beta.shape[-1] != state.n_modes:
+        raise ValueError(f"beta must have last dimension {state.n_modes}")
+    return _density(state.dyads(), math.sqrt(2.0) * np.concatenate([beta.imag, beta.real], -1), 0.5)
 
 
 def from_pure_gaussian(spec: PureGaussianSpec) -> GaussianState:

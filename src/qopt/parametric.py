@@ -116,10 +116,11 @@ class EpsilonTrajectory:
     def __init__(self, flow: SymplecticFlow, profile: FrequencyProfile):
         self.flow, self.profile = flow, profile
         self.ts, self.error_estimate = flow.ts, flow.error_estimate
-        # -2i det Lam at the step boundaries, so this is 2 max |det Lam - 1|
+        # -2i det Lam, scaled by max(1, |eps|) max(1, |epsdot|): finite wherever the rows are
         eps, epsdot = self.at(self.ts)
-        wron = eps * np.conj(epsdot) - np.conj(eps) * epsdot
-        self.wronskian_defect = float(np.abs(wron + 2j).max())
+        a, b = np.maximum(1.0, np.abs(eps)), np.maximum(1.0, np.abs(epsdot))
+        wron = (eps / a) * np.conj(epsdot / b) - np.conj(eps / a) * (epsdot / b)
+        self.wronskian_defect = float(np.abs(wron + 2j / a / b).max())
         # by Sturm comparison the phase of eps needs at least pi/w_max to advance by pi,
         # so at a spacing of (pi/2)/w_max it turns by less than pi between samples
         w2_max = max(map(profile, np.union1d(self.ts, 0.5 * (self.ts[1:] + self.ts[:-1]))))

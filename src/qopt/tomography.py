@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import GaussianState
+from .gaussian import _dyad_sum
 # the CSV writers live in qopt.io; they stay importable from here
 from .io import (PHASE_SPACE_HEADER, SINOGRAM_HEADER, read_lattice,  # noqa: F401
                  sinogram_to_csv, wigner_grid_to_csv)
@@ -131,18 +131,6 @@ def wigner_grid_from_callable(f, q_grid, p_grid) -> WignerGrid:
     return WignerGrid(q, p, np.asarray(f(qq, pp), dtype=float))
 
 
-def forward_marginal_gaussian(state: GaussianState, theta: float) -> tuple[float, float]:
-    """(mean, variance) of X(Theta) for a one-mode Gaussian state, closed form."""
-    if state.n_modes != 1:
-        raise ValueError("closed-form marginal requires a single mode")
-    c, s = math.cos(theta), math.sin(theta)
-    p_mean, q_mean = state.mean
-    mean = q_mean * c - p_mean * s
-    var = (state.disp[1, 1] * c * c + state.disp[0, 0] * s * s
-           - 2.0 * state.disp[0, 1] * s * c)
-    return float(mean), float(var)
-
-
 def _projector(grid: WignerGrid):
     """``project(theta, x)``: line integrals of W / (2 pi) along X(theta) = x (module doc)."""
     from scipy.ndimage import spline_filter1d
@@ -180,15 +168,24 @@ def _projector(grid: WignerGrid):
     return project
 
 
-def gaussian_sinogram(state: GaussianState, theta_grid, x_grid) -> Sinogram:
-    """Exact sinogram of a one-mode Gaussian state from closed-form marginals."""
+def gaussian_sinogram(state, theta_grid, x_grid) -> Sinogram:
+    """Exact sinogram of a one-mode Gaussian or cat state: each of its Gaussian dyads has
+    the 1-D marginal of mean u.mu and variance u.disp.u, u = (-sin theta, cos theta)."""
+    if state.n_modes != 1:
+        raise ValueError("closed-form marginal requires a single mode")
+    dyads = state.dyads()
     theta_grid = np.asarray(theta_grid, dtype=float)
-    x_grid = _check_uniform(np.asarray(x_grid, dtype=float), "x_grid")
-    values = np.empty((theta_grid.shape[0], x_grid.shape[0]))
-    for i, theta in enumerate(theta_grid):
-        mean, var = forward_marginal_gaussian(state, theta)
-        values[i] = np.exp(-(x_grid - mean) ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-    return Sinogram(theta_grid, x_grid, values)
+    x_grid = _check_uniform(x_grid, "x_grid")
+    # arrays broadcast over (term, angle, x)
+    c, s = np.cos(theta_grid)[:, np.newaxis], np.sin(theta_grid)[:, np.newaxis]
+    (v_pp, v_pq), (_, v_qq) = dyads.disp
+    var = v_qq * c * c + v_pp * s * s - 2.0 * v_pq * s * c
+    m_p, m_q = dyads.means.real.T[:, :, np.newaxis, np.newaxis]
+    n_p, n_q = dyads.means.imag.T[:, :, np.newaxis, np.newaxis]
+    d, n = x_grid - (m_q * c - m_p * s), n_q * c - n_p * s
+    values = _dyad_sum(dyads.log_weights[:, np.newaxis, np.newaxis], d * d / var,
+                       n * n / var, n * d / var)
+    return Sinogram(theta_grid, x_grid, values / np.sqrt(2.0 * np.pi * var))
 
 
 def forward_marginal_numeric(grid: WignerGrid, theta_grid, x_grid=None,

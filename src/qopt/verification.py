@@ -15,13 +15,12 @@ from .cats import CatState, cat_moments, cat_pnd
 from .dynamics import (QuadraticHamiltonian, flow_expm, free_particle, harmonic_oscillator,
                        integrate_symplectic_flow)
 from .gaussian import (GaussianState, from_qrep, make_coherent, make_thermal_oscillator,
-                       photon_pnd, q_eval, to_qrep)
+                       photon_pnd, q_eval, to_qrep, wigner_eval)
 from .hermite import HermiteParams, mv_hermite_eval
 from .matrices import symplectic_metric
 from .parametric import (preset_profile, solve_epsilon, squeezed_vacuum_pnd,
                          tabulated_profile, to_gaussian_state)
 from .tomography import gaussian_sinogram, inverse_radon, wigner_grid_from_callable
-from .gaussian import wigner_eval
 
 
 def _check(name, measured, tolerance):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from qopt.cats import CatState, cat_moments, cat_pnd, cat_wigner_eval
+from qopt.cats import CatState, cat_moments, cat_pnd
 from qopt.cli import execute_job, parse_config, write_output
 from qopt.dynamics import (fock_basis_propagator, free_particle, harmonic_oscillator,
                            integrate_symplectic_flow, invariant_residual_check,
@@ -20,13 +20,12 @@ from qopt.gaussian import (make_coherent, make_squeezed_vacuum, make_thermal_osc
 from qopt.hermite import HermiteParams, OverlapSpec, gaussian_hermite_overlap, mv_hermite_eval
 from qopt.parametric import (expression_profile, preset_profile, solve_epsilon,
                              squeezed_vacuum_pnd, tabulated_profile, to_gaussian_state)
-from qopt.tomography import gaussian_sinogram, inverse_radon, wigner_grid_from_callable
+from qopt.tomography import Sinogram, gaussian_sinogram, inverse_radon, wigner_grid_from_callable
 from qopt.dynamics import evolve_gaussian
 
-from oracles import (PRESET_OMEGA_SQUARED, closed_form_epsilon, gauss_box, hermite_by_series,
-                     trapz_nd)
+from oracles import (PRESET_OMEGA_SQUARED, cat_marginal, closed_form_epsilon, gauss_box,
+                     hermite_by_series, trapz_nd)
 from test_dynamics import semigroup_defect
-from test_tomography import even_cat_sinogram
 
 
 def _report(num, name, measured, bound, passed=None):
@@ -234,7 +233,7 @@ def test_criterion_07_cats():
     coupling_margin = abs(joint[(1, 1)] - marg1[1] * marg2[1])
     coupling_ok = coupling_margin >= 1e-3
 
-    wigner_origin = cat_wigner_eval(CatState([1.2], "odd"), [0.0], [0.0])
+    wigner_origin = wigner_eval(CatState([1.2], "odd"), [0.0, 0.0])
     negativity_ok = wigner_origin < 0.0
     _report(7, "cat statistics", norm_defect, 1e-9,
             passed=(norm_ok and mandel_ok and coupling_ok and negativity_ok))
@@ -247,17 +246,16 @@ def test_criterion_08_tomography_round_trip():
 
     cases = []
     for state in (make_coherent(0.0), make_squeezed_vacuum(1.0)):
-        fn = lambda q, p, s=state: wigner_eval(s, np.stack([p, q], axis=-1))
-        cases.append((gaussian_sinogram(state, thetas, x_grid), fn))
+        cases.append((gaussian_sinogram(state, thetas, x_grid), state))
     alpha = 1.2
-    cat = CatState([alpha], "even")
-    cases.append((even_cat_sinogram(alpha, thetas, x_grid),
-                  lambda q, p: cat_wigner_eval(cat, q[..., np.newaxis], p[..., np.newaxis])))
+    cat_rows = [cat_marginal(alpha, "even", theta, x_grid) for theta in thetas]
+    cases.append((Sinogram(thetas, x_grid, cat_rows), CatState([alpha], "even")))
 
     worst = 0.0
-    for sino, truth_fn in cases:
+    for sino, state in cases:
         rec = inverse_radon(sino, x_grid, x_grid, reg_s=1e-2)
-        truth = wigner_grid_from_callable(truth_fn, x_grid, x_grid)
+        truth = wigner_grid_from_callable(
+            lambda q, p: wigner_eval(state, np.stack([p, q], axis=-1)), x_grid, x_grid)
         worst = max(worst, np.abs(rec.values - truth.values).max()
                     / np.abs(truth.values).max())
     elapsed = time.monotonic() - start

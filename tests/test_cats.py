@@ -8,13 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qopt.cats import (CatState, cat_from_dict, cat_ladder_apply, cat_moments,
-                       cat_normalization, cat_pnd, cat_pnd_table, cat_q_eval, cat_to_dict,
-                       cat_total_pnd, cat_wigner_eval)
+                       cat_normalization, cat_pnd, cat_pnd_table, cat_to_dict, cat_total_pnd)
 from qopt.errors import ResourceLimitError
-from qopt.gaussian import make_coherent, wigner_eval
+from qopt.gaussian import make_coherent, q_eval, wigner_eval
 from qopt.hermite import BOX_ENTRY_CAP
 
-from oracles import cat_pnd_by_index, trapz_nd
+from oracles import cat_pnd_by_index, cat_q, trapz_nd
+
+
+def cat_wigner(c, q, p):
+    """W at quadratures q and p of shape (..., N), through the (p..., q...) point order."""
+    return wigner_eval(c, np.concatenate([np.asarray(p, dtype=float),
+                                          np.asarray(q, dtype=float)], axis=-1))
 
 
 def pnd_series(c, max_total=60):
@@ -69,7 +74,8 @@ class TestLargeAmplitude:
             env = mpmath.cosh(beta.conjugate() * 30) if parity == "even" \
                 else mpmath.sinh(beta.conjugate() * 30)
             q = 4 * norm ** 2 * mpmath.exp(-(x + abs(beta) ** 2)) * abs(env) ** 2
-            assert cat_q_eval(c, [29.5 + 0.3j]) == pytest.approx(float(q), rel=1e-12)
+            assert q_eval(c, [29.5 + 0.3j]) == pytest.approx(float(q), rel=1e-12)
+            assert cat_q(c, [29.5 + 0.3j]) == pytest.approx(float(q), rel=1e-12)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_shell_mass_sums_to_one(self, parity):
@@ -246,10 +252,10 @@ class TestMoments:
 
 class TestQFunction:
     def test_odd_vanishes_at_origin(self):
-        assert cat_q_eval(CatState([1.0], "odd"), [0.0]) == pytest.approx(0.0, abs=1e-15)
+        assert q_eval(CatState([1.0], "odd"), [0.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_even_origin_value(self):
-        got = cat_q_eval(CatState([1.0], "even"), [0.0])
+        got = q_eval(CatState([1.0], "even"), [0.0])
         assert got == pytest.approx(1 / math.cosh(1.0), rel=1e-12)
         assert got == pytest.approx(0.6481, abs=2e-4)
 
@@ -257,7 +263,14 @@ class TestQFunction:
         rng = np.random.default_rng(6)
         c = CatState([1.3, -0.7j], "odd")
         betas = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
-        assert np.all(cat_q_eval(c, betas) >= 0.0)
+        assert np.all(q_eval(c, betas) >= 0.0)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_two_mode_matches_closed_form(self, parity):
+        rng = np.random.default_rng(8)
+        c = CatState([0.9 + 0.3j, 0.4 - 0.7j], parity)
+        betas = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
+        np.testing.assert_allclose(q_eval(c, betas), cat_q(c, betas), rtol=1e-12, atol=0)
 
     def test_normalization_by_quadrature(self):
         c = CatState([1.2], "even")
@@ -265,7 +278,7 @@ class TestQFunction:
         im = np.linspace(-5, 5, 321)
 
         def f(x, y):
-            return cat_q_eval(c, (x + 1j * y)[..., np.newaxis])
+            return q_eval(c, (x + 1j * y)[..., np.newaxis])
 
         total = trapz_nd(f, [re, im]) / np.pi
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -277,13 +290,12 @@ class TestWigner:
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(50, 1))
         pts2 = rng.normal(size=(50, 1))
-        assert np.allclose(cat_wigner_eval(c, pts, pts2),
-                           cat_wigner_eval(c, -pts, -pts2), atol=1e-12)
+        assert np.allclose(cat_wigner(c, pts, pts2), cat_wigner(c, -pts, -pts2), atol=1e-12)
 
     def test_odd_negative_at_origin(self):
         for alpha in [0.5, 1.0, 1.5]:
             c = CatState([alpha], "odd")
-            val = cat_wigner_eval(c, [0.0], [0.0])
+            val = cat_wigner(c, [0.0], [0.0])
             norm = cat_normalization(c)
             want = 4.0 * norm * norm * (math.exp(-2 * alpha ** 2) - 1.0)
             assert val == pytest.approx(want, rel=1e-10)
@@ -293,7 +305,7 @@ class TestWigner:
         c = CatState([1e-6], "even")
         vac = make_coherent(0.0)
         for q, p in [(0.0, 0.0), (0.7, -0.4)]:
-            assert cat_wigner_eval(c, [q], [p]) == pytest.approx(
+            assert cat_wigner(c, [q], [p]) == pytest.approx(
                 wigner_eval(vac, [p, q]), abs=1e-5)
 
     def test_normalization_by_quadrature(self):
@@ -302,7 +314,7 @@ class TestWigner:
         p = np.linspace(-7, 7, 501)
 
         def f(qq, pp):
-            return cat_wigner_eval(c, qq[..., np.newaxis], pp[..., np.newaxis])
+            return cat_wigner(c, qq[..., np.newaxis], pp[..., np.newaxis])
 
         total = trapz_nd(f, [q, p]) / (2 * np.pi)
         assert total == pytest.approx(1.0, abs=1e-8)
@@ -311,9 +323,15 @@ class TestWigner:
         # along q = 0 the even cat oscillates in p with negative excursions
         c = CatState([1.5], "even")
         p = np.linspace(-2, 2, 201)
-        vals = cat_wigner_eval(c, np.zeros((201, 1)), p[:, np.newaxis])
+        vals = cat_wigner(c, np.zeros((201, 1)), p[:, np.newaxis])
         assert vals.min() < -0.1
         assert vals.max() > 1.0
+
+    @pytest.mark.parametrize("parity, sign", [("even", 1.0), ("odd", -1.0)])
+    def test_two_mode_origin_is_parity(self, parity, sign):
+        # W(0) = 2^N <(-1)^n>, and a cat's photon-number parity is pure
+        c = CatState([0.9 + 0.3j, 0.4 - 0.7j], parity)
+        assert cat_wigner(c, [0.0, 0.0], [0.0, 0.0]) == pytest.approx(4.0 * sign, rel=1e-12)
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 import qopt
 from qopt.cli import ConfigError, execute_job, main, parse_config, write_output
+
+from oracles import cat_marginal
 
 
 def run_cli(tmp_path, command, config=None, extra=None):
@@ -122,6 +125,15 @@ class TestJobs:
         assert meta["wronskian_defect"] < 1e-7
         assert meta["error_estimate"] == 0.0  # one exact step
 
+    def test_epsilon_defect_stays_finite_with_the_rows(self, tmp_path):
+        # at t_end = 400 the rows are finite (e^400 ~ 5e173) although eps * conj(epsdot) is
+        # not; the defect is taken relative to the scale of those products
+        config = {"profile": {"preset": "repulsive"}, "t_end": 400.0, "num": 3}
+        assert run_cli(tmp_path, "epsilon", config) == 0
+        meta = json.loads((tmp_path / "out" / "epsilon.meta.json").read_text())
+        assert meta["wronskian_defect"] < 1e-13
+        assert "warnings" not in meta
+
     def test_epsilon_table_reports_error_estimate(self, tmp_path):
         config = {"profile": {"table": [[0, 1], [6, 0.7], [13, 1.3], [20, 0.9]]}, "t_end": 20.0}
         assert run_cli(tmp_path, "epsilon", config) == 0
@@ -148,6 +160,25 @@ class TestJobs:
         _, rows = read_csv(tmp_path / "out" / "wigner_reconstructed.csv")
         center = rows[np.abs(rows[:, 0]) + np.abs(rows[:, 1]) < 1e-9]
         assert center[0, 2] == pytest.approx(2.0, abs=0.1)
+
+    def test_tomo_forward_cat_is_exact_by_default(self, tmp_path):
+        config = {"state": {"kind": "cat", "A": [[1.5, 0.0]], "parity": "odd"}, "n_angles": 12}
+        assert run_cli(tmp_path, "tomo-forward", config) == 0
+        assert json.loads((tmp_path / "out" / "tomo-forward.meta.json").read_text())[
+            "method"] == "exact"
+        _, rows = read_csv(tmp_path / "out" / "sinogram.csv")
+        want = [cat_marginal(1.5, "odd", theta, x) for theta, x, _ in rows]
+        assert np.abs(rows[:, 2] - want).max() < 1e-12
+
+    def test_qfunc_strongly_squeezed_vacuum(self, tmp_path):
+        r = 16.5
+        config = {"state": {"kind": "squeezed_vacuum", "r": r},
+                  "grid": {"q": {"min": -1, "max": 1, "num": 3},
+                           "p": {"min": -1, "max": 1, "num": 3}}}
+        assert run_cli(tmp_path, "qfunc", config) == 0
+        _, rows = read_csv(tmp_path / "out" / "qfunc.csv")
+        want = ((math.exp(2 * r) + 1) * (math.exp(-2 * r) + 1) / 4) ** -0.5
+        assert rows[4, 2] == pytest.approx(want, rel=1e-12)  # the origin
 
     def test_verify_command(self, tmp_path, capsys):
         assert run_cli(tmp_path, "verify") == 0
@@ -355,7 +386,7 @@ class TestDeterminismAndErrors:
         ("pnd", {"state": _CAT2, "max_total": 4}, "cat_pnd_table", "pnd.csv"),
         ("cat", {"state": _CAT2, "max_total": 4}, "cat_pnd_table", "cat_pnd.csv"),
         ("wigner", {"state": _CAT1, "grid": {"q": [0.0, 1.0], "p": [0.0, 1.0]}},
-         "cat_wigner_eval", "wigner.csv"),
+         "wigner_eval", "wigner.csv"),
         ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
                     "hamiltonian": {"preset": "oscillator"}, "t_end": 1.0, "num": 3},
          "evolve_gaussian", "evolve.csv"),
@@ -415,18 +446,29 @@ class TestDeterminismAndErrors:
         assert "t=" in err["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_failed_job_reports_its_warnings(self, tmp_path, capsys):
-        # at t_end = 400 the rows are finite (e^400 ~ 5e173), but the Wronskian's products
-        # overflow; the overflow warnings explain why the sidecar number is not finite
-        config = {"profile": {"preset": "repulsive"}, "t_end": 400.0, "num": 3}
+    def test_failed_job_reports_its_warnings(self, tmp_path, capsys, monkeypatch):
+        # a job that warns and then fails on a non-finite sidecar number prints its warnings
+        # before the error line
+        import qopt.cli
+
+        real = qopt.cli.solve_epsilon
+
+        def overflowing(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            warnings.warn("overflow encountered in multiply", RuntimeWarning)
+            traj.wronskian_defect = math.inf
+            return traj
+
+        monkeypatch.setattr(qopt.cli, "solve_epsilon", overflowing)
+        config = {"profile": {"preset": "repulsive"}, "t_end": 6.0, "num": 3}
         assert run_cli(tmp_path, "epsilon", config) == 1
         *warned, last = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert last["error"]["type"] == "NonFiniteError"
         assert last["error"]["message"].startswith("epsilon.meta.json")
         assert "wronskian_defect" in last["error"]["message"]
         assert not (tmp_path / "out").exists()
-        assert warned and all(doc["warning"]["category"] == "RuntimeWarning" for doc in warned)
-        assert any("overflow" in doc["warning"]["message"] for doc in warned)
+        assert warned == [{"warning": {"category": "RuntimeWarning",
+                                       "message": "overflow encountered in multiply"}}]
 
     def test_underflowing_vacuum_probability_fails(self, tmp_path, capsys):
         # p0 = exp(-900) is 0 in double precision, so every probability would read 0
@@ -488,6 +530,8 @@ def test_readme_field_table_matches_parser():
             assert text == "required", key
         elif isinstance(default, bool):
             assert text == json.dumps(default), key
+        elif isinstance(default, str):
+            assert text == f"`{default}`", key
         elif isinstance(default, np.ndarray):
             grid = json.loads(text.strip("`"))
             assert np.array_equal(default, np.linspace(grid["min"], grid["max"], grid["num"]))

@@ -123,6 +123,16 @@ class TestWigner:
         total = np.trapezoid(np.trapezoid(vals, q, axis=1), p) / (2 * np.pi)
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_matches_quadratic_form(self, n_modes):
+        rng = np.random.default_rng(40 + n_modes)
+        s = random_valid_state(n_modes, rng)
+        pts = s.mean + rng.normal(size=(50, 2 * n_modes))
+        diff = pts - s.mean
+        quad = np.einsum("ki,ki->k", diff, np.linalg.solve(s.disp, diff.T).T)
+        want = np.exp(-0.5 * quad) / math.sqrt(np.linalg.det(s.disp))
+        np.testing.assert_allclose(wigner_eval(s, pts), want, rtol=1e-12, atol=0)
+
 
 class TestQRep:
     def test_vacuum(self):
@@ -246,6 +256,12 @@ class TestQFunction:
 
             want = trapz_nd(f, [p, q]) / np.pi
             assert q_eval(s, [beta]) == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("r", [15.0, 16.5, 18.0])
+    def test_strongly_squeezed_vacuum(self, r):
+        # Q(0) = det(M + I/2)^{-1/2}; the state is physical however large r is
+        want = ((math.exp(2 * r) + 1) * (math.exp(-2 * r) + 1) / 4) ** -0.5
+        assert q_eval(make_squeezed_vacuum(r), [0.0]) == pytest.approx(want, rel=1e-12)
 
 
 class TestPureGaussian:

@@ -6,82 +6,74 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import cat_marginal
-from qopt.cats import CatState, cat_wigner_eval
+from qopt.cats import CatState
 from qopt.gaussian import (GaussianState, make_coherent, make_squeezed_vacuum,
                            make_thermal_oscillator, wigner_eval)
-from qopt.tomography import (Sinogram, WignerGrid, forward_marginal_gaussian,
-                             forward_marginal_numeric, gaussian_sinogram, inverse_radon,
-                             sinogram_from_csv, sinogram_to_csv, symplectic_marginal,
-                             wigner_from_symplectic, wigner_grid_from_callable,
-                             wigner_grid_from_csv, wigner_grid_to_csv)
+from qopt.tomography import (Sinogram, WignerGrid, forward_marginal_numeric, gaussian_sinogram,
+                             inverse_radon, sinogram_from_csv, sinogram_to_csv,
+                             symplectic_marginal, wigner_from_symplectic,
+                             wigner_grid_from_callable, wigner_grid_from_csv, wigner_grid_to_csv)
 
 
-def gaussian_wigner_fn(state):
+def wigner_fn(state):
     return lambda q, p: wigner_eval(state, np.stack([p, q], axis=-1))
 
 
-def cat_wigner_fn(c):
-    return lambda q, p: cat_wigner_eval(c, q[..., np.newaxis], p[..., np.newaxis])
+def normal_pdf(x, mean, var):
+    return np.exp(-(x - mean) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var)
 
 
-def even_cat_sinogram(alpha, theta_grid, x_grid):
-    """Exact marginals of the even-cat Wigner density for real alpha.
-
-    Each dyad kernel is Gaussian, so the line integral is closed form: two
-    displaced Gaussians plus a damped fringe term.
-    """
-    a2 = alpha * alpha
-    norm2 = 1.0 / (2.0 * (1.0 + math.exp(-2.0 * a2)))
-    values = np.empty((len(theta_grid), len(x_grid)))
-    for i, theta in enumerate(theta_grid):
-        c, s = math.cos(theta), math.sin(theta)
-        g_plus = np.exp(-(x_grid - math.sqrt(2) * alpha * c) ** 2)
-        g_minus = np.exp(-(x_grid + math.sqrt(2) * alpha * c) ** 2)
-        fringe = (2.0 * np.exp(-x_grid ** 2) * math.exp(-2 * a2 * c * c)
-                  * np.cos(2 * math.sqrt(2) * alpha * x_grid * s))
-        values[i] = norm2 * (g_plus + g_minus + fringe) / math.sqrt(math.pi)
-    return Sinogram(np.asarray(theta_grid), np.asarray(x_grid), values)
+def cat_marginals(amplitude, parity, thetas, x):
+    return np.array([cat_marginal(amplitude, parity, t, x) for t in thetas])
 
 
 class TestForwardGaussian:
+    x_grid = np.linspace(-8, 8, 161)
+
     def test_vacuum_isotropic(self):
-        s = make_coherent(0.0)
-        for theta in np.linspace(0, math.pi, 7, endpoint=False):
-            mean, var = forward_marginal_gaussian(s, theta)
-            assert mean == pytest.approx(0.0, abs=1e-14)
-            assert var == pytest.approx(0.5, abs=1e-14)
+        thetas = np.linspace(0, math.pi, 7, endpoint=False)
+        sino = gaussian_sinogram(make_coherent(0.0), thetas, self.x_grid)
+        assert np.abs(sino.values - normal_pdf(self.x_grid, 0.0, 0.5)).max() < 1e-14
 
     def test_squeezed_axes(self):
         s = make_squeezed_vacuum(0.8)
-        _, var0 = forward_marginal_gaussian(s, 0.0)
-        _, var90 = forward_marginal_gaussian(s, math.pi / 2)
-        assert var0 == pytest.approx(s.disp[1, 1], rel=1e-12)
-        assert var90 == pytest.approx(s.disp[0, 0], rel=1e-12)
+        sino = gaussian_sinogram(s, [0.0, math.pi / 2], self.x_grid)
+        for row, var in zip(sino.values, (s.disp[1, 1], s.disp[0, 0])):
+            np.testing.assert_allclose(row, normal_pdf(self.x_grid, 0.0, var), rtol=1e-12)
 
     def test_mean_rotation(self):
         s = make_coherent(1.0 + 0.5j)
         theta = 0.7
-        mean, _ = forward_marginal_gaussian(s, theta)
-        want = s.mean[1] * math.cos(theta) - s.mean[0] * math.sin(theta)
-        assert mean == pytest.approx(want, rel=1e-12)
+        row = gaussian_sinogram(s, [theta], self.x_grid).values[0]
+        mean = s.mean[1] * math.cos(theta) - s.mean[0] * math.sin(theta)
+        np.testing.assert_allclose(row, normal_pdf(self.x_grid, mean, 0.5), rtol=1e-12)
 
     def test_matches_line_integral_of_wigner(self):
         s = GaussianState([0.3, -0.5], [[0.8, 0.2], [0.2, 0.5]])
         theta = 0.9
-        mean, var = forward_marginal_gaussian(s, theta)
         xs = np.linspace(-2, 2, 5)
+        row = gaussian_sinogram(s, [theta], xs).values[0]
         vs = np.linspace(-12, 12, 2001)
         c, sn = math.cos(theta), math.sin(theta)
-        for x in xs:
+        for x, want in zip(xs, row):
             line = wigner_eval(s, np.stack(
                 [-x * sn + vs * c, x * c + vs * sn], axis=-1))
             got = np.trapezoid(line, vs) / (2 * math.pi)
-            want = math.exp(-(x - mean) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var)
             assert got == pytest.approx(want, abs=1e-6)
 
     def test_rejects_multimode(self):
         with pytest.raises(ValueError):
-            forward_marginal_gaussian(make_coherent([1.0, 0.5]), 0.0)
+            gaussian_sinogram(make_coherent([1.0, 0.5]), [0.0], self.x_grid)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("modulus", [0.3, 1.5, 2.5])
+    @pytest.mark.parametrize("phase", [0.0, 0.7, math.pi / 2])
+    def test_cat_matches_wavefunction_oracle(self, parity, modulus, phase):
+        amplitude = modulus * complex(math.cos(phase), math.sin(phase))
+        thetas = np.arange(36) * math.pi / 36
+        x = np.linspace(-12, 12, 257)
+        sino = gaussian_sinogram(CatState([amplitude], parity), thetas, x)
+        assert np.abs(sino.values - cat_marginals(amplitude, parity, thetas, x)).max() < 1e-13
 
 
 class TestForwardNumeric:
@@ -90,7 +82,7 @@ class TestForwardNumeric:
         self.thetas = np.linspace(0, math.pi, 40, endpoint=False)
 
     def test_vacuum_slices_angle_independent(self):
-        w = wigner_grid_from_callable(gaussian_wigner_fn(make_coherent(0.0)),
+        w = wigner_grid_from_callable(wigner_fn(make_coherent(0.0)),
                                       self.grid, self.grid)
         sino = forward_marginal_numeric(w, self.thetas)
         spread = np.abs(sino.values - sino.values[0]).max()
@@ -98,18 +90,14 @@ class TestForwardNumeric:
 
     def test_matches_closed_form(self):
         s = GaussianState([0.4, 0.8], [[0.9, -0.15], [-0.15, 0.45]])
-        w = wigner_grid_from_callable(gaussian_wigner_fn(s), self.grid, self.grid)
+        w = wigner_grid_from_callable(wigner_fn(s), self.grid, self.grid)
         sino = forward_marginal_numeric(w, self.thetas)
-        worst = 0.0
-        for i, theta in enumerate(self.thetas):
-            mean, var = forward_marginal_gaussian(s, theta)
-            want = np.exp(-(sino.x_grid - mean) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var)
-            worst = max(worst, np.abs(sino.values[i] - want).max())
-        assert worst < 1e-5
+        want = gaussian_sinogram(s, self.thetas, sino.x_grid).values
+        assert np.abs(sino.values - want).max() < 1e-5
 
     def test_slices_normalized(self):
         s = make_thermal_oscillator(1.5)
-        w = wigner_grid_from_callable(gaussian_wigner_fn(s), self.grid, self.grid)
+        w = wigner_grid_from_callable(wigner_fn(s), self.grid, self.grid)
         sino = forward_marginal_numeric(w, self.thetas)
         masses = np.trapezoid(sino.values, sino.x_grid, axis=1)
         assert np.abs(masses - 1.0).max() < 1e-12
@@ -117,7 +105,7 @@ class TestForwardNumeric:
 
     def test_odd_cat_node_at_origin(self):
         c = CatState([1.2], "odd")
-        w = wigner_grid_from_callable(cat_wigner_fn(c), self.grid, self.grid)
+        w = wigner_grid_from_callable(wigner_fn(c), self.grid, self.grid)
         sino = forward_marginal_numeric(w, np.array([0.0]))
         mid = np.abs(sino.x_grid).argmin()
         assert abs(sino.values[0, mid]) < 1e-8
@@ -126,16 +114,16 @@ class TestForwardNumeric:
     def test_cat_oracle_matches_numeric_forward(self):
         alpha = 1.2
         fine = np.linspace(-12, 12, 769)
-        w = wigner_grid_from_callable(cat_wigner_fn(CatState([alpha], "even")), fine, fine)
+        w = wigner_grid_from_callable(wigner_fn(CatState([alpha], "even")), fine, fine)
         thetas = np.linspace(0, math.pi, 12, endpoint=False)
         x = np.linspace(-12, 12, 257)
         numeric = forward_marginal_numeric(w, thetas, x)
-        exact = even_cat_sinogram(alpha, thetas, x)
-        assert np.abs(numeric.values - exact.values).max() < 1e-4
+        exact = cat_marginals(alpha, "even", thetas, x)
+        assert np.abs(numeric.values - exact).max() < 1e-4
 
     def test_insufficient_support_rejected(self):
         tight = np.linspace(-1.5, 1.5, 31)
-        w = wigner_grid_from_callable(gaussian_wigner_fn(make_coherent(0.0)), tight, tight)
+        w = wigner_grid_from_callable(wigner_fn(make_coherent(0.0)), tight, tight)
         with pytest.raises(ValueError, match="support"):
             forward_marginal_numeric(w, self.thetas)
 
@@ -155,9 +143,9 @@ class TestForwardNumeric:
         c = CatState([amplitude], parity)
         thetas = np.array(sorted({math.pi / 4, 3 * math.pi / 4, *angles}))
         x = np.linspace(-12, 12, 257)
-        exact = np.array([cat_marginal(amplitude, parity, t, x) for t in thetas])
+        exact = cat_marginals(amplitude, parity, thetas, x)
         for q, p in self.ORACLE_GRIDS:
-            w = wigner_grid_from_callable(cat_wigner_fn(c), q, p)
+            w = wigner_grid_from_callable(wigner_fn(c), q, p)
             numeric = forward_marginal_numeric(w, thetas, x)
             assert np.abs(numeric.values - exact).max() < 1e-4 * exact.max()
             assert numeric.normalization_defects.max() < 1e-6
@@ -169,8 +157,8 @@ class TestForwardNumeric:
                         [-math.sin(shift), math.cos(shift)]])
         s0 = make_squeezed_vacuum(0.7)
         s_rot = GaussianState(rot @ s0.mean, rot @ s0.disp @ rot.T)
-        w0 = wigner_grid_from_callable(gaussian_wigner_fn(s0), self.grid, self.grid)
-        w1 = wigner_grid_from_callable(gaussian_wigner_fn(s_rot), self.grid, self.grid)
+        w0 = wigner_grid_from_callable(wigner_fn(s0), self.grid, self.grid)
+        w1 = wigner_grid_from_callable(wigner_fn(s_rot), self.grid, self.grid)
         thetas = np.linspace(0, math.pi / 2, 9)
         sino0 = forward_marginal_numeric(w0, thetas + shift)
         sino1 = forward_marginal_numeric(w1, thetas)
@@ -189,31 +177,32 @@ class TestInverseRadon:
     def test_vacuum_round_trip(self):
         s = make_coherent(0.0)
         sino = gaussian_sinogram(s, self.thetas, self.x_grid)
-        assert self.roundtrip_error(sino, gaussian_wigner_fn(s)) <= 0.02
+        assert self.roundtrip_error(sino, wigner_fn(s)) <= 0.02
 
     def test_squeezed_round_trip(self):
         s = make_squeezed_vacuum(1.0)
         sino = gaussian_sinogram(s, self.thetas, self.x_grid)
-        assert self.roundtrip_error(sino, gaussian_wigner_fn(s)) <= 0.02
+        assert self.roundtrip_error(sino, wigner_fn(s)) <= 0.02
 
     def test_even_cat_round_trip(self):
         alpha = 1.2
-        sino = even_cat_sinogram(alpha, self.thetas, self.x_grid)
-        assert self.roundtrip_error(sino, cat_wigner_fn(CatState([alpha], "even"))) <= 0.02
+        sino = Sinogram(self.thetas, self.x_grid,
+                        cat_marginals(alpha, "even", self.thetas, self.x_grid))
+        assert self.roundtrip_error(sino, wigner_fn(CatState([alpha], "even"))) <= 0.02
 
     def test_numeric_forward_round_trip(self):
         # full numeric chain stays within the same bound for smooth states
         s = make_coherent(0.9)
         fine = np.linspace(-12, 12, 513)
-        w = wigner_grid_from_callable(gaussian_wigner_fn(s), fine, fine)
+        w = wigner_grid_from_callable(wigner_fn(s), fine, fine)
         sino = forward_marginal_numeric(w, self.thetas, self.x_grid)
-        assert self.roundtrip_error(sino, gaussian_wigner_fn(s)) <= 0.02
+        assert self.roundtrip_error(sino, wigner_fn(s)) <= 0.02
 
     def test_smaller_reg_s_sharpens(self):
         # the formal limit reg_s -> 0 is approached monotonically here
         s = make_squeezed_vacuum(1.0)
         sino = gaussian_sinogram(s, self.thetas, self.x_grid)
-        truth = wigner_grid_from_callable(gaussian_wigner_fn(s), self.x_grid, self.x_grid)
+        truth = wigner_grid_from_callable(wigner_fn(s), self.x_grid, self.x_grid)
         errs = []
         for reg_s in (3e-2, 1e-2, 3e-3):
             rec = inverse_radon(sino, self.x_grid, self.x_grid, reg_s=reg_s)
@@ -225,8 +214,8 @@ class TestInverseRadon:
         full = gaussian_sinogram(s, self.thetas, self.x_grid)
         coarse_th = np.arange(33) * math.pi / 33
         coarse = gaussian_sinogram(s, coarse_th, self.x_grid)
-        err_full = self.roundtrip_error(full, gaussian_wigner_fn(s))
-        err_coarse = self.roundtrip_error(coarse, gaussian_wigner_fn(s))
+        err_full = self.roundtrip_error(full, wigner_fn(s))
+        err_coarse = self.roundtrip_error(coarse, wigner_fn(s))
         assert err_coarse > err_full
 
     def test_too_few_angles_rejected(self):
@@ -246,7 +235,7 @@ class TestSymplecticMarginal:
     def setup_method(self):
         grid = np.linspace(-10, 10, 401)
         self.w = wigner_grid_from_callable(
-            gaussian_wigner_fn(make_coherent(0.7 - 0.3j)), grid, grid)
+            wigner_fn(make_coherent(0.7 - 0.3j)), grid, grid)
 
     def test_reduces_to_theta_marginal(self):
         theta = 0.6
@@ -262,7 +251,7 @@ class TestSymplecticMarginal:
 
     def test_diagonal_direction_on_vacuum(self):
         grid = np.linspace(-9, 9, 361)
-        w = wigner_grid_from_callable(gaussian_wigner_fn(make_coherent(0.0)), grid, grid)
+        w = wigner_grid_from_callable(wigner_fn(make_coherent(0.0)), grid, grid)
         x, density = symplectic_marginal(w, 1 / math.sqrt(2), 1 / math.sqrt(2),
                                          x_grid=np.linspace(-6, 6, 241))
         want = np.exp(-x ** 2) / math.sqrt(math.pi)
@@ -276,7 +265,7 @@ class TestSymplecticMarginal:
         # X = mu q + nu p + delta is |(mu, nu)| X(theta) + delta
         amplitude, mu, nu, delta = 1.3 - 0.8j, 0.6, 1.1, 0.4
         grid = np.linspace(-12, 12, 513)
-        w = wigner_grid_from_callable(cat_wigner_fn(CatState([amplitude], "odd")), grid, grid)
+        w = wigner_grid_from_callable(wigner_fn(CatState([amplitude], "odd")), grid, grid)
         x, density = symplectic_marginal(w, mu, nu, delta, x_grid=np.linspace(-15, 15, 301))
         scale = math.hypot(mu, nu)
         want = cat_marginal(amplitude, "odd", math.atan2(-nu, mu), (x - delta) / scale) / scale
@@ -294,9 +283,7 @@ class TestWignerFromSymplectic:
     def gaussian_family(state):
         def fn(mu, nu):
             theta = math.atan2(-nu, mu)
-            mean, var = forward_marginal_gaussian(state, theta)
-            x = TestWignerFromSymplectic.x_grid
-            return np.exp(-(x - mean) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var)
+            return gaussian_sinogram(state, [theta], TestWignerFromSymplectic.x_grid).values[0]
         return fn
 
     def test_vacuum_peak(self):
@@ -344,7 +331,7 @@ class TestCsvRoundTrips:
 
     def test_wigner_grid(self, tmp_path):
         g = np.linspace(-6, 6, 33)
-        w = wigner_grid_from_callable(gaussian_wigner_fn(make_coherent(0.5)), g, g)
+        w = wigner_grid_from_callable(wigner_fn(make_coherent(0.5)), g, g)
         path = tmp_path / "w.csv"
         wigner_grid_to_csv(w, path)
         back = wigner_grid_from_csv(path)
@@ -353,7 +340,7 @@ class TestCsvRoundTrips:
     @pytest.mark.parametrize("damage", ["reordered", "missing", "duplicate"])
     def test_readers_reject_broken_lattice(self, tmp_path, damage):
         g = np.linspace(-2, 2, 5)
-        w = wigner_grid_from_callable(gaussian_wigner_fn(make_coherent(0.5)), g, g)
+        w = wigner_grid_from_callable(wigner_fn(make_coherent(0.5)), g, g)
         sino = gaussian_sinogram(make_coherent(0.5), np.arange(4) * math.pi / 4, g)
         for write, read, obj in [(wigner_grid_to_csv, wigner_grid_from_csv, w),
                                  (sinogram_to_csv, sinogram_from_csv, sino)]:
