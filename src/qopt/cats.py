@@ -4,7 +4,9 @@ A state |A+-> ~ |A> +- |-A> over the mode amplitudes A = (alpha_1..alpha_N)
 carries parity-pure photon statistics: the cosh/sinh normalization couples
 the modes, so the joint photon distribution never factorizes even though
 |A> itself is a product state.  Phase-space densities are those of three
-Gaussian dyads (``CatState.dyads``), evaluated by ``qopt.gaussian``.
+Gaussian dyads (``CatState.dyads``), and photon tables those of the state's
+photon-number shells (``CatState.photon_shells``), both evaluated by
+``qopt.gaussian``.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .gaussian import GaussianDyads
-from .hermite import BOX_ENTRY_CAP, _total_degree_indices, as_index
+from .gaussian import GaussianDyads, _entry_capped_degree
+from .hermite import _total_degree_indices, as_index
 
 _LN2 = math.log(2.0)
 
@@ -59,6 +60,15 @@ class CatState:
                              np.array([mean, -mean, shift], dtype=complex),
                              0.5 * np.eye(2 * a.size))
 
+    def photon_shells(self, max_degree: int):
+        """Iterator over the shells of total t = 0, 1, ... of pairs (indices, P), the rows of
+        ``indices`` lexicographic, up to ``max_degree`` or the last total whose table of
+        C(t + N, N) rows fits ``BOX_ENTRY_CAP``, whichever is lower."""
+        n = self.n_modes
+        top = _entry_capped_degree(max_degree, lambda t: math.comb(t + n, n))
+        shells = (_total_degree_indices(n, t, t) for t in range(top + 1))
+        return ((indices, _cat_probabilities(self, indices)) for indices in shells)
+
 
 def _log_weight(c: CatState) -> float:
     """log cosh |A|^2 for the even branch, log sinh |A|^2 for the odd one, overflow-free."""
@@ -79,20 +89,6 @@ def cat_pnd(c: CatState, n) -> float:
     return float(_cat_probabilities(c, np.array([idx], dtype=np.int64))[0])
 
 
-def cat_pnd_table(c: CatState, max_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, probabilities) of every outcome with at most max_total photons: an
-    (M, N) array ordered by total, then lexicographically, and the M probabilities.
-    Raises ``ResourceLimitError`` when M = C(max_total + N, N) exceeds ``BOX_ENTRY_CAP``."""
-    if max_total < 0:
-        raise ValueError("max_total must be nonnegative")
-    rows = math.comb(max_total + c.n_modes, c.n_modes)
-    if rows > BOX_ENTRY_CAP:
-        raise ResourceLimitError(f"{rows} photon-number rows up to total {max_total} "
-                                 f"exceed the cap {BOX_ENTRY_CAP}")
-    indices = _total_degree_indices(c.n_modes, max_total)
-    return indices, _cat_probabilities(c, indices)
-
-
 def _cat_probabilities(c: CatState, indices: np.ndarray) -> np.ndarray:
     """P(n) = prod_m |alpha_m|^(2 n_m) / n_m! / cosh |A|^2 (sinh if odd), per index row."""
     log_term = np.zeros(indices.shape[0])
@@ -109,42 +105,6 @@ def _cat_probabilities(c: CatState, indices: np.ndarray) -> np.ndarray:
     # math.exp, not np.exp: the two differ in the last bit on some arguments
     probs[possible] = [math.exp(v) for v in (log_term[possible] - _log_weight(c)).tolist()]
     return probs
-
-
-def cat_total_pnd(c: CatState, total: int) -> float:
-    """Probability of finding ``total`` photons summed over all mode splittings.
-
-    Equals (|A|^2)^total / (total! cosh |A|^2) on parity-matching totals
-    (sinh for odd), zero otherwise.
-    """
-    if total < 0:
-        raise ValueError("total must be nonnegative")
-    if total % 2 != (0 if c.parity == "even" else 1):
-        return 0.0
-    a2 = c.norm2
-    if a2 == 0.0:
-        return 1.0 if total == 0 else 0.0
-    return math.exp(total * math.log(a2) - math.lgamma(total + 1) - _log_weight(c))
-
-
-def cat_ladder_apply(c: CatState, i: int) -> tuple[complex, CatState]:
-    """Amplitude factor and flipped state of a_i acting on the superposition.
-
-    a_i |A+> = alpha_i sqrt(tanh |A|^2) |A->  and
-    a_i |A-> = alpha_i sqrt(coth |A|^2) |A+>.
-    """
-    if not 0 <= i < c.n_modes:
-        raise ValueError(f"mode index {i} out of range for {c.n_modes} modes")
-    a2 = c.norm2
-    if c.parity == "even":
-        if a2 == 0.0:
-            raise ValueError("lowering the even A = 0 state gives no normalizable odd state")
-        factor = c.amplitudes[i] * math.sqrt(math.tanh(a2))
-        flipped = CatState(c.amplitudes, "odd")
-    else:
-        factor = c.amplitudes[i] * math.sqrt(1.0 / math.tanh(a2))
-        flipped = CatState(c.amplitudes, "even")
-    return complex(factor), flipped
 
 
 @dataclass(frozen=True)

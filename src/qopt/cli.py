@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cats import CatState, cat_from_dict, cat_moments, cat_pnd_table
+from .cats import CatState, cat_from_dict, cat_moments
 from .dynamics import (FlowSample, evolve_gaussian, hamiltonian_from_dict,
                        integrate_symplectic_flow, parametric_oscillator)
 from .errors import NonFiniteError
@@ -246,22 +246,16 @@ def _grid_job(job, name: str, density_fn, title: str):
 
 
 def _job_pnd(job, artifact: str = "pnd.csv"):
-    state = job["state"]
-    if isinstance(state, CatState):
-        indices, probs = cat_pnd_table(state, job["max_total"])
-        meta = {"cumulative_probability": sum(probs.tolist()), "max_total": job["max_total"]}
-    else:
-        table = photon_pnd_table(state, mass_tol=job["mass_tol"],
-                                 degree_cap_per_mode=job["degree_cap"])
-        indices, probs = zip(*sorted(table.probabilities.items()))
-        meta = {"cumulative_probability": table.cumulative,
-                "max_total_degree": table.max_total_degree,
-                "cap_hit": table.cap_hit}
-    _check_finite(artifact, probs)
-    # rows (n_1, ..., n_N, probability): integer counts, float probabilities
-    counts = np.array(indices, dtype=np.int64)
+    table = photon_pnd_table(job["state"], mass_tol=job["mass_tol"],
+                             degree_cap_per_mode=job["degree_cap"])
+    _check_finite(artifact, table.probabilities)
+    # rows (n_1, ..., n_N, probability) in lexicographic order of the counts
+    order = np.lexsort(table.indices.T[::-1])
+    counts = table.indices[order]
     header = [f"n{j + 1}" for j in range(counts.shape[1])] + ["probability"]
-    return {artifact: format_table(header, [*counts.T, np.array(probs, dtype=float)])}, meta
+    meta = {"cumulative_probability": table.cumulative,
+            "max_total_degree": table.max_total_degree, "cap_hit": table.cap_hit}
+    return {artifact: format_table(header, [*counts.T, table.probabilities[order]])}, meta
 
 
 def _job_wigner(job):
@@ -378,8 +372,8 @@ def _plot_script(csv_name: str, n_q: int, n_p: int, title: str) -> str:
 
 _NO_DEFAULT = object()  # the default of a required field
 _STATE = (_parse_state, _NO_DEFAULT)
-_PND_FIELDS = {"state": _STATE, "max_total": (_integral(0), 32),
-               "degree_cap": (_integral(0), 64), "mass_tol": (_number(0.0, 1.0), 1e-10)}
+_PND_FIELDS = {"state": _STATE, "degree_cap": (_integral(0), 64),
+               "mass_tol": (_number(0.0, 1.0), 1e-10)}
 _GRID_FIELDS = {"state": _STATE, "grid": (_parse_phase_grid, _NO_DEFAULT),
                 "plot": (_flag, False)}
 # command -> (job, {field: (parser, default)}); a default of None is derived in the job

@@ -27,23 +27,27 @@ Both the quadratic and the linear coefficient carry (2M + I)^{-1}; the
 often-quoted variant with (I - 2M)^{-1} inside y is the same function under
 the conjugate ordering of B and is singular exactly at coherent states,
 where R vanishes while the product R y stays finite.  QRep therefore stores
-the product as ``ry`` and treats ``y`` as derived data.
+the product ``ry`` and never y.  2M + I >= I for every physical state, so
+strong squeezing leaves (2M + I)^{-1} well defined.
 
-Photon numbers.  P(n) = P0 G_(n,n) with G the renormalized Hermite family
-of (R, R y); ``qopt.hermite.hermite_diagonal`` fills only a near-diagonal
-set of indices (m, n) with |m - n|_1 <= 2, one total-degree shell at a time.  ``photon_pnd_table``
-checks the mass after each diagonal shell and stops on the mass target, the
-degree cap, or before the set behind the next shell would exceed
-``BOX_ENTRY_CAP`` entries; ``photon_pnd`` reads the same fill, so a table
-row and a single value agree bit for bit.  Photon-number mean and variance
-come in closed form from each mode's 2 x 2 marginal.
+Photon numbers.  A state yields its photon-number shells, total n = 0, 1, ...
+(``GaussianState.photon_shells``, ``CatState.photon_shells``); for a Gaussian
+state P(n) = P0 G_(n,n) with G the renormalized Hermite family of (R, R y), and
+``qopt.hermite.hermite_diagonal`` fills only a near-diagonal set of indices
+(m, n) with |m - n|_1 <= 2, one total-degree shell at a time.
+``photon_pnd_table`` runs one loop over the shells of any state: it checks
+the mass after each shell and stops on the mass target, the degree cap, or
+where the state stops its shells before its table would exceed
+``BOX_ENTRY_CAP`` entries; ``photon_pnd`` reads the same fill, so a table row
+and a single value agree bit for bit.  Photon-number mean and variance come in
+closed form from each mode's 2 x 2 marginal.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +92,28 @@ class GaussianState:
         """One real term: log weight 0, the state's mean and dispersion matrix."""
         return GaussianDyads(np.zeros(1, dtype=complex), self.mean[np.newaxis] + 0j, self.disp)
 
+    def photon_shells(self, max_degree: int):
+        """Iterator over the shells |n| = 0, 1, ... of pairs (indices, p0 G_(n,n)), the rows
+        of ``indices`` lexicographic, up to ``max_degree`` or the last degree whose
+        near-diagonal Hermite set fits ``BOX_ENTRY_CAP`` entries, whichever is lower.
+        Raises ``NonFiniteError`` when p0 underflows, so that every P(n) would read 0."""
+        rep = to_qrep(self)
+        if rep.p0 == 0.0:
+            raise NonFiniteError("vacuum probability p0 underflows to 0; every P(n) would read 0")
+        n = self.n_modes
+        top = _entry_capped_degree(max_degree, lambda d: _near_diagonal_entries(n, d))
+        return ((indices, rep.p0 * diagonal)
+                for indices, diagonal in hermite_diagonal(rep.R, rep.ry, top))
+
+
+def _entry_capped_degree(max_degree: int, entries) -> int:
+    """The highest degree up to ``max_degree`` whose photon table of ``entries(degree)``
+    entries fits ``BOX_ENTRY_CAP``: the one place where every state's ``photon_shells``
+    applies the entry cap that ``photon_pnd_table`` reports."""
+    while entries(max_degree) > BOX_ENTRY_CAP:
+        max_degree -= 1
+    return max_degree
+
 
 class GaussianDyads(NamedTuple):
     """Re sum_k exp(l_k) G(Q; mu_k, disp) with complex l (K,) and mu (K, 2N), one real disp."""
@@ -99,30 +125,27 @@ class GaussianDyads(NamedTuple):
 
 @dataclass(frozen=True)
 class QRep:
-    """Coefficients (R, y, P0) of the Gaussian Q-function exponent.
+    """Coefficients (R, R y, P0) of the Gaussian Q-function exponent.
 
-    ``ry`` is the exact linear coefficient vector of the exponent.  It equals
-    R @ y whenever R is invertible but stays finite when it is not (coherent
-    states), so every consumer reads ``ry`` rather than re-multiplying.
+    ``ry`` is the linear coefficient vector of the exponent, the product R y.  It
+    stays finite where y does not (coherent states, where R vanishes), so y itself
+    is never formed.
     """
 
     R: np.ndarray
-    y: np.ndarray
+    ry: np.ndarray
     p0: float
-    ry: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         R = check_symmetric(np.asarray(self.R, dtype=complex), tol=1e-10, name="R")
-        y = np.asarray(self.y, dtype=complex).reshape(-1)
-        if R.shape[0] != y.shape[0]:
-            raise ValueError(f"R is {R.shape} but y has length {y.shape[0]}")
+        ry = np.asarray(self.ry, dtype=complex).reshape(-1)
+        if R.shape[0] != ry.shape[0]:
+            raise ValueError(f"R is {R.shape} but ry has length {ry.shape[0]}")
         if R.shape[0] % 2 != 0:
             raise ValueError("R must be 2N x 2N")
         if not 0.0 <= self.p0 <= 1.0 + 1e-12:
             raise ValueError(f"p0 must lie in [0, 1], got {self.p0}")
-        ry = R @ y if self.ry is None else np.asarray(self.ry, dtype=complex).reshape(-1)
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "y", y)
         object.__setattr__(self, "ry", ry)
 
     @property
@@ -184,11 +207,22 @@ def validate_state(s: GaussianState) -> StateDiagnostics:
     """Symmetry defect, minimum uncertainty eigenvalue, and purity of a state."""
     n = s.n_modes
     defect = float(np.abs(s.disp - s.disp.T).max())
-    herm = s.disp + 0.5j * symplectic_metric(n)
-    min_eig = float(np.linalg.eigvalsh(herm).min())
+    min_eig = float(np.linalg.eigvalsh(s.disp + 0.5j * symplectic_metric(n)).min())
     det = np.linalg.det(s.disp)
     purity = float(np.clip((4.0 ** n * det) ** -0.5, 0.0, 1.0)) if det > 0 else 0.0
-    return StateDiagnostics(defect, min_eig, purity, min_eig >= -1e-10)
+    return StateDiagnostics(defect, min_eig, purity, _uncertainty_ok(s.disp))
+
+
+def _uncertainty_ok(disp: np.ndarray) -> bool:
+    """M + i sigma/2 >= 0, tested on D (M + i sigma/2) D with D = diag(M_jj^{-1/2}): its
+    unit diagonal keeps the rounding of its eigenvalues near 2N eps however strongly the
+    state is squeezed, where that of M + i sigma/2 itself grows with |M|."""
+    diag = np.diag(disp)
+    if diag.min() <= 0.0:
+        return False
+    w = diag ** -0.5
+    herm = w[:, np.newaxis] * (disp + 0.5j * symplectic_metric(diag.size // 2)) * w
+    return bool(np.linalg.eigvalsh(herm)[0] >= -1e-10)
 
 
 def _dyad_sum(log_weights, d2, n2, dn):
@@ -227,24 +261,18 @@ def wigner_eval(state, Q) -> np.ndarray | float:
 
 
 def to_qrep(s: GaussianState) -> QRep:
-    """Q-function coefficients (R, y, P0) of a Gaussian state."""
+    """Q-function coefficients (R, R y, P0) of a Gaussian state."""
     n = s.n_modes
     U = quadrature_rotation(n)
-    A = 2.0 * s.disp + np.eye(2 * n)
-    if np.linalg.cond(A) > 1e14:
-        raise ValueError("2M + I is numerically singular; state is not physical")
-    Ainv = np.linalg.inv(A)
+    if not _uncertainty_ok(s.disp):
+        raise ValueError("M + i sigma/2 is not positive semidefinite; state is not physical")
+    logdet = np.linalg.slogdet(s.disp + 0.5 * np.eye(2 * n))[1]
+    Ainv = np.linalg.inv(2.0 * s.disp + np.eye(2 * n))
     R = 2.0 * U.T @ Ainv @ U - block_swap(n)
     R = 0.5 * (R + R.T)
     ry = 2.0 * U.T @ (Ainv @ s.mean)
-    sign, logdet = np.linalg.slogdet(s.disp + 0.5 * np.eye(2 * n))
-    if sign <= 0:
-        raise ValueError("M + I/2 is not positive definite; state is not physical")
     p0 = math.exp(-0.5 * logdet - float(s.mean @ Ainv @ s.mean))
-    # y itself diverges when R is singular (coherent states); keep the
-    # minimum-norm solution for the carrier and the exact product in ry.
-    y = np.linalg.lstsq(R, ry, rcond=None)[0]
-    return QRep(R, y, min(p0, 1.0), ry=ry)
+    return QRep(R, ry, min(p0, 1.0))
 
 
 def from_qrep(rep: QRep) -> GaussianState:
@@ -309,61 +337,55 @@ def photon_pnd(s: GaussianState, n) -> float:
     return float(_checked_probabilities(rep.p0 * diagonal[row], indices[row])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PndTable:
-    """Photon-number probabilities by total degree, with truncation report."""
+    """Photon-number probabilities by total degree, with truncation report.
 
-    probabilities: dict[tuple[int, ...], float]
+    ``indices`` is an (M, N) array of outcomes ordered by total, then
+    lexicographically; ``probabilities`` holds their M probabilities.
+    """
+
+    indices: np.ndarray
+    probabilities: np.ndarray
     cumulative: float
     max_total_degree: int
     cap_hit: bool
 
 
-def photon_pnd_table(s: GaussianState, mass_tol: float = _DEFAULT_MASS_TOL,
+def photon_pnd_table(state, mass_tol: float = _DEFAULT_MASS_TOL,
                      degree_cap_per_mode: int = _DEFAULT_DEGREE_CAP) -> PndTable:
-    """Enumerate photon-number probabilities until mass 1 - mass_tol is covered.
+    """Enumerate the photon-number probabilities of a Gaussian or cat state until mass
+    1 - mass_tol is covered.
 
-    Enumeration walks shells of constant total photon number; it stops on the
-    mass target, on the configured degree cap, or before the near-diagonal
-    Hermite set behind the next shell would outgrow ``BOX_ENTRY_CAP`` entries,
-    whichever comes first.  A truncation is flagged in the result and warned
-    about, never silent.  A state whose vacuum probability p0 underflows raises
-    ``NonFiniteError``.
+    Enumeration walks the state's shells of constant total photon number
+    (``state.photon_shells``); it stops on the mass target, on the configured
+    degree cap, or where the state stops its shells before its table would
+    outgrow ``BOX_ENTRY_CAP`` entries, whichever comes first.  A truncation is
+    flagged in the result and warned about, never silent.
 
-    P(n) = p0 G_(n,n) is read off ``hermite_diagonal`` one shell at a time, and
-    the mass is checked after each shell; G does not depend on how far the fill
-    runs, so every row equals ``photon_pnd`` bit for bit.
+    The mass is checked after each shell, and a shell does not depend on how far
+    the enumeration runs, so every row equals ``photon_pnd`` (``cat_pnd``) bit for bit.
     """
-    n = s.n_modes
     if degree_cap_per_mode < 0:
         raise ValueError("degree_cap_per_mode must be nonnegative")
-    rep = to_qrep(s)
-    if rep.p0 == 0.0:
-        raise NonFiniteError("vacuum probability p0 underflows to 0; every P(n) would read 0")
-    cap = degree_cap_per_mode * n
-    top = cap  # the last shell within the entry cap
-    while _near_diagonal_entries(n, top) > BOX_ENTRY_CAP:
-        top -= 1
+    cap = degree_cap_per_mode * state.n_modes
     shells, cumulative = [], 0.0
-    for degree, (indices, diagonal) in enumerate(hermite_diagonal(rep.R, rep.ry, top)):
-        raw = rep.p0 * diagonal
+    for degree, (indices, raw) in enumerate(state.photon_shells(cap)):
         shells.append((indices, raw))
         for p in np.maximum(raw.real, 0.0).tolist():  # in sequence, as a row-by-row sum
             cumulative += p
         if cumulative >= 1.0 - mass_tol:
             break
     indices, raw = (np.concatenate(parts) for parts in zip(*shells))
-    probs = dict(zip(map(tuple, indices.tolist()), _checked_probabilities(raw, indices).tolist()))
-    if cumulative >= 1.0 - mass_tol:
-        return PndTable(probs, cumulative, degree, False)
-    if degree >= cap:
+    probabilities, cap_hit = _checked_probabilities(raw, indices), cumulative < 1.0 - mass_tol
+    if cap_hit and degree >= cap:
         warnings.warn(f"photon enumeration hit the degree cap {cap} "
                       f"with cumulative mass {cumulative:.12f}")
-    else:
-        warnings.warn(f"photon enumeration stopped at total degree {degree}: "
-                      f"polynomial table would exceed {BOX_ENTRY_CAP} indices "
-                      f"(cumulative mass {cumulative:.12f})")
-    return PndTable(probs, cumulative, degree, True)
+    elif cap_hit:  # the shells ended below the degree cap: _entry_capped_degree stopped them
+        warnings.warn(f"photon enumeration stopped at total degree {degree}: the state's "
+                      f"table to total degree {degree + 1} would exceed {BOX_ENTRY_CAP} "
+                      f"entries (cumulative mass {cumulative:.12f})")
+    return PndTable(indices, probabilities, cumulative, degree, cap_hit)
 
 
 def photon_moments(s: GaussianState, j: int = 0) -> tuple[float, float]:

@@ -4,7 +4,8 @@ Nothing here touches the library's recursion, overlap, flow or formatting
 code paths: the generating function is expanded by explicit polynomial
 arithmetic, integrals are done by brute-force quadrature, propagators are
 the textbook closed forms, CSV text is built one cell at a time, cat
-photon probabilities are evaluated one outcome at a time, cat homodyne
+photon probabilities are evaluated one outcome at a time, cat photon totals
+and the ladder action on a cat come in closed form, cat homodyne
 marginals come from the rotated coherent-state wavefunctions, cat Husimi
 densities from the closed form |cosh beta*.A|^2 (sinh when odd), eps(t) of a
 constant w^2 is the textbook cos/sin (cosh/sinh) solution, and flows are
@@ -17,6 +18,7 @@ import math
 
 import numpy as np
 
+from qopt.cats import CatState
 from qopt.errors import CausticError
 from qopt.hermite import as_index
 
@@ -143,6 +145,32 @@ def cat_pnd_by_index(c, n) -> float:
             continue
         log_term += 2 * k * math.log(a) - math.lgamma(k + 1)
     return math.exp(log_term - _cat_log_weight(c))
+
+
+def cat_total_pnd(c, total: int) -> float:
+    """Probability of finding ``total`` photons summed over all mode splittings:
+    (|A|^2)^total / (total! cosh |A|^2) on parity-matching totals (sinh for odd), else 0."""
+    if total % 2 != (0 if c.parity == "even" else 1):
+        return 0.0
+    a2 = c.norm2
+    if a2 == 0.0:
+        return 1.0 if total == 0 else 0.0
+    return math.exp(total * math.log(a2) - math.lgamma(total + 1) - _cat_log_weight(c))
+
+
+def cat_ladder_apply(c, i: int) -> tuple[complex, CatState]:
+    """Amplitude factor and flipped state of a_i acting on the superposition:
+    a_i |A+> = alpha_i sqrt(tanh |A|^2) |A->  and  a_i |A-> = alpha_i sqrt(coth |A|^2) |A+>."""
+    if not 0 <= i < c.n_modes:
+        raise ValueError(f"mode index {i} out of range for {c.n_modes} modes")
+    a2 = c.norm2
+    if c.parity == "odd":
+        factor, flipped = math.sqrt(1.0 / math.tanh(a2)), "even"
+    elif a2 == 0.0:
+        raise ValueError("lowering the even A = 0 state gives no normalizable odd state")
+    else:
+        factor, flipped = math.sqrt(math.tanh(a2)), "odd"
+    return complex(c.amplitudes[i] * factor), CatState(c.amplitudes, flipped)
 
 
 def cat_q(c, beta):

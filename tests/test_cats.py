@@ -7,13 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qopt.cats import (CatState, cat_from_dict, cat_ladder_apply, cat_moments,
-                       cat_normalization, cat_pnd, cat_pnd_table, cat_to_dict, cat_total_pnd)
-from qopt.errors import ResourceLimitError
-from qopt.gaussian import make_coherent, q_eval, wigner_eval
-from qopt.hermite import BOX_ENTRY_CAP
+from qopt import gaussian
+from qopt.cats import CatState, cat_from_dict, cat_moments, cat_normalization, cat_pnd, cat_to_dict
+from qopt.gaussian import make_coherent, photon_pnd_table, q_eval, wigner_eval
 
-from oracles import cat_pnd_by_index, cat_q, trapz_nd
+from oracles import cat_ladder_apply, cat_pnd_by_index, cat_q, cat_total_pnd, trapz_nd
 
 
 def cat_wigner(c, q, p):
@@ -152,7 +150,35 @@ _AMPLITUDE = st.one_of(
 
 
 class TestPndTable:
-    """The vectorized table against the per-index oracle, bit for bit and row for row."""
+    """The one photon table on cats: whole shells, each row the per-index oracle bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(amplitudes=st.lists(_AMPLITUDE, min_size=1, max_size=3),
+           parity=st.sampled_from(["even", "odd"]), degree_cap=st.integers(0, 10))
+    @example(amplitudes=[0.0], parity="even", degree_cap=0)
+    @example(amplitudes=[0.9 + 0.3j, 0.0], parity="odd", degree_cap=10)
+    @example(amplitudes=[0.0, 0.8 + 0.2j, 0.5 - 0.5j], parity="even", degree_cap=10)
+    @example(amplitudes=[0.7 + 0.1j, -0.5 + 0.6j, 1.1], parity="odd", degree_cap=1)
+    @pytest.mark.filterwarnings("ignore:photon enumeration")
+    def test_matches_per_index_oracle(self, amplitudes, parity, degree_cap):
+        if parity == "odd" and sum(abs(a) ** 2 for a in amplitudes) == 0.0:
+            with pytest.raises(ValueError, match="not normalizable"):
+                CatState(amplitudes, parity)
+            return
+        c = CatState(amplitudes, parity)
+        table = photon_pnd_table(c, degree_cap_per_mode=degree_cap)
+        top = table.max_total_degree
+        assert top <= degree_cap * c.n_modes
+        assert table.cap_hit == (table.cumulative < 1 - 1e-10)
+        want_indices = sorted((idx for idx in product(range(top + 1), repeat=c.n_modes)
+                               if sum(idx) <= top), key=lambda idx: (sum(idx), idx))
+        assert [tuple(row) for row in table.indices.tolist()] == want_indices
+        want = [cat_pnd_by_index(c, idx) for idx in want_indices]
+        assert table.probabilities.tolist() == want
+        assert [cat_pnd(c, idx) for idx in want_indices[-3:]] == want[-3:]
+        shells = np.bincount(table.indices.sum(axis=1), weights=table.probabilities)
+        for total, mass in enumerate(shells.tolist()):
+            assert mass == pytest.approx(cat_total_pnd(c, total), rel=1e-12, abs=0.0)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(amplitudes=st.lists(_AMPLITUDE, min_size=1, max_size=3),
@@ -161,29 +187,45 @@ class TestPndTable:
     @example(amplitudes=[0.9 + 0.3j, 0.0], parity="odd", max_total=32)
     @example(amplitudes=[0.0, 0.8 + 0.2j, 0.5 - 0.5j], parity="even", max_total=32)
     @example(amplitudes=[0.7 + 0.1j, -0.5 + 0.6j, 1.1], parity="odd", max_total=1)
-    def test_matches_per_index_oracle(self, amplitudes, parity, max_total):
+    def test_shells_match_per_index_oracle(self, amplitudes, parity, max_total):
+        # the shells alone have no mass stop, so every row up to max_total is checked,
+        # down to the ~1e-33 rows where the log-domain kernel matters
         if parity == "odd" and sum(abs(a) ** 2 for a in amplitudes) == 0.0:
-            with pytest.raises(ValueError, match="not normalizable"):
-                CatState(amplitudes, parity)
-            return
+            return  # not normalizable; test_matches_per_index_oracle covers the error
         c = CatState(amplitudes, parity)
-        indices, probs = cat_pnd_table(c, max_total)
+        shells = list(c.photon_shells(max_total))
+        assert len(shells) == max_total + 1
+        indices = np.concatenate([idx for idx, _ in shells])
+        probs = np.concatenate([p for _, p in shells])
         want_indices = sorted((idx for idx in product(range(max_total + 1), repeat=c.n_modes)
                                if sum(idx) <= max_total), key=lambda idx: (sum(idx), idx))
         assert [tuple(row) for row in indices.tolist()] == want_indices
-        want = [cat_pnd_by_index(c, idx) for idx in want_indices]
-        assert probs.tolist() == want
-        assert [cat_pnd(c, idx) for idx in want_indices[-3:]] == want[-3:]
+        assert probs.tolist() == [cat_pnd_by_index(c, idx) for idx in want_indices]
 
-    def test_row_cap(self):
-        c = CatState([1.0, 0.5, 0.25], "even")
-        max_total = next(t for t in range(1000) if math.comb(t + 3, 3) > BOX_ENTRY_CAP)
-        with pytest.raises(ResourceLimitError, match="exceed the cap"):
-            cat_pnd_table(c, max_total)
+    def test_mass_target_stops_the_table(self):
+        c = CatState([5.0], "even")
+        table = photon_pnd_table(c)
+        assert not table.cap_hit and table.max_total_degree == 62
+        assert table.cumulative >= 1 - 1e-10
+        assert table.probabilities.tolist() == [cat_pnd(c, [n]) for n in range(63)]
 
-    def test_negative_max_total_rejected(self):
-        with pytest.raises(ValueError, match="max_total"):
-            cat_pnd_table(CatState([1.0], "even"), -1)
+    def test_degree_cap_is_reported(self):
+        with pytest.warns(UserWarning, match="degree cap 64"):
+            table = photon_pnd_table(CatState([10.0], "even"))
+        assert table.cap_hit and table.max_total_degree == 64
+        assert table.cumulative < 1e-3
+
+    def test_entry_cap_stop_is_reported(self, monkeypatch):
+        # a smaller cap stands in for 2**24, which a unit test cannot afford to fill
+        monkeypatch.setattr(gaussian, "BOX_ENTRY_CAP", math.comb(6 + 3, 3))
+        with pytest.warns(UserWarning, match="stopped at total degree 6: .* exceed 84 entries"):
+            table = photon_pnd_table(CatState([1.0, 0.5, 0.25], "even"))
+        assert table.cap_hit and table.max_total_degree == 6
+        assert table.indices.shape == (math.comb(6 + 3, 3), 3)
+
+    def test_negative_degree_cap_rejected(self):
+        with pytest.raises(ValueError, match="degree_cap_per_mode"):
+            photon_pnd_table(CatState([1.0], "even"), degree_cap_per_mode=-1)
 
 
 class TestLadder:

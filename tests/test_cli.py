@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -170,6 +171,33 @@ class TestJobs:
         want = [cat_marginal(1.5, "odd", theta, x) for theta, x, _ in rows]
         assert np.abs(rows[:, 2] - want).max() < 1e-12
 
+    def test_pnd_cat_meets_mass_target(self, tmp_path, capsys):
+        # the even cat A = 5 needs total 62, past the 32 photons of a fixed-total cat table
+        config = {"state": {"kind": "cat", "A": [[5.0, 0.0]], "parity": "even"}}
+        assert run_cli(tmp_path, "pnd", config) == 0
+        meta = json.loads((tmp_path / "out" / "pnd.meta.json").read_text())
+        assert not meta["cap_hit"] and meta["max_total_degree"] == 62
+        assert meta["cumulative_probability"] >= 1 - 1e-10
+        assert "warnings" not in meta and capsys.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "out" / "pnd.csv")
+        assert rows[:, 0].tolist() == list(range(63))
+
+    def test_pnd_cat_truncation_warns(self, tmp_path, capsys):
+        config = {"state": {"kind": "cat", "A": [[10.0, 0.0]], "parity": "even"}}
+        assert run_cli(tmp_path, "pnd", config) == 0
+        meta = json.loads((tmp_path / "out" / "pnd.meta.json").read_text())
+        assert meta["cap_hit"] and meta["max_total_degree"] == 64
+        assert [w["message"] for w in meta["warnings"]] == [
+            f"photon enumeration hit the degree cap 64 with cumulative mass "
+            f"{meta['cumulative_probability']:.12f}"]
+        assert "degree cap 64" in capsys.readouterr().err
+
+    def test_pnd_strongly_squeezed_vacuum(self, tmp_path):
+        # 2M + I >= I: a physical state however large r is; the table stops at the cap
+        assert run_cli(tmp_path, "pnd", {"state": {"kind": "squeezed_vacuum", "r": 16.5}}) == 0
+        meta = json.loads((tmp_path / "out" / "pnd.meta.json").read_text())
+        assert meta["cap_hit"] and meta["max_total_degree"] == 64
+
     def test_qfunc_strongly_squeezed_vacuum(self, tmp_path):
         r = 16.5
         config = {"state": {"kind": "squeezed_vacuum", "r": r},
@@ -275,8 +303,8 @@ class TestDeterminismAndErrors:
             assert path.read_bytes() == (tmp_path / "threads" / "out" / path.name).read_bytes()
 
     @pytest.mark.parametrize("command, config, field", [
-        ("pnd", {"state": _CAT2, "max_total": -1}, "max_total"),
-        ("cat", {"state": _CAT2, "max_total": -1}, "max_total"),
+        ("pnd", {"state": _CAT2, "degree_cap": -1}, "degree_cap"),
+        ("cat", {"state": _CAT2, "degree_cap": -1}, "degree_cap"),
         ("pnd", {"state": {"kind": "thermal", "temperature": 1.0}, "degree_cap": -1},
          "degree_cap"),
         ("pnd", {"state": {"kind": "thermal", "temperature": 1.0}, "mass_tol": -1},
@@ -301,10 +329,10 @@ class TestDeterminismAndErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, config, field", [
-        ("pnd", {"state": _CAT2, "max_total": "ten"}, "max_total"),
-        ("pnd", {"state": _CAT2, "max_total": 2.7}, "max_total"),
-        ("pnd", {"state": _CAT2, "max_total": True}, "max_total"),
-        ("pnd", {"state": _CAT2, "max_total": float("inf")}, "max_total"),
+        ("pnd", {"state": _CAT2, "degree_cap": "ten"}, "degree_cap"),
+        ("pnd", {"state": _CAT2, "degree_cap": 2.7}, "degree_cap"),
+        ("pnd", {"state": _CAT2, "degree_cap": True}, "degree_cap"),
+        ("pnd", {"state": _CAT2, "degree_cap": float("inf")}, "degree_cap"),
         ("pnd", {"state": {"kind": "thermal", "temperature": 1.0}, "degree_cap": "64"},
          "degree_cap"),
         ("tomo-forward", {"state": {"kind": "coherent", "alpha": 0.0}, "n_angles": 90.5},
@@ -367,9 +395,9 @@ class TestDeterminismAndErrors:
         assert not (tmp_path / "out").exists()
 
     def test_integral_float_count_runs_as_int(self, tmp_path):
-        for run, max_total in (("int", 6), ("float", 6.0)):
+        for run, degree_cap in (("int", 6), ("float", 6.0)):
             (tmp_path / run).mkdir()
-            assert run_cli(tmp_path / run, "pnd", {"state": _CAT2, "max_total": max_total}) == 0
+            assert run_cli(tmp_path / run, "pnd", {"state": _CAT2, "degree_cap": degree_cap}) == 0
         assert ((tmp_path / "int" / "out" / "pnd.csv").read_bytes()
                 == (tmp_path / "float" / "out" / "pnd.csv").read_bytes())
 
@@ -383,8 +411,8 @@ class TestDeterminismAndErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, config, target, artifact", [
-        ("pnd", {"state": _CAT2, "max_total": 4}, "cat_pnd_table", "pnd.csv"),
-        ("cat", {"state": _CAT2, "max_total": 4}, "cat_pnd_table", "cat_pnd.csv"),
+        ("pnd", {"state": _CAT2, "degree_cap": 2}, "photon_pnd_table", "pnd.csv"),
+        ("cat", {"state": _CAT2, "degree_cap": 2}, "photon_pnd_table", "cat_pnd.csv"),
         ("wigner", {"state": _CAT1, "grid": {"q": [0.0, 1.0], "p": [0.0, 1.0]}},
          "wigner_eval", "wigner.csv"),
         ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
@@ -403,8 +431,9 @@ class TestDeterminismAndErrors:
 
         def poisoned(*args, **kwargs):
             out = real(*args, **kwargs)
-            if target == "cat_pnd_table":
-                return out[0], np.full_like(out[1], np.nan)
+            if target == "photon_pnd_table":
+                return dataclasses.replace(out, probabilities=np.full_like(out.probabilities,
+                                                                           np.nan))
             if target == "evolve_gaussian":
                 return type(out)(out.mean, np.full_like(out.disp, np.inf))
             if target == "gaussian_sinogram":

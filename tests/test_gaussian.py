@@ -79,6 +79,24 @@ class TestValidateState:
         assert not diag.uncertainty_ok
         assert diag.min_uncertainty_eigenvalue < -0.1
 
+    @pytest.mark.parametrize("r", [8.0, 12.0, 16.5])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+    def test_strong_squeezing_is_physical(self, r, theta):
+        # the rounding of M + i sigma/2 grows with |M| ~ e^(2r); its scaled form's does not
+        c, s = math.cos(theta), math.sin(theta)
+        rot = np.array([[c, -s], [s, c]])
+        disp = rot @ np.diag([0.5 * math.exp(2 * r), 0.5 * math.exp(-2 * r)]) @ rot.T
+        assert validate_state(GaussianState([0.0, 0.0], disp)).uncertainty_ok
+
+    @pytest.mark.parametrize("disp", [np.diag([1e15, -0.499]), -0.6 * np.eye(2),
+                                      np.diag([10.0, 0.01])])
+    def test_unphysical_states_rejected(self, disp):
+        # each has det(M + I/2) > 0, the first also cond(2M + I) > 1e14
+        s = GaussianState([0.0, 0.0], disp)
+        assert not validate_state(s).uncertainty_ok
+        with pytest.raises(ValueError, match="not physical"):
+            to_qrep(s)
+
     def test_thermal_is_mixed(self):
         diag = validate_state(make_thermal_oscillator(1.0))
         assert diag.purity < 1.0
@@ -343,8 +361,26 @@ class TestPhotonStatistics:
         s = random_valid_state(2, np.random.default_rng(8), mean_scale=0.4,
                                noise_scale=0.7, symplectic_scale=0.2)
         table = photon_pnd_table(s)
+        # rows are whole shells, ordered by total and then lexicographically
+        want = [[k, d - k] for d in range(table.max_total_degree + 1) for k in range(d + 1)]
+        assert table.indices.tolist() == want
+        rows = dict(zip(map(tuple, want), table.probabilities.tolist()))
         for idx in [(0, 0), (3, 1), (0, table.max_total_degree)]:
-            assert photon_pnd(s, idx) == table.probabilities[idx]
+            assert photon_pnd(s, idx) == rows[idx]
+
+    @pytest.mark.parametrize("r", [16.5, 18.0])
+    def test_strongly_squeezed_table(self, r):
+        # 2M + I >= I for every physical state, so no squeezing makes it singular;
+        # P(2m) = tanh(r)^(2m) (2m)! / (4^m (m!)^2 cosh r), and odd counts never occur:
+        # their rows are rounding residue of R, below 1e-12 of the vacuum row
+        with pytest.warns(UserWarning, match="degree cap 64"):
+            table = photon_pnd_table(make_squeezed_vacuum(r))
+        assert table.cap_hit and table.max_total_degree == 64
+        assert table.indices[:, 0].tolist() == list(range(65))
+        assert table.probabilities[1::2].max() <= 1e-12 * table.probabilities[0]
+        want = np.array([math.comb(2 * m, m) / 4.0 ** m * math.tanh(r) ** (2 * m) / math.cosh(r)
+                         for m in range(33)])
+        np.testing.assert_allclose(table.probabilities[::2], want, rtol=1e-12, atol=0)
 
     def test_two_mode_coherent_factorizes(self):
         s = make_coherent([0.8, 1.1 - 0.5j])
@@ -384,7 +420,7 @@ class TestPhotonStatistics:
         table = photon_pnd_table(s)
         assert not table.cap_hit
         assert table.cumulative >= 1 - 1e-10
-        series_mean = sum(sum(k) * p for k, p in table.probabilities.items())
+        series_mean = table.indices.sum(axis=1) @ table.probabilities
         closed = sum(photon_moments(s, j)[0] for j in range(n_modes))
         assert series_mean == pytest.approx(closed, abs=1e-7)
 
@@ -397,7 +433,11 @@ class TestPhotonStatistics:
             table = photon_pnd_table(s)
         assert table.cap_hit and table.max_total_degree == 6
         with pytest.warns(UserWarning, match="degree cap 6"):
-            assert table == photon_pnd_table(s, degree_cap_per_mode=3)
+            capped = photon_pnd_table(s, degree_cap_per_mode=3)
+        assert (capped.cumulative, capped.max_total_degree, capped.cap_hit) == (
+            table.cumulative, table.max_total_degree, table.cap_hit)
+        assert np.array_equal(capped.indices, table.indices)
+        assert np.array_equal(capped.probabilities, table.probabilities)
 
     def test_cap_hit_is_reported(self):
         s = make_thermal_oscillator(5.0)
@@ -437,8 +477,8 @@ class TestPhotonStatistics:
         table = photon_pnd_table(s, mass_tol=1e-14, degree_cap_per_mode=150)
         assert not table.cap_hit
         for j in range(n_modes):
-            m1 = sum(k[j] * p for k, p in table.probabilities.items())
-            m2 = sum(k[j] ** 2 * p for k, p in table.probabilities.items())
+            m1 = table.indices[:, j] @ table.probabilities
+            m2 = table.indices[:, j] ** 2 @ table.probabilities
             assert photon_moments(s, j)[1] == pytest.approx(m2 - m1 * m1, abs=1e-9)
 
     def test_series_mean_matches_closed_form_one_mode(self):
@@ -448,14 +488,14 @@ class TestPhotonStatistics:
             s = random_valid_state(1, rng, mean_scale=0.6)
             table = photon_pnd_table(s, mass_tol=1e-12, degree_cap_per_mode=280)
             assert not table.cap_hit
-            series_mean = sum(k[0] * p for k, p in table.probabilities.items())
+            series_mean = table.indices[:, 0] @ table.probabilities
             assert series_mean == pytest.approx(photon_moments(s)[0], abs=1e-8)
 
     def test_series_mean_matches_closed_form_two_mode(self):
         s = random_valid_state(2, np.random.default_rng(23), mean_scale=0.4,
                                noise_scale=0.7, symplectic_scale=0.2)
         table = photon_pnd_table(s)
-        series_mean = sum(sum(k) * p for k, p in table.probabilities.items())
+        series_mean = table.indices.sum(axis=1) @ table.probabilities
         closed = sum(photon_moments(s, j)[0] for j in range(2))
         assert series_mean == pytest.approx(closed, abs=1e-8)
 
