@@ -2,18 +2,35 @@
 
 Every CSV this package writes has one header line, comma-separated cells,
 and a newline after every row.  Integers print as digits and floats as their
-shortest round-trip decimal (Python ``repr``: ``0.1``, ``-0.0``, ``1e-05``,
-``1e+16``, ``inf``, ``nan``), so reading a file back gives the same floats
-bit for bit and reruns give the same bytes.
+shortest round-trip decimal, byte for byte what Python's ``repr`` prints
+(``0.1``, ``-0.0``, ``1e-05``, ``1e+16``, ``inf``, ``nan``), so reading a file
+back gives the same floats bit for bit and reruns give the same bytes.
 
 A lattice file lists rows ``(a_i, b_j, value[i, j])`` of two sorted axes,
 ``a`` varying slowest: sinograms are ``(theta, x, value)``, phase-space grids
 ``(q, p, value)``.
+
+Table columns, lattice values and lattice axes of ``_MIN_CELLS`` cells or more
+are formatted in bulk by one numpy kernel, ``_BLOCK`` cells at a time, and
+integers by its digit writer.  For a double x = c 2^q the kernel forms
+V = c P, P = 2^q 10^s, in double-double arithmetic, with s chosen so that V
+lies in (5e16, 1e18); the rounding interval is V -+ P/2 (the lower gap P/4 at
+a power of two), and the digits are the multiple of the largest power of ten
+inside it that lies nearest V: the shortest round-trip digits, closest to x,
+as ``repr`` picks them (Adams, "Ryu: fast float-to-string conversion", PLDI
+2018).  Sign, digits, point and exponent go into a fixed 64-byte slot per
+cell, and one boolean mask keeps the bytes of ``repr``'s layout.  A cell the
+arithmetic cannot certify (an interval end within 2^-30 of an integer, a tie
+between two nearest multiples) and every subnormal, infinite or nan cell is
+written by ``float.__repr__`` instead, as is every cell of a smaller column,
+grid or axis, where the kernel's fixed cost does not pay; the text is
+``repr``'s by construction.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 from operator import add
 from pathlib import Path
 
@@ -22,41 +39,325 @@ import numpy as np
 SINOGRAM_HEADER = ("theta", "x", "value")
 PHASE_SPACE_HEADER = ("q", "p", "value")
 
+_MIN_CELLS = 400      # smaller inputs go through float.__repr__ (the measured crossover)
+_BLOCK = 1 << 14      # cells per kernel pass; bounds its temporary arrays
+_NEAR = 2.0 ** -30    # closer than this to an integer or a tie, a cell is not certified
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_POW10F = 10.0 ** np.arange(20)
+
+# A cell's 64-byte slot, as 16 little-endian words: the sign (byte 0), the
+# integer-part digits r = 23..0 (bytes 4-27), the point (28), the fraction
+# digits r = 23..0 (32-55), the "0" of a trailing ".0" (56), "e", the exponent
+# sign and three exponent digits (57-61) and the separator (62).  Digit r is
+# the coefficient of 10^r in the digit string m; the byte mask of the cell's
+# layout key keeps what repr prints.  Layout classes: 0-19 positional with
+# decpt = class - 3, 20 and 21 exponent of two and three digits, 22 integer.
+_SEP = 62
+_REPR = 36            # float.__repr__ text goes to bytes 36-59, which every fill rewrites
+_INT_CLASS = 22
+_ZEROS = 0x30303030   # "0000"
+
 
 def _text(header, lines) -> str:
     return "\n".join([",".join(header), *lines]) + "\n"
 
 
+@cache
+def _scale(biased_exp: int) -> tuple:
+    """(s, P_hi in two 26-bit halves, P_lo) for doubles of this biased exponent:
+    P = 2^q 10^s rounded to double-double, q = biased_exp - 1075 and
+    s = 18 - ceil((q + 53) log10 2)."""
+    q = biased_exp - 1075
+    k = q + 53
+    s = 18 - (len(str(2 ** k)) if k > 0 else 1 - len(str(2 ** -k)))
+    num = 2 ** max(q, 0) * 10 ** max(s, 0)
+    den = 2 ** max(-q, 0) * 10 ** max(-s, 0)
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    lo = (num * b - a * den) / (den * b)
+    split = hi * 134217729.0
+    h1 = split - (split - hi)
+    return s, h1, hi - h1, lo
+
+
+@cache
+def _digit_words() -> np.ndarray:
+    """The four ASCII digits of 0..9999 as little-endian words."""
+    chars = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint8)
+    return chars.view("<u4").copy()
+
+
+@cache
+def _exponent_words(sep: str) -> np.ndarray:
+    """Words 14 and 15 of a slot ("0e", sign, e2 | e1, e0, sep) for exponents -400..400,
+    as one little-endian double word each."""
+    e = np.arange(-400, 401)
+    a = np.abs(e)
+    return (0x6530 | np.where(e < 0, ord("-"), ord("+")) << 16 | (a // 100 + 48) << 24
+            | (a // 10 % 10 + 48) << 32 | (a % 10 + 48) << 40 | ord(sep) << 48).astype("<u8")
+
+
+@cache
+def _slot_masks() -> np.ndarray:
+    """Kept bytes of a slot for every layout key (class * 21 + digits) * 2 + negative."""
+    cls, nd, neg = (k.ravel() for k in np.meshgrid(np.arange(23), np.arange(21),
+                                                   np.arange(2), indexing="ij"))
+    positional = cls < 20
+    exponent = (cls == 20) | (cls == 21)
+    after = np.where(positional, np.maximum(nd - (cls - 3), 0),
+                     np.where(exponent, nd - 1, 0))   # digits after the point
+    r = np.arange(23, -1, -1)
+    mask = np.zeros((cls.size, 64), dtype=bool)
+    mask[:, 0] = neg
+    mask[:, 4:28] = (r >= after[:, None]) & (r < np.maximum(nd, after + 1)[:, None])
+    mask[:, 28] = positional | exponent & (after > 0)
+    mask[:, 32:56] = r < after[:, None]
+    mask[:, 56] = positional & (after == 0)
+    mask[:, [57, 58, 60, 61]] = exponent[:, None]
+    mask[:, 59] = cls == 21
+    mask[:, _SEP] = True
+    return mask
+
+
+def _mod(v, k):
+    """v mod 10^k, exactly, for integer-valued doubles 0 <= v < 2^53 - 10^k."""
+    p = _POW10F[k]
+    return v - np.floor(v / p) * p
+
+
+def _shortest(x):
+    """(m, digits of m, decpt, certified) of float64 cells: |x| reads as
+    0.<digits of m> * 10^decpt with the fewest digits that read back as x, the
+    nearest x among those.  Zeros, and cells the arithmetic cannot certify,
+    get m = 0, one digit and decpt = 1."""
+    bits = x.view(np.uint64)
+    biased = (bits >> 52 & 0x7FF).astype(np.intp)
+    frac = bits & 0xFFFFFFFFFFFFF
+    normal = (biased != 0) & (biased != 0x7FF)
+    biased[~normal] = 1075
+    lut = np.zeros((2048, 4))
+    used = np.flatnonzero(np.bincount(biased, minlength=2048))
+    lut[used] = [_scale(int(e)) for e in used]
+    s, h1, h2, pl = lut.T.take(biased, axis=1)
+    ph = h1 + h2
+    # V = c P as hi + lo: hi = fl(c P_hi), lo its exact rounding error (Dekker) plus c P_lo
+    c = frac | 1 << 52
+    cf = c.astype(np.float64)
+    c1 = (c >> 26 << 26).astype(np.float64)
+    c2 = (c & 0x3FFFFFF).astype(np.float64)
+    hi = cf * ph
+    lo = ((c1 * h1 - hi) + c1 * h2 + c2 * h1) + c2 * h2 + cf * pl
+    # V = n + f = high 10^9 + low + f with integers high, low < 10^9 and 0 <= f < 1
+    whole = np.floor(lo)
+    n = hi.astype(np.uint64) + whole.astype(np.int64).view(np.uint64)
+    high_int = n // 10 ** 9
+    low = (n - high_int * 10 ** 9).astype(np.float64)
+    high = high_int.astype(np.float64)
+    f = lo - whole
+    # the interval's ends relative to n, and the integers up and down below them
+    up_end = f + 0.5 * ph
+    down_end = f - np.where((frac == 0) & (biased > 1), 0.25, 0.5) * ph
+    up, down = np.floor(up_end), np.floor(down_end)
+    near = ((np.abs(up_end - up - 0.5) > 0.5 - _NEAR)
+            | (np.abs(down_end - down - 0.5) > 0.5 - _NEAR))
+    # the largest 10^j with a multiple in (n + down, n + up]: there is one iff
+    # (n + up) mod 10^j < up - down, which holds for every j up to the largest;
+    # past 10^3 > up - down it needs digits 3 to j - 1 of n + up to be zeros
+    width = up - down
+    top_low = low + up                   # n + up = high 10^9 + top_low
+    fits = [_mod(top_low, t) < width for t in (1, 2, 3)]
+    j = fits[0].astype(np.intp) + fits[1] + fits[2]
+    deep = np.flatnonzero(fits[2])
+    thousands = high[deep] * 1e6 + np.floor(top_low[deep] / 1e3)
+    ratio = thousands[:, None] / _POW10F[1:16]
+    j[deep] += np.count_nonzero(ratio == np.floor(ratio), axis=1)
+    # of those multiples the nearest V.  For j <= 9 they are (n // 10^j + k) 10^j
+    # for k from floor((r + down) / 10^j) + 1 to floor((r + up) / 10^j), with
+    # r = n mod 10^j, and twice V's excess over the midpoint of k = 0 and 1 is
+    # exact; for larger j the multiple is unique
+    jl = np.minimum(j, 9)
+    p = _POW10F[jl]
+    r = _mod(low, jl)
+    excess = (2.0 * r - p) + 2.0 * f
+    first, last = np.floor((r + down) / p) + 1.0, np.floor((r + up) / p)
+    k = np.minimum(np.maximum(excess > 0, first), last)
+    tie = (np.abs(excess) < _NEAR) & (first < last)
+    m = high_int * _POW10[9 - jl] + (np.floor(low / p) + k).astype(np.uint64)
+    wide = np.flatnonzero(j > 9)
+    m[wide] = np.floor((high[wide] + np.floor(top_low[wide] / 1e9))
+                       / _POW10F[j[wide] - 9]).astype(np.uint64)
+    scaled = m * _POW10[j]
+    total = 17 + (scaled >= 10 ** 17).astype(np.intp) + (scaled >= 10 ** 18)
+    nd, decpt = total - j, total - s.astype(np.intp)
+    certified = normal & ~near & ~tie
+    m[~certified] = 0
+    nd[~certified] = 1
+    decpt[~certified] = 1
+    return m, nd, decpt, certified | (bits << 1 == 0)
+
+
+def _fill(words, mask, m, key, exponent, sep: str) -> None:
+    """Write digit string m, exponent and separator into each cell's slot, whose
+    constant words ``_slot_buffer`` wrote, and layout ``key``'s byte mask into ``mask``."""
+    table = _digit_words()
+    high = m // 10 ** 8
+    top = high // 10 ** 8
+    low = (m - high * 10 ** 8).astype(np.uint32)
+    mid = (high - top * 10 ** 8).astype(np.uint32)
+    digits = table[np.stack([top.astype(np.uint32), mid // 10000, mid % 10000,
+                             low // 10000, low % 10000], axis=1)]   # r = 19..0
+    words[:, 2:7] = digits
+    words[:, 9:14] = digits
+    words[:, 14:16].view("<u8")[:, 0] = _exponent_words(sep)[exponent + 400]
+    mask[:] = _slot_masks()[key]
+
+
+def _float_slots(x, words, mask, sep: str) -> None:
+    """Fill the slots of float cells: the kernel's text, ``float.__repr__``'s where
+    the kernel cannot certify it."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    m, nd, decpt, certified = _shortest(x)
+    positional = (decpt > -4) & (decpt <= 16)
+    pad = np.where(positional & (decpt > nd), decpt - nd, 0)   # integers print all digits
+    m *= _POW10[pad]
+    nd += pad
+    cls = np.where(positional, decpt + 3, np.where(np.abs(decpt - 1) < 100, 20, 21))
+    _fill(words, mask, m, (cls * 21 + nd) * 2 + (x.view(np.int64) < 0), decpt - 1, sep)
+    if certified.all():
+        return
+    text = words.view(np.uint8)
+    for i in np.flatnonzero(~certified):
+        cell = np.frombuffer(float.__repr__(float(x[i])).encode(), np.uint8)
+        mask[i] = False
+        mask[i, _REPR:_REPR + cell.size] = mask[i, _SEP] = True
+        text[i, _REPR:_REPR + cell.size] = cell
+
+
+def _int_slots(x, words, mask, sep: str) -> None:
+    """Fill the slots of integer cells with their digits."""
+    neg = x < 0
+    mag = x.astype(np.int64 if x.dtype.kind == "i" else np.uint64).view(np.uint64)
+    mag = np.where(neg, -mag, mag)
+    nd = np.searchsorted(_POW10, mag, side="right").clip(1)
+    _fill(words, mask, mag, (_INT_CLASS * 21 + nd) * 2 + neg, 0, sep)
+
+
+def _slot_buffer(n_cells: int, n_slots: int, prefix: int = 0):
+    """(text, mask, words) for n_cells rows of ``prefix`` bytes then n_slots slots;
+    ``words`` is (n_cells, n_slots, 16) over the slots, their constant words written."""
+    text = np.empty((n_cells, prefix + 64 * n_slots), dtype=np.uint8)
+    words = text[:, prefix:].view("<u4").reshape(n_cells, n_slots, 16)
+    words[:, :, 0] = ord("-")
+    words[:, :, 1] = words[:, :, 8] = _ZEROS
+    words[:, :, 7] = ord(".")
+    return text, np.empty(text.shape, dtype=bool), words
+
+
+def _column(name, col) -> np.ndarray:
+    col = np.asarray(col)
+    kind = col.dtype.kind
+    if col.ndim != 1 or not (kind in "iu" or kind == "f" and col.dtype.itemsize <= 8):
+        raise ValueError(f"column {name!r} is {col.dtype} of shape {col.shape}; only "
+                         "1-D integer or real floating columns can be written")
+    return col
+
+
+def _joined(header, pieces) -> str:
+    """The header line and the rows, from the compressed byte arrays of the blocks."""
+    return "".join([",".join(header) + "\n", *(str(piece, "ascii") for piece in pieces)])
+
+
 def format_table(header, columns) -> str:
     """CSV text of equal-length columns, one row per index.
 
-    An integer column prints as digits, a float column with ``repr``; each
-    column is converted to Python scalars in one ``tolist`` call.
+    An integer column prints as digits, a real floating column as shortest
+    round-trip decimals; any other column raises ``ValueError`` naming its header.
     """
-    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
-    if len(cells) != len(header):
-        raise ValueError(f"{len(header)} header names for {len(cells)} columns")
-    return _text(header, map(",".join, zip(*cells, strict=True)))
+    columns = list(columns)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    columns = [_column(name, col) for name, col in zip(header, columns)]
+    n_rows = columns[0].size if columns else 0
+    if any(col.size != n_rows for col in columns):
+        raise ValueError(f"columns of unequal lengths {[col.size for col in columns]}")
+    if n_rows < _MIN_CELLS:
+        cells = [map(repr, col.tolist()) for col in columns]
+        return _text(header, map(",".join, zip(*cells)))
+    step = min(n_rows, max(1, _BLOCK // len(columns)))
+    text, mask, words = _slot_buffer(step, len(columns))
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    pieces = []
+    for start in range(0, n_rows, step):
+        k = min(step, n_rows - start)
+        for c, (col, sep) in enumerate(zip(columns, seps)):
+            fill = _int_slots if col.dtype.kind in "iu" else _float_slots
+            fill(col[start:start + k], words[:k, c], mask[:k, 64 * c:64 * c + 64], sep)
+        pieces.append(text[:k][mask[:k]])
+    return _joined(header, pieces)
+
+
+def _left_aligned(x, sep: str):
+    """(bytes, mask) of float cells and their separator written flush left in rows
+    of their longest text."""
+    if x.size < _MIN_CELLS:
+        cells = [v + sep for v in map(float.__repr__, x.tolist())]
+        lengths = np.array([len(v) for v in cells])
+        chars = np.frombuffer("".join(cells).encode(), np.uint8)
+    else:
+        text, mask, words = _slot_buffer(x.size, 1)
+        _float_slots(x, words[:, 0], mask, sep)
+        lengths = mask.sum(axis=1)
+        chars = text[mask]
+    kept = np.arange(lengths.max()) < lengths[:, None]
+    out = np.zeros(kept.shape, dtype=np.uint8)
+    out[kept] = chars
+    return out, kept
 
 
 def format_lattice(header, a_grid, b_grid, values) -> str:
     """CSV text of rows (a_i, b_j, values[i, j]), ``a`` varying slowest.
 
-    Each axis coordinate is formatted once and every value in one pass; a
-    row of the lattice is the prefix ``a_i,`` joined onto ``b_j,value``.
+    Each axis coordinate is formatted once; a row of the lattice is the
+    prefix ``a_i,b_j,`` joined onto its value's text.  A lattice with an
+    empty axis has no rows.
     """
-    # float.__repr__ is repr for Python floats, without the builtin's dispatch
-    a_text = list(map(float.__repr__, np.asarray(a_grid, dtype=float).tolist()))
-    b_text = [b + "," for b in map(float.__repr__, np.asarray(b_grid, dtype=float).tolist())]
+    a_grid = np.asarray(a_grid, dtype=float)
+    b_grid = np.asarray(b_grid, dtype=float)
     values = np.asarray(values, dtype=float)
-    if values.shape != (len(a_text), len(b_text)):
+    if values.shape != (a_grid.size, b_grid.size):
         raise ValueError(f"values shape {values.shape} does not match grids "
-                         f"({len(a_text)}, {len(b_text)})")
-    cells = list(map(float.__repr__, values.ravel().tolist()))
-    n_b = len(b_text)
-    rows = (a + "," + ("\n" + a + ",").join(map(add, b_text, cells[i * n_b:(i + 1) * n_b]))
-            for i, a in enumerate(a_text))
-    return _text(header, rows)
+                         f"({a_grid.size}, {b_grid.size})")
+    if values.size == 0:
+        return _text(header, [])
+    if values.size < _MIN_CELLS:
+        # float.__repr__ is repr for Python floats, without the builtin's dispatch
+        a_text = list(map(float.__repr__, a_grid.tolist()))
+        b_text = [b + "," for b in map(float.__repr__, b_grid.tolist())]
+        cells = list(map(float.__repr__, values.ravel().tolist()))
+        n_b = len(b_text)
+        rows = (a + "," + ("\n" + a + ",").join(map(add, b_text, cells[i * n_b:(i + 1) * n_b]))
+                for i, a in enumerate(a_text))
+        return _text(header, rows)
+    a_text, a_kept = _left_aligned(a_grid, ",")
+    b_text, b_kept = _left_aligned(b_grid, ",")
+    wa, wb = a_text.shape[1], b_text.shape[1]
+    prefix = -(-(wa + wb) // 4) * 4      # keeps the value slots word-aligned
+    n_a, n_b = values.shape
+    step = min(n_a, max(1, _BLOCK // n_b))     # lattice rows per block
+    text, mask, words = _slot_buffer(step * n_b, 1, prefix)
+    for out, b in ((text, b_text), (mask, b_kept)):
+        out.reshape(step, n_b, -1)[:, :, wa:wa + wb] = b
+    mask[:, wa + wb:prefix] = False
+    pieces = []
+    for start in range(0, n_a, step):
+        k = min(step, n_a - start)
+        for out, a in ((text, a_text), (mask, a_kept)):
+            out.reshape(step, n_b, -1)[:k, :, :wa] = a[start:start + k, None, :]
+        cells = k * n_b
+        _float_slots(values[start:start + k].ravel(), words[:cells, 0],
+                     mask[:cells, prefix:], "\n")
+        pieces.append(text[:cells][mask[:cells]])
+    return _joined(header, pieces)
 
 
 def read_lattice(path, header, kind: str):

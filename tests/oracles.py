@@ -108,8 +108,9 @@ def repr_csv(header, rows) -> str:
     """CSV text written one cell at a time: integers as digits, anything else
     as ``repr(float(v))``, rows joined by newlines with a trailing one.
 
-    This is the per-cell formatter the CLI used before ``qopt.io``; the
-    writers there must reproduce its bytes exactly.
+    This is the oracle of the bulk float formatter in ``qopt.io``: every
+    writer there, kernel and per-cell path alike, must reproduce its bytes
+    exactly.
     """
     lines = [",".join(header)]
     for row in rows:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qopt.gaussian import make_coherent, make_squeezed_vacuum
-from qopt.io import (PHASE_SPACE_HEADER, SINOGRAM_HEADER, format_lattice, format_table,
-                     read_lattice, sinogram_csv)
+from qopt.gaussian import make_coherent, make_squeezed_vacuum, wigner_eval
+from qopt.io import (_BLOCK, _MIN_CELLS, PHASE_SPACE_HEADER, SINOGRAM_HEADER, _shortest,
+                     format_lattice, format_table, read_lattice, sinogram_csv)
 from qopt.tomography import (gaussian_sinogram, sinogram_from_csv, sinogram_to_csv,
                              wigner_grid_from_callable, wigner_grid_from_csv,
                              wigner_grid_to_csv)
@@ -38,6 +38,10 @@ def assert_bit_equal(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# edge_lattice() is formatted cell by cell, edge_lattice(*BULK_EDGE) by the bulk kernel
+BULK_EDGE = (41, 37)
 
 
 class TestWriterMatchesPerCellOracle:
@@ -84,6 +88,30 @@ class TestWriterMatchesPerCellOracle:
     def test_empty_table_is_header_only(self):
         assert format_table(["a", "b"], [[], []]) == "a,b\n"
 
+    @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (0, 0), (0, 2 * _MIN_CELLS)])
+    def test_lattice_with_an_empty_axis_is_header_only(self, n_a, n_b):
+        text = format_lattice(PHASE_SPACE_HEADER, np.arange(float(n_a)), np.arange(float(n_b)),
+                              np.zeros((n_a, n_b)))
+        assert text == "q,p,value\n"
+
+    @pytest.mark.parametrize("column", [np.array([True, False]), np.array([1.5 + 0j, 2.0]),
+                                        np.array(["1", "2"]), np.array([1, "a"], dtype=object),
+                                        np.zeros((2, 2))])
+    def test_table_rejects_columns_it_cannot_read_back(self, column):
+        with pytest.raises(ValueError, match="'bad'"):
+            format_table(["n", "bad"], [np.arange(2), column])
+
+    def test_table_accepts_every_integer_and_real_dtype(self):
+        rows = 2 * _MIN_CELLS
+        ints = np.arange(-rows // 2, rows // 2)
+        columns = [ints.astype(np.int8), (ints + 128).astype(np.uint8), ints.astype(np.int64),
+                   np.full(rows, np.iinfo(np.int64).min), np.full(rows, np.iinfo(np.uint64).max),
+                   ints.astype(np.float16) / 7, ints.astype(np.float32) / 7]
+        header = [f"c{i}" for i in range(len(columns))]
+        for n in (rows, _MIN_CELLS - 1):
+            want = repr_csv(header, zip(*(c[:n].tolist() for c in columns)))
+            assert format_table(header, [c[:n] for c in columns]) == want
+
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             format_lattice(PHASE_SPACE_HEADER, np.arange(3.0), np.arange(4.0),
@@ -94,10 +122,89 @@ class TestWriterMatchesPerCellOracle:
             format_table(["a", "b"], [[1], [2, 3]])
 
 
+def special_floats():
+    """Powers of 2 and 10 with both neighbours, subnormals, zeros, infinities, nan, the
+    1e-05/1e-04/1e+16 layout switch points with neighbours and integer-valued floats,
+    each with both signs."""
+    rng = np.random.default_rng(11)
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{k}") for k in range(-323, 309)]])
+    switches = np.array([1e-05, 1e-04, 1e16, 9.999999999999999e-06, 9.999999999999999e-05,
+                         9999999999999998.0])
+    subnormals = rng.integers(1, 2 ** 52, size=2000).view(np.float64)
+    integral = np.concatenate([[10.0, 9.0, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 63, 1e15, 1e17,
+                                123456789.0, 1e22, 1e23, 5e-324, 2.2250738585072014e-308,
+                                1.7976931348623157e308, 0.0, float("inf"), float("nan")],
+                               np.arange(1.0, 3000.0),
+                               rng.integers(-2 ** 62, 2 ** 62, size=2000).astype(float)])
+    cells = np.concatenate([powers, switches, subnormals, integral])
+    with np.errstate(over="ignore"):   # the neighbours of the largest double are inf
+        cells = np.concatenate([cells, np.nextafter(cells, np.inf), np.nextafter(cells, -np.inf)])
+    return np.concatenate([cells, -cells])
+
+
+class TestBulkKernelMatchesRepr:
+    """The bulk kernel against the per-cell ``repr`` oracle, cell for cell."""
+
+    def test_random_bit_patterns(self):
+        # 10^6 seeded 64-bit patterns: every exponent, subnormals, inf and nan included
+        rng = np.random.default_rng(2024)
+        block = rng.integers(0, 2 ** 64, size=(500_000, 2), dtype=np.uint64).view(np.float64)
+        assert format_table(["a", "b"], block.T) == repr_csv(["a", "b"], block.tolist())
+
+    def test_lattice_with_edge_floats(self):
+        a_grid, b_grid, values = edge_lattice(*BULK_EDGE)
+        assert format_lattice(PHASE_SPACE_HEADER, a_grid, b_grid, values) == repr_csv(
+            PHASE_SPACE_HEADER, lattice_rows(a_grid, b_grid, values))
+
+    def test_special_floats_in_a_table(self):
+        cells = special_floats()
+        counts = np.arange(cells.size) - cells.size // 2
+        assert format_table(["n", "x"], [counts, cells]) == repr_csv(
+            ["n", "x"], zip(counts.tolist(), cells.tolist()))
+
+    def test_special_floats_in_a_lattice(self):
+        cells = special_floats()
+        n_b = 97
+        values = cells[:cells.size // n_b * n_b].reshape(-1, n_b)
+        a_grid, b_grid = cells[:values.shape[0]], cells[-n_b:]
+        assert format_lattice(PHASE_SPACE_HEADER, a_grid, b_grid, values) == repr_csv(
+            PHASE_SPACE_HEADER, lattice_rows(a_grid, b_grid, values))
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, _MIN_CELLS - 1), (1, _MIN_CELLS),
+                                          (20, 20), (1, _BLOCK - 1), (1, _BLOCK + 1),
+                                          (_BLOCK + 1, 1), (300, 97), (_MIN_CELLS, 3)])
+    def test_lattice_shapes(self, n_a, n_b):
+        rng = np.random.default_rng(n_a * 7 + n_b)
+        a_grid = np.sort(rng.normal(size=n_a))
+        b_grid = np.linspace(-3.0, 3.0, n_b)
+        values = rng.normal(size=(n_a, n_b)) * np.exp(-rng.uniform(0, 40, size=(n_a, n_b)))
+        assert format_lattice(SINOGRAM_HEADER, a_grid, b_grid, values) == repr_csv(
+            SINOGRAM_HEADER, lattice_rows(a_grid, b_grid, values))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, _MIN_CELLS - 1, _MIN_CELLS, _BLOCK // 3 - 1,
+                                        _BLOCK // 3 + 1, _BLOCK - 1, _BLOCK + 1])
+    def test_table_shapes(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        columns = [rng.integers(-50, 50, n_rows), rng.normal(size=n_rows),
+                   rng.uniform(0, 1e-4, n_rows)]
+        assert format_table(["n", "x", "y"], columns) == repr_csv(
+            ["n", "x", "y"], zip(*(c.tolist() for c in columns)))
+
+    def test_phase_space_grids_are_certified(self):
+        # the kernel's arithmetic decides every cell of a density grid, so none
+        # falls back to float.__repr__
+        q = np.linspace(-6.0, 6.0, 161)
+        grid_q, grid_p = np.meshgrid(q, q, indexing="ij")
+        values = wigner_eval(make_squeezed_vacuum(0.7), np.stack([grid_p, grid_q], axis=-1))
+        _, _, _, certified = _shortest(np.ascontiguousarray(values.ravel()))
+        assert certified.all()
+        assert _shortest(q)[3].all()
+
+
 class TestLatticeReader:
-    def test_edge_lattice_round_trip(self, tmp_path):
-        a_grid, b_grid, values = edge_lattice()
-        path = tmp_path / "grid.csv"
+    @staticmethod
+    def assert_round_trip(path, a_grid, b_grid, values):
         path.write_text(format_lattice(PHASE_SPACE_HEADER, a_grid, b_grid, values),
                         encoding="utf-8")
         got_a, got_b, got_values = read_lattice(path, PHASE_SPACE_HEADER, "test")
@@ -106,6 +213,12 @@ class TestLatticeReader:
         nan = np.isnan(values)
         assert np.array_equal(np.isnan(got_values), nan)
         assert_bit_equal(got_values[~nan], values[~nan])
+
+    def test_edge_lattice_round_trip(self, tmp_path):
+        self.assert_round_trip(tmp_path / "grid.csv", *edge_lattice())
+
+    def test_bulk_edge_lattice_round_trip(self, tmp_path):
+        self.assert_round_trip(tmp_path / "grid.csv", *edge_lattice(*BULK_EDGE))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())
