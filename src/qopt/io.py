@@ -10,9 +10,9 @@ A lattice file lists rows ``(a_i, b_j, value[i, j])`` of two sorted axes,
 ``a`` varying slowest: sinograms are ``(theta, x, value)``, phase-space grids
 ``(q, p, value)``.
 
-Table columns, lattice values and lattice axes of ``_MIN_CELLS`` cells or more
-are formatted in bulk by one numpy kernel, ``_BLOCK`` cells at a time, and
-integers by its digit writer.  For a double x = c 2^q the kernel forms
+The values of a lattice are formatted in bulk by one numpy kernel, ``_BLOCK``
+cells at a time; table cells and axis coordinates, each formatted once, go
+through ``float.__repr__``.  For a double x = c 2^q the kernel forms
 V = c P, P = 2^q 10^s, in double-double arithmetic, with s chosen so that V
 lies in (5e16, 1e18); the rounding interval is V -+ P/2 (the lower gap P/4 at
 a power of two), and the digits are the multiple of the largest power of ten
@@ -22,16 +22,14 @@ as ``repr`` picks them (Adams, "Ryu: fast float-to-string conversion", PLDI
 cell, and one boolean mask keeps the bytes of ``repr``'s layout.  A cell the
 arithmetic cannot certify (an interval end within 2^-30 of an integer, a tie
 between two nearest multiples) and every subnormal, infinite or nan cell is
-written by ``float.__repr__`` instead, as is every cell of a smaller column,
-grid or axis, where the kernel's fixed cost does not pay; the text is
-``repr``'s by construction.
+written by ``float.__repr__`` instead, so the text is ``repr``'s by
+construction.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cache
-from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +37,7 @@ import numpy as np
 SINOGRAM_HEADER = ("theta", "x", "value")
 PHASE_SPACE_HEADER = ("q", "p", "value")
 
-_MIN_CELLS = 400      # smaller inputs go through float.__repr__ (the measured crossover)
-_BLOCK = 1 << 14      # cells per kernel pass; bounds its temporary arrays
+_BLOCK = 1 << 14      # lattice cells per kernel pass; its arrays take about 0.5 kB a cell
 _NEAR = 2.0 ** -30    # closer than this to an integer or a tie, a cell is not certified
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _POW10F = 10.0 ** np.arange(20)
@@ -48,13 +45,12 @@ _POW10F = 10.0 ** np.arange(20)
 # A cell's 64-byte slot, as 16 little-endian words: the sign (byte 0), the
 # integer-part digits r = 23..0 (bytes 4-27), the point (28), the fraction
 # digits r = 23..0 (32-55), the "0" of a trailing ".0" (56), "e", the exponent
-# sign and three exponent digits (57-61) and the separator (62).  Digit r is
+# sign and three exponent digits (57-61) and the newline (62).  Digit r is
 # the coefficient of 10^r in the digit string m; the byte mask of the cell's
 # layout key keeps what repr prints.  Layout classes: 0-19 positional with
-# decpt = class - 3, 20 and 21 exponent of two and three digits, 22 integer.
+# decpt = class - 3, 20 and 21 exponent of two and three digits.
 _SEP = 62
-_REPR = 36            # float.__repr__ text goes to bytes 36-59, which every fill rewrites
-_INT_CLASS = 22
+_REPR = 36            # float.__repr__ text goes to bytes 36-59, which every pass rewrites
 _ZEROS = 0x30303030   # "0000"
 
 
@@ -88,32 +84,30 @@ def _digit_words() -> np.ndarray:
 
 
 @cache
-def _exponent_words(sep: str) -> np.ndarray:
-    """Words 14 and 15 of a slot ("0e", sign, e2 | e1, e0, sep) for exponents -400..400,
-    as one little-endian double word each."""
+def _exponent_words() -> np.ndarray:
+    """Words 14 and 15 of a slot ("0e", sign, e2 | e1, e0, newline) for exponents
+    -400..400, as one little-endian double word each."""
     e = np.arange(-400, 401)
     a = np.abs(e)
     return (0x6530 | np.where(e < 0, ord("-"), ord("+")) << 16 | (a // 100 + 48) << 24
-            | (a // 10 % 10 + 48) << 32 | (a % 10 + 48) << 40 | ord(sep) << 48).astype("<u8")
+            | (a // 10 % 10 + 48) << 32 | (a % 10 + 48) << 40 | ord("\n") << 48).astype("<u8")
 
 
 @cache
 def _slot_masks() -> np.ndarray:
     """Kept bytes of a slot for every layout key (class * 21 + digits) * 2 + negative."""
-    cls, nd, neg = (k.ravel() for k in np.meshgrid(np.arange(23), np.arange(21),
+    cls, nd, neg = (k.ravel() for k in np.meshgrid(np.arange(22), np.arange(21),
                                                    np.arange(2), indexing="ij"))
     positional = cls < 20
-    exponent = (cls == 20) | (cls == 21)
-    after = np.where(positional, np.maximum(nd - (cls - 3), 0),
-                     np.where(exponent, nd - 1, 0))   # digits after the point
+    after = np.where(positional, np.maximum(nd - (cls - 3), 0), nd - 1)   # digits after the point
     r = np.arange(23, -1, -1)
     mask = np.zeros((cls.size, 64), dtype=bool)
     mask[:, 0] = neg
     mask[:, 4:28] = (r >= after[:, None]) & (r < np.maximum(nd, after + 1)[:, None])
-    mask[:, 28] = positional | exponent & (after > 0)
+    mask[:, 28] = positional | (after > 0)
     mask[:, 32:56] = r < after[:, None]
     mask[:, 56] = positional & (after == 0)
-    mask[:, [57, 58, 60, 61]] = exponent[:, None]
+    mask[:, [57, 58, 60, 61]] = ~positional[:, None]
     mask[:, 59] = cls == 21
     mask[:, _SEP] = True
     return mask
@@ -196,9 +190,16 @@ def _shortest(x):
     return m, nd, decpt, certified | (bits << 1 == 0)
 
 
-def _fill(words, mask, m, key, exponent, sep: str) -> None:
-    """Write digit string m, exponent and separator into each cell's slot, whose
-    constant words ``_slot_buffer`` wrote, and layout ``key``'s byte mask into ``mask``."""
+def _float_slots(x, words, mask) -> None:
+    """Write the text of float cells and a newline into their slots, whose
+    constant words ``_slot_buffer`` wrote, and the kept bytes into ``mask``: the
+    kernel's text, ``float.__repr__``'s where the kernel cannot certify it."""
+    m, nd, decpt, certified = _shortest(x)
+    positional = (decpt > -4) & (decpt <= 16)
+    pad = np.where(positional & (decpt > nd), decpt - nd, 0)   # integers print all digits
+    m *= _POW10[pad]
+    nd += pad
+    cls = np.where(positional, decpt + 3, np.where(np.abs(decpt - 1) < 100, 20, 21))
     table = _digit_words()
     high = m // 10 ** 8
     top = high // 10 ** 8
@@ -208,21 +209,8 @@ def _fill(words, mask, m, key, exponent, sep: str) -> None:
                              low // 10000, low % 10000], axis=1)]   # r = 19..0
     words[:, 2:7] = digits
     words[:, 9:14] = digits
-    words[:, 14:16].view("<u8")[:, 0] = _exponent_words(sep)[exponent + 400]
-    mask[:] = _slot_masks()[key]
-
-
-def _float_slots(x, words, mask, sep: str) -> None:
-    """Fill the slots of float cells: the kernel's text, ``float.__repr__``'s where
-    the kernel cannot certify it."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    m, nd, decpt, certified = _shortest(x)
-    positional = (decpt > -4) & (decpt <= 16)
-    pad = np.where(positional & (decpt > nd), decpt - nd, 0)   # integers print all digits
-    m *= _POW10[pad]
-    nd += pad
-    cls = np.where(positional, decpt + 3, np.where(np.abs(decpt - 1) < 100, 20, 21))
-    _fill(words, mask, m, (cls * 21 + nd) * 2 + (x.view(np.int64) < 0), decpt - 1, sep)
+    words[:, 14:16].view("<u8")[:, 0] = _exponent_words()[decpt + 399]
+    mask[:] = _slot_masks()[(cls * 21 + nd) * 2 + (x.view(np.int64) < 0)]
     if certified.all():
         return
     text = words.view(np.uint8)
@@ -233,23 +221,14 @@ def _float_slots(x, words, mask, sep: str) -> None:
         text[i, _REPR:_REPR + cell.size] = cell
 
 
-def _int_slots(x, words, mask, sep: str) -> None:
-    """Fill the slots of integer cells with their digits."""
-    neg = x < 0
-    mag = x.astype(np.int64 if x.dtype.kind == "i" else np.uint64).view(np.uint64)
-    mag = np.where(neg, -mag, mag)
-    nd = np.searchsorted(_POW10, mag, side="right").clip(1)
-    _fill(words, mask, mag, (_INT_CLASS * 21 + nd) * 2 + neg, 0, sep)
-
-
-def _slot_buffer(n_cells: int, n_slots: int, prefix: int = 0):
-    """(text, mask, words) for n_cells rows of ``prefix`` bytes then n_slots slots;
-    ``words`` is (n_cells, n_slots, 16) over the slots, their constant words written."""
-    text = np.empty((n_cells, prefix + 64 * n_slots), dtype=np.uint8)
-    words = text[:, prefix:].view("<u4").reshape(n_cells, n_slots, 16)
-    words[:, :, 0] = ord("-")
-    words[:, :, 1] = words[:, :, 8] = _ZEROS
-    words[:, :, 7] = ord(".")
+def _slot_buffer(n_cells: int, prefix: int):
+    """(text, mask, words) for n_cells rows of ``prefix`` bytes and one slot;
+    ``words`` is (n_cells, 16) over the slots, their constant words written."""
+    text = np.empty((n_cells, prefix + 64), dtype=np.uint8)
+    words = text[:, prefix:].view("<u4")
+    words[:, 0] = ord("-")
+    words[:, 1] = words[:, 8] = _ZEROS
+    words[:, 7] = ord(".")
     return text, np.empty(text.shape, dtype=bool), words
 
 
@@ -262,55 +241,31 @@ def _column(name, col) -> np.ndarray:
     return col
 
 
-def _joined(header, pieces) -> str:
-    """The header line and the rows, from the compressed byte arrays of the blocks."""
-    return "".join([",".join(header) + "\n", *(str(piece, "ascii") for piece in pieces)])
-
-
 def format_table(header, columns) -> str:
     """CSV text of equal-length columns, one row per index.
 
     An integer column prints as digits, a real floating column as shortest
     round-trip decimals; any other column raises ``ValueError`` naming its header.
+    Each column is converted to Python scalars in one ``tolist`` call.
     """
     columns = list(columns)
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     columns = [_column(name, col) for name, col in zip(header, columns)]
-    n_rows = columns[0].size if columns else 0
-    if any(col.size != n_rows for col in columns):
+    if len({col.size for col in columns}) > 1:
         raise ValueError(f"columns of unequal lengths {[col.size for col in columns]}")
-    if n_rows < _MIN_CELLS:
-        cells = [map(repr, col.tolist()) for col in columns]
-        return _text(header, map(",".join, zip(*cells)))
-    step = min(n_rows, max(1, _BLOCK // len(columns)))
-    text, mask, words = _slot_buffer(step, len(columns))
-    seps = [","] * (len(columns) - 1) + ["\n"]
-    pieces = []
-    for start in range(0, n_rows, step):
-        k = min(step, n_rows - start)
-        for c, (col, sep) in enumerate(zip(columns, seps)):
-            fill = _int_slots if col.dtype.kind in "iu" else _float_slots
-            fill(col[start:start + k], words[:k, c], mask[:k, 64 * c:64 * c + 64], sep)
-        pieces.append(text[:k][mask[:k]])
-    return _joined(header, pieces)
+    cells = [map(repr, col.tolist()) for col in columns]
+    return _text(header, map(",".join, zip(*cells)))
 
 
-def _left_aligned(x, sep: str):
-    """(bytes, mask) of float cells and their separator written flush left in rows
-    of their longest text."""
-    if x.size < _MIN_CELLS:
-        cells = [v + sep for v in map(float.__repr__, x.tolist())]
-        lengths = np.array([len(v) for v in cells])
-        chars = np.frombuffer("".join(cells).encode(), np.uint8)
-    else:
-        text, mask, words = _slot_buffer(x.size, 1)
-        _float_slots(x, words[:, 0], mask, sep)
-        lengths = mask.sum(axis=1)
-        chars = text[mask]
+def _left_aligned(x):
+    """(bytes, mask) of the ``float.__repr__`` texts of x, each with a comma,
+    written flush left in rows of the longest."""
+    cells = [v + "," for v in map(float.__repr__, x.tolist())]
+    lengths = np.array([len(v) for v in cells])
     kept = np.arange(lengths.max()) < lengths[:, None]
     out = np.zeros(kept.shape, dtype=np.uint8)
-    out[kept] = chars
+    out[kept] = np.frombuffer("".join(cells).encode(), np.uint8)
     return out, kept
 
 
@@ -318,8 +273,10 @@ def format_lattice(header, a_grid, b_grid, values) -> str:
     """CSV text of rows (a_i, b_j, values[i, j]), ``a`` varying slowest.
 
     Each axis coordinate is formatted once; a row of the lattice is the
-    prefix ``a_i,b_j,`` joined onto its value's text.  A lattice with an
-    empty axis has no rows.
+    prefix ``a_i,b_j,`` joined onto its value's text.  The values go through
+    the kernel in blocks of at most ``_BLOCK`` cells: whole lattice rows, or
+    parts of one row when a row is longer.  A lattice with an empty axis has
+    no rows.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     b_grid = np.asarray(b_grid, dtype=float)
@@ -329,35 +286,26 @@ def format_lattice(header, a_grid, b_grid, values) -> str:
                          f"({a_grid.size}, {b_grid.size})")
     if values.size == 0:
         return _text(header, [])
-    if values.size < _MIN_CELLS:
-        # float.__repr__ is repr for Python floats, without the builtin's dispatch
-        a_text = list(map(float.__repr__, a_grid.tolist()))
-        b_text = [b + "," for b in map(float.__repr__, b_grid.tolist())]
-        cells = list(map(float.__repr__, values.ravel().tolist()))
-        n_b = len(b_text)
-        rows = (a + "," + ("\n" + a + ",").join(map(add, b_text, cells[i * n_b:(i + 1) * n_b]))
-                for i, a in enumerate(a_text))
-        return _text(header, rows)
-    a_text, a_kept = _left_aligned(a_grid, ",")
-    b_text, b_kept = _left_aligned(b_grid, ",")
+    a_text, a_kept = _left_aligned(a_grid)
+    b_text, b_kept = _left_aligned(b_grid)
     wa, wb = a_text.shape[1], b_text.shape[1]
     prefix = -(-(wa + wb) // 4) * 4      # keeps the value slots word-aligned
     n_a, n_b = values.shape
-    step = min(n_a, max(1, _BLOCK // n_b))     # lattice rows per block
-    text, mask, words = _slot_buffer(step * n_b, 1, prefix)
-    for out, b in ((text, b_text), (mask, b_kept)):
-        out.reshape(step, n_b, -1)[:, :, wa:wa + wb] = b
+    rows, cols = min(n_a, max(1, _BLOCK // n_b)), min(n_b, _BLOCK)   # cells of a block
+    text, mask, words = _slot_buffer(rows * cols, prefix)
     mask[:, wa + wb:prefix] = False
-    pieces = []
-    for start in range(0, n_a, step):
-        k = min(step, n_a - start)
-        for out, a in ((text, a_text), (mask, a_kept)):
-            out.reshape(step, n_b, -1)[:k, :, :wa] = a[start:start + k, None, :]
-        cells = k * n_b
-        _float_slots(values[start:start + k].ravel(), words[:cells, 0],
-                     mask[:cells, prefix:], "\n")
-        pieces.append(text[:cells][mask[:cells]])
-    return _joined(header, pieces)
+    pieces = [",".join(header) + "\n"]
+    for i in range(0, n_a, rows):
+        for j in range(0, n_b, cols):
+            block = values[i:i + rows, j:j + cols]
+            cells = block.size
+            for out, a, b in ((text, a_text, b_text), (mask, a_kept, b_kept)):
+                grid = out[:cells].reshape(*block.shape, -1)
+                grid[:, :, :wa] = a[i:i + rows, None]
+                grid[:, :, wa:wa + wb] = b[j:j + cols]
+            _float_slots(block.ravel(), words[:cells], mask[:cells, prefix:])
+            pieces.append(str(text[:cells][mask[:cells]], "ascii"))
+    return "".join(pieces)
 
 
 def read_lattice(path, header, kind: str):
