@@ -129,31 +129,23 @@ def cat_moments(c: CatState) -> CatMoments:
     a = c.amplitudes
     a2 = c.norm2
     damp = math.exp(-2.0 * a2)
+    # cov(n_i, n_k) = +-f^2 |a_i|^2 |a_k|^2 + delta_ik |a_i|^2 w, f = sech |A|^2 (even) or
+    # csch |A|^2 (odd); f^2 times 4^-k and |a|^2 times 2^k, 2^k |A|^2 in [1/2, 1), are exact
+    # rescalings that keep csch^2 in range however small |A|^2 is
+    k = -math.frexp(a2)[1]
     if c.parity == "even":
-        weight = math.tanh(a2)
-        cross = 4.0 * damp / (1.0 + damp) ** 2   # sech^2, positive correlations
-        sign = 1.0
+        weight, sign, den = math.tanh(a2), 1.0, 1.0 + damp
     else:
-        weight = 1.0 / math.tanh(a2)
-        cross = 4.0 * damp / math.expm1(-2.0 * a2) ** 2   # csch^2, anti-correlations
-        sign = -1.0
+        weight, sign, den = 1.0 / math.tanh(a2), -1.0, math.expm1(-2.0 * a2)
+    cross = 4.0 * damp / math.ldexp(den, k) ** 2
     abs2 = np.abs(a) ** 2
+    scaled = np.ldexp(abs2, k)
     pair = np.outer(a, a)
     occupation = weight * np.outer(np.conj(a), a) + 0.5 * np.eye(c.n_modes)
     mean_n = abs2 * weight
-    covariance = sign * cross * np.outer(abs2, abs2) + np.diag(abs2 * weight)
+    covariance = sign * cross * np.outer(scaled, scaled) + np.diag(abs2 * weight)
     second = covariance + np.outer(mean_n, mean_n)
     with np.errstate(divide="ignore", invalid="ignore"):
         mandel = np.where(mean_n > 0, (np.diag(second) - mean_n ** 2 - mean_n)
                           / np.where(mean_n > 0, mean_n, 1.0), 0.0)
     return CatMoments(pair, occupation, mean_n, covariance, second, mandel)
-
-
-def cat_to_dict(c: CatState) -> dict:
-    """JSON-ready document {A: [[re, im], ...], parity}."""
-    return {"A": [[z.real, z.imag] for z in c.amplitudes], "parity": c.parity}
-
-
-def cat_from_dict(doc: dict) -> CatState:
-    amp = np.array([complex(re, im) for re, im in doc["A"]])
-    return CatState(amp, doc["parity"])

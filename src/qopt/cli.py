@@ -8,13 +8,13 @@ shortest round-trip decimal (Python repr), JSON keys are sorted, and nothing
 depends on wall-clock time or randomized defaults.  Jobs run serially;
 ``--threads`` is accepted for old scripts and ignored.
 
-``_JOBS`` lists each command's config fields once, as field -> (parser,
-default).  ``parse_config`` runs every parser once and hands the job typed
-values: a field that is missing, mistyped or out of range is a configuration
-error naming it (exit status 2), and every number, also inside state,
-Hamiltonian and profile documents, must be a finite JSON number.  An artifact,
-or a sidecar number, that would hold inf or nan is a ``NonFiniteError`` naming
-it (exit status 1).
+The one schema of config documents is here: ``_JOBS`` lists each command's
+fields as field -> (parser, default), and so do ``_STATES`` (by ``kind``),
+``_HAMILTONIANS`` (by ``preset``) and ``_PROFILES`` for the nested documents.
+``_fields`` runs each parser once: a field that is missing, mistyped or out of
+range, at any depth, is a configuration error naming its path (exit status 2),
+and every number must be a finite JSON number.  An artifact, or a sidecar
+number, that would hold inf or nan is a ``NonFiniteError`` naming it (exit 1).
 Library warnings raised during a job go to the sidecar's ``warnings`` key and
 to stderr as JSON lines, before the error line when the job fails.
 """
@@ -32,15 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cats import CatState, cat_from_dict, cat_moments
-from .dynamics import (FlowSample, evolve_gaussian, hamiltonian_from_dict,
-                       integrate_symplectic_flow, parametric_oscillator)
+from .cats import CatState, cat_moments
+from .dynamics import (FlowSample, QuadraticHamiltonian, evolve_gaussian, free_particle,
+                       harmonic_oscillator, integrate_symplectic_flow, parametric_oscillator)
 from .errors import NonFiniteError
-from .gaussian import (QREP_CONVENTION, make_coherent, make_squeezed_vacuum,
-                       make_thermal_oscillator, photon_pnd_table, q_eval, state_from_dict,
-                       wigner_eval)
-from .io import PHASE_SPACE_HEADER, format_lattice, format_table, sinogram_csv
-from .parametric import profile_from_dict, solve_epsilon
+from .gaussian import (QREP_CONVENTION, GaussianState, make_coherent, make_squeezed_vacuum,
+                       make_thermal_oscillator, photon_pnd_table, q_eval, wigner_eval)
+from .io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, format_lattice, format_table
+from .parametric import expression_profile, preset_profile, solve_epsilon, tabulated_profile
 from .tomography import (boundary_peak_ratio, forward_marginal_numeric, gaussian_sinogram,
                          inverse_radon, lattice_mass, sinogram_from_csv,
                          wigner_grid_from_callable)
@@ -67,10 +66,31 @@ class JobConfig:
     values: dict
 
 
-def _require(options: dict, field: str, path: str):
-    if field not in options:
-        raise ConfigError(f"{path}.{field}" if path else field, "missing required field")
-    return options[field]
+def _object(obj, path: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(path or "<document>", "must be an object")
+    return obj
+
+
+def _fields(obj, path: str, table: dict) -> dict:
+    """{field: parser(obj[field], "path.field")} over a table {field: (parser, default)};
+    a missing field takes its default, or is an error when that is ``_NO_DEFAULT``, and
+    a parser's ValueError, TypeError, KeyError or ArithmeticError names the field."""
+    values, obj = {}, _object(obj, path)
+    for field, (parse, default) in table.items():
+        name = f"{path}.{field}" if path else field
+        if field not in obj:
+            if default is _NO_DEFAULT:
+                raise ConfigError(name, "missing required field")
+            values[field] = default
+            continue
+        try:
+            values[field] = parse(obj[field], name)
+        except ConfigError:
+            raise
+        except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
+            raise ConfigError(name, str(exc)) from exc
+    return values
 
 
 def _rule(ok, expected: str, convert=None):
@@ -95,9 +115,17 @@ def _integral(least: int):
                  f"an integer >= {least}", int)
 
 
+def _choice(*names: str):
+    return _rule(lambda v: isinstance(v, str) and v in names, " or ".join(map(repr, names)))
+
+
+def _string(convert):
+    return _rule(lambda v: isinstance(v, str), "a string", convert)
+
+
+_NO_DEFAULT = object()  # the default of a required field
 _finite, _positive = _number(), _number(0.0)
 _flag = _rule(lambda v: isinstance(v, bool), "true or false")
-_method = _rule(lambda v: v in ("exact", "numeric"), "'exact' or 'numeric'")
 _existing_file = _rule(lambda v: isinstance(v, str) and Path(v).exists(), "a file", Path)
 
 
@@ -105,77 +133,116 @@ def _numbers(value, field: str):
     """``value`` unchanged when it is a finite number or a nested list of them."""
     if isinstance(value, list):
         for i, item in enumerate(value):
-            _numbers(item, f"{field}[{i}]")
+            if not (type(item) is int or type(item) is float and math.isfinite(item)):
+                _numbers(item, f"{field}[{i}]")  # a row, or an error naming the item
     else:
         _finite(value, field)
     return value
 
 
+def _array(ndim: int, what: str, ok=lambda shape: True):
+    """Parser of a nonempty nested list of finite numbers with ``ndim`` axes and a shape
+    for which ``ok`` holds, as a float array."""
+    def parse(value, field: str):
+        arr = np.asarray(_numbers(value, field), dtype=float)
+        if arr.ndim != ndim or arr.size == 0 or not ok(arr.shape):
+            raise ConfigError(field, f"must be {what}, got shape {arr.shape}")
+        return arr
+    return parse
+
+
+_vector, _matrix = _array(1, "a list of numbers"), _array(2, "a matrix")
+_square = _array(2, "a 2N x 2N matrix", lambda shape: shape[0] == shape[1] and shape[0] % 2 == 0)
+_pairs = _array(2, "a list of [re, im] pairs", lambda shape: shape[1] == 2)
+
+
+_AXIS = {"num": (_integral(2), _NO_DEFAULT), "min": (_finite, _NO_DEFAULT),
+         "max": (_finite, _NO_DEFAULT)}
+
+
 def _parse_grid(obj, path: str) -> np.ndarray:
     if isinstance(obj, dict):
-        num = _integral(2)(_require(obj, "num", path), f"{path}.num")
-        low = _finite(_require(obj, "min", path), f"{path}.min")
-        high = _finite(_require(obj, "max", path), f"{path}.max")
-        if not low < high:
+        axis = _fields(obj, path, _AXIS)
+        if not axis["min"] < axis["max"]:
             raise ConfigError(f"{path}.min", "grid bounds must satisfy min < max")
-        return np.linspace(low, high, num)
-    grid = np.asarray(_numbers(obj, path), dtype=float)
-    if grid.ndim != 1 or grid.shape[0] == 0:
-        raise ConfigError(path, "grid must be a nonempty list of numbers")
-    if grid.shape[0] > 1 and np.any(np.diff(grid) <= 0):
+        return np.linspace(axis["min"], axis["max"], axis["num"])
+    grid = _vector(obj, path)
+    if np.any(np.diff(grid) <= 0):
         raise ConfigError(path, "grid values must be strictly increasing")
     return grid
 
 
-def _document(obj, path: str, numeric_keys) -> dict:
-    """``obj`` when it is an object whose ``numeric_keys`` all hold finite numbers."""
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "must be an object")
-    for key in numeric_keys:
-        if key in obj:
-            _numbers(obj[key], f"{path}.{key}")
-    return obj
-
-
 def _parse_phase_grid(obj, path: str) -> tuple[np.ndarray, ...]:
-    doc = _document(obj, path, ())
-    return tuple(_parse_grid(_require(doc, axis, path), f"{path}.{axis}") for axis in "qp")
+    return tuple(_fields(obj, path, {axis: (_parse_grid, _NO_DEFAULT) for axis in "qp"}).values())
+
+
+def _alpha(value, field: str):
+    """A coherent amplitude: a number, [re, im], or a list of [re, im] pairs."""
+    alpha = np.array(_numbers(value, field), dtype=float)
+    if alpha.ndim and (alpha.ndim > 2 or alpha.shape[-1] != 2):
+        raise ConfigError(field, "expected a number, [re, im] or a list of pairs")
+    return alpha[..., 0] + 1j * alpha[..., 1] if alpha.ndim else alpha
+
+
+# state kind -> (constructor, {field: (parser, default)}); the fields are its keywords
+_STATES = {
+    "gaussian": (lambda mean, disp, n_modes: GaussianState(mean, disp), {
+        "mean": (_vector, _NO_DEFAULT), "disp": (_matrix, _NO_DEFAULT),
+        "n_modes": (_integral(1), None)}),
+    "coherent": (make_coherent, {"alpha": (_alpha, _NO_DEFAULT)}),
+    "thermal": (make_thermal_oscillator, {"temperature": (_positive, _NO_DEFAULT),
+                                          "omega": (_positive, 1.0)}),
+    "squeezed_vacuum": (make_squeezed_vacuum, {"r": (_finite, _NO_DEFAULT)}),
+    # each [re, im] row, read as one complex number
+    "cat": (lambda A, parity: CatState(A.view(complex)[:, 0], parity), {
+        "A": (_pairs, _NO_DEFAULT), "parity": (_choice("even", "odd"), _NO_DEFAULT)}),
+}
+_STATE_KIND = _choice(*_STATES)
 
 
 def _parse_state(obj, path: str):
-    """Gaussian-family or cat state from its JSON spec."""
-    _document(obj, path, ("alpha", "A", "mean", "disp", "n_modes"))
-    kind = obj.get("kind", "gaussian" if "disp" in obj else None)
-    if kind is None:
-        raise ConfigError(f"{path}.kind", "missing state kind")
-    if kind == "gaussian":
-        return state_from_dict({k: v for k, v in obj.items() if k != "kind"})
-    if kind == "coherent":
-        alpha = np.array(_require(obj, "alpha", path), dtype=float)
-        if alpha.ndim and (alpha.ndim > 2 or alpha.shape[-1] != 2):
-            raise ConfigError(f"{path}.alpha", "expected a number, [re, im] or a list of pairs")
-        return make_coherent(alpha[..., 0] + 1j * alpha[..., 1] if alpha.ndim else alpha)
-    if kind == "thermal":
-        return make_thermal_oscillator(
-            _positive(_require(obj, "temperature", path), f"{path}.temperature"),
-            _positive(obj.get("omega", 1.0), f"{path}.omega"))
-    if kind == "squeezed_vacuum":
-        return make_squeezed_vacuum(_finite(_require(obj, "r", path), f"{path}.r"))
-    if kind == "cat":
-        return cat_from_dict({key: _require(obj, key, path) for key in ("A", "parity")})
-    raise ConfigError(f"{path}.kind", f"unknown state kind {kind!r}")
+    """Gaussian-family or cat state from its JSON document; ``kind`` picks the table."""
+    kind_default = "gaussian" if "disp" in _object(obj, path) else _NO_DEFAULT
+    build, table = _STATES[_fields(obj, path, {"kind": (_STATE_KIND, kind_default)})["kind"]]
+    values = _fields(obj, path, table)
+    state = build(**values)
+    if values.get("n_modes") not in (None, state.n_modes):
+        raise ConfigError(f"{path}.n_modes", f"the mean and disp hold {state.n_modes} modes")
+    return state
+
+
+# profile form -> parser; a profile document holds exactly one of them
+_PROFILES = {"preset": _string(preset_profile),
+             "table": lambda v, field: tabulated_profile(_numbers(v, field)),
+             "expression": _string(expression_profile)}
 
 
 def _parse_profile(obj, path: str):
-    return profile_from_dict(_document(obj, path, ("table",)))
+    forms = [form for form in _PROFILES if form in _object(obj, path)]
+    if len(forms) != 1:
+        raise ConfigError(path, f"needs exactly one of {', '.join(map(repr, _PROFILES))}")
+    return _fields(obj, path, {forms[0]: (_PROFILES[forms[0]], _NO_DEFAULT)})[forms[0]]
+
+
+# Hamiltonian preset -> (constructor, {field: (parser, default)}); None is H = Q.B.Q/2 + C.Q
+_HAMILTONIANS = {
+    "free": (free_particle, {"mass": (_positive, 1.0)}),
+    "oscillator": (harmonic_oscillator, {"mass": (_positive, 1.0), "omega": (_finite, 1.0)}),
+    "parametric": (parametric_oscillator, {"mass": (_positive, 1.0),
+                                           "omega_squared": (_parse_profile, _NO_DEFAULT)}),
+    None: (lambda B, C: QuadraticHamiltonian(B, np.zeros(len(B)) if C is None else C,
+                                             len(B) // 2),
+           {"B": (_square, _NO_DEFAULT), "C": (_vector, None)}),
+}
+_PRESET = _choice(*filter(None, _HAMILTONIANS))
 
 
 def _parse_hamiltonian(obj, path: str):
-    doc = _document(obj, path, ("mass", "omega", "B", "C"))
-    if doc.get("preset") == "parametric":
-        profile = _parse_profile(_require(doc, "omega_squared", path), f"{path}.omega_squared")
-        return parametric_oscillator(profile, mass=float(doc.get("mass", 1.0)))
-    return hamiltonian_from_dict(doc)
+    preset = _fields(obj, path, {"preset": (_PRESET, None)})["preset"]
+    if preset is not None and "B" in obj:
+        raise ConfigError(path, "give either 'preset' or 'B', not both")
+    build, table = _HAMILTONIANS[preset]
+    return build(**_fields(obj, path, table))
 
 
 def parse_config(text: str, command: str | None = None) -> JobConfig:
@@ -194,18 +261,7 @@ def parse_config(text: str, command: str | None = None) -> JobConfig:
     if command is not None and cmd != command:
         raise ConfigError("command", f"config says {cmd!r} but {command!r} was invoked")
     options = {k: v for k, v in doc.items() if k != "command"}
-    values = {}
-    for field, (parse, default) in _JOBS[cmd][1].items():
-        if field not in options:
-            values[field] = _require(options, field, "") if default is _NO_DEFAULT else default
-            continue
-        try:
-            values[field] = parse(options[field], field)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError, KeyError, OverflowError) as exc:
-            raise ConfigError(field, str(exc)) from exc
-    return JobConfig(cmd, options, values)
+    return JobConfig(cmd, options, _fields(options, "", _JOBS[cmd][1]))
 
 
 def _require_one_mode(state, path):
@@ -335,7 +391,8 @@ def _job_tomo_forward(job):
     _check_finite("sinogram.csv", sino.theta_grid, sino.x_grid, sino.values)
     meta = {"n_angles": n_angles, "method": job["method"],
             "max_normalization_defect": float(sino.normalization_defects.max())}
-    return {"sinogram.csv": sinogram_csv(sino)}, meta
+    text = format_lattice(SINOGRAM_HEADER, sino.theta_grid, sino.x_grid, sino.values)
+    return {"sinogram.csv": text}, meta
 
 
 def _job_tomo_invert(job):
@@ -370,7 +427,6 @@ def _plot_script(csv_name: str, n_q: int, n_p: int, title: str) -> str:
     ]) + "\n"
 
 
-_NO_DEFAULT = object()  # the default of a required field
 _STATE = (_parse_state, _NO_DEFAULT)
 _PND_FIELDS = {"state": _STATE, "degree_cap": (_integral(0), 64),
                "mass_tol": (_number(0.0, 1.0), 1e-10)}
@@ -391,7 +447,7 @@ _JOBS = {
     "tomo-forward": (_job_tomo_forward, {
         "state": _STATE, "n_angles": (_integral(1), 180),
         "x": (_parse_grid, _parse_grid({"min": -12.0, "max": 12.0, "num": 257}, "x")),
-        "method": (_method, "exact"), "wigner_samples": (_integral(2), 513),
+        "method": (_choice("exact", "numeric"), "exact"), "wigner_samples": (_integral(2), 513),
         "wigner_span": (_positive, None)}),
     "tomo-invert": (_job_tomo_invert, {
         "sinogram": (_existing_file, _NO_DEFAULT), "grid": (_parse_phase_grid, _NO_DEFAULT),

@@ -393,20 +393,3 @@ def invariant_residual_check(hamiltonian: QuadraticHamiltonian, q_values, qp_val
     momentum_res = np.abs(momentum_lhs - 1j * dqp).max()
     position_res = np.abs(position_lhs - qp * center).max()
     return ResidualReport(float(momentum_res), float(position_res))
-
-
-def hamiltonian_from_dict(doc: dict) -> QuadraticHamiltonian:
-    """Build a Hamiltonian from {preset: free|oscillator, ...} or {B: .., C: ..}."""
-    if "preset" in doc:
-        preset = doc["preset"]
-        if preset == "free":
-            return free_particle(mass=float(doc.get("mass", 1.0)))
-        if preset == "oscillator":
-            return harmonic_oscillator(mass=float(doc.get("mass", 1.0)),
-                                       omega=float(doc.get("omega", 1.0)))
-        raise ValueError(f"unknown Hamiltonian preset {preset!r}")
-    if "B" in doc:
-        b = np.asarray(doc["B"], dtype=float)
-        c = np.asarray(doc.get("C", np.zeros(b.shape[0])), dtype=float)
-        return QuadraticHamiltonian(b, c, b.shape[0] // 2)
-    raise ValueError("Hamiltonian document needs either 'preset' or 'B'")

@@ -403,17 +403,3 @@ def photon_moments(s: GaussianState, j: int = 0) -> tuple[float, float]:
     mean = 0.5 * (V[0, 0] + V[1, 1] - 1.0) + 0.5 * (d[0] ** 2 + d[1] ** 2)
     variance = 0.5 * (np.sum(V * V) - 0.5) + d @ V @ d
     return float(mean), float(variance)
-
-
-def state_to_dict(s: GaussianState) -> dict:
-    """JSON-ready document {n_modes, mean, disp}."""
-    return {"n_modes": s.n_modes, "mean": s.mean.tolist(), "disp": s.disp.tolist()}
-
-
-def state_from_dict(doc: dict) -> GaussianState:
-    state = GaussianState(np.asarray(doc["mean"], dtype=float),
-                          np.asarray(doc["disp"], dtype=float))
-    if "n_modes" in doc and int(doc["n_modes"]) != state.n_modes:
-        raise ValueError(f"n_modes {doc['n_modes']} does not match mean length "
-                         f"{2 * state.n_modes}")
-    return state

@@ -161,18 +161,27 @@ def hermite1d_eval(n: int, t):
 def fock_wavefunction_eval(n: int, q, scale: float = 1.0):
     """Number-state wavefunction psi_n(q) of a ground Gaussian with width 1/sqrt(scale).
 
-    psi_n(q) = (scale/pi)^{1/4} (2^n n!)^{-1/2} exp(-scale q^2/2) H_n(q sqrt(scale));
-    the family is orthonormal in L^2(dq).
+    psi_n(q) = (scale/pi)^{1/4} (2^n n!)^{-1/2} exp(-scale q^2/2) H_n(q sqrt(scale)), real;
+    the family is orthonormal in L^2(dq).  With y = q sqrt(scale) it is the recursion
+    psi_{k+1} = sqrt(2/(k+1)) y psi_k - sqrt(k/(k+1)) psi_{k-1} of the normalized Hermite
+    functions, rescaled by a power of two every step; those powers and exp(-y^2/2) enter in
+    one exp at the end, so no order or argument overflows.
     """
     n = int(n)
     if n < 0:
         raise ValueError("order must be nonnegative")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    q = np.asarray(q, dtype=float)
-    norm = (scale / math.pi) ** 0.25 * math.exp(-0.5 * (n * math.log(2.0) + math.lgamma(n + 1)))
-    out = norm * np.exp(-0.5 * scale * q * q) * hermite1d_eval(n, q * math.sqrt(scale))
-    return out if np.ndim(out) else complex(out)
+    y = np.asarray(q, dtype=float) * math.sqrt(scale)
+    prev, cur = np.zeros_like(y), np.full_like(y, (scale / math.pi) ** 0.25)
+    exponents = np.zeros(y.shape, dtype=np.int64)
+    for k in range(n):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * y * cur - math.sqrt(k / (k + 1)) * prev
+        step = np.frexp(cur)[1]
+        prev, cur = np.ldexp(prev, -step), np.ldexp(cur, -step)
+        exponents += step
+    out = cur * np.exp(math.log(2.0) * exponents - 0.5 * y * y)
+    return out if out.ndim else float(out)
 
 
 def hermite_box(R, ry, shape) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""CSV artifacts: the one writer and the one lattice reader.
+"""CSV artifacts: the one text formatter and the one lattice reader.
 
-Every CSV this package writes has one header line, comma-separated cells,
-and a newline after every row.  Integers print as digits and floats as their
+The CLI writes every artifact file, and the text of every CSV comes from
+``format_table`` or ``format_lattice``: one header line, comma-separated
+cells, and a newline after every row.  Integers print as digits and floats as their
 shortest round-trip decimal, byte for byte what Python's ``repr`` prints
 (``0.1``, ``-0.0``, ``1e-05``, ``1e+16``, ``inf``, ``nan``), so reading a file
 back gives the same floats bit for bit and reruns give the same bytes.
@@ -28,7 +29,6 @@ construction.
 
 from __future__ import annotations
 
-import json
 from functools import cache
 from pathlib import Path
 
@@ -338,42 +338,3 @@ def read_lattice(path, header, kind: str):
         raise ValueError(f"{path}: {len(vals)} rows do not form the row-major "
                          f"{a_grid.shape[0]} x {b_grid.shape[0]} lattice of its grids")
     return a_grid, b_grid, vals.reshape(a_grid.shape[0], b_grid.shape[0])
-
-
-def sinogram_csv(sino) -> str:
-    """CSV text of a sinogram: rows (theta, x, value), theta varying slowest."""
-    return format_lattice(SINOGRAM_HEADER, sino.theta_grid, sino.x_grid, sino.values)
-
-
-def _write_with_sidecar(path, text: str, sidecar: dict, meta: dict | None) -> None:
-    path = Path(path)
-    path.write_text(text, encoding="utf-8")
-    if meta:
-        sidecar.update(meta)
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def sinogram_to_csv(sino, path, meta: dict | None = None) -> None:
-    """Write rows (theta, x, value) plus a JSON sidecar with the grid layout."""
-    _write_with_sidecar(path, sinogram_csv(sino), {
-        "kind": "sinogram",
-        "n_angles": int(sino.n_angles),
-        "x_min": float(sino.x_grid[0]),
-        "x_max": float(sino.x_grid[-1]),
-        "n_x": int(sino.x_grid.shape[0]),
-        "normalization_defects": [float(d) for d in sino.normalization_defects],
-    }, meta)
-
-
-def wigner_grid_to_csv(grid, path, meta: dict | None = None) -> None:
-    """Write rows (q, p, value) plus a JSON sidecar with the grid layout."""
-    text = format_lattice(PHASE_SPACE_HEADER, grid.q_grid, grid.p_grid, grid.values)
-    _write_with_sidecar(path, text, {
-        "kind": "wigner_grid",
-        "q_min": float(grid.q_grid[0]), "q_max": float(grid.q_grid[-1]),
-        "n_q": int(grid.q_grid.shape[0]),
-        "p_min": float(grid.p_grid[0]), "p_max": float(grid.p_grid[-1]),
-        "n_p": int(grid.p_grid.shape[0]),
-        "mass": grid.mass(),
-    }, meta)

@@ -27,6 +27,7 @@ sampled at a spacing derived from the largest w^2 the flow's steps see.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,9 +37,8 @@ import numpy as np
 from .dynamics import (SymplecticFlow, evolve_gaussian, integrate_symplectic_flow,
                        parametric_oscillator)
 from .gaussian import GaussianState
-from .hermite import hermite1d_eval
+from .hermite import fock_wavefunction_eval
 
-_PRESET_NAMES = ("free", "oscillator", "repulsive")
 _EXPR_NAMESPACE = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
     "sqrt": np.sqrt, "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
@@ -61,7 +61,7 @@ def preset_profile(name: str) -> FrequencyProfile:
     """Named profiles: free (w^2 = 0), oscillator (w^2 = 1), repulsive (w^2 = -1)."""
     values = {"free": 0.0, "oscillator": 1.0, "repulsive": -1.0}
     if name not in values:
-        raise ValueError(f"unknown preset {name!r}; expected one of {_PRESET_NAMES}")
+        raise ValueError(f"unknown preset {name!r}; expected one of {tuple(values)}")
     return FrequencyProfile(lambda t, _w2=values[name]: _w2, f"preset_{name}")
 
 
@@ -80,9 +80,13 @@ def expression_profile(expr: str) -> FrequencyProfile:
     """w^2(t) from an arithmetic expression in t, e.g. "1 + 0.2*sin(t)".
 
     Evaluated in a namespace of elementary functions only; configs are
-    trusted input.
+    trusted input.  It is evaluated once at t = 0 to fail fast: a syntax error, an
+    exception at t = 0 or a non-finite w^2(0) raises ``ValueError``.
     """
-    code = compile(expr, "<omega_squared>", "eval")
+    try:
+        code = compile(expr, "<omega_squared>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"expression {expr!r} is not valid: {exc.msg}") from exc
     for name in code.co_names:
         if name not in _EXPR_NAMESPACE and name != "t":
             raise ValueError(f"expression uses unknown name {name!r}")
@@ -90,19 +94,14 @@ def expression_profile(expr: str) -> FrequencyProfile:
     def w2(t, _code=code):
         return float(eval(_code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "t": t}))
 
-    w2(0.0)  # fail fast on malformed expressions
+    try:
+        with np.errstate(all="ignore"):
+            probe = w2(0.0)
+    except Exception as exc:  # noqa: BLE001 - any failure at t = 0 is the expression's
+        raise ValueError(f"expression {expr!r} fails at t = 0: {exc}") from exc
+    if not math.isfinite(probe):
+        raise ValueError(f"expression {expr!r} gives w^2(0) = {probe!r}, not a finite number")
     return FrequencyProfile(w2, "expression")
-
-
-def profile_from_dict(doc: dict) -> FrequencyProfile:
-    """Parse {"preset": name} | {"table": rows} | {"expression": text}."""
-    if "preset" in doc:
-        return preset_profile(doc["preset"])
-    if "table" in doc:
-        return tabulated_profile(doc["table"])
-    if "expression" in doc:
-        return expression_profile(doc["expression"])
-    raise ValueError("profile document needs 'preset', 'table', or 'expression'")
 
 
 class EpsilonTrajectory:
@@ -116,35 +115,45 @@ class EpsilonTrajectory:
     def __init__(self, flow: SymplecticFlow, profile: FrequencyProfile):
         self.flow, self.profile = flow, profile
         self.ts, self.error_estimate = flow.ts, flow.error_estimate
-        # -2i det Lam, scaled by max(1, |eps|) max(1, |epsdot|): finite wherever the rows are
-        eps, epsdot = self.at(self.ts)
+        # -2i det Lam at the step boundaries, scaled by max(1, |eps|) max(1, |epsdot|):
+        # finite wherever the rows are
+        eps, epsdot = _eps_epsdot(flow.lams)
         a, b = np.maximum(1.0, np.abs(eps)), np.maximum(1.0, np.abs(epsdot))
         wron = (eps / a) * np.conj(epsdot / b) - np.conj(eps / a) * (epsdot / b)
         self.wronskian_defect = float(np.abs(wron + 2j / a / b).max())
-        # by Sturm comparison the phase of eps needs at least pi/w_max to advance by pi,
-        # so at a spacing of (pi/2)/w_max it turns by less than pi between samples
-        w2_max = max(map(profile, np.union1d(self.ts, 0.5 * (self.ts[1:] + self.ts[:-1]))))
-        num = math.ceil(flow.t_end / (0.5 * math.pi / math.sqrt(max(1.0, w2_max)))) + 1
-        self._phase_ts = np.union1d(self.ts, np.linspace(0.0, flow.t_end, num))
-        self._phases = np.unwrap(np.angle(self.at(self._phase_ts)[0]))
 
     def at(self, t):
         """(eps, epsdot) at time t, or the two arrays at an array of times."""
-        lam = self.flow.evaluate(t)[0]
-        eps = lam[..., 0, 0] - 1j * lam[..., 1, 0]
-        epsdot = -lam[..., 0, 1] + 1j * lam[..., 1, 1]
+        eps, epsdot = _eps_epsdot(self.flow.evaluate(t)[0])
         return (eps, epsdot) if np.ndim(t) else (complex(eps), complex(epsdot))
+
+    @functools.cached_property
+    def _phase_table(self):
+        """(times, unwrapped arg eps) at a spacing where arg eps turns by less than pi: by
+        Sturm comparison the phase needs at least pi/w_max to advance by pi, so (pi/2)/w_max
+        will do.  Built on first use; only the wavefunction evaluators read it."""
+        ts = self.ts
+        w2_max = max(map(self.profile, np.union1d(ts, 0.5 * (ts[1:] + ts[:-1]))))
+        num = math.ceil(self.flow.t_end / (0.5 * math.pi / math.sqrt(max(1.0, w2_max)))) + 1
+        phase_ts = np.union1d(ts, np.linspace(0.0, self.flow.t_end, num))
+        return phase_ts, np.unwrap(np.angle(self.at(phase_ts)[0]))
 
     def phase_at(self, t: float) -> float:
         """arg eps(t), continuous from arg eps(0) = 0."""
         e, _ = self.at(t)
-        anchor = self._phases[np.searchsorted(self._phase_ts, t, side="right") - 1]
+        phase_ts, phases = self._phase_table
+        anchor = phases[np.searchsorted(phase_ts, t, side="right") - 1]
         return float(anchor + np.angle(e * np.exp(-1j * anchor)))
 
     def sqrt_inv_eps(self, t: float) -> complex:
         """eps(t)^{-1/2} on the branch continuous from 1 at t = 0."""
         e, _ = self.at(t)
         return abs(e) ** -0.5 * np.exp(-0.5j * self.phase_at(t))
+
+
+def _eps_epsdot(lam):
+    """(eps, epsdot) = (l00 - i l10, -l01 + i l11) of flow matrices Lam in (p, q) order."""
+    return lam[..., 0, 0] - 1j * lam[..., 1, 0], -lam[..., 0, 1] + 1j * lam[..., 1, 1]
 
 
 def solve_epsilon(profile: FrequencyProfile, t_end: float, tol: float = 1e-9) -> EpsilonTrajectory:
@@ -203,40 +212,44 @@ def to_gaussian_state(traj: EpsilonTrajectory, t: float) -> GaussianState:
     return evolve_gaussian(GaussianState(np.zeros(2), 0.5 * np.eye(2)), traj.flow.at(t))
 
 
-def _ground_packet(traj: EpsilonTrajectory, t: float, x: np.ndarray) -> np.ndarray:
+def _coherent_packet(traj: EpsilonTrajectory, t: float, alpha: complex, x: np.ndarray):
+    """pi^{-1/4} eps^{-1/2} exp(i (epsdot/eps) x^2/2 - |alpha|^2/2 - alpha^2 eps*/(2 eps)
+    + sqrt(2) alpha x/eps), the whole exponent in one exp, so a large alpha cannot pair an
+    underflowing factor with an overflowing one."""
     eps, epsdot = traj.at(t)
-    return (math.pi ** -0.25 * traj.sqrt_inv_eps(t)
-            * np.exp(0.5j * (epsdot / eps) * x * x))
+    return math.pi ** -0.25 * traj.sqrt_inv_eps(t) * np.exp(
+        0.5j * (epsdot / eps) * x * x - 0.5 * abs(alpha) ** 2
+        - 0.5 * alpha * alpha * np.conj(eps) / eps + math.sqrt(2.0) * alpha * x / eps)
 
 
 def packet_wavefunction_eval(traj: EpsilonTrajectory, t: float, alpha: complex, x):
     """Coherent packet of the driven oscillator at displacement alpha."""
-    x = np.asarray(x, dtype=float)
-    eps, _ = traj.at(t)
-    out = (_ground_packet(traj, t, x)
-           * np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * alpha * alpha * np.conj(eps) / eps
-                    + math.sqrt(2.0) * alpha * x / eps))
+    out = _coherent_packet(traj, t, alpha, np.asarray(x, dtype=float))
     return out if out.ndim else complex(out)
 
 
 def squeezed_number_wavefunction(traj: EpsilonTrajectory, t: float, m_level: int, x):
-    """m-th excited packet: orthonormal family generalizing the number states."""
+    """m-th excited packet, an orthonormal family generalizing the number states:
+    e^{-i(m + 1/2) arg eps} |eps|^{-1/2} psi_m(y) exp(i (epsdot/eps) x^2/2 + y^2/2) with
+    y = x/|eps| and psi_m the number state; the last factor has modulus 1."""
     m_level = int(m_level)
     if m_level < 0:
         raise ValueError("level must be nonnegative")
     x = np.asarray(x, dtype=float)
-    eps, _ = traj.at(t)
-    # (eps*/2eps)^{m/2} with the continuously tracked phase of eps
-    ratio_half_pow = (2.0 ** (-0.5 * m_level)
-                      * np.exp(-1j * m_level * traj.phase_at(t)))
-    out = (ratio_half_pow / math.sqrt(math.factorial(m_level))
-           * _ground_packet(traj, t, x) * hermite1d_eval(m_level, x / abs(eps)))
-    return out if np.ndim(out) else complex(out)
+    eps, epsdot = traj.at(t)
+    y = x / abs(eps)
+    out = (np.exp(-1j * (m_level + 0.5) * traj.phase_at(t)) / math.sqrt(abs(eps))
+           * fock_wavefunction_eval(m_level, y)
+           * np.exp(0.5j * (epsdot / eps) * x * x + 0.5 * y * y))
+    return out if out.ndim else complex(out)
 
 
 def parametric_cat_wavefunction(traj: EpsilonTrajectory, t: float, alpha: complex,
                                 parity: str, x):
-    """Even/odd superposition of +-alpha packets of the driven oscillator."""
+    """Even/odd superposition (psi_alpha +- psi_-alpha) / sqrt(2 (1 +- e^{-2|alpha|^2})) of
+    coherent packets of the driven oscillator, taken as the larger packet psi_{s alpha} times
+    1 +- e^{-2su} (expm1 when odd), u = sqrt(2) alpha x / eps and s = sign Re u: a bright cat
+    does not overflow, and a faint odd one does not cancel."""
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     a2 = abs(alpha) ** 2
@@ -244,12 +257,11 @@ def parametric_cat_wavefunction(traj: EpsilonTrajectory, t: float, alpha: comple
         raise ValueError("odd superposition of alpha = 0 is not normalizable")
     x = np.asarray(x, dtype=float)
     eps, _ = traj.at(t)
+    u = math.sqrt(2.0) * alpha * x / eps
+    sign = np.where(np.real(u) < 0.0, -1.0, 1.0)
+    lead = _coherent_packet(traj, t, sign * alpha, x)
     if parity == "even":
-        norm = math.exp(0.5 * a2) / (2.0 * math.sqrt(math.cosh(a2)))
-        envelope = np.cosh(math.sqrt(2.0) * alpha * x / eps)
+        out = lead * (1.0 + np.exp(-2.0 * sign * u)) / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * a2))
     else:
-        norm = math.exp(0.5 * a2) / (2.0 * math.sqrt(math.sinh(a2)))
-        envelope = np.sinh(math.sqrt(2.0) * alpha * x / eps)
-    out = (2.0 * norm * _ground_packet(traj, t, x)
-           * np.exp(-0.5 * a2 - 0.5 * np.conj(eps) * alpha * alpha / eps) * envelope)
+        out = -sign * lead * np.expm1(-2.0 * sign * u) / math.sqrt(-2.0 * math.expm1(-2.0 * a2))
     return out if out.ndim else complex(out)

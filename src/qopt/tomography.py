@@ -30,9 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import _dyad_sum
-# the CSV writers live in qopt.io; they stay importable from here
-from .io import (PHASE_SPACE_HEADER, SINOGRAM_HEADER, read_lattice,  # noqa: F401
-                 sinogram_to_csv, wigner_grid_to_csv)
+from .io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, read_lattice
 
 _FFT_PAD = 4
 _FFT_UPSAMPLE = 4
@@ -341,10 +339,10 @@ def wigner_from_symplectic(marginal_fn, q, p, x_grid, n_angles: int = 180,
 
 
 def sinogram_from_csv(path) -> Sinogram:
-    """Read a sinogram written by :func:`sinogram_to_csv`."""
+    """Read a (theta, x, value) sinogram CSV as ``tomo-forward`` writes it."""
     return Sinogram(*read_lattice(path, SINOGRAM_HEADER, "sinogram"))
 
 
 def wigner_grid_from_csv(path) -> WignerGrid:
-    """Read a Wigner grid written by :func:`wigner_grid_to_csv`."""
+    """Read a (q, p, value) Wigner-grid CSV as ``wigner`` and ``tomo-invert`` write it."""
     return WignerGrid(*read_lattice(path, PHASE_SPACE_HEADER, "Wigner-grid"))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qopt import gaussian
-from qopt.cats import CatState, cat_from_dict, cat_moments, cat_normalization, cat_pnd, cat_to_dict
+from qopt.cats import CatState, cat_moments, cat_normalization, cat_pnd
 from qopt.gaussian import make_coherent, photon_pnd_table, q_eval, wigner_eval
 
 from oracles import cat_ladder_apply, cat_pnd_by_index, cat_q, cat_total_pnd, trapz_nd
@@ -286,6 +286,21 @@ class TestMoments:
                 cov = second - m.mean_photon[i] * m.mean_photon[k]
                 assert cov == pytest.approx(m.number_covariance[i, k], abs=1e-7)
 
+    @pytest.mark.parametrize("a2", [1e-3, 1e-100, 1e-200, 1e-300])
+    def test_tiny_odd_cat_covariance_against_mpmath(self, a2):
+        # csch^2 |A|^2 overflowed from |A|^2 = 1e-160, and its denominator was 0 at 1e-200
+        amplitudes = np.sqrt(np.array([0.3, 0.7]) * a2) * np.array([1.0, 1.0j])
+        got = cat_moments(CatState(amplitudes, "odd")).number_covariance
+        with mpmath.workdps(40):
+            abs2 = [mpmath.mpf(float(abs(z))) ** 2 for z in amplitudes]
+            x = sum(abs2)
+            want = np.array([[float(-abs2[i] * abs2[k] / mpmath.sinh(x) ** 2
+                                    + (abs2[i] * mpmath.coth(x) if i == k else 0))
+                              for k in range(2)] for i in range(2)])
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert got[0, 1] < 0  # odd cats anti-correlate the modes
+
     def test_pair_amplitude(self):
         c = CatState([0.5, 1.0j], "even")
         m = cat_moments(c)
@@ -374,11 +389,3 @@ class TestWigner:
         # W(0) = 2^N <(-1)^n>, and a cat's photon-number parity is pure
         c = CatState([0.9 + 0.3j, 0.4 - 0.7j], parity)
         assert cat_wigner(c, [0.0, 0.0], [0.0, 0.0]) == pytest.approx(4.0 * sign, rel=1e-12)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        c = CatState([1.0 - 0.5j, 0.3], "odd")
-        back = cat_from_dict(cat_to_dict(c))
-        assert back.parity == "odd"
-        assert np.allclose(back.amplitudes, c.amplitudes)

@@ -385,6 +385,40 @@ class TestDeterminismAndErrors:
          "profile.table[1][1]"),
         ("epsilon", {"profile": {"preset": "free"}, "t_end": 0}, "t_end"),
         ("epsilon", {"profile": {"preset": "free"}, "t_end": 10 ** 400}, "t_end"),
+        # state, Hamiltonian and profile documents: each field is checked by its table
+        *(("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
+                      "hamiltonian": {"preset": preset, "mass": 0}, "t_end": 1.0},
+           "hamiltonian.mass") for preset in ("free", "oscillator", "parametric")),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0}, "hamiltonian": {"B": 3},
+                    "t_end": 1.0}, "hamiltonian.B"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
+                    "hamiltonian": {"B": [[1.0, 0.0, 0.0]]}, "t_end": 1.0}, "hamiltonian.B"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
+                    "hamiltonian": {"preset": "anharmonic"}, "t_end": 1.0}, "hamiltonian.preset"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
+                    "hamiltonian": {"preset": "free", "B": [[1.0, 0.0], [0.0, 0.0]]},
+                    "t_end": 1.0}, "hamiltonian"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
+                    "hamiltonian": {"preset": "parametric"}, "t_end": 1.0},
+         "hamiltonian.omega_squared"),
+        *(("epsilon", {"profile": {"expression": text}, "t_end": 1.0}, "profile.expression")
+          for text in ("1/t", "1e400", "sqrt(t - 1)", "1 +", "outside(t)")),
+        *(("evolve", {"state": {"kind": "coherent", "alpha": 1.0}, "t_end": 1.0,
+                      "hamiltonian": {"preset": "parametric",
+                                      "omega_squared": {"expression": text}}},
+           "hamiltonian.omega_squared.expression") for text in ("1/t", "1e400")),
+        ("epsilon", {"profile": {"table": [[0, 1], [1, 2]], "expression": "1"}, "t_end": 1.0},
+         "profile"),
+        ("epsilon", {"profile": {}, "t_end": 1.0}, "profile"),
+        ("epsilon", {"profile": {"preset": "attractive"}, "t_end": 1.0}, "profile.preset"),
+        ("epsilon", {"profile": {"table": [[0, 1]]}, "t_end": 1.0}, "profile.table"),
+        ("pnd", {"state": {"kind": "gaussian", "n_modes": 1.5, "mean": [0, 0],
+                           "disp": [[0.5, 0], [0, 0.5]]}}, "state.n_modes"),
+        ("pnd", {"state": {"kind": "gaussian", "n_modes": 2, "mean": [0, 0],
+                           "disp": [[0.5, 0], [0, 0.5]]}}, "state.n_modes"),
+        ("pnd", {"state": {"kind": "cat", "A": [[1, 0, 5]], "parity": "even"}}, "state.A"),
+        ("pnd", {"state": {"kind": "cat", "A": [[1, 0]], "parity": "both"}}, "state.parity"),
+        ("pnd", {"state": {"mean": [0, 0]}}, "state.kind"),
     ])
     def test_non_integral_count_or_bad_span_is_config_error(self, tmp_path, capsys, command,
                                                             config, field):
@@ -539,33 +573,115 @@ class TestSidecarHealth:
         assert meta["reconstructed_mass"] == pytest.approx(1.0, abs=1e-2)
 
 
-def test_readme_field_table_matches_parser():
-    """The README's CLI field table lists exactly the fields and defaults of ``_JOBS``."""
-    from qopt.cli import _JOBS, _NO_DEFAULT
+class TestDocuments:
+    """State, Hamiltonian and profile documents as ``parse_config`` reads them."""
 
+    @staticmethod
+    def hamiltonian(doc):
+        config = {"state": {"kind": "coherent", "alpha": 1.0}, "hamiltonian": doc, "t_end": 1.0}
+        return parse_config(json.dumps(config), "evolve").values["hamiltonian"]
+
+    def test_hamiltonian_presets(self):
+        ham = self.hamiltonian({"preset": "oscillator", "mass": 2.0, "omega": 3.0})
+        assert np.array_equal(ham.b_matrix(0.0), np.diag([0.5, 18.0]))
+        ham = self.hamiltonian({"preset": "free", "mass": 4.0})
+        assert np.array_equal(ham.b_matrix(0.0), np.diag([0.25, 0.0]))
+        assert np.array_equal(self.hamiltonian({"preset": "oscillator"}).b_matrix(0.0), np.eye(2))
+        ham = self.hamiltonian({"preset": "parametric", "mass": 2.0,
+                                "omega_squared": {"table": [[0, 1], [2, 3]]}})
+        assert np.array_equal(ham.b_matrix(1.0), np.diag([0.5, 4.0]))
+
+    def test_constant_matrices(self):
+        ham = self.hamiltonian({"B": [[1.0, 0.2], [0.2, 0.5]], "C": [0.1, 0.0]})
+        assert ham.n_modes == 1
+        assert np.array_equal(ham.c_vector(1.0), [0.1, 0.0])
+        ham = self.hamiltonian({"B": np.eye(4).tolist()})
+        assert ham.n_modes == 2
+        assert np.array_equal(ham.c_vector(0.0), np.zeros(4))
+
+    @pytest.mark.parametrize("doc, kind, w2", [({"preset": "free"}, "preset_free", 0.0),
+                                               ({"table": [[0, 1], [1, 2]]}, "tabulated", 1.5),
+                                               ({"expression": "t*t"}, "expression", 0.25)])
+    def test_profile_kinds(self, doc, kind, w2):
+        profile = parse_config(json.dumps({"profile": doc, "t_end": 1.0}),
+                               "epsilon").values["profile"]
+        assert profile.kind == kind
+        assert profile(0.5) == w2
+
+    def test_gaussian_state_round_trip(self):
+        rng = np.random.default_rng(3)
+        mean = rng.normal(size=4)
+        a = rng.normal(size=(4, 4))
+        disp = a @ a.T + np.eye(4)
+        for doc in ({"kind": "gaussian", "n_modes": 2, "mean": mean.tolist(),
+                     "disp": disp.tolist()}, {"mean": mean.tolist(), "disp": disp.tolist()}):
+            state = parse_config(json.dumps({"state": doc}), "pnd").values["state"]
+            assert state.n_modes == 2
+            assert np.array_equal(state.mean, mean)
+            assert np.array_equal(state.disp, disp)
+
+    def test_cat_round_trip(self):
+        amplitudes = np.array([1.0 - 0.5j, 0.3, -0.0 - 2.0j])
+        doc = {"kind": "cat", "A": [[z.real, z.imag] for z in amplitudes], "parity": "odd"}
+        state = parse_config(json.dumps({"state": doc}), "cat").values["state"]
+        assert state.parity == "odd"
+        assert np.array_equal(state.amplitudes.view(float), amplitudes.view(float))
+        assert np.signbit(state.amplitudes[2].real)
+
+
+def readme_tables() -> dict:
+    """The README's tables as {header cells: [row cells, ...]}."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    documented = {}
+    tables, rows = {}, None
     for line in readme.splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if line.startswith("| `") and len(cells) == 4:
-            for command in cells[0].split(", "):
-                documented[command.strip("`"), cells[1].strip("`")] = cells[2]
-    parsed = {(command, field): default for command, (_, fields) in _JOBS.items()
-              for field, (_, default) in fields.items()}
-    assert documented.keys() == parsed.keys()
-    for key, default in parsed.items():
-        text = documented[key]
-        if default is _NO_DEFAULT:
-            assert text == "required", key
-        elif isinstance(default, bool):
-            assert text == json.dumps(default), key
-        elif isinstance(default, str):
-            assert text == f"`{default}`", key
-        elif isinstance(default, np.ndarray):
-            grid = json.loads(text.strip("`"))
-            assert np.array_equal(default, np.linspace(grid["min"], grid["max"], grid["num"]))
-        elif default is not None:
-            assert float(text) == default, key
+        if rows is None:
+            rows = tables.setdefault(tuple(cells), [])
+        elif set(line) - set("|-: "):
+            rows.append(cells)
+    return tables
+
+
+def check_default(text: str, default, key):
+    from qopt.cli import _NO_DEFAULT
+
+    if default is _NO_DEFAULT:
+        assert text == "required", key
+    elif isinstance(default, bool):
+        assert text == json.dumps(default), key
+    elif isinstance(default, str):
+        assert text == f"`{default}`", key
+    elif isinstance(default, np.ndarray):
+        grid = json.loads(text.strip("`"))
+        assert np.array_equal(default, np.linspace(grid["min"], grid["max"], grid["num"])), key
+    elif default is not None:   # None: derived from other fields, described in words
+        assert float(text) == default, key
+
+
+def test_readme_field_table_matches_parser():
+    """The README's field tables list exactly the fields and defaults of the parser tables:
+    ``_JOBS`` per command, ``_STATES`` per state kind, ``_HAMILTONIANS`` per preset (none:
+    the B, C form) and the profile forms of ``_PROFILES``."""
+    from qopt.cli import _HAMILTONIANS, _JOBS, _PROFILES, _STATES
+
+    tables = readme_tables()
+    for selector, parsed in [("command", _JOBS), ("state `kind`", _STATES),
+                             ("Hamiltonian `preset`", _HAMILTONIANS)]:
+        # a first cell may list several selectors; "none" is the preset-free form
+        documented = {(None if name == "none" else name.strip("`"), field.strip("`")): default
+                      for first, field, default, _ in tables[selector, "field", "default", "rule"]
+                      for name in first.split(", ")}
+        want = {(name, field): default for name, (_, fields) in parsed.items()
+                for field, (_, default) in fields.items()}
+        assert documented.keys() == want.keys(), selector
+        for key, default in want.items():
+            check_default(documented[key], default, key)
+    profile = tables["profile field", "default", "rule"]
+    assert [field.strip("`") for field, *_ in profile] == list(_PROFILES)
+    assert {default for _, default, _ in profile} == {"none"}
 
 
 _PARAMETRIC = {"preset": "parametric", "omega_squared": {"expression": "1 + 0.2*sin(t)"}}

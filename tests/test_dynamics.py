@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from qopt.dynamics import (FlowSample, QuadraticHamiltonian, coherent_basis_propagator,
                            evolve_gaussian, flow_expm, flow_to_creation_annihilation,
-                           fock_basis_propagator, free_particle, hamiltonian_from_dict,
+                           fock_basis_propagator, free_particle,
                            hamiltonian_to_creation_annihilation, harmonic_oscillator,
                            integrate_symplectic_flow, invariant_residual_check,
                            parametric_oscillator, propagator_position)
@@ -547,20 +547,3 @@ class TestInvariantResiduals:
         report = invariant_residual_check(ham, grid, grid, t)
         assert report.momentum_residual < 1e-4
         assert report.position_residual < 1e-4
-
-
-class TestHamiltonianJson:
-    def test_presets(self):
-        ham = hamiltonian_from_dict({"preset": "oscillator", "mass": 2.0, "omega": 3.0})
-        assert np.allclose(ham.b_matrix(0.0), np.diag([0.5, 18.0]))
-        ham = hamiltonian_from_dict({"preset": "free", "mass": 4.0})
-        assert np.allclose(ham.b_matrix(0.0), np.diag([0.25, 0.0]))
-
-    def test_constant_matrices(self):
-        ham = hamiltonian_from_dict({"B": [[1.0, 0.2], [0.2, 0.5]], "C": [0.1, 0.0]})
-        assert ham.n_modes == 1
-        assert np.allclose(ham.c_vector(1.0), [0.1, 0.0])
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(ValueError):
-            hamiltonian_from_dict({"preset": "anharmonic"})

@@ -7,8 +7,8 @@ from scipy.linalg import expm
 from qopt.gaussian import (GaussianState, PureGaussianSpec, QRep, from_pure_gaussian,
                            from_qrep, make_coherent, make_squeezed_vacuum,
                            make_thermal_oscillator, photon_moments, photon_pnd,
-                           photon_pnd_table, q_eval, state_from_dict, state_to_dict,
-                           to_qrep, validate_state, wigner_eval)
+                           photon_pnd_table, q_eval, to_qrep, validate_state,
+                           wigner_eval)
 from qopt import gaussian
 from qopt.errors import NonFiniteError, QoptError
 from qopt.hermite import _near_diagonal_entries
@@ -498,18 +498,3 @@ class TestPhotonStatistics:
         series_mean = table.indices.sum(axis=1) @ table.probabilities
         closed = sum(photon_moments(s, j)[0] for j in range(2))
         assert series_mean == pytest.approx(closed, abs=1e-8)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        s = random_valid_state(2, rng)
-        doc = state_to_dict(s)
-        back = state_from_dict(doc)
-        assert np.allclose(back.mean, s.mean)
-        assert np.allclose(back.disp, s.disp)
-        assert doc["n_modes"] == 2
-
-    def test_mode_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            state_from_dict({"n_modes": 2, "mean": [0, 0], "disp": [[0.5, 0], [0, 0.5]]})

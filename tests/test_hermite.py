@@ -70,6 +70,19 @@ class TestFockWavefunction:
         with pytest.raises(ValueError):
             fock_wavefunction_eval(0, 0.0, scale=0.0)
 
+    @pytest.mark.parametrize("n", [268, 269, 300, 1000])
+    @pytest.mark.parametrize("q", [0.0, 0.5, -3.7, 20.0, 44.0])
+    def test_high_orders_against_mpmath(self, n, q):
+        # the product of exp(-q^2/2) and H_n(q) left double range from n = 269 (NaN)
+        with mpmath.workdps(40):
+            y = mpmath.mpf(q)
+            want = float(mpmath.exp(-y * y / 2) * mpmath.hermite(n, y) / mpmath.sqrt(
+                2 ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi)))
+        assert fock_wavefunction_eval(n, q) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_order_300_at_one_half(self):
+        assert fock_wavefunction_eval(300, 0.5) == pytest.approx(0.15350288480883925, rel=1e-12)
+
 
 class TestMultivariableHermite:
     def test_scalar_r2_reduces_to_classical(self):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qopt.gaussian import make_coherent, make_squeezed_vacuum, wigner_eval
+from qopt.cli import execute_job, parse_config
 from qopt.io import (_BLOCK, PHASE_SPACE_HEADER, SINOGRAM_HEADER, _shortest, format_lattice,
-                     format_table, read_lattice, sinogram_csv)
-from qopt.tomography import (gaussian_sinogram, sinogram_from_csv, sinogram_to_csv,
-                             wigner_grid_from_callable, wigner_grid_from_csv,
-                             wigner_grid_to_csv)
+                     format_table, read_lattice)
+from qopt.tomography import gaussian_sinogram, sinogram_from_csv, wigner_grid_from_csv
 
 from oracles import repr_csv
 
@@ -68,18 +68,23 @@ class TestWriterMatchesPerCellOracle:
                                  np.linspace(-4.0, 4.0, 9))
         want = repr_csv(SINOGRAM_HEADER, lattice_rows(sino.theta_grid, sino.x_grid,
                                                       sino.values))
-        assert sinogram_csv(sino) == want
+        assert format_lattice(SINOGRAM_HEADER, sino.theta_grid, sino.x_grid, sino.values) == want
 
-    def test_file_writers_share_the_text_writer(self, tmp_path):
-        sino = gaussian_sinogram(make_coherent(0.3), np.arange(5) * math.pi / 5,
-                                 np.linspace(-3.0, 3.0, 7))
-        sinogram_to_csv(sino, tmp_path / "s.csv")
-        assert (tmp_path / "s.csv").read_text(encoding="utf-8") == sinogram_csv(sino)
+    def test_file_writers_share_the_text_writer(self):
+        # the CLI writes every lattice file, sinogram.csv included, with format_lattice
+        x = [-3.0, -1.5, 0.0, 1.5, 3.0]
+        cfg = parse_config(json.dumps({"state": {"kind": "coherent", "alpha": 0.3},
+                                       "n_angles": 5, "x": x}), "tomo-forward")
+        sino = gaussian_sinogram(make_coherent(0.3), np.arange(5) * math.pi / 5, np.array(x))
+        assert execute_job(cfg)["sinogram.csv"] == repr_csv(
+            SINOGRAM_HEADER, lattice_rows(sino.theta_grid, sino.x_grid, sino.values))
         g = np.linspace(-2.0, 2.0, 5)
-        w = wigner_grid_from_callable(lambda q, p: np.exp(-q * q - p * p), g, g[:4])
-        wigner_grid_to_csv(w, tmp_path / "w.csv")
-        assert (tmp_path / "w.csv").read_text(encoding="utf-8") == repr_csv(
-            PHASE_SPACE_HEADER, lattice_rows(w.q_grid, w.p_grid, w.values))
+        cfg = parse_config(json.dumps({"state": {"kind": "coherent", "alpha": 0.3},
+                                       "grid": {"q": g.tolist(), "p": g[:4].tolist()}}), "wigner")
+        grid_q, grid_p = np.meshgrid(g, g[:4], indexing="ij")
+        values = wigner_eval(make_coherent(0.3), np.stack([grid_p, grid_q], axis=-1))
+        assert execute_job(cfg)["wigner.csv"] == repr_csv(
+            PHASE_SPACE_HEADER, lattice_rows(g, g[:4], values))
 
     def test_empty_table_is_header_only(self):
         assert format_table(["a", "b"], [[], []]) == "a,b\n"

@@ -9,8 +9,8 @@ from qopt.errors import ResourceLimitError
 from qopt.gaussian import photon_pnd, to_qrep
 from qopt.hermite import fock_wavefunction_eval
 from qopt.parametric import (expression_profile, packet_wavefunction_eval,
-                             parametric_cat_wavefunction, preset_profile, profile_from_dict,
-                             solve_epsilon, squeezed_number_wavefunction, squeezed_vacuum_pnd,
+                             parametric_cat_wavefunction, preset_profile, solve_epsilon,
+                             squeezed_number_wavefunction, squeezed_vacuum_pnd,
                              squeezing_coefficient, tabulated_profile, to_gaussian_state,
                              variances_correlation)
 
@@ -147,13 +147,6 @@ class TestProfiles:
     def test_table_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
             tabulated_profile([[0, 1.0], [0, 2.0]])
-
-    def test_from_dict(self):
-        assert profile_from_dict({"preset": "free"}).kind == "preset_free"
-        assert profile_from_dict({"table": [[0, 1], [1, 2]]}).kind == "tabulated"
-        assert profile_from_dict({"expression": "t*t"}).kind == "expression"
-        with pytest.raises(ValueError):
-            profile_from_dict({})
 
 
 class TestVariances:
@@ -312,6 +305,24 @@ class TestPacketWavefunctions:
             want = np.exp(-1j * t * (m + 0.5)) * fock_wavefunction_eval(m, xs)
             assert np.abs(got - want).max() < 1e-8
 
+    @pytest.mark.parametrize("m", [171, 400])
+    def test_high_levels_are_finite_and_normalized(self, m):
+        # math.factorial(m) overflowed a float from m = 171
+        traj = make_traj("free", t_end=2.0, tol=1e-11)
+        xs = np.linspace(-80.0, 80.0, 40001)
+        psi = squeezed_number_wavefunction(traj, 1.0, m, xs)
+        assert np.isfinite(psi).all()
+        assert np.trapezoid(np.abs(psi) ** 2, xs) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [27.0, 30.0 - 10.0j, 50.0])
+    def test_bright_packet_is_finite_and_normalized(self, alpha):
+        # an underflowing ground factor times an overflowing linear one gave NaN
+        traj = make_traj("free", t_end=2.0, tol=1e-11)
+        xs = np.linspace(-150.0, 150.0, 300001)
+        psi = packet_wavefunction_eval(traj, 1.0, alpha, xs)
+        assert np.isfinite(psi).all()
+        assert np.trapezoid(np.abs(psi) ** 2, xs) == pytest.approx(1.0, abs=1e-9)
+
     def test_level_zero_is_ground_packet(self):
         traj = make_traj("repulsive", t_end=1.0)
         xs = np.linspace(-2, 2, 9)
@@ -328,12 +339,33 @@ class TestParametricCats:
         want = packet_wavefunction_eval(traj, 0.5, 0.0, xs)
         assert np.abs(got - want).max() < 1e-6
 
+    def test_odd_zero_alpha_limit(self):
+        # the odd cat of a faint alpha is the first excited packet, up to a constant phase;
+        # psi_alpha - psi_-alpha, taken as a plain difference, loses 1e-8 of it to cancellation
+        traj = make_traj("repulsive", t_end=1.0)
+        xs = np.linspace(-2, 2, 9)
+        got = parametric_cat_wavefunction(traj, 0.5, 1e-8, "odd", xs)
+        want = squeezed_number_wavefunction(traj, 0.5, 1, xs)
+        phase = got[0] / want[0]
+        assert abs(phase) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(got - phase * want).max() < 1e-12
+
     def test_norms(self):
         traj = make_traj("free", t_end=1.0, tol=1e-11)
         for parity, alpha in [("even", 1.2), ("odd", 1.2), ("even", 0.8 + 0.5j)]:
             norm = complex_l2_norm(
                 lambda x: parametric_cat_wavefunction(traj, 0.5, alpha, parity, x))
             assert norm == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("alpha", [27.0, 30.0, 50.0 + 5.0j])
+    def test_bright_cats_are_normalized(self, parity, alpha):
+        # cosh |alpha|^2 overflowed math.cosh from |alpha| = 26.7
+        traj = make_traj("free", t_end=1.0, tol=1e-11)
+        xs = np.linspace(-160.0, 160.0, 320001)
+        psi = parametric_cat_wavefunction(traj, 0.5, alpha, parity, xs)
+        assert np.isfinite(psi).all()
+        assert np.trapezoid(np.abs(psi) ** 2, xs) == pytest.approx(1.0, abs=1e-11)
 
     def test_odd_cat_is_odd_function(self):
         traj = make_traj("free", t_end=0.5)
