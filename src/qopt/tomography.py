@@ -36,6 +36,7 @@ _FFT_PAD = 4
 _FFT_UPSAMPLE = 4
 _ROW_PAD = 4  # zero spline coefficients beyond each end of the interpolated axis
 _ROW_BLOCK = 32  # x values per gather block; keeps the temporaries in cache
+_SPLINE_POLE = math.sqrt(3.0) - 2.0
 
 
 def _check_uniform(grid, name):
@@ -129,14 +130,39 @@ def wigner_grid_from_callable(f, q_grid, p_grid) -> WignerGrid:
     return WignerGrid(q, p, np.asarray(f(qq, pp), dtype=float))
 
 
+def _cubic_spline_coefficients(values) -> np.ndarray:
+    """Cubic B-spline coefficients along axis 0 that interpolate ``values`` at the samples.
+
+    The inverse of the filter (z + 4 + 1/z) / 6 as a causal and an anti-causal recursion
+    of pole z = sqrt(3) - 2 and gain 6 (Unser, IEEE Signal Proc. Mag. 16(6), 22 (1999)),
+    vectorized over the other axis.  The causal pass starts from the sum over the
+    mirror-symmetric extension, the boundary of scipy.ndimage.spline_filter1d(order=3)
+    in its "mirror" and "constant" modes.
+    """
+    z = _SPLINE_POLE
+    c = np.array(values, dtype=float, order="C")
+    c *= 6.0
+    n = c.shape[0]
+    # the causal sum over the mirrored period 2n - 2, in closed form
+    k = np.arange(n)
+    weights = z ** k + z ** (2 * n - 2 - k)
+    weights[0], weights[-1] = 1.0, z ** (n - 1)
+    c[0] = weights @ c / (1.0 - z ** (2 * n - 2))
+    for i in range(1, n):
+        c[i] += z * c[i - 1]
+    c[-1] = (c[-1] + z * c[-2]) * (z / (z * z - 1.0))  # the mirror boundary's start
+    for i in range(n - 2, -1, -1):
+        c[i] -= c[i + 1]
+        c[i] *= -z
+    return c
+
+
 def _projector(grid: WignerGrid):
     """``project(theta, x)``: line integrals of W / (2 pi) along X(theta) = x (module doc)."""
-    from scipy.ndimage import spline_filter1d
-
     axes = (grid.q_grid, grid.p_grid)
     # per axis: coefficients splined along it, that axis first, zero-padded, flattened
-    rows = [np.pad(np.moveaxis(spline_filter1d(grid.values, order=3, axis=axis, mode="constant"),
-                               axis, 0), [(_ROW_PAD, _ROW_PAD), (0, 0)]).ravel()
+    rows = [np.pad(_cubic_spline_coefficients(np.moveaxis(grid.values, axis, 0)),
+                   [(_ROW_PAD, _ROW_PAD), (0, 0)]).ravel()
             for axis in (0, 1)]
 
     def project(theta: float, x: np.ndarray) -> np.ndarray:
@@ -233,17 +259,19 @@ def _ramp_filter_slices(values: np.ndarray, dx: float, reg_s: float):
     """Apodized ramp filter of all slices, returned on an upsampled x grid."""
     n = values.shape[1]
     n_pad = _FFT_PAD * n
-    response = np.fft.fft(_ramp_kernel(n_pad, dx)).real * dx
-    y = 2.0 * math.pi * np.fft.fftfreq(n_pad, d=dx)
-    response *= np.exp(-reg_s * y * y / 8.0)
-    spectrum = np.fft.fft(values, n=n_pad, axis=1) * response
-    # zero-pad the spectrum to evaluate the filtered slices on a finer grid
-    n_fine = _FFT_UPSAMPLE * n_pad
-    fine = np.zeros((values.shape[0], n_fine), dtype=complex)
     half = n_pad // 2
-    fine[:, :half] = spectrum[:, :half]
-    fine[:, -half:] = spectrum[:, -half:]
-    filtered = np.fft.ifft(fine, axis=1).real * _FFT_UPSAMPLE
+    response = np.fft.rfft(_ramp_kernel(n_pad, dx)).real * dx
+    y = 2.0 * math.pi * np.fft.rfftfreq(n_pad, d=dx)
+    response *= np.exp(-reg_s * y * y / 8.0)
+    # the finer grid keeps the Nyquist bin of the padded one as two bins, at +-y, of half weight
+    response[half] *= 0.5
+    # zero-padding the half spectrum evaluates the filtered slices on a finer grid
+    n_fine = _FFT_UPSAMPLE * n_pad
+    spectrum = np.zeros((values.shape[0], n_fine // 2 + 1), dtype=complex)
+    spectrum[:, :half + 1] = np.fft.rfft(values, n=n_pad, axis=1)
+    spectrum[:, :half + 1] *= response
+    filtered = np.fft.irfft(spectrum, n=n_fine, axis=1)
+    filtered *= _FFT_UPSAMPLE
     return filtered[:, :_FFT_UPSAMPLE * n], dx / _FFT_UPSAMPLE
 
 
@@ -252,6 +280,7 @@ def inverse_radon(sino: Sinogram, q_grid, p_grid, reg_s: float = 1e-2) -> Wigner
 
     Requires at least 32 angles and a positive regularization scale; smaller
     reg_s sharpens the reconstruction at the cost of noise amplification.
+    Points whose X lies beyond the filtered slices read the slices' end samples.
     """
     if reg_s <= 0:
         raise ValueError("reg_s must be positive")
@@ -263,18 +292,28 @@ def inverse_radon(sino: Sinogram, q_grid, p_grid, reg_s: float = 1e-2) -> Wigner
     dx = sino.x_grid[1] - sino.x_grid[0]
     filtered, dx_fine = _ramp_filter_slices(sino.values, dx, reg_s)
     n_fine = filtered.shape[1]
+    # per slice, each sample with the slope to the next one; the last slope is 0, so a
+    # position clamped to either end reads the end sample
+    table = np.zeros(filtered.shape, dtype=complex)
+    table.real = filtered
+    table.imag[:, :-1] = np.diff(filtered, axis=1)
 
-    qq, pp = np.meshgrid(q_grid, p_grid, indexing="ij")
-    recon = np.zeros_like(qq)
-    d_theta = math.pi / sino.n_angles
-    for i, theta in enumerate(sino.theta_grid):
-        x0 = qq * math.cos(theta) - pp * math.sin(theta)
-        pos = (x0 - sino.x_grid[0]) / dx_fine
-        idx = np.clip(pos.astype(int), 0, n_fine - 2)
-        frac = np.clip(pos - idx, 0.0, 1.0)
-        sl = filtered[i]
-        recon += (1.0 - frac) * sl[idx] + frac * sl[idx + 1]
-    recon *= d_theta
+    shape = (q_grid.shape[0], p_grid.shape[0])
+    recon = np.zeros(shape)
+    pos, cell, value = np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape, complex)
+    for theta, row in zip(sino.theta_grid, table):
+        c, s = math.cos(theta), math.sin(theta)
+        # position of X = q cos - p sin on the fine grid, in samples
+        np.subtract.outer((q_grid * c - sino.x_grid[0]) / dx_fine, p_grid * (s / dx_fine),
+                          out=pos)
+        np.clip(pos, 0.0, n_fine - 1.0, out=pos)
+        np.copyto(cell, pos, casting="unsafe")  # truncation: the floor of pos >= 0
+        pos -= cell
+        np.take(row, cell, out=value, mode="clip")
+        recon += value.real
+        pos *= value.imag
+        recon += pos
+    recon *= math.pi / sino.n_angles
     return WignerGrid(q_grid, p_grid, recon)
 
 
@@ -320,6 +359,8 @@ def wigner_from_symplectic(marginal_fn, q, p, x_grid, n_angles: int = 180,
     ks = np.linspace(-k_max, k_max, n_freq)
     apod = np.exp(-reg_s * ks * ks / 8.0)
 
+    # chi(k mu, k nu) = int w(X) e^{-i k X} dX, assembled at all k at once
+    phase = np.exp(-1j * np.outer(ks, x_grid))
     out = np.zeros(np.broadcast(q, p).shape)
     d_phi = math.pi / n_angles
     for j in range(n_angles):
@@ -328,8 +369,6 @@ def wigner_from_symplectic(marginal_fn, q, p, x_grid, n_angles: int = 180,
         density = np.asarray(marginal_fn(mu, nu), dtype=float)
         if density.shape != x_grid.shape:
             raise ValueError("marginal_fn must return samples on x_grid")
-        # chi(k mu, k nu) = int w(X) e^{-i k X} dX, assembled at all k at once
-        phase = np.exp(-1j * np.outer(ks, x_grid))
         chi = phase @ density * dx
         x0 = q * mu + p * nu
         kernel = np.exp(1j * np.multiply.outer(x0, ks))

@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cat_marginal
+from oracles import backprojection_two_gathers, cat_marginal, ramp_filter_full_spectrum
 from qopt.cats import CatState
 from qopt.gaussian import (GaussianState, make_coherent, make_squeezed_vacuum,
                            make_thermal_oscillator, wigner_eval)
 from qopt.io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, format_lattice
-from qopt.tomography import (Sinogram, WignerGrid, forward_marginal_numeric, gaussian_sinogram,
+from qopt.tomography import (Sinogram, WignerGrid, _cubic_spline_coefficients,
+                             _ramp_filter_slices, forward_marginal_numeric, gaussian_sinogram,
                              inverse_radon, sinogram_from_csv, symplectic_marginal,
                              wigner_from_symplectic, wigner_grid_from_callable,
                              wigner_grid_from_csv)
@@ -230,6 +232,56 @@ class TestInverseRadon:
         sino = gaussian_sinogram(s, self.thetas, self.x_grid)
         with pytest.raises(ValueError, match="reg_s"):
             inverse_radon(sino, self.x_grid, self.x_grid, reg_s=0.0)
+
+
+class TestKernelOracles:
+    """The numpy kernels against scipy's prefilter and the direct filtered backprojection."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 513])
+    def test_spline_prefilter_matches_scipy(self, n, axis):
+        from scipy.ndimage import spline_filter1d
+
+        values = np.moveaxis(np.random.default_rng(n).normal(size=(n, 6)), 0, axis)
+        got = np.moveaxis(_cubic_spline_coefficients(np.moveaxis(values, axis, 0)), 0, axis)
+        want = spline_filter1d(values, order=3, axis=axis, mode="constant")
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(values).max()
+
+    @staticmethod
+    def sinogram(n_angles, x_grid):
+        thetas = np.arange(n_angles) * math.pi / n_angles
+        return gaussian_sinogram(CatState([1.0 + 0.6j], "odd"), thetas, x_grid)
+
+    @pytest.mark.parametrize("n_angles, n_x", [(180, 257), (33, 128), (45, 101)])
+    def test_ramp_filter_matches_full_spectrum(self, n_angles, n_x):
+        x_grid = np.linspace(-10.0, 10.0, n_x)
+        values = self.sinogram(n_angles, x_grid).values
+        got, step = _ramp_filter_slices(values, x_grid[1] - x_grid[0], 1e-2)
+        want, want_step = ramp_filter_full_spectrum(values, x_grid[1] - x_grid[0], 1e-2)
+        assert step == want_step
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_angles", [32, 45, 180])
+    @pytest.mark.parametrize("reach, num", [(10.0, 129), (2.5, 21), (30.0, 151)],
+                             ids=["sinogram-range", "inside", "past-the-sinogram"])
+    def test_inverse_radon_matches_two_gathers(self, n_angles, reach, num):
+        sino = self.sinogram(n_angles, np.linspace(-10.0, 10.0, 129))
+        q_grid = np.linspace(-reach, reach + 1.0, num)
+        p_grid = np.linspace(-reach - 1.0, reach, num)
+        got = inverse_radon(sino, q_grid, p_grid).values
+        want = backprojection_two_gathers(sino, q_grid, p_grid, 1e-2)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_memory_does_not_grow_with_grid_reach(self):
+        sino = self.sinogram(32, np.linspace(-10.0, 10.0, 129))
+        peaks = []
+        for reach in (5.0, 500.0):
+            grid = np.linspace(-reach, reach, 65)
+            tracemalloc.start()
+            inverse_radon(sino, grid, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.01 * peaks[0]
 
 
 class TestSymplecticMarginal:
