@@ -1,6 +1,9 @@
 """Phase-space representations, photon statistics, and exact linear evolution
 for Gaussian, squeezed, and even/odd cat states of N-mode light."""
 
+import time as _time
+
+_IMPORT_START = _time.perf_counter()  # the start of the import that `qopt --trace` reports
 __version__ = "0.1.0"
 
 from .cats import CatState, cat_moments, cat_normalization, cat_pnd
@@ -13,8 +16,7 @@ from .gaussian import (GaussianDyads, GaussianState, PureGaussianSpec, QRep, fro
                        photon_moments, photon_pnd, photon_pnd_table, q_eval, to_qrep,
                        validate_state, wigner_eval)
 from .hermite import (HermiteParams, OverlapSpec, fock_wavefunction_eval,
-                      gaussian_hermite_overlap, hermite1d_eval, hermite_box, mv_hermite_eval,
-                      mv_hermite_table)
+                      gaussian_hermite_overlap, hermite_box, mv_hermite_eval, mv_hermite_table)
 from .parametric import (EpsilonTrajectory, FrequencyProfile, expression_profile,
                          packet_wavefunction_eval, parametric_cat_wavefunction,
                          preset_profile, solve_epsilon, squeezed_number_wavefunction,

@@ -1,12 +1,18 @@
 """Batch front end: JSON job configs in, CSV/JSON artifacts out.
 
-Usage: qopt <command> --config job.json --out-dir out/ [--threads K] [--verbose]
+Usage: qopt <command> --config job.json --out-dir out/ [--threads K] [--verbose] [--trace]
 
 Commands: pnd, wigner, qfunc, evolve, epsilon, cat, tomo-forward, tomo-invert,
 verify.  Outputs are byte-stable across runs: floats are written with their
 shortest round-trip decimal (Python repr), JSON keys are sorted, and nothing
 depends on wall-clock time or randomized defaults.  Jobs run serially;
-``--threads`` is accepted for old scripts and ignored.
+``--threads`` is accepted for old scripts and ignored.  Lattice files are
+written block by block as they are formatted, so a job's memory follows its
+grid, not the size of its text.  ``--trace`` also writes
+``<command>.trace.json``, outside the byte-stable set: the wall seconds of the
+import (from the start of the ``qopt`` package to the end of this module),
+the parse, the compute (small tables are formatted there) and the write
+(which formats the lattice files), and the peak RSS of the process.
 
 The one schema of config documents is here: ``_JOBS`` lists each command's
 fields as field -> (parser, default), and so do ``_STATES`` (by ``kind``),
@@ -25,23 +31,24 @@ import argparse
 import json
 import math
 import sys
+import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _IMPORT_START, __version__
 from .cats import CatState, cat_moments
 from .dynamics import (FlowSample, QuadraticHamiltonian, evolve_gaussian, free_particle,
                        harmonic_oscillator, integrate_symplectic_flow, parametric_oscillator)
 from .errors import NonFiniteError
 from .gaussian import (QREP_CONVENTION, GaussianState, make_coherent, make_squeezed_vacuum,
                        make_thermal_oscillator, photon_pnd_table, q_eval, wigner_eval)
-from .io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, format_lattice, format_table
+from .io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, LatticeText, format_table
 from .parametric import expression_profile, preset_profile, solve_epsilon, tabulated_profile
 from .tomography import (boundary_peak_ratio, forward_marginal_numeric, gaussian_sinogram,
-                         inverse_radon, lattice_mass, sinogram_from_csv,
+                         inverse_radon, lattice_mass, sample_lattice, sinogram_from_csv,
                          wigner_grid_from_callable)
 from .verification import run_verification
 
@@ -291,9 +298,9 @@ def _grid_job(job, name: str, density_fn, title: str):
     (small when it holds the support)."""
     state = _require_one_mode(job["state"], "state")
     q_grid, p_grid = job["grid"]
-    values = density_fn(state)(*np.meshgrid(q_grid, p_grid, indexing="ij"))
+    values = sample_lattice(density_fn(state), q_grid, p_grid)
     _check_finite(f"{name}.csv", q_grid, p_grid, values)
-    artifacts = {f"{name}.csv": format_lattice(PHASE_SPACE_HEADER, q_grid, p_grid, values)}
+    artifacts = {f"{name}.csv": LatticeText(PHASE_SPACE_HEADER, q_grid, p_grid, values)}
     if job["plot"]:
         artifacts[f"{name}.gp"] = _plot_script(f"{name}.csv", q_grid.shape[0],
                                                p_grid.shape[0], title)
@@ -391,7 +398,7 @@ def _job_tomo_forward(job):
     _check_finite("sinogram.csv", sino.theta_grid, sino.x_grid, sino.values)
     meta = {"n_angles": n_angles, "method": job["method"],
             "max_normalization_defect": float(sino.normalization_defects.max())}
-    text = format_lattice(SINOGRAM_HEADER, sino.theta_grid, sino.x_grid, sino.values)
+    text = LatticeText(SINOGRAM_HEADER, sino.theta_grid, sino.x_grid, sino.values)
     return {"sinogram.csv": text}, meta
 
 
@@ -403,7 +410,7 @@ def _job_tomo_invert(job):
     # filtered backprojection blurs W by an isotropic Gaussian of this variance per axis
     meta = {"reg_s": job["reg_s"], "n_angles": sino.n_angles,
             "reconstructed_mass": grid.mass(), "blur_variance": job["reg_s"] / 4.0}
-    text = format_lattice(PHASE_SPACE_HEADER, grid.q_grid, grid.p_grid, grid.values)
+    text = LatticeText(PHASE_SPACE_HEADER, grid.q_grid, grid.p_grid, grid.values)
     return {"wigner_reconstructed.csv": text}, meta
 
 
@@ -456,8 +463,10 @@ _JOBS = {
 }
 
 
-def execute_job(cfg: JobConfig) -> dict[str, str]:
-    """Run a validated job; returns {filename: text content} artifacts.
+def execute_job(cfg: JobConfig) -> dict[str, str | LatticeText]:
+    """Run a validated job; returns {filename: content} artifacts.  The content of a
+    lattice file is a ``LatticeText``, formatted block by block as it is written; of
+    any other file, its text.
 
     Warnings that the active filters show, raised during the job, go into the sidecar
     as a ``warnings`` list of {category, message} entries in the order raised; the
@@ -489,13 +498,24 @@ def _warning_records(caught) -> list[dict]:
     return [{"category": w.category.__name__, "message": str(w.message)} for w in caught]
 
 
-def write_output(artifacts: dict[str, str], out_dir) -> list[Path]:
-    """Write artifacts under out_dir; byte-stable for identical inputs."""
+def write_output(artifacts: dict[str, str | LatticeText], out_dir) -> list[Path]:
+    """Write artifacts under out_dir; byte-stable for identical inputs.  A text goes out
+    as its UTF-8 bytes; a lattice one block at a time, each as it is formatted."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in sorted(artifacts):
-        (out_dir / name).write_text(artifacts[name], encoding="utf-8")
+        content = artifacts[name]
+        with (out_dir / name).open("wb") as fh:
+            fh.writelines([content.encode("utf-8")] if isinstance(content, str) else content)
     return [out_dir / name for name in sorted(artifacts)]
+
+
+def _max_rss_mb() -> float:
+    """The process's peak resident set size in MB (``ru_maxrss``)."""
+    import resource
+
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss / (1 << 20 if sys.platform == "darwin" else 1 << 10)   # bytes there, else kB
 
 
 def _stderr_line(doc: dict) -> None:
@@ -514,18 +534,33 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1,
                         help="ignored; accepted for compatibility, jobs run serially")
     parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--trace", action="store_true",
+                        help="also write <command>.trace.json: wall seconds by stage and "
+                             "the peak RSS; not byte-stable")
     args = parser.parse_args(argv)
 
     try:
+        marks = [time.perf_counter()]
         if args.config is None and args.command != "verify":
             raise ConfigError("--config", "a config file is required for this command")
         if args.config is not None and not Path(args.config).exists():
             raise ConfigError("--config", f"file {args.config} does not exist")
         text = "{}" if args.config is None else Path(args.config).read_text(encoding="utf-8")
-        artifacts = execute_job(parse_config(text, args.command))
+        cfg = parse_config(text, args.command)
+        marks.append(time.perf_counter())
+        artifacts = execute_job(cfg)
+        marks.append(time.perf_counter())
         for warning in json.loads(artifacts[f"{args.command}.meta.json"]).get("warnings", []):
             _stderr_line({"warning": warning})
         written = write_output(artifacts, args.out_dir)
+        marks.append(time.perf_counter())
+        if args.trace:
+            parse, compute, write = np.diff(marks).tolist()
+            trace = {"command": args.command, "import_s": _IMPORT_END - _IMPORT_START,
+                     "parse_s": parse, "compute_s": compute,
+                     "write_and_format_lattices_s": write, "max_rss_mb": _max_rss_mb()}
+            write_output({f"{args.command}.trace.json":
+                          json.dumps(trace, indent=2, sort_keys=True) + "\n"}, args.out_dir)
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit nonzero
         for warning in getattr(exc, "job_warnings", []):
             _stderr_line({"warning": warning})
@@ -549,6 +584,8 @@ def main(argv=None) -> int:
             return 1
     return 0
 
+
+_IMPORT_END = time.perf_counter()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -139,25 +139,6 @@ class OverlapSpec:
         return self.m.shape[0]
 
 
-def hermite1d_eval(n: int, t):
-    """Classical Hermite polynomial H_n(t) by the three-term recursion.
-
-    Accepts scalars or arrays of real or complex argument.
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    t = np.asarray(t, dtype=complex)
-    h_prev, h = np.ones_like(t), 2.0 * t
-    if n == 0:
-        out = h_prev
-    else:
-        for k in range(1, n):
-            h_prev, h = h, 2.0 * t * h - 2.0 * k * h_prev
-        out = h
-    return out if out.ndim else complex(out)
-
-
 def fock_wavefunction_eval(n: int, q, scale: float = 1.0):
     """Number-state wavefunction psi_n(q) of a ground Gaussian with width 1/sqrt(scale).
 

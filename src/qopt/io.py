@@ -1,7 +1,7 @@
 """CSV artifacts: the one text formatter and the one lattice reader.
 
 The CLI writes every artifact file, and the text of every CSV comes from
-``format_table`` or ``format_lattice``: one header line, comma-separated
+``format_table`` or ``LatticeText``: one header line, comma-separated
 cells, and a newline after every row.  Integers print as digits and floats as their
 shortest round-trip decimal, byte for byte what Python's ``repr`` prints
 (``0.1``, ``-0.0``, ``1e-05``, ``1e+16``, ``inf``, ``nan``), so reading a file
@@ -9,7 +9,11 @@ back gives the same floats bit for bit and reruns give the same bytes.
 
 A lattice file lists rows ``(a_i, b_j, value[i, j])`` of two sorted axes,
 ``a`` varying slowest: sinograms are ``(theta, x, value)``, phase-space grids
-``(q, p, value)``.
+``(q, p, value)``.  Its text is a stream: iterating a ``LatticeText`` yields
+the ASCII bytes of one block of at most ``_BLOCK`` values at a time, which the
+CLI writes to the file as each is formatted, so no lattice file is ever held
+whole in memory; ``format_lattice`` joins the blocks for callers that want the
+text as one string.
 
 The values of a lattice are formatted in bulk by one numpy kernel, ``_BLOCK``
 cells at a time; table cells and axis coordinates, each formatted once, go
@@ -52,10 +56,6 @@ _POW10F = 10.0 ** np.arange(20)
 _SEP = 62
 _REPR = 36            # float.__repr__ text goes to bytes 36-59, which every pass rewrites
 _ZEROS = 0x30303030   # "0000"
-
-
-def _text(header, lines) -> str:
-    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 @cache
@@ -255,7 +255,7 @@ def format_table(header, columns) -> str:
     if len({col.size for col in columns}) > 1:
         raise ValueError(f"columns of unequal lengths {[col.size for col in columns]}")
     cells = [map(repr, col.tolist()) for col in columns]
-    return _text(header, map(",".join, zip(*cells)))
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _left_aligned(x):
@@ -269,43 +269,62 @@ def _left_aligned(x):
     return out, kept
 
 
-def format_lattice(header, a_grid, b_grid, values) -> str:
-    """CSV text of rows (a_i, b_j, values[i, j]), ``a`` varying slowest.
+class LatticeText:
+    """The CSV text of rows (a_i, b_j, values[i, j]), ``a`` varying slowest, made
+    block by block.
 
-    Each axis coordinate is formatted once; a row of the lattice is the
-    prefix ``a_i,b_j,`` joined onto its value's text.  The values go through
-    the kernel in blocks of at most ``_BLOCK`` cells: whole lattice rows, or
-    parts of one row when a row is longer.  A lattice with an empty axis has
-    no rows.
+    Iterating yields the text's ASCII bytes: the header line, then one piece per
+    block of at most ``_BLOCK`` values (whole lattice rows, or parts of one row when
+    a row is longer), formatted when the block is reached, so a writer holds one
+    block of text at a time.  Each pass formats the blocks afresh from the arrays
+    given.  ``encode()`` joins the pieces, the bytes of the text in UTF-8 or any
+    other ASCII-compatible encoding, as ``str.encode`` gives them of a table's text.
+    Each axis coordinate is formatted once; a row of the lattice is the prefix
+    ``a_i,b_j,`` joined onto its value's text.  A lattice with an empty axis is
+    the header alone.
     """
-    a_grid = np.asarray(a_grid, dtype=float)
-    b_grid = np.asarray(b_grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (a_grid.size, b_grid.size):
-        raise ValueError(f"values shape {values.shape} does not match grids "
-                         f"({a_grid.size}, {b_grid.size})")
-    if values.size == 0:
-        return _text(header, [])
-    a_text, a_kept = _left_aligned(a_grid)
-    b_text, b_kept = _left_aligned(b_grid)
-    wa, wb = a_text.shape[1], b_text.shape[1]
-    prefix = -(-(wa + wb) // 4) * 4      # keeps the value slots word-aligned
-    n_a, n_b = values.shape
-    rows, cols = min(n_a, max(1, _BLOCK // n_b)), min(n_b, _BLOCK)   # cells of a block
-    text, mask, words = _slot_buffer(rows * cols, prefix)
-    mask[:, wa + wb:prefix] = False
-    pieces = [",".join(header) + "\n"]
-    for i in range(0, n_a, rows):
-        for j in range(0, n_b, cols):
-            block = values[i:i + rows, j:j + cols]
-            cells = block.size
-            for out, a, b in ((text, a_text, b_text), (mask, a_kept, b_kept)):
-                grid = out[:cells].reshape(*block.shape, -1)
-                grid[:, :, :wa] = a[i:i + rows, None]
-                grid[:, :, wa:wa + wb] = b[j:j + cols]
-            _float_slots(block.ravel(), words[:cells], mask[:cells, prefix:])
-            pieces.append(str(text[:cells][mask[:cells]], "ascii"))
-    return "".join(pieces)
+
+    def __init__(self, header, a_grid, b_grid, values):
+        self.header = tuple(header)
+        self.a_grid = np.asarray(a_grid, dtype=float)
+        self.b_grid = np.asarray(b_grid, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        if self.values.shape != (self.a_grid.size, self.b_grid.size):
+            raise ValueError(f"values shape {self.values.shape} does not match grids "
+                             f"({self.a_grid.size}, {self.b_grid.size})")
+
+    def __iter__(self):
+        yield (",".join(self.header) + "\n").encode("ascii")
+        values = self.values
+        if values.size == 0:
+            return
+        a_text, a_kept = _left_aligned(self.a_grid)
+        b_text, b_kept = _left_aligned(self.b_grid)
+        wa, wb = a_text.shape[1], b_text.shape[1]
+        prefix = -(-(wa + wb) // 4) * 4      # keeps the value slots word-aligned
+        n_a, n_b = values.shape
+        rows, cols = min(n_a, max(1, _BLOCK // n_b)), min(n_b, _BLOCK)   # cells of a block
+        text, mask, words = _slot_buffer(rows * cols, prefix)
+        mask[:, wa + wb:prefix] = False
+        for i in range(0, n_a, rows):
+            for j in range(0, n_b, cols):
+                block = values[i:i + rows, j:j + cols]
+                cells = block.size
+                for out, a, b in ((text, a_text, b_text), (mask, a_kept, b_kept)):
+                    grid = out[:cells].reshape(*block.shape, -1)
+                    grid[:, :, :wa] = a[i:i + rows, None]
+                    grid[:, :, wa:wa + wb] = b[j:j + cols]
+                _float_slots(block.ravel(), words[:cells], mask[:cells, prefix:])
+                yield text[:cells][mask[:cells]].tobytes()
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        return b"".join(self)
+
+
+def format_lattice(header, a_grid, b_grid, values) -> str:
+    """CSV text of rows (a_i, b_j, values[i, j]), ``a`` varying slowest: the
+    blocks of ``LatticeText`` joined, for callers that want the text whole."""
+    return LatticeText(header, a_grid, b_grid, values).encode().decode("ascii")
 
 
 def read_lattice(path, header, kind: str):

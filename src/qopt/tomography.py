@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import _dyad_sum
-from .io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, read_lattice
+from .io import _BLOCK, PHASE_SPACE_HEADER, SINOGRAM_HEADER, read_lattice
 
 _FFT_PAD = 4
 _FFT_UPSAMPLE = 4
 _ROW_PAD = 4  # zero spline coefficients beyond each end of the interpolated axis
-_ROW_BLOCK = 32  # x values per gather block; keeps the temporaries in cache
+_ROW_BLOCK = 32  # x values per gather block, angles per ramp-filter block; keeps them in cache
 _SPLINE_POLE = math.sqrt(3.0) - 2.0
 
 
@@ -123,11 +123,23 @@ class Sinogram:
         return self.theta_grid.shape[0]
 
 
+def sample_lattice(f, a_grid, b_grid) -> np.ndarray:
+    """values[i, j] = f(a_grid[i], b_grid[j]) for a pointwise f that broadcasts over
+    arrays, evaluated on blocks of whole rows of at most ``_BLOCK`` points (one row
+    when a row is longer), so f's temporaries follow the block, not the lattice."""
+    a, b = np.asarray(a_grid, dtype=float), np.asarray(b_grid, dtype=float)
+    values = np.empty((a.shape[0], b.shape[0]))
+    rows = max(1, _BLOCK // max(1, b.shape[0]))
+    for start in range(0, a.shape[0], rows):
+        block = values[start:start + rows]
+        block[...] = f(*np.meshgrid(a[start:start + rows], b, indexing="ij"))
+    return values
+
+
 def wigner_grid_from_callable(f, q_grid, p_grid) -> WignerGrid:
-    """Sample W(q, p) = f(q, p) on the lattice; f must broadcast over arrays."""
-    q, p = np.asarray(q_grid, dtype=float), np.asarray(p_grid, dtype=float)
-    qq, pp = np.meshgrid(q, p, indexing="ij")
-    return WignerGrid(q, p, np.asarray(f(qq, pp), dtype=float))
+    """Sample W(q, p) = f(q, p) on the lattice by ``sample_lattice``: f must act
+    pointwise and broadcast over arrays."""
+    return WignerGrid(q_grid, p_grid, sample_lattice(f, q_grid, p_grid))
 
 
 def _cubic_spline_coefficients(values) -> np.ndarray:
@@ -255,24 +267,32 @@ def _ramp_kernel(n_pad: int, dx: float) -> np.ndarray:
     return h
 
 
-def _ramp_filter_slices(values: np.ndarray, dx: float, reg_s: float):
-    """Apodized ramp filter of all slices, returned on an upsampled x grid."""
-    n = values.shape[1]
+def _ramp_response(n: int, dx: float, reg_s: float) -> np.ndarray:
+    """Half spectrum of the apodized ramp filter for slices of n samples, padded to
+    ``_FFT_PAD`` n; the Nyquist bin of the padded grid at half weight (below)."""
     n_pad = _FFT_PAD * n
-    half = n_pad // 2
     response = np.fft.rfft(_ramp_kernel(n_pad, dx)).real * dx
     y = 2.0 * math.pi * np.fft.rfftfreq(n_pad, d=dx)
     response *= np.exp(-reg_s * y * y / 8.0)
     # the finer grid keeps the Nyquist bin of the padded one as two bins, at +-y, of half weight
-    response[half] *= 0.5
+    response[n_pad // 2] *= 0.5
+    return response
+
+
+def _ramp_filter_slices(values: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Slices filtered by ``_ramp_response(n, dx, reg_s)``, on the ``_FFT_UPSAMPLE``
+    times finer x grid of step dx / ``_FFT_UPSAMPLE``."""
+    n = values.shape[1]
+    n_pad = _FFT_PAD * n
+    half = n_pad // 2
     # zero-padding the half spectrum evaluates the filtered slices on a finer grid
     n_fine = _FFT_UPSAMPLE * n_pad
     spectrum = np.zeros((values.shape[0], n_fine // 2 + 1), dtype=complex)
     spectrum[:, :half + 1] = np.fft.rfft(values, n=n_pad, axis=1)
     spectrum[:, :half + 1] *= response
-    filtered = np.fft.irfft(spectrum, n=n_fine, axis=1)
+    filtered = np.fft.irfft(spectrum, n=n_fine, axis=1)[:, :_FFT_UPSAMPLE * n]
     filtered *= _FFT_UPSAMPLE
-    return filtered[:, :_FFT_UPSAMPLE * n], dx / _FFT_UPSAMPLE
+    return filtered
 
 
 def inverse_radon(sino: Sinogram, q_grid, p_grid, reg_s: float = 1e-2) -> WignerGrid:
@@ -290,13 +310,17 @@ def inverse_radon(sino: Sinogram, q_grid, p_grid, reg_s: float = 1e-2) -> Wigner
     p_grid = _check_uniform(np.asarray(p_grid, dtype=float), "p_grid")
 
     dx = sino.x_grid[1] - sino.x_grid[0]
-    filtered, dx_fine = _ramp_filter_slices(sino.values, dx, reg_s)
-    n_fine = filtered.shape[1]
-    # per slice, each sample with the slope to the next one; the last slope is 0, so a
-    # position clamped to either end reads the end sample
-    table = np.zeros(filtered.shape, dtype=complex)
-    table.real = filtered
-    table.imag[:, :-1] = np.diff(filtered, axis=1)
+    dx_fine = dx / _FFT_UPSAMPLE
+    response = _ramp_response(sino.x_grid.shape[0], dx, reg_s)
+    # per slice, each filtered sample with the slope to the next one; the last slope is 0,
+    # so a position clamped to either end reads the end sample.  The slices are filtered
+    # _ROW_BLOCK at a time, straight into the table
+    table = np.zeros((sino.n_angles, _FFT_UPSAMPLE * sino.x_grid.shape[0]), dtype=complex)
+    n_fine = table.shape[1]
+    for start in range(0, sino.n_angles, _ROW_BLOCK):
+        rows = table[start:start + _ROW_BLOCK]
+        rows.real = _ramp_filter_slices(sino.values[start:start + _ROW_BLOCK], response)
+        np.subtract(rows.real[:, 1:], rows.real[:, :-1], out=rows.imag[:, :-1])
 
     shape = (q_grid.shape[0], p_grid.shape[0])
     recon = np.zeros(shape)

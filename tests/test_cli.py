@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 
 import qopt
+from qopt.cats import CatState
 from qopt.cli import ConfigError, execute_job, main, parse_config, write_output
+from qopt.gaussian import q_eval, wigner_eval
+from qopt.io import PHASE_SPACE_HEADER, format_lattice
 
 from oracles import cat_marginal
 
@@ -25,6 +29,12 @@ def run_cli(tmp_path, command, config=None, extra=None):
     if extra:
         argv += extra
     return main(argv)
+
+
+def joined(artifacts):
+    """Artifacts with each lattice's blocks joined into its bytes."""
+    return {name: content if isinstance(content, str) else b"".join(content)
+            for name, content in artifacts.items()}
 
 
 def read_csv(path):
@@ -234,7 +244,7 @@ class TestDeterminismAndErrors:
             cfg = parse_config(json.dumps(config), command)
             first = execute_job(cfg)
             second = execute_job(cfg)
-            assert first == second
+            assert joined(first) == joined(second)
             d1 = tmp_path / command / "run1"
             d2 = tmp_path / command / "run2"
             write_output(first, d1)
@@ -571,6 +581,93 @@ class TestSidecarHealth:
         meta = json.loads(execute_job(inv)["tomo-invert.meta.json"])
         assert meta["blur_variance"] == 0.02 / 4
         assert meta["reconstructed_mass"] == pytest.approx(1.0, abs=1e-2)
+
+
+class TestStreamedLattices:
+    """Lattice files: grids evaluated in row blocks, text written block by block."""
+
+    @pytest.mark.parametrize("command", ["wigner", "qfunc"])
+    def test_row_blocks_match_one_evaluation(self, command):
+        # 241 x 301 points: blocks of 54 rows, the last one short
+        state = CatState([1.2 + 0.4j], "odd")
+        q, p = np.linspace(-5.0, 5.0, 241), np.linspace(-4.0, 4.0, 301)
+        qq, pp = np.meshgrid(q, p, indexing="ij")
+        if command == "wigner":
+            values = wigner_eval(state, np.stack([pp, qq], axis=-1))
+        else:
+            values = q_eval(state, ((qq + 1j * pp) / math.sqrt(2.0))[..., np.newaxis])
+        cfg = parse_config(json.dumps({
+            "state": {"kind": "cat", "A": [[1.2, 0.4]], "parity": "odd"},
+            "grid": {"q": {"min": -5, "max": 5, "num": 241},
+                     "p": {"min": -4, "max": 4, "num": 301}}}), command)
+        text = b"".join(execute_job(cfg)[f"{command}.csv"]).decode("ascii")
+        assert text == format_lattice(PHASE_SPACE_HEADER, q, p, values)
+
+    @staticmethod
+    def traced_peak(cfg, out_dir) -> int:
+        tracemalloc.start()
+        try:
+            write_output(execute_job(cfg), out_dir)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a 1201^2 grid holds 11.5 MB of float64 values, and its wigner.csv 67.5 MB of text
+    N = 1201
+    GRID = {"q": {"min": -6, "max": 6, "num": N}, "p": {"min": -6, "max": 6, "num": N}}
+    GRID_BYTES = 8 * N * N
+
+    def test_wigner_job_memory_follows_the_grid(self, tmp_path):
+        cfg = parse_config(json.dumps({"state": {"kind": "cat", "A": [[1.5, 0.0]],
+                                                 "parity": "even"}, "grid": self.GRID}),
+                           "wigner")
+        peak = self.traced_peak(cfg, tmp_path)
+        size = (tmp_path / "wigner.csv").stat().st_size
+        (tmp_path / "wigner.csv").unlink()
+        assert size > 5 * self.GRID_BYTES
+        # the values, the sidecar figures' temporaries and one block of text
+        assert peak <= 4 * self.GRID_BYTES, (peak, size)
+
+    def test_tomo_invert_memory_follows_the_grid(self, tmp_path):
+        fwd = parse_config(json.dumps({"state": {"kind": "squeezed_vacuum", "r": 0.5},
+                                       "n_angles": 32}), "tomo-forward")
+        write_output(execute_job(fwd), tmp_path)
+        inv = parse_config(json.dumps({"sinogram": str(tmp_path / "sinogram.csv"),
+                                       "grid": self.GRID}), "tomo-invert")
+        peak = self.traced_peak(inv, tmp_path / "inv")
+        (tmp_path / "inv" / "wigner_reconstructed.csv").unlink()
+        # the backprojection's four grid-sized work arrays, the reconstruction and its copy
+        assert peak <= 8 * self.GRID_BYTES, peak
+
+
+class TestTrace:
+    CONFIG = {"state": {"kind": "cat", "A": [[1.5, 0.0]], "parity": "even"},
+              "grid": {"q": {"min": -4, "max": 4, "num": 81},
+                       "p": {"min": -4, "max": 4, "num": 61}}}
+
+    def test_trace_file_only_with_the_flag(self, tmp_path):
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps(self.CONFIG), encoding="utf-8")
+        plain, traced = tmp_path / "plain", tmp_path / "traced"
+        argv = ["wigner", "--config", str(cfg_path), "--out-dir"]
+        assert main(argv + [str(plain)]) == 0
+        assert main(argv + [str(traced), "--trace"]) == 0
+        names = sorted(path.name for path in plain.iterdir())
+        assert names == ["wigner.csv", "wigner.meta.json"]
+        assert sorted(path.name for path in traced.iterdir()) == sorted(
+            names + ["wigner.trace.json"])
+        for name in names:
+            assert (plain / name).read_bytes() == (traced / name).read_bytes()
+        trace = json.loads((traced / "wigner.trace.json").read_text(encoding="utf-8"))
+        stages = ["import_s", "parse_s", "compute_s", "write_and_format_lattices_s"]
+        assert sorted(trace) == sorted(["command", "max_rss_mb", *stages])
+        assert trace["command"] == "wigner"
+        assert all(0.0 < trace[key] < 60.0 for key in stages)
+        assert trace["max_rss_mb"] > 1.0
+
+    def test_failed_job_writes_no_trace(self, tmp_path):
+        assert run_cli(tmp_path, "pnd", {"state": {"kind": "nonsense"}}, ["--trace"]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestDocuments:

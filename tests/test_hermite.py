@@ -11,7 +11,7 @@ from numpy.polynomial.hermite import hermval
 from qopt import hermite
 from qopt.errors import DegenerateOverlapError, NonFiniteError, ResourceLimitError
 from qopt.hermite import (BOX_ENTRY_CAP, HermiteParams, OverlapSpec, _total_degree_indices,
-                          fock_wavefunction_eval, gaussian_hermite_overlap, hermite1d_eval,
+                          fock_wavefunction_eval, gaussian_hermite_overlap,
                           hermite_box, hermite_diagonal, mv_hermite_eval, mv_hermite_table)
 
 from oracles import gauss_box, hermite_by_series, trapz_nd
@@ -19,31 +19,6 @@ from oracles import gauss_box, hermite_by_series, trapz_nd
 
 def classical_hermite(n, x):
     return hermval(x, [0.0] * n + [1.0])
-
-
-class TestHermite1d:
-    def test_order_zero_is_one(self):
-        for t in [0.0, 1.3, -2.0 + 0.5j]:
-            assert hermite1d_eval(0, t) == 1.0
-
-    def test_h2_at_one(self):
-        # H_2(t) = 4t^2 - 2
-        assert hermite1d_eval(2, 1.0) == pytest.approx(2.0, abs=1e-14)
-
-    def test_odd_orders_vanish_at_origin(self):
-        for n in [1, 3, 5, 9]:
-            assert hermite1d_eval(n, 0.0) == 0.0
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13])
-    def test_matches_numpy_basis(self, n):
-        for x in np.linspace(-2.5, 2.5, 11):
-            assert hermite1d_eval(n, x) == pytest.approx(classical_hermite(n, x), rel=1e-12)
-
-    def test_complex_argument_generating_function(self):
-        # direct series sum_n H_n(t) a^n / n! against exp(-a^2 + 2ta)
-        t, a = 0.7 - 0.3j, 0.31 + 0.12j
-        total = sum(hermite1d_eval(n, t) * a ** n / math.factorial(n) for n in range(40))
-        assert total == pytest.approx(np.exp(-a * a + 2 * t * a), rel=1e-12)
 
 
 class TestFockWavefunction:

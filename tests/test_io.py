@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from qopt.gaussian import make_coherent, make_squeezed_vacuum, wigner_eval
 from qopt.cli import execute_job, parse_config
-from qopt.io import (_BLOCK, PHASE_SPACE_HEADER, SINOGRAM_HEADER, _shortest, format_lattice,
-                     format_table, read_lattice)
+from qopt.io import (_BLOCK, PHASE_SPACE_HEADER, SINOGRAM_HEADER, LatticeText, _shortest,
+                     format_lattice, format_table, read_lattice)
 from qopt.tomography import gaussian_sinogram, sinogram_from_csv, wigner_grid_from_csv
 
 from oracles import repr_csv
@@ -71,19 +71,19 @@ class TestWriterMatchesPerCellOracle:
         assert format_lattice(SINOGRAM_HEADER, sino.theta_grid, sino.x_grid, sino.values) == want
 
     def test_file_writers_share_the_text_writer(self):
-        # the CLI writes every lattice file, sinogram.csv included, with format_lattice
+        # the CLI writes every lattice file, sinogram.csv included, from LatticeText blocks
         x = [-3.0, -1.5, 0.0, 1.5, 3.0]
         cfg = parse_config(json.dumps({"state": {"kind": "coherent", "alpha": 0.3},
                                        "n_angles": 5, "x": x}), "tomo-forward")
         sino = gaussian_sinogram(make_coherent(0.3), np.arange(5) * math.pi / 5, np.array(x))
-        assert execute_job(cfg)["sinogram.csv"] == repr_csv(
+        assert b"".join(execute_job(cfg)["sinogram.csv"]).decode() == repr_csv(
             SINOGRAM_HEADER, lattice_rows(sino.theta_grid, sino.x_grid, sino.values))
         g = np.linspace(-2.0, 2.0, 5)
         cfg = parse_config(json.dumps({"state": {"kind": "coherent", "alpha": 0.3},
                                        "grid": {"q": g.tolist(), "p": g[:4].tolist()}}), "wigner")
         grid_q, grid_p = np.meshgrid(g, g[:4], indexing="ij")
         values = wigner_eval(make_coherent(0.3), np.stack([grid_p, grid_q], axis=-1))
-        assert execute_job(cfg)["wigner.csv"] == repr_csv(
+        assert b"".join(execute_job(cfg)["wigner.csv"]).decode() == repr_csv(
             PHASE_SPACE_HEADER, lattice_rows(g, g[:4], values))
 
     def test_empty_table_is_header_only(self):
@@ -183,6 +183,34 @@ class TestBulkKernelMatchesRepr:
         values = wigner_eval(make_squeezed_vacuum(0.7), np.stack([grid_p, grid_q], axis=-1))
         _, _, _, certified = _shortest(np.ascontiguousarray(values.ravel()))
         assert certified.all()
+
+
+class TestLatticeBlocks:
+    """``LatticeText`` yields the header, then one piece of text per block of values."""
+
+    # several blocks of whole rows, rows longer than a block, one cell, and empty axes
+    @pytest.mark.parametrize("n_a, n_b, n_blocks", [(300, 97, 2), (3, 2 * _BLOCK + 5, 9),
+                                                    (1, 1, 1), (0, 5, 0), (4, 0, 0)])
+    def test_joined_blocks_are_the_text(self, n_a, n_b, n_blocks):
+        rng = np.random.default_rng(n_a + n_b)
+        a_grid = np.linspace(-2.0, 2.0, n_a)
+        b_grid = np.sort(rng.normal(size=n_b))
+        values = rng.normal(size=(n_a, n_b)) * np.exp(-rng.uniform(0, 40, size=(n_a, n_b)))
+        lattice = LatticeText(SINOGRAM_HEADER, a_grid, b_grid, values)
+        blocks = list(lattice)
+        assert blocks[0] == b"theta,x,value\n"
+        assert len(blocks) == 1 + n_blocks
+        assert all(type(block) is bytes and 0 < block.count(b"\n") <= _BLOCK
+                   for block in blocks[1:])
+        text = b"".join(blocks)
+        assert text.decode("ascii") == repr_csv(SINOGRAM_HEADER,
+                                                lattice_rows(a_grid, b_grid, values))
+        assert lattice.encode() == text   # every pass formats the same blocks again
+        assert format_lattice(SINOGRAM_HEADER, a_grid, b_grid, values) == text.decode()
+
+    def test_shape_is_checked_before_any_block(self):
+        with pytest.raises(ValueError, match="shape"):
+            LatticeText(PHASE_SPACE_HEADER, np.arange(3.0), np.arange(4.0), np.zeros((4, 3)))
 
 
 class TestLatticeReader:

@@ -10,10 +10,12 @@ from oracles import backprojection_two_gathers, cat_marginal, ramp_filter_full_s
 from qopt.cats import CatState
 from qopt.gaussian import (GaussianState, make_coherent, make_squeezed_vacuum,
                            make_thermal_oscillator, wigner_eval)
-from qopt.io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, format_lattice
-from qopt.tomography import (Sinogram, WignerGrid, _cubic_spline_coefficients,
-                             _ramp_filter_slices, forward_marginal_numeric, gaussian_sinogram,
-                             inverse_radon, sinogram_from_csv, symplectic_marginal,
+from qopt import tomography
+from qopt.io import _BLOCK, PHASE_SPACE_HEADER, SINOGRAM_HEADER, format_lattice
+from qopt.tomography import (_FFT_UPSAMPLE, _ROW_BLOCK, Sinogram, WignerGrid,
+                             _cubic_spline_coefficients, _ramp_filter_slices, _ramp_response,
+                             forward_marginal_numeric, gaussian_sinogram, inverse_radon,
+                             sample_lattice, sinogram_from_csv, symplectic_marginal,
                              wigner_from_symplectic, wigner_grid_from_callable,
                              wigner_grid_from_csv)
 
@@ -28,6 +30,29 @@ def normal_pdf(x, mean, var):
 
 def cat_marginals(amplitude, parity, thetas, x):
     return np.array([cat_marginal(amplitude, parity, t, x) for t in thetas])
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestSampleLattice:
+    """Grids are evaluated in blocks of whole rows; a pointwise density must come out
+    bit for bit as one evaluation over the whole lattice gives it."""
+
+    STATES = [make_squeezed_vacuum(0.8), make_thermal_oscillator(0.7),
+              CatState([1.5], "even"), CatState([1.1 - 0.7j], "odd")]
+
+    # blocks of 40 rows with a short last one, one row per block, a row longer than a block
+    @pytest.mark.parametrize("n_q, n_p", [(401, 401), (_BLOCK // 2 + 3, 2), (3, _BLOCK + 7)])
+    @pytest.mark.parametrize("state", STATES, ids=["squeezed", "thermal", "even", "odd"])
+    def test_blocks_match_one_evaluation(self, state, n_q, n_p):
+        q, p = np.linspace(-6.0, 6.0, n_q), np.linspace(-5.0, 5.0, n_p)
+        f = wigner_fn(state)
+        want = f(*np.meshgrid(q, p, indexing="ij"))
+        assert_bit_equal(sample_lattice(f, q, p), want)
+        assert_bit_equal(wigner_grid_from_callable(f, q, p).values, want)
 
 
 class TestForwardGaussian:
@@ -255,11 +280,32 @@ class TestKernelOracles:
     @pytest.mark.parametrize("n_angles, n_x", [(180, 257), (33, 128), (45, 101)])
     def test_ramp_filter_matches_full_spectrum(self, n_angles, n_x):
         x_grid = np.linspace(-10.0, 10.0, n_x)
+        dx = x_grid[1] - x_grid[0]
         values = self.sinogram(n_angles, x_grid).values
-        got, step = _ramp_filter_slices(values, x_grid[1] - x_grid[0], 1e-2)
-        want, want_step = ramp_filter_full_spectrum(values, x_grid[1] - x_grid[0], 1e-2)
-        assert step == want_step
+        got = _ramp_filter_slices(values, _ramp_response(n_x, dx, 1e-2))
+        want, want_step = ramp_filter_full_spectrum(values, dx, 1e-2)
+        assert want_step == dx / _FFT_UPSAMPLE
+        assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_angles, n_x", [(180, 257), (33, 128), (45, 101)])
+    def test_ramp_filter_blocks_match_one_pass(self, n_angles, n_x):
+        # inverse_radon filters _ROW_BLOCK angles at a time; the FFTs transform rows
+        # independently, so every block's rows are the whole sinogram's, bit for bit
+        x_grid = np.linspace(-10.0, 10.0, n_x)
+        values = self.sinogram(n_angles, x_grid).values
+        response = _ramp_response(n_x, x_grid[1] - x_grid[0], 1e-2)
+        blocks = [_ramp_filter_slices(values[start:start + _ROW_BLOCK], response)
+                  for start in range(0, n_angles, _ROW_BLOCK)]
+        assert_bit_equal(np.concatenate(blocks), _ramp_filter_slices(values, response))
+
+    @pytest.mark.parametrize("n_angles", [33, 65, 180])
+    def test_inverse_radon_blocks_match_one_block(self, n_angles, monkeypatch):
+        sino = self.sinogram(n_angles, np.linspace(-10.0, 10.0, 129))
+        q_grid, p_grid = np.linspace(-6.0, 7.0, 53), np.linspace(-7.0, 6.0, 41)
+        blocked = inverse_radon(sino, q_grid, p_grid).values
+        monkeypatch.setattr(tomography, "_ROW_BLOCK", n_angles)   # one block of every angle
+        assert_bit_equal(blocked, inverse_radon(sino, q_grid, p_grid).values)
 
     @pytest.mark.parametrize("n_angles", [32, 45, 180])
     @pytest.mark.parametrize("reach, num", [(10.0, 129), (2.5, 21), (30.0, 151)],
