@@ -6,7 +6,7 @@ import time as _time
 _IMPORT_START = _time.perf_counter()  # the start of the import that `qopt --trace` reports
 __version__ = "0.1.0"
 
-from .cats import CatState, cat_moments, cat_normalization, cat_pnd
+from .cats import CatState, cat_moments, cat_normalization
 from .dynamics import (FlowSample, QuadraticHamiltonian, SymplecticFlow, evolve_gaussian,
                        flow_expm, flow_to_creation_annihilation, free_particle,
                        harmonic_oscillator, integrate_symplectic_flow, invariant_residual_check,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianDyads, _entry_capped_degree
-from .hermite import _total_degree_indices, as_index
+from .hermite import _total_degree_indices
 
 _LN2 = math.log(2.0)
 
@@ -81,12 +81,6 @@ def _log_weight(c: CatState) -> float:
 def cat_normalization(c: CatState) -> float:
     """N+ = e^{|A|^2/2} / (2 sqrt(cosh |A|^2)); sinh for the odd branch."""
     return math.exp(0.5 * (c.norm2 - _log_weight(c)) - _LN2)
-
-
-def cat_pnd(c: CatState, n) -> float:
-    """Probability of the photon-number outcome n; zero on parity mismatch."""
-    idx = as_index(n, length=c.n_modes)
-    return float(_cat_probabilities(c, np.array([idx], dtype=np.int64))[0])
 
 
 def _cat_probabilities(c: CatState, indices: np.ndarray) -> np.ndarray:

@@ -18,13 +18,14 @@ states is the pushforward
 
 with Lam^{-1} = -Sigma Lam^T Sigma.  In the (a_1..a_N, a_1^dag..a_N^dag) basis
 the pair (M, N) = (U^dag Lam U, U^dag Delta) solves dM/dt = M sigma D(t),
-dN/dt = M sigma E(t).  For one mode the position propagator is the Van Vleck
-kernel of the q-block of Lam^{-1}, and the classical solution eps(t) of
-`qopt.parametric` is the q-row of Lam^{-1}.
+dN/dt = M sigma E(t).  For one mode, eps(t) of `qopt.parametric` is the q-row of
+Lam^{-1} and the position propagator the Van Vleck kernel of its q-block; both take
+their square-root branch from one tracker, the continuous `SymplecticFlow.phase`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -188,10 +189,47 @@ class SymplecticFlow:
     def at(self, t: float) -> FlowSample:
         return FlowSample(float(t), *self.evaluate(t))
 
+    def phase(self, t: float) -> float:
+        """arg eps(t) of eps = l00 - i l10, continuous from 0 at t = 0, for a forward
+        one-mode flow; any other flow raises ``ValueError``.
+
+        It is unwrapped on a table of spacing (pi/2)/W, W = max(1, |Sigma B|_2) over the
+        step boundaries and midpoints.  d arg eps/dt = B_pp/|eps|^2, so it is monotone
+        where B_pp > 0, and arg eps = theta (mod pi) exactly when the real row
+        cos(theta) row_1 + sin(theta) row_0 of Lam lies on the q axis; such a row turns by
+        at most W per unit time, so arg eps needs at least pi/W to advance by pi.
+        W = 1 when B = diag(1, w^2) with |w^2| <= 1.
+        """
+        phase_ts, phases = self._phase_table
+        anchor = phases[np.searchsorted(phase_ts, t, side="right") - 1]
+        eps = _eps_epsdot(self.evaluate(t)[0])[0]
+        return float(anchor + np.angle(eps * np.exp(-1j * anchor)))
+
+    @functools.cached_property
+    def _phase_table(self):
+        """(times, unwrapped arg eps), built on first use."""
+        if self.hamiltonian.n_modes != 1 or self.t_end < 0:
+            raise ValueError("arg eps is tracked on a forward one-mode flow only")
+        gens = _generators(self.hamiltonian, _step_nodes(self.ts))[:, :2, :2]
+        omega = max(1.0, np.linalg.norm(gens, ord=2, axis=(1, 2)).max())
+        num = math.ceil(self.t_end / (0.5 * math.pi / omega)) + 1
+        phase_ts = np.union1d(self.ts, np.linspace(0.0, self.t_end, num))
+        return phase_ts, np.unwrap(np.angle(_eps_epsdot(self.evaluate(phase_ts)[0])[0]))
+
     def max_symplectic_defect(self) -> float:
         sigma = symplectic_metric(self.hamiltonian.n_modes)
         prods = np.einsum("tij,jk,tlk->til", self.lams, sigma, self.lams)
         return float(np.abs(prods - sigma).max())
+
+
+def _step_nodes(ts) -> np.ndarray:
+    """The step boundaries ``ts`` and the midpoints between them."""
+    return np.union1d(ts, 0.5 * (ts[1:] + ts[:-1]))
+
+
+def _eps_epsdot(lam):
+    """(eps, epsdot) = (l00 - i l10, -l01 + i l11) of one-mode flow matrices Lam."""
+    return lam[..., 0, 0] - 1j * lam[..., 1, 0], -lam[..., 0, 1] + 1j * lam[..., 1, 1]
 
 
 def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
@@ -244,16 +282,6 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
     return SymplecticFlow(hamiltonian, ts, samples, error)
 
 
-def hamiltonian_to_creation_annihilation(hamiltonian: QuadraticHamiltonian):
-    """Constant (D, E) with H = 1/2 A.D.A + E.A in the (a, a^dag) ordering."""
-    if not hamiltonian.is_constant:
-        raise ValueError("only constant Hamiltonians convert to constant (D, E)")
-    u = quadrature_rotation(hamiltonian.n_modes)
-    d = u.T @ hamiltonian.b_matrix(0.0) @ u
-    e = u.T @ hamiltonian.c_vector(0.0)
-    return 0.5 * (d + d.T), e
-
-
 def flow_to_creation_annihilation(sample: FlowSample) -> tuple[np.ndarray, np.ndarray]:
     """(M, N) = (U^dag Lam U, U^dag Delta): the flow sample in the (a, a^dag) basis.
 
@@ -301,47 +329,44 @@ def evolve_gaussian(state: GaussianState, flow, t: float | None = None) -> Gauss
 
 
 def _kernel_flow(hamiltonian: QuadraticHamiltonian, t: float):
-    """Lam(t) and the Maslov count of a constant one-mode H with C = 0, B_pp > 0."""
-    if not hamiltonian.is_constant:
-        raise ValueError("the position propagator needs a time-independent Hamiltonian")
+    """Lam(t) and the Maslov count floor(arg eps / pi) of a one-mode H(t) with C = 0 and B_pp > 0
+    at the flow's step boundaries and midpoints; |sin arg eps| < 1e-8 raises CausticError."""
     if hamiltonian.n_modes != 1:
         raise ValueError("the position propagator is implemented for one mode")
-    if np.any(hamiltonian.c_vector(0.0) != 0.0):
-        raise ValueError("the position propagator needs C = 0")
-    b = hamiltonian.b_matrix(0.0)
-    if not b[0, 0] > 0:
-        raise ValueError("the position propagator needs B_pp > 0")
     if t <= 0:
         raise ValueError("t must be positive")
-    det_b = float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
-    maslov = 0
-    if det_b > 0:
-        # the q-block of Lam^{-1} is B_pp sin(wt)/w, which vanishes at the foci wt = k pi
-        wt = math.sqrt(det_b) * t
-        if abs(math.sin(wt)) < _CAUSTIC_GUARD:
-            raise CausticError(f"wt={wt} is within the guard band of a focal time k*pi")
-        maslov = math.floor(wt / math.pi)
-    return flow_expm(hamiltonian, t).lam, maslov
+    flow = integrate_symplectic_flow(hamiltonian, t)
+    nodes = _step_nodes(flow.ts).tolist()
+    if any(np.any(hamiltonian.c_vector(s) != 0.0) for s in nodes):
+        raise ValueError("the position propagator needs C = 0")
+    if not all(hamiltonian.b_matrix(s)[0, 0] > 0 for s in nodes):
+        raise ValueError("the position propagator needs B_pp > 0")
+    # b = -l10 = |eps| sin(arg eps) vanishes at the foci arg eps = k pi
+    phase = flow.phase(t)
+    if abs(math.sin(phase)) < _CAUSTIC_GUARD:
+        raise CausticError(f"arg eps = {phase} is within the guard band of a focus k*pi")
+    return flow.lams[-1], math.floor(phase / math.pi)
 
 
-def propagator_position(hamiltonian: QuadraticHamiltonian, q, qp, t: float):
-    """Position-space amplitude <q| exp(-iHt) |q'> of a constant one-mode H.
-
-    With Lam^{-1} = [[d, .], [b, a]] in (p, q) order (a = l00, b = -l10,
-    d = l11), the Van Vleck kernel is
-    (2 pi |b|)^{-1/2} exp(-i(pi/4 + k pi/2)) exp(i(d q^2 - 2 q q' + a q'^2) / 2b),
-    where k counts the foci passed, floor(wt/pi) with w = sqrt(det B) when
-    det B > 0 and 0 otherwise.  Needs C = 0 and B_pp > 0; inside the guard
-    band |sin wt| < 1e-8 of a focus it raises CausticError.
-    """
-    lam, maslov = _kernel_flow(hamiltonian, t)
+def _van_vleck(lam, maslov: int, q, qp):
     a, b, d = lam[0, 0], -lam[1, 0], lam[1, 1]
-    q = np.asarray(q, dtype=float)
-    qp = np.asarray(qp, dtype=float)
+    q, qp = np.asarray(q, dtype=float), np.asarray(qp, dtype=float)
     amp = ((2.0 * math.pi * abs(b)) ** -0.5
            * np.exp(-1j * (0.25 * math.pi + 0.5 * math.pi * maslov)))
     out = amp * np.exp(0.5j * (d * q * q - 2.0 * q * qp + a * qp * qp) / b)
     return out if out.ndim else complex(out)
+
+
+def propagator_position(hamiltonian: QuadraticHamiltonian, q, qp, t: float):
+    """Position-space amplitude <q| U(t) |q'> of a one-mode H(t) with C = 0, B_pp > 0.
+
+    With Lam(t) of ``integrate_symplectic_flow(H, t)`` in (p, q) order (a = l00,
+    b = -l10, d = l11), the Van Vleck kernel is
+    (2 pi |b|)^{-1/2} exp(-i(pi/4 + k pi/2)) exp(i(d q^2 - 2 q q' + a q'^2) / 2b),
+    where k = floor(arg eps / pi) counts the foci passed (``SymplecticFlow.phase``).
+    Inside the guard band |sin arg eps| < 1e-8, t -> 0+ included, it raises CausticError.
+    """
+    return _van_vleck(*_kernel_flow(hamiltonian, t), q, qp)
 
 
 def coherent_basis_propagator(alpha: complex, beta: complex, omega: float, t: float) -> complex:
@@ -380,11 +405,8 @@ def invariant_residual_check(hamiltonian: QuadraticHamiltonian, q_values, qp_val
     """
     q = np.asarray(q_values, dtype=float).reshape(-1, 1)
     qp = np.asarray(qp_values, dtype=float).reshape(1, -1)
-    lam, _ = _kernel_flow(hamiltonian, t)
-
-    def g(qq, qqp):
-        return propagator_position(hamiltonian, qq, qqp, t)
-
+    lam, maslov = _kernel_flow(hamiltonian, t)
+    g = functools.partial(_van_vleck, lam, maslov)
     center = g(q, qp)
     dq = (g(q + step, qp) - g(q - step, qp)) / (2.0 * step)
     dqp = (g(q, qp + step) - g(q, qp - step)) / (2.0 * step)

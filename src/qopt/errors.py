@@ -10,7 +10,7 @@ class DegenerateOverlapError(QoptError, ValueError):
 
 
 class CausticError(QoptError, ValueError):
-    """Propagator requested too close to a focal time (sin wt ~ 0)."""
+    """Propagator requested too close to a focal time (sin arg eps ~ 0)."""
 
 
 class ResourceLimitError(QoptError, RuntimeError):

@@ -38,8 +38,8 @@ state P(n) = P0 G_(n,n) with G the renormalized Hermite family of (R, R y), and
 ``photon_pnd_table`` runs one loop over the shells of any state: it checks
 the mass after each shell and stops on the mass target, the degree cap, or
 where the state stops its shells before its table would exceed
-``BOX_ENTRY_CAP`` entries; ``photon_pnd`` reads the same fill, so a table row
-and a single value agree bit for bit.  Photon-number mean and variance come in
+``BOX_ENTRY_CAP`` entries; ``photon_pnd`` reads a row of the same shells, so a table
+row and a single value agree bit for bit.  Photon-number mean and variance come in
 closed form from each mode's 2 x 2 marginal.
 """
 
@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConventionError, NonFiniteError
+from .errors import ConventionError, NonFiniteError, ResourceLimitError
 from .hermite import BOX_ENTRY_CAP, _near_diagonal_entries, as_index, hermite_diagonal
 from .matrices import block_swap, check_symmetric, quadrature_rotation, symplectic_metric
 
@@ -328,13 +328,15 @@ def _checked_probabilities(raw: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return np.maximum(raw.real, 0.0)
 
 
-def photon_pnd(s: GaussianState, n) -> float:
-    """Probability of the photon-number outcome n = (n_1, ..., n_N)."""
-    idx = as_index(n, length=s.n_modes)
-    rep = to_qrep(s)
-    *_, (indices, diagonal) = hermite_diagonal(rep.R, rep.ry, sum(idx))
+def photon_pnd(state, n) -> float:
+    """Probability of the outcome n = (n_1, ..., n_N) of a Gaussian or cat state: its row of
+    ``state.photon_shells(|n|)``; a shell that the entry cap stops raises ResourceLimitError."""
+    idx = as_index(n, length=state.n_modes)
+    *_, (indices, raw) = state.photon_shells(sum(idx))
     row = np.flatnonzero((indices == idx).all(axis=1))
-    return float(_checked_probabilities(rep.p0 * diagonal[row], indices[row])[0])
+    if row.size == 0:
+        raise ResourceLimitError(f"shell {sum(idx)} would exceed {BOX_ENTRY_CAP} entries")
+    return float(_checked_probabilities(raw[row], indices[row])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +366,7 @@ def photon_pnd_table(state, mass_tol: float = _DEFAULT_MASS_TOL,
     flagged in the result and warned about, never silent.
 
     The mass is checked after each shell, and a shell does not depend on how far
-    the enumeration runs, so every row equals ``photon_pnd`` (``cat_pnd``) bit for bit.
+    the enumeration runs, so every row equals ``photon_pnd`` bit for bit.
     """
     if degree_cap_per_mode < 0:
         raise ValueError("degree_cap_per_mode must be nonnegative")

@@ -277,8 +277,8 @@ class LatticeText:
     block of at most ``_BLOCK`` values (whole lattice rows, or parts of one row when
     a row is longer), formatted when the block is reached, so a writer holds one
     block of text at a time.  Each pass formats the blocks afresh from the arrays
-    given.  ``encode()`` joins the pieces, the bytes of the text in UTF-8 or any
-    other ASCII-compatible encoding, as ``str.encode`` gives them of a table's text.
+    given.  ``encode(encoding)`` joins the pieces and gives the text's bytes in
+    ``encoding``, as ``str.encode`` would.
     Each axis coordinate is formatted once; a row of the lattice is the prefix
     ``a_i,b_j,`` joined onto its value's text.  A lattice with an empty axis is
     the header alone.
@@ -318,7 +318,8 @@ class LatticeText:
                 yield text[:cells][mask[:cells]].tobytes()
 
     def encode(self, encoding: str = "utf-8") -> bytes:
-        return b"".join(self)
+        text = b"".join(self)  # ASCII, and so already UTF-8
+        return text if encoding == "utf-8" else text.decode("ascii").encode(encoding)
 
 
 def format_lattice(header, a_grid, b_grid, values) -> str:

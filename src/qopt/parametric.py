@@ -21,21 +21,20 @@ vacuum pushed along the same flow.
 
 Wavefunction evaluators need eps^{-1/2} and (eps*/eps)^{m/2}; both are taken
 with the phase of eps tracked continuously from t = 0, never the principal
-branch, so nothing jumps when eps winds around the origin.  The phase is
-sampled at a spacing derived from the largest w^2 the flow's steps see.
+branch, so nothing jumps when eps winds around the origin.  That phase is the
+flow's own, `SymplecticFlow.phase`, the one the position propagator reads.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import (SymplecticFlow, evolve_gaussian, integrate_symplectic_flow,
-                       parametric_oscillator)
+from .dynamics import (SymplecticFlow, _eps_epsdot, evolve_gaussian,
+                       integrate_symplectic_flow, parametric_oscillator)
 from .gaussian import GaussianState
 from .hermite import fock_wavefunction_eval
 
@@ -127,33 +126,14 @@ class EpsilonTrajectory:
         eps, epsdot = _eps_epsdot(self.flow.evaluate(t)[0])
         return (eps, epsdot) if np.ndim(t) else (complex(eps), complex(epsdot))
 
-    @functools.cached_property
-    def _phase_table(self):
-        """(times, unwrapped arg eps) at a spacing where arg eps turns by less than pi: by
-        Sturm comparison the phase needs at least pi/w_max to advance by pi, so (pi/2)/w_max
-        will do.  Built on first use; only the wavefunction evaluators read it."""
-        ts = self.ts
-        w2_max = max(map(self.profile, np.union1d(ts, 0.5 * (ts[1:] + ts[:-1]))))
-        num = math.ceil(self.flow.t_end / (0.5 * math.pi / math.sqrt(max(1.0, w2_max)))) + 1
-        phase_ts = np.union1d(ts, np.linspace(0.0, self.flow.t_end, num))
-        return phase_ts, np.unwrap(np.angle(self.at(phase_ts)[0]))
-
     def phase_at(self, t: float) -> float:
-        """arg eps(t), continuous from arg eps(0) = 0."""
-        e, _ = self.at(t)
-        phase_ts, phases = self._phase_table
-        anchor = phases[np.searchsorted(phase_ts, t, side="right") - 1]
-        return float(anchor + np.angle(e * np.exp(-1j * anchor)))
+        """arg eps(t), continuous from arg eps(0) = 0: the flow's ``phase``."""
+        return self.flow.phase(t)
 
     def sqrt_inv_eps(self, t: float) -> complex:
         """eps(t)^{-1/2} on the branch continuous from 1 at t = 0."""
         e, _ = self.at(t)
         return abs(e) ** -0.5 * np.exp(-0.5j * self.phase_at(t))
-
-
-def _eps_epsdot(lam):
-    """(eps, epsdot) = (l00 - i l10, -l01 + i l11) of flow matrices Lam in (p, q) order."""
-    return lam[..., 0, 0] - 1j * lam[..., 1, 0], -lam[..., 0, 1] + 1j * lam[..., 1, 1]
 
 
 def solve_epsilon(profile: FrequencyProfile, t_end: float, tol: float = 1e-9) -> EpsilonTrajectory:

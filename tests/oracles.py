@@ -9,7 +9,8 @@ and the ladder action on a cat come in closed form, cat homodyne
 marginals come from the rotated coherent-state wavefunctions, cat Husimi
 densities from the closed form |cosh beta*.A|^2 (sinh when odd), eps(t) of a
 constant w^2 is the textbook cos/sin (cosh/sinh) solution, flows are
-integrated by a general-purpose Runge-Kutta solver, and filtered
+integrated by a general-purpose Runge-Kutta solver, a constant Hamiltonian
+is rotated to the (a, a^dag) basis by hand, and filtered
 backprojection is the direct form: a full complex spectrum and a
 two-gather linear interpolation with clipped indices.
 """
@@ -23,6 +24,7 @@ import numpy as np
 from qopt.cats import CatState
 from qopt.errors import CausticError
 from qopt.hermite import as_index
+from qopt.matrices import quadrature_rotation
 
 _CAUSTIC_GUARD = 1e-8
 
@@ -132,8 +134,8 @@ def _cat_log_weight(c) -> float:
 def cat_pnd_by_index(c, n) -> float:
     """Cat photon probability of one outcome, evaluated mode by mode in Python floats.
 
-    This is the per-index body ``qopt.cats.cat_pnd`` had before the vectorized
-    table kernel; the kernel must reproduce it bit for bit.
+    This is the per-index body of the library's one-outcome cat probability before
+    the vectorized table kernel; the kernel must reproduce it bit for bit.
     """
     idx = as_index(n, length=c.n_modes)
     total = sum(idx)
@@ -323,6 +325,16 @@ def closed_form_epsilon_phase(w2: float, t):
     turns = np.round(w * t / math.pi)
     rest = w * t - turns * math.pi  # in [-pi/2, pi/2], where cos(rest) >= 0
     return turns * math.pi + np.arctan2(np.sin(rest) / w, np.cos(rest))
+
+
+def hamiltonian_to_creation_annihilation(hamiltonian):
+    """Constant (D, E) with H = 1/2 A.D.A + E.A in the (a, a^dag) ordering."""
+    if not hamiltonian.is_constant:
+        raise ValueError("only constant Hamiltonians convert to constant (D, E)")
+    u = quadrature_rotation(hamiltonian.n_modes)
+    d = u.T @ hamiltonian.b_matrix(0.0) @ u
+    e = u.T @ hamiltonian.c_vector(0.0)
+    return 0.5 * (d + d.T), e
 
 
 def flow_by_ode(ham, ts, knots=()):

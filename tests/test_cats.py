@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qopt import gaussian
-from qopt.cats import CatState, cat_moments, cat_normalization, cat_pnd
-from qopt.gaussian import make_coherent, photon_pnd_table, q_eval, wigner_eval
+from qopt.cats import CatState, cat_moments, cat_normalization
+from qopt.errors import ResourceLimitError
+from qopt.gaussian import make_coherent, photon_pnd, photon_pnd_table, q_eval, wigner_eval
 
 from oracles import cat_ladder_apply, cat_pnd_by_index, cat_q, cat_total_pnd, trapz_nd
 
@@ -21,11 +22,10 @@ def cat_wigner(c, q, p):
 
 
 def pnd_series(c, max_total=60):
+    """{outcome: P} for every outcome of total <= max_total, read from the state's shells."""
     out = {}
-    for total in range(max_total + 1):
-        for idx in product(range(total + 1), repeat=c.n_modes):
-            if sum(idx) == total:
-                out[idx] = cat_pnd(c, idx)
+    for indices, probs in c.photon_shells(max_total):
+        out.update(zip(map(tuple, indices.tolist()), probs.tolist()))
     return out
 
 
@@ -66,7 +66,7 @@ class TestLargeAmplitude:
             n = 900 if parity == "even" else 901
             pnd = x ** n / mpmath.factorial(n) / weight
             assert cat_normalization(c) == pytest.approx(float(norm), rel=1e-12)
-            assert cat_pnd(c, [n]) == pytest.approx(float(pnd), rel=1e-11)
+            assert photon_pnd(c, [n]) == pytest.approx(float(pnd), rel=1e-11)
             assert cat_total_pnd(c, n) == pytest.approx(float(pnd), rel=1e-11)
             beta = mpmath.mpc(29.5, 0.3)
             env = mpmath.cosh(beta.conjugate() * 30) if parity == "even" \
@@ -92,14 +92,14 @@ class TestPnd:
         even = CatState([0.9, 0.4j], "even")
         odd = CatState([0.9, 0.4j], "odd")
         for idx in [(1, 0), (0, 1), (2, 1), (3, 0)]:
-            assert cat_pnd(even, idx) == 0.0
+            assert photon_pnd(even, idx) == 0.0
         for idx in [(0, 0), (1, 1), (2, 0), (2, 2)]:
-            assert cat_pnd(odd, idx) == 0.0
+            assert photon_pnd(odd, idx) == 0.0
 
     def test_two_mode_vacuum_weight(self):
         c = CatState([math.sqrt(0.5), math.sqrt(0.5)], "even")
-        assert cat_pnd(c, (0, 0)) == pytest.approx(1 / math.cosh(1.0), rel=1e-12)
-        assert cat_pnd(c, (0, 0)) == pytest.approx(0.6481, abs=2e-4)
+        assert photon_pnd(c, (0, 0)) == pytest.approx(1 / math.cosh(1.0), rel=1e-12)
+        assert photon_pnd(c, (0, 0)) == pytest.approx(0.6481, abs=2e-4)
 
     def test_single_mode_values(self):
         alpha = 1.1
@@ -107,7 +107,7 @@ class TestPnd:
         a2 = alpha ** 2
         for n in [0, 2, 4, 6]:
             want = a2 ** n / (math.factorial(n) * math.cosh(a2))
-            assert cat_pnd(c, [n]) == pytest.approx(want, rel=1e-12)
+            assert photon_pnd(c, [n]) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_normalizes(self, parity):
@@ -175,7 +175,7 @@ class TestPndTable:
         assert [tuple(row) for row in table.indices.tolist()] == want_indices
         want = [cat_pnd_by_index(c, idx) for idx in want_indices]
         assert table.probabilities.tolist() == want
-        assert [cat_pnd(c, idx) for idx in want_indices[-3:]] == want[-3:]
+        assert [photon_pnd(c, idx) for idx in want_indices[-3:]] == want[-3:]
         shells = np.bincount(table.indices.sum(axis=1), weights=table.probabilities)
         for total, mass in enumerate(shells.tolist()):
             assert mass == pytest.approx(cat_total_pnd(c, total), rel=1e-12, abs=0.0)
@@ -207,7 +207,7 @@ class TestPndTable:
         table = photon_pnd_table(c)
         assert not table.cap_hit and table.max_total_degree == 62
         assert table.cumulative >= 1 - 1e-10
-        assert table.probabilities.tolist() == [cat_pnd(c, [n]) for n in range(63)]
+        assert table.probabilities.tolist() == list(pnd_series(c, 62).values())
 
     def test_degree_cap_is_reported(self):
         with pytest.warns(UserWarning, match="degree cap 64"):
@@ -226,6 +226,27 @@ class TestPndTable:
     def test_negative_degree_cap_rejected(self):
         with pytest.raises(ValueError, match="degree_cap_per_mode"):
             photon_pnd_table(CatState([1.0], "even"), degree_cap_per_mode=-1)
+
+
+class TestPhotonPnd:
+    """``photon_pnd`` on a cat: one row of its shells, like a Gaussian state's."""
+
+    def test_three_mode_outcomes_match_per_index_oracle(self):
+        c = CatState([0.9 + 0.3j, -0.5 + 0.6j, 1.1], "odd")
+        for idx in product(range(6), repeat=3):
+            assert photon_pnd(c, idx) == cat_pnd_by_index(c, idx)
+
+    def test_bright_cat_stays_finite(self):
+        p = photon_pnd(CatState([30.0], "even"), [900])
+        assert math.isfinite(p) and p == cat_pnd_by_index(CatState([30.0], "even"), [900])
+
+    def test_entry_capped_shell_raises(self, monkeypatch):
+        # a smaller cap stands in for 2**24: shells stop at total 12 (91 rows of 2 modes)
+        monkeypatch.setattr(gaussian, "BOX_ENTRY_CAP", 100)
+        c = CatState([0.9, 0.4j], "even")
+        assert photon_pnd(c, (8, 4)) == cat_pnd_by_index(c, (8, 4))
+        with pytest.raises(ResourceLimitError, match="exceed 100 entries"):
+            photon_pnd(c, (13, 1))
 
 
 class TestLadder:

@@ -8,16 +8,17 @@ from scipy.linalg import expm
 
 from qopt.dynamics import (FlowSample, QuadraticHamiltonian, coherent_basis_propagator,
                            evolve_gaussian, flow_expm, flow_to_creation_annihilation,
-                           fock_basis_propagator, free_particle,
-                           hamiltonian_to_creation_annihilation, harmonic_oscillator,
+                           fock_basis_propagator, free_particle, harmonic_oscillator,
                            integrate_symplectic_flow, invariant_residual_check,
                            parametric_oscillator, propagator_position)
 from qopt.errors import CausticError, NonFiniteError
 from qopt.gaussian import GaussianState, make_coherent, validate_state
 from qopt.matrices import complex_structure, symplectic_metric
-from qopt.parametric import expression_profile, tabulated_profile
+from qopt.parametric import (expression_profile, packet_wavefunction_eval, solve_epsilon,
+                             tabulated_profile)
 
-from oracles import flow_by_ode, free_propagator, oscillator_propagator, quadratic_phase_integral
+from oracles import (flow_by_ode, free_propagator, hamiltonian_to_creation_annihilation,
+                     oscillator_propagator, quadratic_phase_integral)
 
 REPULSIVE = QuadraticHamiltonian(np.diag([1.0, -1.0]), np.zeros(2), 1)
 CROSS_TERM = QuadraticHamiltonian(np.array([[1.0, 0.3], [0.3, 0.8]]), np.zeros(2), 1)
@@ -403,6 +404,39 @@ class TestEvolveGaussian:
             evolve_gaussian(make_coherent(0.0), sample, t=2.0)
 
 
+class TestFlowPhase:
+    @pytest.mark.parametrize("profile", [expression_profile("1 + 0.3*sin(2*t)"),
+                                         tabulated_profile(VERIFY_TABLE)],
+                             ids=["expression", "table"])
+    def test_phase_is_the_trajectory_phase_and_rises(self, profile):
+        traj = solve_epsilon(profile, 20.0)
+        ts = np.linspace(0.0, 20.0, 1001)
+        phases = np.array([traj.flow.phase(t) for t in ts])
+        assert phases.tolist() == [traj.phase_at(t) for t in ts]
+        # d arg eps/dt = B_pp/|eps|^2 > 0
+        assert phases[0] == 0.0 and np.all(np.diff(phases) >= 0.0)
+        assert phases[-1] > 5 * math.pi
+
+    @pytest.mark.parametrize("mass,omega", [(1.0, 20.0), (0.05, 1.0), (20.0, 1.0)])
+    def test_fast_rows_keep_every_turn(self, mass, omega):
+        # eps = cos wt + i sin(wt)/(m w) turns at up to |Sigma B|_2 = max(1/m, m w^2): near
+        # the foci when m w << 1, between them when m w >> 1
+        flow = integrate_symplectic_flow(harmonic_oscillator(mass, omega), 6.0)
+        ts = np.linspace(0.0, 6.0, 601)
+        turns = np.round(omega * ts / math.pi)
+        rest = omega * ts - turns * math.pi
+        want = turns * math.pi + np.arctan2(np.sin(rest) / (mass * omega), np.cos(rest))
+        got = np.array([flow.phase(t) for t in ts])
+        assert np.abs(got - want).max() < 1e-9
+
+    def test_other_flows_rejected(self):
+        two_mode = integrate_symplectic_flow(QuadraticHamiltonian(np.eye(4), np.zeros(4), 2), 1.0)
+        with pytest.raises(ValueError, match="forward one-mode"):
+            two_mode.phase(0.5)
+        with pytest.raises(ValueError, match="forward one-mode"):
+            integrate_symplectic_flow(harmonic_oscillator(), -1.0).phase(-0.5)
+
+
 class TestPositionPropagators:
     def test_free_translation_invariance(self):
         t = 0.8
@@ -452,10 +486,13 @@ class TestPositionPropagators:
         assert checked > 40
 
     @pytest.mark.parametrize("ham", [
-        parametric_oscillator(lambda t: 1.0 + 0.1 * t),                 # time-dependent
         QuadraticHamiltonian(np.eye(4), np.zeros(4), 2),                 # two modes
         QuadraticHamiltonian(np.eye(2), np.array([0.0, 0.5]), 1),        # linear term
         QuadraticHamiltonian(np.diag([0.0, 1.0]), np.zeros(2), 1),       # no kinetic term
+        # C(0) = 0, but C is nonzero at the flow's step nodes
+        QuadraticHamiltonian(np.eye(2), lambda t: np.array([0.0, 0.1 * t]), 1),
+        # B_pp(t) = cos 3t turns negative after t = pi/6
+        QuadraticHamiltonian(lambda t: np.diag([math.cos(3.0 * t), 1.0]), np.zeros(2), 1),
     ])
     def test_unsupported_hamiltonians_rejected(self, ham):
         with pytest.raises(ValueError):
@@ -466,6 +503,46 @@ class TestPositionPropagators:
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError):
             propagator_position(free_particle(), 0.1, 0.2, 0.0)
+
+    def test_short_time_is_in_the_guard_band(self):
+        # arg eps -> 0 as t -> 0+, so the guard |sin arg eps| < 1e-8 covers t -> 0+ too
+        with pytest.raises(CausticError):
+            propagator_position(free_particle(), 0.1, 0.2, 1e-10)
+        assert abs(propagator_position(free_particle(), 0.1, 0.2, 1e-6)) ** 2 == pytest.approx(
+            1.0 / (2 * math.pi * 1e-6), rel=1e-9)
+
+    @pytest.mark.parametrize("profile,times", [
+        (expression_profile("1 + 0.3*sin(2*t)"), [0.7, 2.0, 3.5, 5.0, 7.3, 11.0]),
+        (tabulated_profile(VERIFY_TABLE), [1.0, 2.5, 4.0, 6.5, 9.0, 12.0, 13.5]),
+    ], ids=["expression", "table"])
+    def test_varying_frequency_moves_the_packet(self, profile, times):
+        # the kernel of H = p^2/2 + w^2(t) q^2/2, applied by trapezoid quadrature to the
+        # coherent packet at t = 0, gives the evolved packet of qopt.parametric past three
+        # foci.  The packet reads a flow stepped to the same t at the same tol, so this
+        # checks the kernel and its Maslov count; test_parametric checks the flow itself
+        alpha, nodes, q = 0.7 + 0.2j, np.linspace(-12.0, 12.0, 6001), np.linspace(-4.0, 4.0, 41)
+        ham = parametric_oscillator(profile)
+        for t in times:
+            traj = solve_epsilon(profile, t)
+            psi0 = packet_wavefunction_eval(traj, 0.0, alpha, nodes)
+            kernel = propagator_position(ham, q[:, np.newaxis], nodes, t)
+            got = np.trapezoid(kernel * psi0, nodes, axis=1)
+            want = packet_wavefunction_eval(traj, t, alpha, q)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert traj.phase_at(times[-1]) > 3 * math.pi
+
+    def test_varying_frequency_caustic_guard(self):
+        # bisect arg eps(t) - pi to the first focus of w^2 = 1 + 0.3 sin 2t; the kernel's
+        # own flow, stepped to that t alone, agrees with this one to about 1e-9
+        ham = parametric_oscillator(expression_profile("1 + 0.3*sin(2*t)"))
+        flow = integrate_symplectic_flow(ham, 4.0)
+        lo, hi = 2.0, 4.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if flow.phase(mid) < math.pi else (lo, mid)
+        with pytest.raises(CausticError):
+            propagator_position(ham, 0.1, 0.2, lo)
+        propagator_position(ham, 0.1, 0.2, lo - 1e-3)
 
     @pytest.mark.parametrize("system,t1,t2", [
         (free_particle(mass=1.0), 0.4, 0.9),

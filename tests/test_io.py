@@ -208,6 +208,12 @@ class TestLatticeBlocks:
         assert lattice.encode() == text   # every pass formats the same blocks again
         assert format_lattice(SINOGRAM_HEADER, a_grid, b_grid, values) == text.decode()
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "ascii", "utf-16", "utf-32-le"])
+    def test_encode_honours_its_encoding(self, encoding):
+        lattice = LatticeText(PHASE_SPACE_HEADER, [-0.5, 1.25], [0.0, 3.0], [[1.0, 2e-300],
+                                                                             [-0.0, 1 / 3]])
+        assert lattice.encode(encoding) == b"".join(lattice).decode("ascii").encode(encoding)
+
     def test_shape_is_checked_before_any_block(self):
         with pytest.raises(ValueError, match="shape"):
             LatticeText(PHASE_SPACE_HEADER, np.arange(3.0), np.arange(4.0), np.zeros((4, 3)))
