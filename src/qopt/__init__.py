@@ -8,8 +8,8 @@ __version__ = "0.1.0"
 
 from .cats import CatState, cat_moments, cat_normalization
 from .dynamics import (FlowSample, QuadraticHamiltonian, SymplecticFlow, evolve_gaussian,
-                       flow_expm, flow_to_creation_annihilation, free_particle,
-                       harmonic_oscillator, integrate_symplectic_flow, invariant_residual_check,
+                       flow_to_creation_annihilation, free_particle, harmonic_oscillator,
+                       integrate_symplectic_flow, invariant_residual_check,
                        parametric_oscillator, propagator_position)
 from .gaussian import (GaussianDyads, GaussianState, PureGaussianSpec, QRep, from_pure_gaussian,
                        from_qrep, make_coherent, make_squeezed_vacuum, make_thermal_oscillator,
@@ -17,10 +17,10 @@ from .gaussian import (GaussianDyads, GaussianState, PureGaussianSpec, QRep, fro
                        validate_state, wigner_eval)
 from .hermite import (HermiteParams, OverlapSpec, fock_wavefunction_eval,
                       gaussian_hermite_overlap, hermite_box, mv_hermite_eval, mv_hermite_table)
-from .parametric import (EpsilonTrajectory, FrequencyProfile, expression_profile,
-                         packet_wavefunction_eval, parametric_cat_wavefunction,
-                         preset_profile, solve_epsilon, squeezed_number_wavefunction,
-                         squeezed_vacuum_pnd, tabulated_profile, variances_correlation)
+from .parametric import (FrequencyProfile, expression_profile, packet_wavefunction_eval,
+                         parametric_cat_wavefunction, preset_profile, solve_epsilon,
+                         squeezed_number_wavefunction, squeezed_vacuum_pnd, tabulated_profile,
+                         variances_correlation, wronskian_defect)
 from .tomography import (Sinogram, WignerGrid, forward_marginal_numeric, gaussian_sinogram,
                          inverse_radon, symplectic_marginal, wigner_from_symplectic)
 

@@ -66,8 +66,9 @@ class CatState:
         C(t + N, N) rows fits ``BOX_ENTRY_CAP``, whichever is lower."""
         n = self.n_modes
         top = _entry_capped_degree(max_degree, lambda t: math.comb(t + n, n))
+        probabilities = _cat_probabilities(self, top)
         shells = (_total_degree_indices(n, t, t) for t in range(top + 1))
-        return ((indices, _cat_probabilities(self, indices)) for indices in shells)
+        return ((indices, probabilities(indices)) for indices in shells)
 
 
 def _log_weight(c: CatState) -> float:
@@ -83,22 +84,28 @@ def cat_normalization(c: CatState) -> float:
     return math.exp(0.5 * (c.norm2 - _log_weight(c)) - _LN2)
 
 
-def _cat_probabilities(c: CatState, indices: np.ndarray) -> np.ndarray:
-    """P(n) = prod_m |alpha_m|^(2 n_m) / n_m! / cosh |A|^2 (sinh if odd), per index row."""
-    log_term = np.zeros(indices.shape[0])
-    possible = indices.sum(axis=1) % 2 == (0 if c.parity == "even" else 1)
-    counts = np.unique(indices)
-    log_factorial = np.array([math.lgamma(k + 1) for k in counts.tolist()])
-    for alpha, k in zip(c.amplitudes, indices.T):
-        a = abs(alpha)
-        if a == 0.0:
-            possible &= k == 0
-        else:
-            log_term += 2 * k * math.log(a) - log_factorial[np.searchsorted(counts, k)]
-    probs = np.zeros(indices.shape[0])
-    # math.exp, not np.exp: the two differ in the last bit on some arguments
-    probs[possible] = [math.exp(v) for v in (log_term[possible] - _log_weight(c)).tolist()]
-    return probs
+def _cat_probabilities(c: CatState, top: int):
+    """The function of index rows, each count at most ``top``, that gives per row
+    P(n) = prod_m |alpha_m|^(2 n_m) / n_m! / cosh |A|^2 (sinh if odd); the log-factorials,
+    logs of |alpha_m| and the normalization are taken once, here."""
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(top + 1)])
+    log_abs = [math.log(abs(alpha)) if alpha != 0 else None for alpha in c.amplitudes]
+    log_weight, parity = _log_weight(c), 0 if c.parity == "even" else 1
+
+    def probabilities(indices: np.ndarray) -> np.ndarray:
+        log_term = np.zeros(indices.shape[0])
+        possible = indices.sum(axis=1) % 2 == parity
+        for log_a, k in zip(log_abs, indices.T):
+            if log_a is None:
+                possible &= k == 0
+            else:
+                log_term += 2 * k * log_a - log_factorial[k]
+        probs = np.zeros(indices.shape[0])
+        # math.exp, not np.exp: the two differ in the last bit on some arguments
+        probs[possible] = [math.exp(v) for v in (log_term[possible] - log_weight).tolist()]
+        return probs
+
+    return probabilities
 
 
 @dataclass(frozen=True)

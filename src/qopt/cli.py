@@ -46,7 +46,8 @@ from .errors import NonFiniteError
 from .gaussian import (QREP_CONVENTION, GaussianState, make_coherent, make_squeezed_vacuum,
                        make_thermal_oscillator, photon_pnd_table, q_eval, wigner_eval)
 from .io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, LatticeText, format_table
-from .parametric import expression_profile, preset_profile, solve_epsilon, tabulated_profile
+from .parametric import (expression_profile, preset_profile, solve_epsilon, tabulated_profile,
+                         wronskian_defect)
 from .tomography import (boundary_peak_ratio, forward_marginal_numeric, gaussian_sinogram,
                          inverse_radon, lattice_mass, sample_lattice, sinogram_from_csv,
                          wigner_grid_from_callable)
@@ -359,15 +360,15 @@ def _job_evolve(job):
 
 
 def _job_epsilon(job):
-    traj = solve_epsilon(job["profile"], job["t_end"], job["tol"])
+    flow = solve_epsilon(job["profile"], job["t_end"], job["tol"])
     times = np.linspace(0.0, job["t_end"], job["num"])
-    eps, epsdot = traj.at(times)
+    eps, epsdot = flow.eps(times)
     columns = np.array([times, eps.real, eps.imag, epsdot.real, epsdot.imag])
     header = ["t", "re_eps", "im_eps", "re_epsdot", "im_epsdot"]
     _check_finite("epsilon.csv", columns)
     return ({"epsilon.csv": format_table(header, columns)},
-            {"tol": job["tol"], "wronskian_defect": traj.wronskian_defect,
-             "error_estimate": traj.error_estimate, "profile_kind": job["profile"].kind})
+            {"tol": job["tol"], "wronskian_defect": wronskian_defect(flow),
+             "error_estimate": flow.error_estimate, "profile_kind": job["profile"].kind})
 
 
 def _job_cat(job):

@@ -9,25 +9,26 @@ Q_0(t) = Lam(t) Q + Delta(t) stay constant in time when
 with Sigma the symplectic metric.  Every flow sample comes from one engine, a
 fourth-order Magnus step: the exponential of a symplectic generator, so Lam(t)
 is symplectic to round-off and only the steps' error estimates measure accuracy.
-`integrate_symplectic_flow` chains steps under error control; `flow_expm` is
-the one step from 0 to t, exact for a constant H.  A Wigner density evolves by
-plain argument substitution W(Q, t) = W_0(Lam Q + Delta), which for Gaussian
-states is the pushforward
+`integrate_symplectic_flow` chains steps under error control; a constant H takes
+one exact step from 0 to t.  A Wigner density evolves by plain argument
+substitution W(Q, t) = W_0(Lam Q + Delta), which for Gaussian states is the
+pushforward
 
     mean' = Lam^{-1} (mean_0 - Delta),   M' = Lam^{-1} M_0 Lam^{-T},
 
 with Lam^{-1} = -Sigma Lam^T Sigma.  In the (a_1..a_N, a_1^dag..a_N^dag) basis
 the pair (M, N) = (U^dag Lam U, U^dag Delta) solves dM/dt = M sigma D(t),
 dN/dt = M sigma E(t).  For one mode, eps(t) of `qopt.parametric` is the q-row of
-Lam^{-1} and the position propagator the Van Vleck kernel of its q-block; both take
-their square-root branch from one tracker, the continuous `SymplecticFlow.phase`.
+Lam^{-1} (`SymplecticFlow.eps`) and the position propagator the Van Vleck kernel of its
+q-block; both take their square-root branch from one tracker, the continuous
+`SymplecticFlow.phase`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,20 +54,14 @@ def _as_time_callable(obj, shape, name):
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """H = 1/2 Q.B(t).Q + C(t).Q; B and C may be constants or callables of t.
-
-    ``is_constant`` is true when both were given as arrays, never for a callable.
-    """
+    """H = 1/2 Q.B(t).Q + C(t).Q; B and C may be constants or callables of t."""
 
     b_matrix: Callable[[float], np.ndarray]
     c_vector: Callable[[float], np.ndarray]
     n_modes: int
-    is_constant: bool = field(init=False)
 
     def __post_init__(self):
         dim = 2 * self.n_modes
-        object.__setattr__(self, "is_constant",
-                           not (callable(self.b_matrix) or callable(self.c_vector)))
         b = _as_time_callable(self.b_matrix, (dim, dim), "B")
         c = _as_time_callable(self.c_vector, (dim,), "C")
         check_symmetric(np.asarray(b(0.0)), tol=1e-10, name="B(0)")
@@ -189,6 +184,14 @@ class SymplecticFlow:
     def at(self, t: float) -> FlowSample:
         return FlowSample(float(t), *self.evaluate(t))
 
+    def eps(self, t):
+        """(eps, epsdot) = (l00 - i l10, -l01 + i l11) of a one-mode flow, the q-row of
+        Lam^{-1} = adj(Lam), at time t, or the two arrays at an array of times."""
+        if self.hamiltonian.n_modes != 1:
+            raise ValueError("eps is read from a one-mode flow only")
+        eps, epsdot = _eps_epsdot(self.evaluate(t)[0])
+        return (eps, epsdot) if np.ndim(t) else (complex(eps), complex(epsdot))
+
     def phase(self, t: float) -> float:
         """arg eps(t) of eps = l00 - i l10, continuous from 0 at t = 0, for a forward
         one-mode flow; any other flow raises ``ValueError``.
@@ -202,29 +205,30 @@ class SymplecticFlow:
         """
         phase_ts, phases = self._phase_table
         anchor = phases[np.searchsorted(phase_ts, t, side="right") - 1]
-        eps = _eps_epsdot(self.evaluate(t)[0])[0]
-        return float(anchor + np.angle(eps * np.exp(-1j * anchor)))
+        return float(anchor + np.angle(self.eps(t)[0] * np.exp(-1j * anchor)))
+
+    @functools.cached_property
+    def _node_generators(self) -> np.ndarray:
+        """The generators A(s) at the step boundaries and the midpoints between them,
+        built on first use."""
+        nodes = np.union1d(self.ts, 0.5 * (self.ts[1:] + self.ts[:-1]))
+        return _generators(self.hamiltonian, nodes)
 
     @functools.cached_property
     def _phase_table(self):
         """(times, unwrapped arg eps), built on first use."""
         if self.hamiltonian.n_modes != 1 or self.t_end < 0:
             raise ValueError("arg eps is tracked on a forward one-mode flow only")
-        gens = _generators(self.hamiltonian, _step_nodes(self.ts))[:, :2, :2]
+        gens = self._node_generators[:, :2, :2]
         omega = max(1.0, np.linalg.norm(gens, ord=2, axis=(1, 2)).max())
         num = math.ceil(self.t_end / (0.5 * math.pi / omega)) + 1
         phase_ts = np.union1d(self.ts, np.linspace(0.0, self.t_end, num))
-        return phase_ts, np.unwrap(np.angle(_eps_epsdot(self.evaluate(phase_ts)[0])[0]))
+        return phase_ts, np.unwrap(np.angle(self.eps(phase_ts)[0]))
 
     def max_symplectic_defect(self) -> float:
         sigma = symplectic_metric(self.hamiltonian.n_modes)
         prods = np.einsum("tij,jk,tlk->til", self.lams, sigma, self.lams)
         return float(np.abs(prods - sigma).max())
-
-
-def _step_nodes(ts) -> np.ndarray:
-    """The step boundaries ``ts`` and the midpoints between them."""
-    return np.union1d(ts, 0.5 * (ts[1:] + ts[:-1]))
 
 
 def _eps_epsdot(lam):
@@ -293,30 +297,11 @@ def flow_to_creation_annihilation(sample: FlowSample) -> tuple[np.ndarray, np.nd
     return u_dag @ sample.lam @ u, u_dag @ sample.delta
 
 
-def flow_expm(hamiltonian: QuadraticHamiltonian, t: float) -> FlowSample:
-    """Closed-form flow sample for constant B, C: the one Magnus step from 0 to t,
-    exp(t [[Sigma B, Sigma C], [0, 0]]) = [[Lam(t), Delta(t)], [0, 1]]."""
-    if not hamiltonian.is_constant:
-        raise ValueError("flow_expm requires a time-independent Hamiltonian")
-    dim = 2 * hamiltonian.n_modes
-    block = _magnus_step(hamiltonian, 0.0, t)
-    return FlowSample(float(t), block[:dim, :dim], block[:dim, dim])
-
-
-def evolve_gaussian(state: GaussianState, flow, t: float | None = None) -> GaussianState:
-    """Push a Gaussian state along a flow: W(Q, t) = W_0(Lam Q + Delta), with the exact
-    symplectic inverse Lam^{-1} = -Sigma Lam^T Sigma.  A flow sample or result that is
-    not finite raises ``NonFiniteError`` naming t."""
-    if isinstance(flow, SymplecticFlow):
-        if t is None:
-            raise ValueError("t is required when evolving along a SymplecticFlow")
-        sample = flow.at(t)
-    elif isinstance(flow, FlowSample):
-        sample = flow
-        if t is not None and not math.isclose(t, sample.t, abs_tol=1e-12):
-            raise ValueError(f"sample is at t={sample.t}, not t={t}")
-    else:
-        raise TypeError(f"cannot evolve along {type(flow).__name__}")
+def evolve_gaussian(state: GaussianState, sample: FlowSample) -> GaussianState:
+    """Push a Gaussian state along a flow sample, such as ``flow.at(t)``:
+    W(Q, t) = W_0(Lam Q + Delta), with the exact symplectic inverse
+    Lam^{-1} = -Sigma Lam^T Sigma.  A flow sample or result that is not finite raises
+    ``NonFiniteError`` naming t."""
     lam, delta = sample.lam, sample.delta
     sigma = symplectic_metric(lam.shape[0] // 2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -336,10 +321,12 @@ def _kernel_flow(hamiltonian: QuadraticHamiltonian, t: float):
     if t <= 0:
         raise ValueError("t must be positive")
     flow = integrate_symplectic_flow(hamiltonian, t)
-    nodes = _step_nodes(flow.ts).tolist()
-    if any(np.any(hamiltonian.c_vector(s) != 0.0) for s in nodes):
+    # Sigma = [[0, 1], [-1, 0]] only permutes and negates, so both tests are exact:
+    # Sigma C = 0 where C = 0, and (Sigma B)_10 = -B_pp
+    gens = flow._node_generators
+    if np.any(gens[:, :2, 2] != 0.0):
         raise ValueError("the position propagator needs C = 0")
-    if not all(hamiltonian.b_matrix(s)[0, 0] > 0 for s in nodes):
+    if not np.all(gens[:, 1, 0] < 0.0):
         raise ValueError("the position propagator needs B_pp > 0")
     # b = -l10 = |eps| sin(arg eps) vanishes at the foci arg eps = k pi
     phase = flow.phase(t)

@@ -328,9 +328,7 @@ def closed_form_epsilon_phase(w2: float, t):
 
 
 def hamiltonian_to_creation_annihilation(hamiltonian):
-    """Constant (D, E) with H = 1/2 A.D.A + E.A in the (a, a^dag) ordering."""
-    if not hamiltonian.is_constant:
-        raise ValueError("only constant Hamiltonians convert to constant (D, E)")
+    """Constant (D, E) with H = 1/2 A.D.A + E.A in the (a, a^dag) ordering, read at t = 0."""
     u = quadrature_rotation(hamiltonian.n_modes)
     d = u.T @ hamiltonian.b_matrix(0.0) @ u
     e = u.T @ hamiltonian.c_vector(0.0)

@@ -19,7 +19,8 @@ from qopt.gaussian import (make_coherent, make_squeezed_vacuum, make_thermal_osc
                            photon_pnd, q_eval, to_qrep, validate_state, wigner_eval)
 from qopt.hermite import HermiteParams, OverlapSpec, gaussian_hermite_overlap, mv_hermite_eval
 from qopt.parametric import (expression_profile, preset_profile, solve_epsilon,
-                             squeezed_vacuum_pnd, tabulated_profile, to_gaussian_state)
+                             squeezed_vacuum_pnd, tabulated_profile, to_gaussian_state,
+                             wronskian_defect)
 from qopt.tomography import Sinogram, gaussian_sinogram, inverse_radon, wigner_grid_from_callable
 from qopt.dynamics import evolve_gaussian
 
@@ -50,10 +51,10 @@ def test_criterion_02_squeezed_vacuum_chain():
     worst_eps = 0.0
     for preset in ("free", "oscillator", "repulsive"):
         t_end = 10.0 if preset != "repulsive" else 8.0
-        traj = solve_epsilon(preset_profile(preset), t_end, tol=1e-11)
+        flow = solve_epsilon(preset_profile(preset), t_end, tol=1e-11)
         w2 = PRESET_OMEGA_SQUARED[preset]
         for t in np.linspace(0.0, t_end, 81):
-            eps, _ = traj.at(t)
+            eps, _ = flow.eps(t)
             worst_eps = max(worst_eps, abs(eps - closed_form_epsilon(w2, t)))
     assert worst_eps <= 1e-9
 
@@ -63,23 +64,23 @@ def test_criterion_02_squeezed_vacuum_chain():
     odd_exact = True
     for r in (0.5, 1.0, 2.0):
         a = math.exp(r)
-        traj = solve_epsilon(expression_profile(f"{a * a}"), 2.0, tol=1e-12)
+        flow = solve_epsilon(expression_profile(f"{a * a}"), 2.0, tol=1e-12)
         t_star = 0.5 * math.pi / a
         for m in range(16):
             want = (math.factorial(2 * m) / math.factorial(m) ** 2
                     * (math.tanh(r) / 2) ** (2 * m) / math.cosh(r))
-            worst_pnd = max(worst_pnd, abs(squeezed_vacuum_pnd(traj, t_star, 2 * m) - want))
-            odd_exact &= squeezed_vacuum_pnd(traj, t_star, 2 * m + 1) == 0.0
+            worst_pnd = max(worst_pnd, abs(squeezed_vacuum_pnd(flow, t_star, 2 * m) - want))
+            odd_exact &= squeezed_vacuum_pnd(flow, t_star, 2 * m + 1) == 0.0
     assert worst_pnd <= 1e-9
     assert odd_exact
 
     # cross-module equality through the Gaussian-state chain
-    traj = solve_epsilon(expression_profile("1 + 0.3*cos(2*t)"), 6.0, tol=1e-11)
+    flow = solve_epsilon(expression_profile("1 + 0.3*cos(2*t)"), 6.0, tol=1e-11)
     worst_cross = 0.0
     for t in (1.0, 3.5, 6.0):
-        state = to_gaussian_state(traj, t)
+        state = to_gaussian_state(flow, t)
         for n in range(12):
-            worst_cross = max(worst_cross, abs(squeezed_vacuum_pnd(traj, t, n)
+            worst_cross = max(worst_cross, abs(squeezed_vacuum_pnd(flow, t, n)
                                                - photon_pnd(state, [n])))
     _report(2, "squeezed-vacuum chain", max(worst_eps, worst_pnd, worst_cross), 1e-9,
             passed=(worst_eps <= 1e-9 and worst_pnd <= 1e-9
@@ -90,12 +91,12 @@ def test_criterion_03_p0_anchor():
     rng = np.random.default_rng(33)
     knots = np.linspace(0.0, 12.0, 7)
     profile = tabulated_profile(np.column_stack([knots, rng.uniform(0.5, 1.5, size=7)]))
-    traj = solve_epsilon(profile, 12.0, tol=1e-11)
+    flow = solve_epsilon(profile, 12.0, tol=1e-11)
     worst = 0.0
     for t in rng.uniform(0.2, 12.0, size=10):
-        eps, epsdot = traj.at(t)
+        eps, epsdot = flow.eps(t)
         want = 2.0 / math.sqrt(abs(eps) ** 2 + abs(epsdot) ** 2 + 2.0)
-        got = to_qrep(to_gaussian_state(traj, t)).p0
+        got = to_qrep(to_gaussian_state(flow, t)).p0
         worst = max(worst, abs(got - want))
     _report(3, "zero-photon anchor", worst, 1e-9)
 
@@ -112,8 +113,8 @@ def test_criterion_04_symplectic_and_wronskian():
         flow = integrate_symplectic_flow(ham, 20.0, tol=tol)
         defects.append(flow.max_symplectic_defect())
     for prof in (preset_profile("free"), preset_profile("oscillator"), profile):
-        traj = solve_epsilon(prof, 20.0, tol=tol)
-        defects.append(traj.wronskian_defect)
+        flow = solve_epsilon(prof, 20.0, tol=tol)
+        defects.append(wronskian_defect(flow))
     _report(4, "symplectic/Wronskian conservation", max(defects), 1e-7)
 
 
@@ -268,7 +269,7 @@ def test_criterion_09_coherent_evolution():
     mu0 = validate_state(state).purity
     worst_mean, worst_purity = 0.0, 0.0
     for t in np.linspace(0.0, 2 * math.pi, 13):
-        st = evolve_gaussian(state, flow, t)
+        st = evolve_gaussian(state, flow.at(t))
         want = make_coherent(alpha * np.exp(-1j * t))
         worst_mean = max(worst_mean, np.abs(st.mean - want.mean).max())
         worst_purity = max(worst_purity, abs(validate_state(st).purity - mu0))

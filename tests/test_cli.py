@@ -483,7 +483,7 @@ class TestDeterminismAndErrors:
             if target == "gaussian_sinogram":
                 return type(out)(out.theta_grid, out.x_grid, np.full_like(out.values, np.nan))
             if target == "solve_epsilon":
-                out.at = lambda t: (np.full(np.shape(t), np.nan + 0j),) * 2
+                out.eps = lambda t: (np.full(np.shape(t), np.nan + 0j),) * 2
                 return out
             return np.full_like(out, np.nan)
 
@@ -524,15 +524,11 @@ class TestDeterminismAndErrors:
         # before the error line
         import qopt.cli
 
-        real = qopt.cli.solve_epsilon
-
-        def overflowing(*args, **kwargs):
-            traj = real(*args, **kwargs)
+        def overflowing(flow):
             warnings.warn("overflow encountered in multiply", RuntimeWarning)
-            traj.wronskian_defect = math.inf
-            return traj
+            return math.inf
 
-        monkeypatch.setattr(qopt.cli, "solve_epsilon", overflowing)
+        monkeypatch.setattr(qopt.cli, "wronskian_defect", overflowing)
         config = {"profile": {"preset": "repulsive"}, "t_end": 6.0, "num": 3}
         assert run_cli(tmp_path, "epsilon", config) == 1
         *warned, last = [json.loads(line) for line in capsys.readouterr().err.splitlines()]

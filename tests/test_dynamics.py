@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qopt.dynamics import (FlowSample, QuadraticHamiltonian, coherent_basis_propagator,
-                           evolve_gaussian, flow_expm, flow_to_creation_annihilation,
+                           evolve_gaussian, flow_to_creation_annihilation,
                            fock_basis_propagator, free_particle, harmonic_oscillator,
                            integrate_symplectic_flow, invariant_residual_check,
                            parametric_oscillator, propagator_position)
@@ -33,6 +33,11 @@ TIME_DEPENDENT = {
               [row[0] for row in VERIFY_TABLE]),
     "two_field": (TWO_FIELD, 6.0, 51, ()),
 }
+
+
+def one_step(hamiltonian, t):
+    """The flow sample of a constant H at t: one exact Magnus step from 0."""
+    return integrate_symplectic_flow(hamiltonian, t).at(t)
 
 
 def kernel_coefficients(hamiltonian, t):
@@ -136,13 +141,15 @@ class TestSymplecticFlow:
         flow = integrate_symplectic_flow(CROSS_TERM, 20.0)
         assert flow.ts.tolist() == [0.0, 20.0]
         assert flow.error_estimate == 0.0
-        for t in [0.0, 3.7, 19.9]:
-            assert np.array_equal(flow.at(t).lam, flow_expm(CROSS_TERM, t).lam)
+        for t in [3.7, 19.9]:
+            assert np.array_equal(flow.at(t).lam, one_step(CROSS_TERM, t).lam)
+        assert np.array_equal(flow.at(0.0).lam, np.eye(2))
 
     def test_backward_time_dependent_flow(self):
         flow = integrate_symplectic_flow(parametric_oscillator(lambda t: 1.0), -3.0)
         for t in [-0.5, -2.0, -3.0]:
-            assert np.abs(flow.at(t).lam - flow_expm(harmonic_oscillator(), t).lam).max() < 1e-8
+            want = np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+            assert np.abs(flow.at(t).lam - want).max() < 1e-8
         with pytest.raises(ValueError):
             flow.at(0.5)
 
@@ -158,17 +165,17 @@ class TestSymplecticFlow:
             assert np.abs(flow_osc.at(t).lam - flow_free.at(t).lam).max() < 1e-4
 
 
-class TestFlowExpm:
+class TestConstantFlow:
     def test_zero_generator(self):
         ham = QuadraticHamiltonian(np.zeros((2, 2)), np.zeros(2), 1)
-        sample = flow_expm(ham, 2.0)
+        sample = one_step(ham, 2.0)
         assert np.allclose(sample.lam, np.eye(2))
         assert np.allclose(sample.delta, 0.0)
 
     def test_oscillator_period(self):
-        sample = flow_expm(harmonic_oscillator(), 2 * math.pi)
+        sample = one_step(harmonic_oscillator(), 2 * math.pi)
         assert np.abs(sample.lam - np.eye(2)).max() < 1e-12
-        quarter = flow_expm(harmonic_oscillator(), math.pi / 2)
+        quarter = one_step(harmonic_oscillator(), math.pi / 2)
         assert np.abs(quarter.lam - np.array([[0.0, 1.0], [-1.0, 0.0]])).max() < 1e-12
 
     def test_agrees_with_ode_path(self):
@@ -176,10 +183,9 @@ class TestFlowExpm:
         b = rng.normal(size=(4, 4))
         ham = QuadraticHamiltonian(b + b.T, rng.normal(size=4), 2)
         (ode_lam,), (ode_delta,) = flow_by_ode(ham, [1.0])
-        stepped = integrate_symplectic_flow(ham, 1.0, tol=1e-11).at(1.0)
-        for sample in (flow_expm(ham, 1.0), stepped):
-            assert np.abs(sample.lam - ode_lam).max() < 1e-9
-            assert np.abs(sample.delta - ode_delta).max() < 1e-9
+        sample = integrate_symplectic_flow(ham, 1.0, tol=1e-11).at(1.0)
+        assert np.abs(sample.lam - ode_lam).max() < 1e-9
+        assert np.abs(sample.delta - ode_delta).max() < 1e-9
 
     @pytest.mark.parametrize("t", [0.3, 4.2, 12.0, 30.0])
     def test_matches_scipy_expm(self, t):
@@ -191,26 +197,12 @@ class TestFlowExpm:
         gen[:4, :4] = symplectic_metric(2) @ b
         gen[:4, 4] = symplectic_metric(2) @ ham.c_vector(0.0)
         want = expm(t * gen)
-        sample = flow_expm(ham, t)
+        flow = integrate_symplectic_flow(ham, t)
+        assert len(flow.ts) == 2
+        sample = flow.at(t)
         scale = np.abs(want).max()
         assert np.abs(sample.lam - want[:4, :4]).max() <= 1e-11 * scale
         assert np.abs(sample.delta - want[:4, 4]).max() <= 1e-11 * scale
-
-    def test_rejects_time_dependent(self):
-        ham = parametric_oscillator(lambda t: 1.0 + 0.5 * math.sin(t))
-        with pytest.raises(ValueError):
-            flow_expm(ham, 1.0)
-
-    def test_callable_counts_as_time_dependent(self):
-        # B(t) agrees at t = 0 and t = 0.718281828, so sampling two times
-        # would take it for a constant Hamiltonian
-        ham = QuadraticHamiltonian(lambda t: np.diag([1.0, 1.0 + t * (t - 0.718281828)]),
-                                   np.zeros(2), 1)
-        assert not ham.is_constant
-        with pytest.raises(ValueError):
-            flow_expm(ham, 2.0)
-        assert QuadraticHamiltonian(np.eye(2), lambda t: np.zeros(2), 1).is_constant is False
-        assert harmonic_oscillator().is_constant is True
 
 
 def _complex_expm(hamiltonian, t):
@@ -267,12 +259,12 @@ class TestFlowProperties:
     def test_expm_and_ode_paths_evolve_alike(self, problem):
         b, c, t, state = problem
         n = b.shape[0] // 2
-        sample = flow_expm(QuadraticHamiltonian(b, c, n), t)
+        sample = one_step(QuadraticHamiltonian(b, c, n), t)
         stepped = integrate_symplectic_flow(
             QuadraticHamiltonian(lambda s: b, lambda s: c, n), t, tol=1e-10)
         (ode_lam,), (ode_delta,) = flow_by_ode(QuadraticHamiltonian(b, c, n), [t])
         exact = evolve_gaussian(state, sample)
-        along_stepper = evolve_gaussian(state, stepped, t)
+        along_stepper = evolve_gaussian(state, stepped.at(t))
         along_ode = evolve_gaussian(state, FlowSample(t, ode_lam, ode_delta))
         scale = max(1.0, np.abs(sample.lam).max(), np.abs(sample.delta).max())
         bound = 1e-7 * scale ** 2 * max(1.0, np.abs(state.mean).max(), np.abs(state.disp).max())
@@ -289,14 +281,14 @@ class TestComplexFlow:
         omega = 1.3
         ham = QuadraticHamiltonian(omega * np.eye(2), np.zeros(2), 1)
         for t in [0.0, 1.0, 3.7]:
-            m, n = flow_to_creation_annihilation(flow_expm(ham, t))
+            m, n = flow_to_creation_annihilation(one_step(ham, t))
             want = np.diag([np.exp(1j * omega * t), np.exp(-1j * omega * t)])
             assert np.abs(m - want).max() < 1e-9
             assert np.abs(n).max() < 1e-12
 
     def test_initial_condition(self):
         ham = QuadraticHamiltonian(np.eye(2), np.array([0.2, 0.2]), 1)
-        m, n = flow_to_creation_annihilation(flow_expm(ham, 0.0))
+        m, n = flow_to_creation_annihilation(one_step(ham, 0.0))
         assert np.allclose(m, np.eye(2))
         assert np.allclose(n, 0.0)
 
@@ -316,7 +308,7 @@ class TestComplexFlow:
         b = rng.normal(size=(4, 4))
         ham = QuadraticHamiltonian(b + b.T, rng.normal(size=4), 2)
         for t in [0.3, 1.1]:
-            assert _generator_residual(ham, lambda s: flow_expm(ham, s), t) < 1e-6
+            assert _generator_residual(ham, lambda s: one_step(ham, s), t) < 1e-6
 
     def test_generator_residual_time_dependent(self):
         flow = integrate_symplectic_flow(TWO_FIELD, 2.0, tol=1e-12)
@@ -330,20 +322,20 @@ class TestEvolveGaussian:
         s0 = make_coherent(alpha)
         flow = integrate_symplectic_flow(harmonic_oscillator(), 2 * math.pi, tol=1e-11)
         for t in np.linspace(0, 2 * math.pi, 9):
-            st = evolve_gaussian(s0, flow, t)
+            st = evolve_gaussian(s0, flow.at(t))
             want = make_coherent(alpha * np.exp(-1j * t))
             assert np.abs(st.mean - want.mean).max() < 1e-9
             assert np.abs(st.disp - want.disp).max() < 1e-9
 
     def test_vacuum_is_oscillator_invariant(self):
         flow = integrate_symplectic_flow(harmonic_oscillator(), 5.0, tol=1e-10)
-        st = evolve_gaussian(make_coherent(0.0), flow, 5.0)
+        st = evolve_gaussian(make_coherent(0.0), flow.at(5.0))
         assert np.abs(st.mean).max() < 1e-10
         assert np.abs(st.disp - 0.5 * np.eye(2)).max() < 1e-9
 
     def test_free_spreading(self):
         flow = integrate_symplectic_flow(free_particle(), 1.0, tol=1e-11)
-        st = evolve_gaussian(make_coherent(0.0), flow, 1.0)
+        st = evolve_gaussian(make_coherent(0.0), flow.at(1.0))
         assert st.disp[1, 1] == pytest.approx(1.0, abs=1e-9)   # sigma_q
         assert st.disp[0, 1] == pytest.approx(0.5, abs=1e-9)   # sigma_pq
         assert st.disp[0, 0] == pytest.approx(0.5, abs=1e-9)   # sigma_p
@@ -356,7 +348,7 @@ class TestEvolveGaussian:
         s0 = GaussianState([0.3, -0.2], [[0.9, 0.1], [0.1, 0.4]])
         mu0 = validate_state(s0).purity
         for t in [1.0, 3.0]:
-            mu_t = validate_state(evolve_gaussian(s0, flow, t)).purity
+            mu_t = validate_state(evolve_gaussian(s0, flow.at(t))).purity
             assert abs(mu_t - mu0) < 1e-9
 
     def test_quadratic_invariant_constant_for_free_motion(self):
@@ -365,14 +357,14 @@ class TestEvolveGaussian:
         s0 = GaussianState([0.4, 1.1], [[0.7, 0.15], [0.15, 0.5]])
         values = []
         for t in np.linspace(0.0, 10.0, 21):
-            st = evolve_gaussian(s0, flow, t)
+            st = evolve_gaussian(s0, flow.at(t))
             row = flow.at(t).lam[1]  # coefficients of the conserved position combination
             second_moment = st.disp + np.outer(st.mean, st.mean)
             values.append(row @ second_moment @ row)
         assert max(values) - min(values) < 1e-8
 
     def test_flow_sample_evolution(self):
-        sample = flow_expm(harmonic_oscillator(), 1.0)
+        sample = one_step(harmonic_oscillator(), 1.0)
         st = evolve_gaussian(make_coherent(1.0), sample)
         want = make_coherent(np.exp(-1j))
         assert np.abs(st.mean - want.mean).max() < 1e-12
@@ -383,7 +375,7 @@ class TestEvolveGaussian:
         # that matrix and has cond ~ e^{2t}, so a numerical inverse of it loses the mean
         # from t ~ 15 on and calls Lam singular from t ~ 20
         heisenberg = np.array([[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]])
-        st = evolve_gaussian(make_coherent(1.0), flow_expm(REPULSIVE, t))
+        st = evolve_gaussian(make_coherent(1.0), one_step(REPULSIVE, t))
         want_mean = heisenberg @ make_coherent(1.0).mean
         want_disp = 0.5 * heisenberg @ heisenberg.T
         assert np.abs(st.mean - want_mean).max() <= 1e-12 * np.abs(want_mean).max()
@@ -392,27 +384,22 @@ class TestEvolveGaussian:
     @pytest.mark.parametrize("t", [400.0, 800.0])
     def test_overflowing_flow_raises_non_finite(self, t):
         # the inverted oscillator's dispersion grows like e^{2t}: inf at t = 400, and at
-        # t = 800 Lam itself is inf (a silent NaN state before)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sample = flow_expm(QuadraticHamiltonian(np.diag([1.0, -1.0]), np.zeros(2), 1), t)
+        # t = 800 Lam = cosh t I + sinh t Sigma B itself is inf (a silent NaN state before)
+        with np.errstate(over="ignore"):
+            c, s = np.cosh(t), np.sinh(t)
+        sample = FlowSample(t, np.array([[c, -s], [-s, c]]), np.zeros(2))
         with pytest.raises(NonFiniteError, match=f"t={t}"):
             evolve_gaussian(make_coherent(1.0), sample)
-
-    def test_time_mismatch_rejected(self):
-        sample = FlowSample(1.0, np.eye(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            evolve_gaussian(make_coherent(0.0), sample, t=2.0)
 
 
 class TestFlowPhase:
     @pytest.mark.parametrize("profile", [expression_profile("1 + 0.3*sin(2*t)"),
                                          tabulated_profile(VERIFY_TABLE)],
                              ids=["expression", "table"])
-    def test_phase_is_the_trajectory_phase_and_rises(self, profile):
-        traj = solve_epsilon(profile, 20.0)
+    def test_phase_rises(self, profile):
+        flow = solve_epsilon(profile, 20.0)
         ts = np.linspace(0.0, 20.0, 1001)
-        phases = np.array([traj.flow.phase(t) for t in ts])
-        assert phases.tolist() == [traj.phase_at(t) for t in ts]
+        phases = np.array([flow.phase(t) for t in ts])
         # d arg eps/dt = B_pp/|eps|^2 > 0
         assert phases[0] == 0.0 and np.all(np.diff(phases) >= 0.0)
         assert phases[-1] > 5 * math.pi
@@ -523,13 +510,13 @@ class TestPositionPropagators:
         alpha, nodes, q = 0.7 + 0.2j, np.linspace(-12.0, 12.0, 6001), np.linspace(-4.0, 4.0, 41)
         ham = parametric_oscillator(profile)
         for t in times:
-            traj = solve_epsilon(profile, t)
-            psi0 = packet_wavefunction_eval(traj, 0.0, alpha, nodes)
+            flow = solve_epsilon(profile, t)
+            psi0 = packet_wavefunction_eval(flow, 0.0, alpha, nodes)
             kernel = propagator_position(ham, q[:, np.newaxis], nodes, t)
             got = np.trapezoid(kernel * psi0, nodes, axis=1)
-            want = packet_wavefunction_eval(traj, t, alpha, q)
+            want = packet_wavefunction_eval(flow, t, alpha, q)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-        assert traj.phase_at(times[-1]) > 3 * math.pi
+        assert flow.phase(times[-1]) > 3 * math.pi
 
     def test_varying_frequency_caustic_guard(self):
         # bisect arg eps(t) - pi to the first focus of w^2 = 1 + 0.3 sin 2t; the kernel's
@@ -543,6 +530,24 @@ class TestPositionPropagators:
         with pytest.raises(CausticError):
             propagator_position(ham, 0.1, 0.2, lo)
         propagator_position(ham, 0.1, 0.2, lo - 1e-3)
+
+    def test_generators_are_evaluated_once_per_step_node(self):
+        # beyond its flow solve, the kernel reads B once at each of the 109 step boundaries
+        # and midpoints (the support checks and the phase bound share them), and three times
+        # for each row it evaluates: the 56 rows of the phase table and the row at t
+        calls = [0]
+
+        def b(s):
+            calls[0] += 1
+            return np.diag([1.0, 1.0 + 0.3 * math.sin(2.0 * s)])
+
+        ham = QuadraticHamiltonian(b, np.zeros(2), 1)
+        calls[0] = 0
+        flow = integrate_symplectic_flow(ham, 2.0)
+        solve_calls, calls[0] = calls[0], 0
+        propagator_position(ham, 0.1, 0.2, 2.0)
+        assert len(flow.ts) == 55 and solve_calls == 513
+        assert calls[0] - solve_calls == 109 + 3 * (56 + 1)
 
     @pytest.mark.parametrize("system,t1,t2", [
         (free_particle(mass=1.0), 0.4, 0.9),
