@@ -20,6 +20,7 @@ from .gaussian import GaussianDyads, _entry_capped_degree
 from .hermite import _total_degree_indices
 
 _LN2 = math.log(2.0)
+_SHELL_BLOCK_ROWS = 2048  # index rows built at once by a cat's photon_shells
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,22 @@ class CatState:
         n = self.n_modes
         top = _entry_capped_degree(max_degree, lambda t: math.comb(t + n, n))
         probabilities = _cat_probabilities(self, top)
-        shells = (_total_degree_indices(n, t, t) for t in range(top + 1))
-        return ((indices, probabilities(indices)) for indices in shells)
+        return ((indices, probabilities(indices)) for indices in _shell_rows(n, top))
+
+
+def _shell_rows(n: int, top: int):
+    """Iterator over the index rows of the shells of total 0, 1, ..., ``top`` of ``n`` modes,
+    each shell a slice of one ``_total_degree_indices`` block of consecutive shells that
+    holds at most ``_SHELL_BLOCK_ROWS`` rows, or the one shell that holds more."""
+    lo = 0
+    while lo <= top:
+        below = math.comb(lo - 1 + n, n)  # rows of the totals under lo
+        hi = lo
+        while hi < top and math.comb(hi + 1 + n, n) - below <= _SHELL_BLOCK_ROWS:
+            hi += 1
+        sizes = [math.comb(t + n - 1, n - 1) for t in range(lo, hi)]
+        yield from np.split(_total_degree_indices(n, hi, lo), np.cumsum(sizes))
+        lo = hi + 1
 
 
 def _log_weight(c: CatState) -> float:

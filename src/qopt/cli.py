@@ -13,6 +13,8 @@ grid, not the size of its text.  ``--trace`` also writes
 import (from the start of the ``qopt`` package to the end of this module),
 the parse, the compute (small tables are formatted there) and the write
 (which formats the lattice files), and the peak RSS of the process.
+``main(argv)`` may be called any number of times in one process: the argument
+parser is built on the first call and reused by every later one.
 
 The one schema of config documents is here: ``_JOBS`` lists each command's
 fields as field -> (parser, default), and so do ``_STATES`` (by ``kind``),
@@ -28,6 +30,7 @@ to stderr as JSON lines, before the error line when the job fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -134,7 +137,7 @@ def _string(convert):
 _NO_DEFAULT = object()  # the default of a required field
 _finite, _positive = _number(), _number(0.0)
 _flag = _rule(lambda v: isinstance(v, bool), "true or false")
-_existing_file = _rule(lambda v: isinstance(v, str) and Path(v).exists(), "a file", Path)
+_existing_file = _rule(lambda v: isinstance(v, str) and Path(v).is_file(), "a file", Path)
 
 
 def _numbers(value, field: str):
@@ -524,7 +527,9 @@ def _stderr_line(doc: dict) -> None:
     sys.stderr.write("\n")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="qopt",
         description="Phase-space functions, photon statistics, and evolution "
@@ -538,16 +543,32 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", action="store_true",
                         help="also write <command>.trace.json: wall seconds by stage and "
                              "the peak RSS; not byte-stable")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _read_config(path: str | None, command: str) -> str:
+    """The text of the ``--config`` file, ``{}`` when ``verify`` runs without one."""
+    if path is None:
+        if command != "verify":
+            raise ConfigError("--config", "a config file is required for this command")
+        return "{}"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise ConfigError("--config", f"file {path} does not exist") from exc
+    except IsADirectoryError as exc:
+        raise ConfigError("--config", f"{path} is a directory, not a file") from exc
+
+
+def main(argv=None) -> int:
+    """Run one job from ``argv`` (default ``sys.argv[1:]``) and return its exit status;
+    it may be called any number of times in one process."""
+    args = _parser().parse_args(argv)
 
     try:
         marks = [time.perf_counter()]
-        if args.config is None and args.command != "verify":
-            raise ConfigError("--config", "a config file is required for this command")
-        if args.config is not None and not Path(args.config).exists():
-            raise ConfigError("--config", f"file {args.config} does not exist")
-        text = "{}" if args.config is None else Path(args.config).read_text(encoding="utf-8")
-        cfg = parse_config(text, args.command)
+        cfg = parse_config(_read_config(args.config, args.command), args.command)
         marks.append(time.perf_counter())
         artifacts = execute_job(cfg)
         marks.append(time.perf_counter())

@@ -203,9 +203,14 @@ class SymplecticFlow:
         at most W per unit time, so arg eps needs at least pi/W to advance by pi.
         W = 1 when B = diag(1, w^2) with |w^2| <= 1.
         """
+        return self._eps_phase(t)[2]
+
+    def _eps_phase(self, t: float) -> tuple[complex, complex, float]:
+        """(eps, epsdot, arg eps) at one time t, from one evaluation of the flow."""
         phase_ts, phases = self._phase_table
         anchor = phases[np.searchsorted(phase_ts, t, side="right") - 1]
-        return float(anchor + np.angle(self.eps(t)[0] * np.exp(-1j * anchor)))
+        eps, epsdot = self.eps(t)
+        return eps, epsdot, float(anchor + np.angle(eps * np.exp(-1j * anchor)))
 
     @functools.cached_property
     def _node_generators(self) -> np.ndarray:

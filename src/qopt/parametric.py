@@ -148,7 +148,10 @@ def variances_correlation(flow: SymplecticFlow, t: float) -> tuple[float, float,
 
 def squeezing_coefficient(flow: SymplecticFlow, t: float) -> complex:
     """mu, the two-photon amplitude ratio governing the vacuum-packet statistics."""
-    eps, epsdot = flow.eps(t)
+    return _mu(*flow.eps(t))
+
+
+def _mu(eps: complex, epsdot: complex) -> complex:
     ec, edc = np.conj(eps), np.conj(epsdot)
     return (ec - 1j * edc) / (2.0 * (ec + 1j * edc))
 
@@ -169,7 +172,7 @@ def squeezed_vacuum_pnd(flow: SymplecticFlow, t: float, n: int) -> float:
     if n == 0:
         return w0
     m = n // 2
-    mu_abs = abs(squeezing_coefficient(flow, t))
+    mu_abs = abs(_mu(eps, epsdot))
     log_binom = math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1)
     return w0 * math.exp(log_binom + 2 * m * math.log(mu_abs)) if mu_abs > 0 else 0.0
 
@@ -179,19 +182,19 @@ def to_gaussian_state(flow: SymplecticFlow, t: float) -> GaussianState:
     return evolve_gaussian(GaussianState(np.zeros(2), 0.5 * np.eye(2)), flow.at(t))
 
 
-def _coherent_packet(flow: SymplecticFlow, t: float, alpha: complex, x: np.ndarray):
+def _coherent_packet(eps: complex, epsdot: complex, phase: float, alpha: complex,
+                     x: np.ndarray):
     """pi^{-1/4} eps^{-1/2} exp(i (epsdot/eps) x^2/2 - |alpha|^2/2 - alpha^2 eps*/(2 eps)
-    + sqrt(2) alpha x/eps), the whole exponent in one exp, so a large alpha cannot pair an
-    underflowing factor with an overflowing one."""
-    eps, epsdot = flow.eps(t)
-    return math.pi ** -0.25 * (abs(eps) ** -0.5 * np.exp(-0.5j * flow.phase(t))) * np.exp(
+    + sqrt(2) alpha x/eps) at the flow's (eps, epsdot, arg eps), the whole exponent in one
+    exp, so a large alpha cannot pair an underflowing factor with an overflowing one."""
+    return math.pi ** -0.25 * (abs(eps) ** -0.5 * np.exp(-0.5j * phase)) * np.exp(
         0.5j * (epsdot / eps) * x * x - 0.5 * abs(alpha) ** 2
         - 0.5 * alpha * alpha * np.conj(eps) / eps + math.sqrt(2.0) * alpha * x / eps)
 
 
 def packet_wavefunction_eval(flow: SymplecticFlow, t: float, alpha: complex, x):
     """Coherent packet of the driven oscillator at displacement alpha."""
-    out = _coherent_packet(flow, t, alpha, np.asarray(x, dtype=float))
+    out = _coherent_packet(*flow._eps_phase(t), alpha, np.asarray(x, dtype=float))
     return out if out.ndim else complex(out)
 
 
@@ -203,9 +206,9 @@ def squeezed_number_wavefunction(flow: SymplecticFlow, t: float, m_level: int, x
     if m_level < 0:
         raise ValueError("level must be nonnegative")
     x = np.asarray(x, dtype=float)
-    eps, epsdot = flow.eps(t)
+    eps, epsdot, phase = flow._eps_phase(t)
     y = x / abs(eps)
-    out = (np.exp(-1j * (m_level + 0.5) * flow.phase(t)) / math.sqrt(abs(eps))
+    out = (np.exp(-1j * (m_level + 0.5) * phase) / math.sqrt(abs(eps))
            * fock_wavefunction_eval(m_level, y)
            * np.exp(0.5j * (epsdot / eps) * x * x + 0.5 * y * y))
     return out if out.ndim else complex(out)
@@ -223,10 +226,10 @@ def parametric_cat_wavefunction(flow: SymplecticFlow, t: float, alpha: complex,
     if parity == "odd" and a2 == 0:
         raise ValueError("odd superposition of alpha = 0 is not normalizable")
     x = np.asarray(x, dtype=float)
-    eps, _ = flow.eps(t)
+    eps, epsdot, phase = flow._eps_phase(t)
     u = math.sqrt(2.0) * alpha * x / eps
     sign = np.where(np.real(u) < 0.0, -1.0, 1.0)
-    lead = _coherent_packet(flow, t, sign * alpha, x)
+    lead = _coherent_packet(eps, epsdot, phase, sign * alpha, x)
     if parity == "even":
         out = lead * (1.0 + np.exp(-2.0 * sign * u)) / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * a2))
     else:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qopt import gaussian
+from qopt import cats, gaussian
 from qopt.cats import CatState, cat_moments, cat_normalization
 from qopt.errors import ResourceLimitError
 from qopt.gaussian import make_coherent, photon_pnd, photon_pnd_table, q_eval, wigner_eval
+from qopt.hermite import _total_degree_indices
 
 from oracles import cat_ladder_apply, cat_pnd_by_index, cat_q, cat_total_pnd, trapz_nd
 
@@ -226,6 +227,37 @@ class TestPndTable:
     def test_negative_degree_cap_rejected(self):
         with pytest.raises(ValueError, match="degree_cap_per_mode"):
             photon_pnd_table(CatState([1.0], "even"), degree_cap_per_mode=-1)
+
+
+class TestShellRows:
+    """A cat's shells slice blocks of consecutive totals; each is its own shell's rows."""
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 2048])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    def test_each_shell_is_its_total_degree_rows(self, monkeypatch, n_modes, block_rows):
+        # a block of 1 or 7 rows holds one shell, or a few, or less than one
+        monkeypatch.setattr(cats, "_SHELL_BLOCK_ROWS", block_rows)
+        c = CatState([0.6 - 0.2j, 0.4, 0.3j, 0.5][:n_modes], "even")
+        shells = [indices for indices, _ in c.photon_shells(12)]
+        assert len(shells) == 13
+        for t, indices in enumerate(shells):
+            assert np.array_equal(indices, _total_degree_indices(n_modes, t, t)), t
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 2048])
+    @pytest.mark.parametrize("amplitudes, cap_hit", [
+        ([1.2, 0.5j], False), ([0.9, 0.6, 0.3j], False), ([6.0, 0.1j], True),
+        ([1.5, 1.0, 1.0j, 0.8], True)])
+    @pytest.mark.filterwarnings("ignore:photon enumeration")
+    def test_table_stops_on_a_shell_boundary(self, monkeypatch, amplitudes, cap_hit, block_rows):
+        # the mass target or the degree cap stops the table inside a block of shells
+        monkeypatch.setattr(cats, "_SHELL_BLOCK_ROWS", block_rows)
+        c = CatState(amplitudes, "odd")
+        table = photon_pnd_table(c, degree_cap_per_mode=3 if len(amplitudes) == 4 else 16)
+        assert table.cap_hit == cap_hit
+        top = table.max_total_degree
+        want = np.concatenate([_total_degree_indices(c.n_modes, t, t) for t in range(top + 1)])
+        assert np.array_equal(table.indices, want)
+        assert table.probabilities.tolist() == [cat_pnd_by_index(c, tuple(idx)) for idx in want]
 
 
 class TestPhotonPnd:

@@ -1,7 +1,10 @@
+import argparse
 import dataclasses
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +16,7 @@ import pytest
 
 import qopt
 from qopt.cats import CatState
-from qopt.cli import ConfigError, execute_job, main, parse_config, write_output
+from qopt.cli import ConfigError, _parser, execute_job, main, parse_config, write_output
 from qopt.gaussian import q_eval, wigner_eval
 from qopt.io import PHASE_SPACE_HEADER, format_lattice
 
@@ -297,6 +300,26 @@ class TestDeterminismAndErrors:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "config"
+        assert err["error"]["field"] == "--config"
+        assert "does not exist" in err["error"]["message"]
+
+    def test_config_path_naming_a_directory(self, tmp_path, capsys):
+        (tmp_path / "job.json").mkdir()
+        code = main(["pnd", "--config", str(tmp_path / "job.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["field"]) == ("config", "--config")
+        assert not (tmp_path / "out").exists()
+
+    def test_sinogram_path_naming_a_directory(self, tmp_path, capsys):
+        (tmp_path / "sinogram.csv").mkdir()
+        grid = {"q": {"min": -4, "max": 4, "num": 9}, "p": {"min": -4, "max": 4, "num": 9}}
+        code = run_cli(tmp_path, "tomo-invert",
+                       {"sinogram": str(tmp_path / "sinogram.csv"), "grid": grid})
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["field"]) == ("config", "sinogram")
 
     def test_threads_give_identical_results(self, tmp_path):
         # --threads is accepted and ignored: every job runs the same serial path
@@ -634,6 +657,97 @@ class TestStreamedLattices:
         (tmp_path / "inv" / "wigner_reconstructed.csv").unlink()
         # the backprojection's four grid-sized work arrays, the reconstruction and its copy
         assert peak <= 8 * self.GRID_BYTES, peak
+
+
+def readme_examples() -> list[tuple[str, str | None, str | None]]:
+    """(command, config file, its text) of each job of the README's example block, in order;
+    the files are those its ``echo`` and ``cat`` lines write."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Example jobs:")[1].split("```bash\n")[1].split("```")[0]
+    files, jobs, lines = {}, [], iter(block.splitlines())
+    for line in lines:
+        if match := re.fullmatch(r"echo '(.*)' > (\S+)", line):
+            files[match[2]] = match[1]
+        elif match := re.fullmatch(r"cat > (\S+) <<'JSON'", line):
+            files[match[1]] = "\n".join(iter(lines.__next__, "JSON"))
+        elif match := re.fullmatch(r"qopt (\S+)(?: --config (\S+))? --out-dir out/", line):
+            jobs.append((match[1], match[2], files.get(match[2])))
+    return jobs
+
+
+class TestInProcessReuse:
+    """``main`` called many times in one process, as a batch runner calls it."""
+
+    @staticmethod
+    def write_configs(root: Path, jobs) -> None:
+        root.mkdir()
+        for _, name, text in jobs:
+            if name is not None:
+                (root / name).write_text(text, encoding="utf-8")
+
+    @staticmethod
+    def argv(command, name) -> list[str]:
+        return [command, *(["--config", name] if name else []), "--out-dir", "out/"]
+
+    @staticmethod
+    def snapshot(out: Path) -> dict[str, bytes]:
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    def test_readme_examples_match_a_fresh_process(self, tmp_path, monkeypatch, capsys):
+        jobs = readme_examples()
+        assert [command for command, *_ in jobs] == [
+            "pnd", "cat", "wigner", "tomo-forward", "tomo-invert", "evolve", "epsilon",
+            "verify"]
+        fresh = tmp_path / "fresh"
+        self.write_configs(fresh, jobs)
+        src = str(Path(qopt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+            "PYTHONPATH")])))
+        for command, name, _ in jobs:
+            subprocess.run([sys.executable, "-m", "qopt.cli", *self.argv(command, name)],
+                           cwd=fresh, env=env, capture_output=True, check=True)
+        want = self.snapshot(fresh / "out")
+        assert len(want) == 19
+        reused = tmp_path / "reused"
+        self.write_configs(reused, jobs)
+        monkeypatch.chdir(reused)
+        for _ in range(2):  # the second pass overwrites the first one's files
+            shutil.rmtree("out", ignore_errors=True)
+            for command, name, _ in jobs:
+                assert main(self.argv(command, name)) == 0, command
+            assert self.snapshot(reused / "out") == want
+        capsys.readouterr()
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        _parser.cache_clear()
+        config = {"state": {"kind": "coherent", "alpha": 0.5}}
+        assert run_cli(tmp_path, "pnd", config) == 0
+        assert run_cli(tmp_path, "cat", {"state": {"kind": "cat", "A": [[0.5, 0.0]],
+                                                   "parity": "even"}}) == 0
+        assert built == ["qopt"]
+
+    def test_help_and_bad_arguments_after_a_job(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "pnd", {"state": {"kind": "coherent", "alpha": 0.5}}) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qopt ")
+        with pytest.raises(SystemExit) as exc:
+            main(["nonsense"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qopt ")
+        assert "argument command: invalid choice: 'nonsense'" in err
+        # a rejected argument list leaves the parser as it was
+        assert run_cli(tmp_path, "pnd", {"state": {"kind": "coherent", "alpha": 0.5}}) == 0
 
 
 class TestTrace:

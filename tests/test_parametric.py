@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qopt import dynamics
 from qopt.dynamics import parametric_oscillator
 from qopt.errors import NonFiniteError, ResourceLimitError
 from qopt.gaussian import photon_pnd, to_qrep
@@ -245,6 +246,37 @@ class TestSqueezedVacuumPnd:
             want = 2.0 / math.sqrt(abs(eps) ** 2 + abs(epsdot) ** 2 + 2)
             rep = to_qrep(to_gaussian_state(flow, t))
             assert rep.p0 == pytest.approx(want, abs=1e-9)
+
+
+class TestOneEvaluationPerCall:
+    """Each closed form reads (eps, epsdot) and arg eps from one Magnus step to t."""
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        calls = []
+        step = dynamics._magnus_step
+
+        def counting_step(*args):
+            calls.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(dynamics, "_magnus_step", counting_step)
+        return calls
+
+    def test_squeezed_vacuum_pnd(self, monkeypatch):
+        flow = solve_epsilon(expression_profile("1 + 0.25*cos(2*t)"), 8.0, 1e-11)
+        want = squeezed_vacuum_pnd(flow, 4.0, 6)
+        calls = self.count_steps(monkeypatch)
+        assert squeezed_vacuum_pnd(flow, 4.0, 6) == want
+        assert len(calls) == 1
+
+    def test_packet_wavefunction(self, monkeypatch):
+        flow = solve_epsilon(expression_profile("1 + 0.25*cos(2*t)"), 8.0, 1e-11)
+        x = np.linspace(-3.0, 3.0, 7)
+        want = packet_wavefunction_eval(flow, 4.0, 0.7 + 0.2j, x)  # builds the phase table
+        calls = self.count_steps(monkeypatch)
+        assert packet_wavefunction_eval(flow, 4.0, 0.7 + 0.2j, x).tolist() == want.tolist()
+        assert len(calls) == 1
 
 
 class TestRepulsiveBeyondDoubleRange:
