@@ -94,11 +94,6 @@ def _log_weight(c: CatState) -> float:
     return x - _LN2 + math.log(-math.expm1(-2.0 * x))
 
 
-def cat_normalization(c: CatState) -> float:
-    """N+ = e^{|A|^2/2} / (2 sqrt(cosh |A|^2)); sinh for the odd branch."""
-    return math.exp(0.5 * (c.norm2 - _log_weight(c)) - _LN2)
-
-
 def _cat_probabilities(c: CatState, top: int):
     """The function of index rows, each count at most ``top``, that gives per row
     P(n) = prod_m |alpha_m|^(2 n_m) / n_m! / cosh |A|^2 (sinh if odd); the log-factorials,

@@ -12,7 +12,9 @@ grid, not the size of its text.  ``--trace`` also writes
 ``<command>.trace.json``, outside the byte-stable set: the wall seconds of the
 import (from the start of the ``qopt`` package to the end of this module),
 the parse, the compute (small tables are formatted there) and the write
-(which formats the lattice files), and the peak RSS of the process.
+(which formats the lattice files), the peak RSS of the process, and the job's
+work counters (photon rows and Hermite entries, flow steps, lines integrated or
+points backprojected).
 ``main(argv)`` may be called any number of times in one process: the argument
 parser is built on the first call and reused by every later one.
 
@@ -36,7 +38,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,7 @@ from .dynamics import (FlowSample, QuadraticHamiltonian, evolve_gaussian, free_p
 from .errors import NonFiniteError
 from .gaussian import (QREP_CONVENTION, GaussianState, make_coherent, make_squeezed_vacuum,
                        make_thermal_oscillator, photon_pnd_table, q_eval, wigner_eval)
+from .hermite import _near_diagonal_entries
 from .io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, LatticeText, format_table
 from .parametric import (expression_profile, preset_profile, solve_epsilon, tabulated_profile,
                          wronskian_defect)
@@ -70,11 +73,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class JobConfig:
-    """The raw ``options`` (echoed in the sidecar) and parsed ``values`` of a job."""
+    """The raw ``options`` (echoed in the sidecar) and parsed ``values`` of a job, and the
+    ``work`` counters that ``execute_job`` records for ``--trace``."""
 
     command: str
     options: dict
     values: dict
+    work: dict = field(default_factory=dict, compare=False)
 
 
 def _object(obj, path: str) -> dict:
@@ -322,17 +327,21 @@ def _job_pnd(job, artifact: str = "pnd.csv"):
     header = [f"n{j + 1}" for j in range(counts.shape[1])] + ["probability"]
     meta = {"cumulative_probability": table.cumulative,
             "max_total_degree": table.max_total_degree, "cap_hit": table.cap_hit}
-    return {artifact: format_table(header, [*counts.T, table.probabilities[order]])}, meta
+    # a cat's shells come from a closed-form kernel, a Gaussian's from the near-diagonal fill
+    entries = (0 if isinstance(job["state"], CatState)
+               else _near_diagonal_entries(job["state"].n_modes, table.max_total_degree))
+    return ({artifact: format_table(header, [*counts.T, table.probabilities[order]])}, meta,
+            {"photon_rows": len(table.probabilities), "hermite_entries": entries})
 
 
 def _job_wigner(job):
     artifacts, values, health = _grid_job(job, "wigner", _wigner_fn, "Wigner density")
-    return artifacts, {"negative_fraction": float(np.mean(values < 0.0)), **health}
+    return artifacts, {"negative_fraction": float(np.mean(values < 0.0)), **health}, {}
 
 
 def _job_qfunc(job):
     artifacts, _, health = _grid_job(job, "qfunc", _qfunc_fn, "Husimi density")
-    return artifacts, {"beta_convention": "beta = (q + i p) / sqrt(2)", **health}
+    return artifacts, {"beta_convention": "beta = (q + i p) / sqrt(2)", **health}, {}
 
 
 def _job_evolve(job):
@@ -359,7 +368,7 @@ def _job_evolve(job):
     artifacts = {"evolve.csv": format_table(state_header, np.array(state_rows).T),
                  "flow.csv": format_table(flow_header, np.array(flow_rows).T)}
     return artifacts, {"tol": job["tol"], "symplectic_defect": defect,
-                       "error_estimate": flow.error_estimate}
+                       "error_estimate": flow.error_estimate}, {"flow_steps": len(flow.ts) - 1}
 
 
 def _job_epsilon(job):
@@ -371,28 +380,30 @@ def _job_epsilon(job):
     _check_finite("epsilon.csv", columns)
     return ({"epsilon.csv": format_table(header, columns)},
             {"tol": job["tol"], "wronskian_defect": wronskian_defect(flow),
-             "error_estimate": flow.error_estimate, "profile_kind": job["profile"].kind})
+             "error_estimate": flow.error_estimate, "profile_kind": job["profile"].kind},
+            {"flow_steps": len(flow.ts) - 1})
 
 
 def _job_cat(job):
     state = job["state"]
     if not isinstance(state, CatState):
         raise ConfigError("state.kind", "cat command requires a cat state")
-    artifacts, meta = _job_pnd(job, "cat_pnd.csv")
+    artifacts, meta, work = _job_pnd(job, "cat_pnd.csv")
     moments = cat_moments(state)
     moment_columns = [np.arange(state.n_modes), moments.mean_photon,
                       np.diagonal(moments.number_covariance), moments.mandel_q]
     _check_finite("cat_moments.csv", *moment_columns)
     artifacts["cat_moments.csv"] = format_table(["mode", "mean_photon", "variance", "mandel_q"],
                                                 moment_columns)
-    return artifacts, meta
+    return artifacts, meta, work
 
 
 def _job_tomo_forward(job):
     state = _require_one_mode(job["state"], "state")
     x_grid, n_angles = job["x"], job["n_angles"]
     thetas = np.arange(n_angles) * math.pi / n_angles
-    if job["method"] == "exact":
+    exact = job["method"] == "exact"
+    if exact:
         sino = gaussian_sinogram(state, thetas, x_grid)
     else:
         span = job["wigner_span"] or _positive(float(np.abs(x_grid).max()), "wigner_span")
@@ -403,7 +414,7 @@ def _job_tomo_forward(job):
     meta = {"n_angles": n_angles, "method": job["method"],
             "max_normalization_defect": float(sino.normalization_defects.max())}
     text = LatticeText(SINOGRAM_HEADER, sino.theta_grid, sino.x_grid, sino.values)
-    return {"sinogram.csv": text}, meta
+    return {"sinogram.csv": text}, meta, {"lines_integrated": 0 if exact else sino.values.size}
 
 
 def _job_tomo_invert(job):
@@ -415,7 +426,8 @@ def _job_tomo_invert(job):
     meta = {"reg_s": job["reg_s"], "n_angles": sino.n_angles,
             "reconstructed_mass": grid.mass(), "blur_variance": job["reg_s"] / 4.0}
     text = LatticeText(PHASE_SPACE_HEADER, grid.q_grid, grid.p_grid, grid.values)
-    return {"wigner_reconstructed.csv": text}, meta
+    return ({"wigner_reconstructed.csv": text}, meta,
+            {"backprojected_points": sino.n_angles * grid.values.size})
 
 
 def _job_verify(job):
@@ -423,7 +435,7 @@ def _job_verify(job):
     all_passed = all(r["passed"] for r in results)
     doc = {"passed": all_passed, "checks": results, "version": __version__}
     return {"verify.json": json.dumps(doc, indent=2, sort_keys=True) + "\n"}, {
-        "passed": all_passed, "n_checks": len(results)}
+        "passed": all_passed, "n_checks": len(results)}, {}
 
 
 def _plot_script(csv_name: str, n_q: int, n_p: int, title: str) -> str:
@@ -443,7 +455,8 @@ _PND_FIELDS = {"state": _STATE, "degree_cap": (_integral(0), 64),
                "mass_tol": (_number(0.0, 1.0), 1e-10)}
 _GRID_FIELDS = {"state": _STATE, "grid": (_parse_phase_grid, _NO_DEFAULT),
                 "plot": (_flag, False)}
-# command -> (job, {field: (parser, default)}); a default of None is derived in the job
+# command -> (job, {field: (parser, default)}); a default of None is derived in the job, and
+# a job returns (artifacts, sidecar entries, work counters)
 _JOBS = {
     "pnd": (_job_pnd, _PND_FIELDS),
     "wigner": (_job_wigner, _GRID_FIELDS),
@@ -470,7 +483,7 @@ _JOBS = {
 def execute_job(cfg: JobConfig) -> dict[str, str | LatticeText]:
     """Run a validated job; returns {filename: content} artifacts.  The content of a
     lattice file is a ``LatticeText``, formatted block by block as it is written; of
-    any other file, its text.
+    any other file, its text.  The job's work counters go to ``cfg.work``, not the sidecar.
 
     Warnings that the active filters show, raised during the job, go into the sidecar
     as a ``warnings`` list of {category, message} entries in the order raised; the
@@ -480,7 +493,7 @@ def execute_job(cfg: JobConfig) -> dict[str, str | LatticeText]:
     """
     with warnings.catch_warnings(record=True) as caught:
         try:
-            artifacts, meta = _JOBS[cfg.command][0](cfg.values)
+            artifacts, meta, work = _JOBS[cfg.command][0](cfg.values)
             for key, value in meta.items():
                 if isinstance(value, float) and not math.isfinite(value):
                     raise NonFiniteError(f"{cfg.command}.meta.json would hold a non-finite "
@@ -493,6 +506,7 @@ def execute_job(cfg: JobConfig) -> dict[str, str | LatticeText]:
                "numeric_format": "shortest round-trip decimal (repr)", **meta}
     if caught:
         sidecar["warnings"] = _warning_records(caught)
+    cfg.work.update(work)
     artifacts[f"{cfg.command}.meta.json"] = json.dumps(
         sidecar, indent=2, sort_keys=True, default=str) + "\n"
     return artifacts
@@ -541,8 +555,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="ignored; accepted for compatibility, jobs run serially")
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--trace", action="store_true",
-                        help="also write <command>.trace.json: wall seconds by stage and "
-                             "the peak RSS; not byte-stable")
+                        help="also write <command>.trace.json: wall seconds by stage, "
+                             "the peak RSS and work counters; not byte-stable")
     return parser
 
 
@@ -580,7 +594,8 @@ def main(argv=None) -> int:
             parse, compute, write = np.diff(marks).tolist()
             trace = {"command": args.command, "import_s": _IMPORT_END - _IMPORT_START,
                      "parse_s": parse, "compute_s": compute,
-                     "write_and_format_lattices_s": write, "max_rss_mb": _max_rss_mb()}
+                     "write_and_format_lattices_s": write, "max_rss_mb": _max_rss_mb(),
+                     **cfg.work}
             write_output({f"{args.command}.trace.json":
                           json.dumps(trace, indent=2, sort_keys=True) + "\n"}, args.out_dir)
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit nonzero

@@ -154,24 +154,6 @@ class QRep:
 
 
 @dataclass(frozen=True)
-class PureGaussianSpec:
-    """Pure state with wavefunction proportional to exp(-x.m.x + c.x)."""
-
-    m: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        m = check_symmetric(np.asarray(self.m, dtype=complex), name="m")
-        c = np.asarray(self.c, dtype=complex).reshape(-1)
-        if c.shape[0] != m.shape[0]:
-            raise ValueError(f"c has length {c.shape[0]}, expected {m.shape[0]}")
-        if np.linalg.eigvalsh(m.real).min() <= 0:
-            raise ValueError("Re(m) must be positive definite (state not normalizable)")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", c)
-
-
-@dataclass(frozen=True)
 class StateDiagnostics:
     """Report of validate_state; never raises."""
 
@@ -299,20 +281,6 @@ def q_eval(state, beta) -> np.ndarray | float:
     if beta.shape[-1] != state.n_modes:
         raise ValueError(f"beta must have last dimension {state.n_modes}")
     return _density(state.dyads(), math.sqrt(2.0) * np.concatenate([beta.imag, beta.real], -1), 0.5)
-
-
-def from_pure_gaussian(spec: PureGaussianSpec) -> GaussianState:
-    """Gaussian state of the pure wavefunction exp(-x.m.x + c.x), normalized."""
-    m_re, m_im = spec.m.real, spec.m.imag
-    c_re, c_im = spec.c.real, spec.c.imag
-    m_re_inv = np.linalg.inv(m_re)
-    s_pp = np.linalg.inv(np.real(np.linalg.inv(spec.m)))
-    s_qq = 0.25 * m_re_inv
-    s_pq = -0.5 * m_im @ m_re_inv
-    M = np.block([[s_pp, s_pq], [s_pq.T, s_qq]])
-    x_bar = 0.5 * m_re_inv @ c_re
-    p_bar = c_im - m_im @ m_re_inv @ c_re
-    return GaussianState(np.concatenate([p_bar, x_bar]), 0.5 * (M + M.T))
 
 
 def _checked_probabilities(raw: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -44,10 +44,10 @@ operations however far the fill runs, so a diagonal is bitwise the same for
 every ``max_degree`` that reaches it.  The set, not a box, counts against
 ``BOX_ENTRY_CAP``.
 
-Tables by total degree (``mv_hermite_table``, the Gaussian and cat photon-number
-tables and the near-diagonal fill) share one index enumerator,
-``_total_degree_indices``: totals up to D, in order of total and then
-lexicographically, so each shell is a contiguous slice.
+Tables by total degree (the Gaussian and cat photon-number tables and the
+near-diagonal fill) share one index enumerator, ``_total_degree_indices``:
+totals up to D, in order of total and then lexicographically, so each shell
+is a contiguous slice.
 """
 
 from __future__ import annotations
@@ -518,16 +518,6 @@ def _fill_diagonal(R: np.ndarray, ry: np.ndarray, max_degree: int):
         if not np.isfinite(diagonal).all():
             raise NonFiniteError(f"Hermite recursion overflowed at total degree {degree}")
         yield bases, diagonal
-
-
-def mv_hermite_table(params: HermiteParams,
-                     max_total_degree: int) -> dict[tuple[int, ...], complex]:
-    """All H_n^{R}(y) with total degree up to ``max_total_degree``."""
-    if max_total_degree < 0:
-        raise ValueError("max_total_degree must be nonnegative")
-    box = hermite_box(params.R, params.R @ params.y, (max_total_degree + 1,) * params.dim)
-    return {idx: _from_renormalized(box[idx], idx)
-            for idx in map(tuple, _total_degree_indices(params.dim, max_total_degree).tolist())}
 
 
 def mv_hermite_eval(params: HermiteParams, n) -> complex:

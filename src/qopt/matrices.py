@@ -42,13 +42,6 @@ def quadrature_rotation(n_modes: int) -> np.ndarray:
     return _block2(-1j * eye, 1j * eye, eye, eye) / np.sqrt(2)
 
 
-def complex_structure(n_modes: int) -> np.ndarray:
-    """sigma = [[0, iI], [-iI, 0]], the generator metric in (a, a^dag) ordering."""
-    eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return _block2(zero, 1j * eye, -1j * eye, zero)
-
-
 def check_symmetric(mat: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
     """Symmetrize ``mat``, rejecting asymmetry defects larger than ``tol``.
 

@@ -146,12 +146,8 @@ def variances_correlation(flow: SymplecticFlow, t: float) -> tuple[float, float,
     return sigma_x, sigma_p, r
 
 
-def squeezing_coefficient(flow: SymplecticFlow, t: float) -> complex:
-    """mu, the two-photon amplitude ratio governing the vacuum-packet statistics."""
-    return _mu(*flow.eps(t))
-
-
 def _mu(eps: complex, epsdot: complex) -> complex:
+    """mu, the two-photon amplitude ratio governing the vacuum-packet statistics."""
     ec, edc = np.conj(eps), np.conj(epsdot)
     return (ec - 1j * edc) / (2.0 * (ec + 1j * edc))
 

@@ -362,45 +362,6 @@ def symplectic_marginal(grid: WignerGrid, mu: float, nu: float, delta: float = 0
     return x_grid, _projector(grid)(math.atan2(-nu, mu), (x_grid - delta) / scale) / scale
 
 
-def wigner_from_symplectic(marginal_fn, q, p, x_grid, n_angles: int = 180,
-                           reg_s: float = 1e-2, n_freq: int = 257) -> np.ndarray | float:
-    """W(q, p) from the marginal family of X = mu q + nu p via its Fourier data.
-
-    ``marginal_fn(mu, nu)`` must return the density of X = mu q + nu p
-    (delta = 0) sampled on ``x_grid``.  The Fourier transform of each
-    directional marginal is a radial slice of the state's characteristic
-    function chi(k mu, k nu); assembling chi in polar coordinates and
-    inverting gives W.  Band-limited with the same apodization as
-    ``inverse_radon``, against which it cross-validates.
-    """
-    if n_angles < 16:
-        raise ValueError("need at least 16 directions")
-    x_grid = _check_uniform(np.asarray(x_grid, dtype=float), "x_grid")
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    dx = x_grid[1] - x_grid[0]
-    k_max = math.pi / dx
-    ks = np.linspace(-k_max, k_max, n_freq)
-    apod = np.exp(-reg_s * ks * ks / 8.0)
-
-    # chi(k mu, k nu) = int w(X) e^{-i k X} dX, assembled at all k at once
-    phase = np.exp(-1j * np.outer(ks, x_grid))
-    out = np.zeros(np.broadcast(q, p).shape)
-    d_phi = math.pi / n_angles
-    for j in range(n_angles):
-        phi = j * d_phi
-        mu, nu = math.cos(phi), -math.sin(phi)
-        density = np.asarray(marginal_fn(mu, nu), dtype=float)
-        if density.shape != x_grid.shape:
-            raise ValueError("marginal_fn must return samples on x_grid")
-        chi = phase @ density * dx
-        x0 = q * mu + p * nu
-        kernel = np.exp(1j * np.multiply.outer(x0, ks))
-        out += np.trapezoid((np.abs(ks) * apod * chi) * kernel, ks, axis=-1).real
-    out *= d_phi / (2.0 * math.pi)
-    return out if out.ndim else float(out)
-
-
 def sinogram_from_csv(path) -> Sinogram:
     """Read a (theta, x, value) sinogram CSV as ``tomo-forward`` writes it."""
     return Sinogram(*read_lattice(path, SINOGRAM_HEADER, "sinogram"))

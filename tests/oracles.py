@@ -3,7 +3,8 @@
 Nothing here touches the library's recursion, overlap, flow or formatting
 code paths: the generating function is expanded by explicit polynomial
 arithmetic, integrals are done by brute-force quadrature, propagators are
-the textbook closed forms, CSV text is built one cell at a time, cat
+the textbook closed forms, CSV text is built one cell at a time, the cat
+normalization is the closed form e^{|A|^2/2} / (2 sqrt(cosh |A|^2)), cat
 photon probabilities are evaluated one outcome at a time, cat photon totals
 and the ladder action on a cat come in closed form, cat homodyne
 marginals come from the rotated coherent-state wavefunctions, cat Husimi
@@ -12,7 +13,10 @@ constant w^2 is the textbook cos/sin (cosh/sinh) solution, flows are
 integrated by a general-purpose Runge-Kutta solver, a constant Hamiltonian
 is rotated to the (a, a^dag) basis by hand, and filtered
 backprojection is the direct form: a full complex spectrum and a
-two-gather linear interpolation with clipped indices.
+two-gather linear interpolation with clipped indices.  A second inversion,
+``wigner_from_symplectic``, assembles the characteristic function from the
+Fourier transforms of the marginals, and ``pure_gaussian_state`` reads the
+Wigner moments of a pure wavefunction exp(-x.m.x + c.x) off m and c.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from qopt.cats import CatState
 from qopt.errors import CausticError
+from qopt.gaussian import GaussianState
 from qopt.hermite import as_index
 from qopt.matrices import quadrature_rotation
 
@@ -129,6 +134,11 @@ def _cat_log_weight(c) -> float:
     if c.parity == "even":
         return x - math.log(2.0) + math.log1p(math.exp(-2.0 * x))
     return x - math.log(2.0) + math.log(-math.expm1(-2.0 * x))
+
+
+def cat_normalization(c) -> float:
+    """N+ = e^{|A|^2/2} / (2 sqrt(cosh |A|^2)); sinh for the odd branch."""
+    return math.exp(0.5 * (c.norm2 - _cat_log_weight(c)) - math.log(2.0))
 
 
 def cat_pnd_by_index(c, n) -> float:
@@ -249,6 +259,45 @@ def backprojection_two_gathers(sino, q_grid, p_grid, reg_s: float):
     return recon * (math.pi / sino.n_angles)
 
 
+def wigner_from_symplectic(marginal_fn, q, p, x_grid, n_angles: int = 180,
+                           reg_s: float = 1e-2, n_freq: int = 257) -> np.ndarray | float:
+    """W(q, p) from the marginal family of X = mu q + nu p via its Fourier data.
+
+    ``marginal_fn(mu, nu)`` must return the density of X = mu q + nu p
+    (delta = 0) sampled on the uniform ``x_grid``.  The Fourier transform of each
+    directional marginal is a radial slice of the state's characteristic
+    function chi(k mu, k nu); assembling chi in polar coordinates and
+    inverting gives W.  Band-limited with the same apodization as
+    ``inverse_radon``, against which it cross-validates.
+    """
+    if n_angles < 16:
+        raise ValueError("need at least 16 directions")
+    x_grid = np.asarray(x_grid, dtype=float)
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    dx = x_grid[1] - x_grid[0]
+    k_max = math.pi / dx
+    ks = np.linspace(-k_max, k_max, n_freq)
+    apod = np.exp(-reg_s * ks * ks / 8.0)
+
+    # chi(k mu, k nu) = int w(X) e^{-i k X} dX, assembled at all k at once
+    phase = np.exp(-1j * np.outer(ks, x_grid))
+    out = np.zeros(np.broadcast(q, p).shape)
+    d_phi = math.pi / n_angles
+    for j in range(n_angles):
+        phi = j * d_phi
+        mu, nu = math.cos(phi), -math.sin(phi)
+        density = np.asarray(marginal_fn(mu, nu), dtype=float)
+        if density.shape != x_grid.shape:
+            raise ValueError("marginal_fn must return samples on x_grid")
+        chi = phase @ density * dx
+        x0 = q * mu + p * nu
+        kernel = np.exp(1j * np.multiply.outer(x0, ks))
+        out += np.trapezoid((np.abs(ks) * apod * chi) * kernel, ks, axis=-1).real
+    out *= d_phi / (2.0 * math.pi)
+    return out if out.ndim else float(out)
+
+
 def free_propagator(q, qp, t: float, mass: float = 1.0):
     """Position-space amplitude <q| exp(-iHt) |q'> for H = p^2/2m."""
     if t <= 0:
@@ -325,6 +374,29 @@ def closed_form_epsilon_phase(w2: float, t):
     turns = np.round(w * t / math.pi)
     rest = w * t - turns * math.pi  # in [-pi/2, pi/2], where cos(rest) >= 0
     return turns * math.pi + np.arctan2(np.sin(rest) / w, np.cos(rest))
+
+
+def complex_structure(n_modes: int) -> np.ndarray:
+    """sigma = [[0, iI], [-iI, 0]], the generator metric in (a, a^dag) ordering."""
+    eye = np.eye(n_modes)
+    zero = np.zeros((n_modes, n_modes))
+    return np.block([[zero, 1j * eye], [-1j * eye, zero]])
+
+
+def pure_gaussian_state(m, c) -> GaussianState:
+    """Gaussian state of the pure wavefunction exp(-x.m.x + c.x), normalized; Re(m) > 0."""
+    m = np.asarray(m, dtype=complex)
+    c = np.asarray(c, dtype=complex).reshape(-1)
+    m_re, m_im = m.real, m.imag
+    c_re, c_im = c.real, c.imag
+    m_re_inv = np.linalg.inv(m_re)
+    s_pp = np.linalg.inv(np.real(np.linalg.inv(m)))
+    s_qq = 0.25 * m_re_inv
+    s_pq = -0.5 * m_im @ m_re_inv
+    M = np.block([[s_pp, s_pq], [s_pq.T, s_qq]])
+    x_bar = 0.5 * m_re_inv @ c_re
+    p_bar = c_im - m_im @ m_re_inv @ c_re
+    return GaussianState(np.concatenate([p_bar, x_bar]), 0.5 * (M + M.T))
 
 
 def hamiltonian_to_creation_annihilation(hamiltonian):

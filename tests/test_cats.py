@@ -8,12 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qopt import cats, gaussian
-from qopt.cats import CatState, cat_moments, cat_normalization
+from qopt.cats import CatState, cat_moments
 from qopt.errors import ResourceLimitError
 from qopt.gaussian import make_coherent, photon_pnd, photon_pnd_table, q_eval, wigner_eval
 from qopt.hermite import _total_degree_indices
 
-from oracles import cat_ladder_apply, cat_pnd_by_index, cat_q, cat_total_pnd, trapz_nd
+from oracles import (cat_ladder_apply, cat_normalization, cat_pnd_by_index, cat_q, cat_total_pnd,
+                     trapz_nd)
 
 
 def cat_wigner(c, q, p):

@@ -755,25 +755,54 @@ class TestTrace:
               "grid": {"q": {"min": -4, "max": 4, "num": 81},
                        "p": {"min": -4, "max": 4, "num": 61}}}
 
+    SQUEEZED = {"kind": "squeezed_vacuum", "r": 1.0}
+    COHERENT = {"kind": "coherent", "alpha": 0.5}
+    X_AXIS = {"min": -6, "max": 6, "num": 65}
+    # (command, config, work counters the trace adds); the tomo-invert job reads the sinogram
+    # of the numeric tomo-forward job before it
+    JOBS = [
+        ("wigner", CONFIG, {}),
+        ("pnd", {"state": SQUEEZED}, {"photon_rows": 65, "hermite_entries": 257}),  # README job
+        ("cat", {"state": {"kind": "cat", "A": [[1.0, 0.0], [0.0, 0.8]], "parity": "odd"}},
+         {"photon_rows": 136, "hermite_entries": 0}),
+        ("epsilon", {"profile": {"preset": "oscillator"}, "t_end": 6}, {"flow_steps": 1}),
+        ("evolve", {"state": SQUEEZED, "hamiltonian": {"preset": "oscillator"}, "t_end": 3},
+         {"flow_steps": 1}),
+        ("tomo-forward", {"state": COHERENT, "n_angles": 32, "x": X_AXIS},
+         {"lines_integrated": 0}),
+        ("tomo-forward", {"state": COHERENT, "n_angles": 32, "x": X_AXIS, "method": "numeric",
+                          "wigner_samples": 65}, {"lines_integrated": 32 * 65}),
+        ("tomo-invert", {"grid": {"q": {"min": -3, "max": 3, "num": 9},
+                                  "p": {"min": -3, "max": 3, "num": 7}}},
+         {"backprojected_points": 32 * 9 * 7}),
+    ]
+
     def test_trace_file_only_with_the_flag(self, tmp_path):
-        cfg_path = tmp_path / "job.json"
-        cfg_path.write_text(json.dumps(self.CONFIG), encoding="utf-8")
-        plain, traced = tmp_path / "plain", tmp_path / "traced"
-        argv = ["wigner", "--config", str(cfg_path), "--out-dir"]
-        assert main(argv + [str(plain)]) == 0
-        assert main(argv + [str(traced), "--trace"]) == 0
-        names = sorted(path.name for path in plain.iterdir())
-        assert names == ["wigner.csv", "wigner.meta.json"]
-        assert sorted(path.name for path in traced.iterdir()) == sorted(
-            names + ["wigner.trace.json"])
-        for name in names:
-            assert (plain / name).read_bytes() == (traced / name).read_bytes()
-        trace = json.loads((traced / "wigner.trace.json").read_text(encoding="utf-8"))
         stages = ["import_s", "parse_s", "compute_s", "write_and_format_lattices_s"]
-        assert sorted(trace) == sorted(["command", "max_rss_mb", *stages])
-        assert trace["command"] == "wigner"
-        assert all(0.0 < trace[key] < 60.0 for key in stages)
-        assert trace["max_rss_mb"] > 1.0
+        for i, (command, config, work) in enumerate(self.JOBS):
+            if command == "tomo-invert":
+                config = {**config, "sinogram": str(plain / "sinogram.csv")}
+            cfg_path = tmp_path / f"job{i}.json"
+            cfg_path.write_text(json.dumps(config), encoding="utf-8")
+            plain, traced = tmp_path / f"plain{i}", tmp_path / f"traced{i}"
+            argv = [command, "--config", str(cfg_path), "--out-dir"]
+            assert main(argv + [str(plain)]) == 0
+            assert main(argv + [str(traced), "--trace"]) == 0
+            names = sorted(path.name for path in plain.iterdir())
+            if command == "wigner":
+                assert names == ["wigner.csv", "wigner.meta.json"]
+            assert sorted(path.name for path in traced.iterdir()) == sorted(
+                names + [f"{command}.trace.json"])
+            for name in names:
+                assert (plain / name).read_bytes() == (traced / name).read_bytes()
+            trace = json.loads((traced / f"{command}.trace.json").read_text(encoding="utf-8"))
+            assert sorted(trace) == sorted(["command", "max_rss_mb", *stages, *work])
+            assert trace["command"] == command
+            assert all(0.0 < trace[key] < 60.0 for key in stages)
+            assert trace["max_rss_mb"] > 1.0
+            assert {key: trace[key] for key in work} == work, command
+            sidecar = json.loads((traced / f"{command}.meta.json").read_text(encoding="utf-8"))
+            assert not set(work) & set(sidecar)
 
     def test_failed_job_writes_no_trace(self, tmp_path):
         assert run_cli(tmp_path, "pnd", {"state": {"kind": "nonsense"}}, ["--trace"]) == 2

@@ -13,12 +13,13 @@ from qopt.dynamics import (FlowSample, QuadraticHamiltonian, coherent_basis_prop
                            parametric_oscillator, propagator_position)
 from qopt.errors import CausticError, NonFiniteError
 from qopt.gaussian import GaussianState, make_coherent, validate_state
-from qopt.matrices import complex_structure, symplectic_metric
+from qopt.matrices import symplectic_metric
 from qopt.parametric import (expression_profile, packet_wavefunction_eval, solve_epsilon,
                              tabulated_profile)
 
-from oracles import (flow_by_ode, free_propagator, hamiltonian_to_creation_annihilation,
-                     oscillator_propagator, quadratic_phase_integral)
+from oracles import (complex_structure, flow_by_ode, free_propagator,
+                     hamiltonian_to_creation_annihilation, oscillator_propagator,
+                     quadratic_phase_integral)
 
 REPULSIVE = QuadraticHamiltonian(np.diag([1.0, -1.0]), np.zeros(2), 1)
 CROSS_TERM = QuadraticHamiltonian(np.array([[1.0, 0.3], [0.3, 0.8]]), np.zeros(2), 1)

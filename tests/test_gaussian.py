@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qopt.gaussian import (GaussianState, PureGaussianSpec, QRep, from_pure_gaussian,
-                           from_qrep, make_coherent, make_squeezed_vacuum,
-                           make_thermal_oscillator, photon_moments, photon_pnd,
-                           photon_pnd_table, q_eval, to_qrep, validate_state,
+from qopt.gaussian import (GaussianState, QRep, from_qrep, make_coherent,
+                           make_squeezed_vacuum, make_thermal_oscillator, photon_moments,
+                           photon_pnd, photon_pnd_table, q_eval, to_qrep, validate_state,
                            wigner_eval)
 from qopt import gaussian
 from qopt.errors import NonFiniteError, QoptError
 from qopt.hermite import _near_diagonal_entries
 from qopt.matrices import symplectic_metric
 
-from oracles import trapz_nd
+from oracles import pure_gaussian_state, trapz_nd
 
 
 def random_symplectic(n_modes, rng, scale=0.4):
@@ -283,20 +282,27 @@ class TestQFunction:
 
 
 class TestPureGaussian:
+    """Library states against the Wigner moments of a pure wavefunction (``oracles``)."""
+
     def test_vacuum_spec(self):
-        s = from_pure_gaussian(PureGaussianSpec(0.5 * np.eye(1), [0.0]))
+        s = pure_gaussian_state(0.5 * np.eye(1), [0.0])
         assert np.allclose(s.disp, 0.5 * np.eye(2), atol=1e-12)
         assert np.allclose(s.mean, 0.0, atol=1e-12)
+        vacuum = make_coherent(0.0)
+        assert np.allclose(vacuum.disp, s.disp, atol=1e-12)
+        assert np.allclose(vacuum.mean, s.mean, atol=1e-12)
 
     def test_scalar_squeeze(self):
         r = 0.7
-        s = from_pure_gaussian(PureGaussianSpec([[0.5 * math.exp(2 * r)]], [0.0]))
+        s = pure_gaussian_state([[0.5 * math.exp(2 * r)]], [0.0])
         assert s.disp[1, 1] == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)  # sigma_q
         assert s.disp[0, 0] == pytest.approx(0.5 * math.exp(2 * r), rel=1e-12)   # sigma_p
+        assert np.allclose(make_squeezed_vacuum(r).disp, s.disp, rtol=1e-12, atol=1e-12)
 
     def test_complex_m_gives_correlation(self):
-        s = from_pure_gaussian(PureGaussianSpec([[0.5 + 0.3j]], [0.0]))
+        s = pure_gaussian_state([[0.5 + 0.3j]], [0.0])
         assert abs(s.disp[0, 1]) > 0.1
+        assert validate_state(s).purity == pytest.approx(1.0, abs=1e-10)
 
     def test_outputs_are_pure(self):
         rng = np.random.default_rng(12)
@@ -304,7 +310,7 @@ class TestPureGaussian:
             shape = rng.normal(size=(2, 2))
             m = shape @ shape.T + 1.2 * np.eye(2) + 0.3j * (lambda a: a + a.T)(rng.normal(size=(2, 2)))
             c = rng.normal(size=2) + 1j * rng.normal(size=2)
-            s = from_pure_gaussian(PureGaussianSpec(0.5 * m, c))
+            s = pure_gaussian_state(0.5 * m, c)
             diag = validate_state(s)
             assert diag.purity == pytest.approx(1.0, abs=1e-10)
             assert diag.min_uncertainty_eigenvalue > -1e-10
@@ -312,9 +318,10 @@ class TestPureGaussian:
     def test_mean_matches_plane_wave(self):
         # psi ~ exp(-x^2/2 + ikx) has <q> = 0, <p> = k
         k = 1.7
-        s = from_pure_gaussian(PureGaussianSpec([[0.5]], [1j * k]))
+        s = pure_gaussian_state([[0.5]], [1j * k])
         assert s.mean[0] == pytest.approx(k, rel=1e-12)
         assert s.mean[1] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(make_coherent(1j * k / math.sqrt(2.0)).mean, s.mean, atol=1e-12)
 
 
 class TestPhotonStatistics:

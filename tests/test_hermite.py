@@ -12,7 +12,7 @@ from qopt import hermite
 from qopt.errors import DegenerateOverlapError, NonFiniteError, ResourceLimitError
 from qopt.hermite import (BOX_ENTRY_CAP, HermiteParams, OverlapSpec, _total_degree_indices,
                           fock_wavefunction_eval, gaussian_hermite_overlap,
-                          hermite_box, hermite_diagonal, mv_hermite_eval, mv_hermite_table)
+                          hermite_box, hermite_diagonal, mv_hermite_eval)
 
 from oracles import gauss_box, hermite_by_series, trapz_nd
 
@@ -283,15 +283,23 @@ class TestHermiteDiagonal:
             hermite_diagonal(np.eye(2), np.zeros(2), -1)
 
 
+def hermite_table(params, max_total_degree):
+    """{n: H_n^{R}(y)} for every n of total degree up to ``max_total_degree``, read from one
+    ``hermite_box`` at the rows of ``_total_degree_indices``."""
+    box = hermite_box(params.R, params.R @ params.y, (max_total_degree + 1,) * params.dim)
+    return {idx: complex(box[idx]) * math.prod(math.sqrt(math.factorial(k)) for k in idx)
+            for idx in map(tuple, _total_degree_indices(params.dim, max_total_degree).tolist())}
+
+
 class TestHermiteTable:
     def test_classical_values_at_one(self):
-        table = mv_hermite_table(HermiteParams(R=[[2.0]], y=[1.0]), 2)
+        table = hermite_table(HermiteParams(R=[[2.0]], y=[1.0]), 2)
         assert table[(0,)] == pytest.approx(1.0)
         assert table[(1,)] == pytest.approx(2.0)
         assert table[(2,)] == pytest.approx(2.0)
 
     def test_degree_zero(self):
-        table = mv_hermite_table(HermiteParams(R=[[2.0, 0], [0, 2.0]], y=[1.0, 2.0]), 0)
+        table = hermite_table(HermiteParams(R=[[2.0, 0], [0, 2.0]], y=[1.0, 2.0]), 0)
         assert table == {(0, 0): 1.0}
 
     def test_matches_pointwise_eval(self):
@@ -300,7 +308,7 @@ class TestHermiteTable:
         R = R + R.T
         y = rng.normal(size=2) + 1j * rng.normal(size=2)
         params = HermiteParams(R, y)
-        table = mv_hermite_table(params, 4)
+        table = hermite_table(params, 4)
         assert len(table) == 15
         for idx, val in table.items():
             assert val == pytest.approx(mv_hermite_eval(params, idx), rel=1e-12, abs=1e-12)
@@ -308,7 +316,7 @@ class TestHermiteTable:
     def test_index_cap_enforced(self):
         params = HermiteParams(R=2 * np.eye(4, dtype=complex), y=np.ones(4))
         with pytest.raises(ResourceLimitError):
-            mv_hermite_table(params, 300)
+            hermite_table(params, 300)
 
 
 class TestGaussianHermiteOverlap:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qopt.matrices import block_swap, complex_structure, quadrature_rotation, symplectic_metric
+from qopt.matrices import block_swap, quadrature_rotation, symplectic_metric
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
@@ -10,8 +10,7 @@ def test_fixed_blocks_match_np_block_bitwise(n_modes):
     zero = np.zeros((n_modes, n_modes))
     cases = [(symplectic_metric, np.block([[zero, eye], [-eye, zero]])),
              (block_swap, np.block([[zero, eye], [eye, zero]])),
-             (quadrature_rotation, np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2)),
-             (complex_structure, np.block([[zero, 1j * eye], [-1j * eye, zero]]))]
+             (quadrature_rotation, np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2))]
     for build, want in cases:
         got = build(n_modes)
         assert got.dtype == want.dtype and got.shape == want.shape

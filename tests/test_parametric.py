@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qopt import dynamics
+from qopt import dynamics, parametric
 from qopt.dynamics import parametric_oscillator
 from qopt.errors import NonFiniteError, ResourceLimitError
 from qopt.gaussian import photon_pnd, to_qrep
@@ -13,8 +13,8 @@ from qopt.hermite import fock_wavefunction_eval
 from qopt.parametric import (expression_profile, packet_wavefunction_eval,
                              parametric_cat_wavefunction, preset_profile, solve_epsilon,
                              squeezed_number_wavefunction, squeezed_vacuum_pnd,
-                             squeezing_coefficient, tabulated_profile, to_gaussian_state,
-                             variances_correlation, wronskian_defect)
+                             tabulated_profile, to_gaussian_state, variances_correlation,
+                             wronskian_defect)
 
 from oracles import (PRESET_OMEGA_SQUARED, closed_form_epsilon,
                      closed_form_epsilon_derivative, closed_form_epsilon_phase, flow_by_ode)
@@ -235,7 +235,7 @@ class TestSqueezedVacuumPnd:
     def test_normalization(self):
         flow = make_flow("repulsive", t_end=1.2)
         t = 1.0
-        assert abs(squeezing_coefficient(flow, t)) <= 0.45
+        assert abs(parametric._mu(*flow.eps(t))) <= 0.45
         total = sum(squeezed_vacuum_pnd(flow, t, 2 * m) for m in range(200))
         assert total == pytest.approx(1.0, abs=1e-8)
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import backprojection_two_gathers, cat_marginal, ramp_filter_full_spectrum
+from oracles import (backprojection_two_gathers, cat_marginal, ramp_filter_full_spectrum,
+                     wigner_from_symplectic)
 from qopt.cats import CatState
 from qopt.gaussian import (GaussianState, make_coherent, make_squeezed_vacuum,
                            make_thermal_oscillator, wigner_eval)
@@ -16,8 +17,7 @@ from qopt.tomography import (_FFT_UPSAMPLE, _ROW_BLOCK, Sinogram, WignerGrid,
                              _cubic_spline_coefficients, _ramp_filter_slices, _ramp_response,
                              forward_marginal_numeric, gaussian_sinogram, inverse_radon,
                              sample_lattice, sinogram_from_csv, symplectic_marginal,
-                             wigner_from_symplectic, wigner_grid_from_callable,
-                             wigner_grid_from_csv)
+                             wigner_grid_from_callable, wigner_grid_from_csv)
 
 
 def wigner_fn(state):
