@@ -54,9 +54,9 @@ from .hermite import _near_diagonal_entries
 from .io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, LatticeText, format_table
 from .parametric import (expression_profile, preset_profile, solve_epsilon, tabulated_profile,
                          wronskian_defect)
-from .tomography import (boundary_peak_ratio, forward_marginal_numeric, gaussian_sinogram,
-                         inverse_radon, lattice_mass, sample_lattice, sinogram_from_csv,
-                         wigner_grid_from_callable)
+from .tomography import (_MIN_ANGLES, boundary_peak_ratio, forward_marginal_numeric,
+                         gaussian_sinogram, inverse_radon, lattice_mass, sample_lattice,
+                         sinogram_from_csv, wigner_grid_from_callable)
 from .verification import run_verification
 
 COMMANDS = ("pnd", "wigner", "qfunc", "evolve", "epsilon", "cat",
@@ -419,12 +419,15 @@ def _job_tomo_forward(job):
 
 def _job_tomo_invert(job):
     sino = sinogram_from_csv(job["sinogram"])
+    if sino.n_angles < _MIN_ANGLES:
+        raise ConfigError("sinogram", f"needs at least {_MIN_ANGLES} angles, got {sino.n_angles}")
     q_grid, p_grid = job["grid"]
     grid = inverse_radon(sino, q_grid, p_grid, reg_s=job["reg_s"])
     _check_finite("wigner_reconstructed.csv", grid.q_grid, grid.p_grid, grid.values)
     # filtered backprojection blurs W by an isotropic Gaussian of this variance per axis
     meta = {"reg_s": job["reg_s"], "n_angles": sino.n_angles,
-            "reconstructed_mass": grid.mass(), "blur_variance": job["reg_s"] / 4.0}
+            "reconstructed_mass": grid.mass(), "blur_variance": job["reg_s"] / 4.0,
+            "boundary_peak_ratio": sino.boundary_peak_ratio()}
     text = LatticeText(PHASE_SPACE_HEADER, grid.q_grid, grid.p_grid, grid.values)
     return ({"wigner_reconstructed.csv": text}, meta,
             {"backprojected_points": sino.n_angles * grid.values.size})

@@ -6,13 +6,13 @@ Q_0(t) = Lam(t) Q + Delta(t) stay constant in time when
     dLam/dt = Lam Sigma B(t),   Lam(0) = I,
     dDelta/dt = Lam Sigma C(t), Delta(0) = 0,
 
-with Sigma the symplectic metric.  Every flow sample comes from one engine, a
-fourth-order Magnus step: the exponential of a symplectic generator, so Lam(t)
-is symplectic to round-off and only the steps' error estimates measure accuracy.
-`integrate_symplectic_flow` chains steps under error control; a constant H takes
-one exact step from 0 to t.  A Wigner density evolves by plain argument
-substitution W(Q, t) = W_0(Lam Q + Delta), which for Gaussian states is the
-pushforward
+with Sigma the symplectic metric.  Every flow sample comes from one engine, a fourth-order
+Magnus step: the exponential of a symplectic generator, so Lam(t) is symplectic to round-off
+and only the steps' error estimates measure accuracy.  `integrate_symplectic_flow` chains
+steps under error control, evaluating H once per distinct node of a trial step, and the flow
+keeps the generators of its accepted steps; a constant H takes one exact step from 0 to t.
+A Wigner density evolves by plain argument substitution W(Q, t) = W_0(Lam Q + Delta), which
+for Gaussian states is the pushforward
 
     mean' = Lam^{-1} (mean_0 - Delta),   M' = Lam^{-1} M_0 Lam^{-T},
 
@@ -133,35 +133,37 @@ def _generators(hamiltonian: QuadraticHamiltonian, times: np.ndarray) -> np.ndar
     return gens
 
 
-def _magnus_step(hamiltonian: QuadraticHamiltonian, t, h) -> np.ndarray:
-    """exp(Omega), the augmented propagator [[Lam, Delta], [0, 1]] from t to t + h.
-
-    Fourth-order Magnus on the Simpson nodes t, t + h/2, t + h, so B is sampled at
-    both ends of the step: Omega = h A_mid + h/6 (A_0 - 2 A_mid + A_1)
-    + h^2/12 (A_0 A_1 - A_1 A_0), exactly h A for a constant H; the commutator takes
-    this sign because the flow multiplies on the right.  ``t`` and ``h`` broadcast
-    to a stack of steps.
-    """
-    t, h = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(h, dtype=float))
-    a0, mid, a1 = _generators(hamiltonian, t + np.multiply.outer((0.0, 0.5, 1.0), h))
+def _magnus_exponent(a0, mid, a1, h) -> np.ndarray:
+    """Omega of fourth-order Magnus on the Simpson nodes t, t + h/2, t + h of steps h, so B
+    is sampled at both ends: h A_mid + h/6 (A_0 - 2 A_mid + A_1) + h^2/12 (A_0 A_1 - A_1 A_0),
+    exactly h A for a constant H, the commutator signed for a flow multiplied on the right."""
     hh = h[..., np.newaxis, np.newaxis]
-    return _expm(hh * mid + (hh / 6.0) * (a0 - 2.0 * mid + a1)
-                 + (hh * hh / 12.0) * (a0 @ a1 - a1 @ a0))
+    return (hh * mid + (hh / 6.0) * (a0 - 2.0 * mid + a1)
+            + (hh * hh / 12.0) * (a0 @ a1 - a1 @ a0))
+
+
+def _magnus_step(hamiltonian: QuadraticHamiltonian, t, h) -> np.ndarray:
+    """exp(Omega), the propagator [[Lam, Delta], [0, 1]] from t to t + h, for arrays t, h."""
+    return _expm(_magnus_exponent(
+        *_generators(hamiltonian, t + np.multiply.outer((0.0, 0.5, 1.0), h)), h))
 
 
 class SymplecticFlow:
-    """Flow samples [[Lam, Delta], [0, 1]] at the accepted step boundaries ``ts``;
-    ``error_estimate`` is the sum of the accepted steps' error estimates."""
+    """Flow samples [[Lam, Delta], [0, 1]] at the accepted step boundaries ``ts``, the sum
+    ``error_estimate`` of the steps' error estimates, and ``step_generators``: A(s) at each
+    step's start, midpoint and end."""
 
-    def __init__(self, hamiltonian: QuadraticHamiltonian, ts, samples, error_estimate: float):
+    def __init__(self, hamiltonian: QuadraticHamiltonian, ts, samples, error_estimate: float,
+                 step_generators):
         self.hamiltonian = hamiltonian
         self.ts = np.array(ts, dtype=float)
         self._samples = np.array(samples, dtype=float)
         self.error_estimate = float(error_estimate)
         dim = 2 * hamiltonian.n_modes
+        self.step_generators = np.reshape(step_generators, (-1, dim + 1, dim + 1))
         self.lams = self._samples[:, :dim, :dim]
         self.deltas = self._samples[:, :dim, dim]
-        for arr in (self.ts, self._samples):
+        for arr in (self.ts, self._samples, self.step_generators):
             arr.flags.writeable = False
 
     @property
@@ -213,19 +215,12 @@ class SymplecticFlow:
         return eps, epsdot, float(anchor + np.angle(eps * np.exp(-1j * anchor)))
 
     @functools.cached_property
-    def _node_generators(self) -> np.ndarray:
-        """The generators A(s) at the step boundaries and the midpoints between them,
-        built on first use."""
-        nodes = np.union1d(self.ts, 0.5 * (self.ts[1:] + self.ts[:-1]))
-        return _generators(self.hamiltonian, nodes)
-
-    @functools.cached_property
     def _phase_table(self):
         """(times, unwrapped arg eps), built on first use."""
         if self.hamiltonian.n_modes != 1 or self.t_end < 0:
             raise ValueError("arg eps is tracked on a forward one-mode flow only")
-        gens = self._node_generators[:, :2, :2]
-        omega = max(1.0, np.linalg.norm(gens, ord=2, axis=(1, 2)).max())
+        gens = self.step_generators[:, :2, :2]
+        omega = max(1.0, np.linalg.norm(gens, ord=2, axis=(1, 2)).max(initial=0.0))
         num = math.ceil(self.t_end / (0.5 * math.pi / omega)) + 1
         phase_ts = np.union1d(self.ts, np.linspace(0.0, self.t_end, num))
         return phase_ts, np.unwrap(np.angle(self.eps(phase_ts)[0]))
@@ -260,16 +255,19 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
         raise ValueError("t_end must be finite")
     dim = 2 * hamiltonian.n_modes
     aug, t, h, error = np.eye(dim + 1), 0.0, t_end, 0.0
-    ts, samples = [t], [aug]
+    ts, samples, step_generators = [t], [aug], []
     for _ in range(_MAX_TRIAL_STEPS):
         if t == t_end:
             break
         last = abs(h) >= abs(t_end - t)
         if last:
             h = t_end - t
+        mid = t + 0.5 * h  # the full step and its two halves share six distinct nodes
         with np.errstate(over="ignore", invalid="ignore"):
-            full, first, second = _magnus_step(hamiltonian, [t, t, t + 0.5 * h],
-                                               [h, 0.5 * h, 0.5 * h])
+            gens = _generators(hamiltonian, np.array(
+                [t, t + 0.25 * h, mid, mid + 0.25 * h, mid + 0.5 * h, t + h]))
+            full, first, second = _expm(_magnus_exponent(
+                *gens[[[0, 0, 2], [2, 1, 3], [5, 2, 4]]], np.array([h, 0.5 * h, 0.5 * h])))
             half = first @ second
             trial = aug @ half
             err = np.abs(aug[:dim, :dim] @ (full - half)[:dim]).max() / 15.0
@@ -280,6 +278,7 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
             aug, t, error = trial, t_end if last else t + h, error + err
             ts.append(t)
             samples.append(aug)
+            step_generators.extend(gens[[0, 2, 5]])
         elif floor:
             raise NonFiniteError(f"flow step at t={t} is not finite")
         # a step taken at the floor is not shrunk further, so t keeps advancing
@@ -288,7 +287,7 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
     if t != t_end:
         raise ResourceLimitError(f"flow stopped at t={t} of {t_end} after "
                                  f"{_MAX_TRIAL_STEPS} trial steps")
-    return SymplecticFlow(hamiltonian, ts, samples, error)
+    return SymplecticFlow(hamiltonian, ts, samples, error, step_generators)
 
 
 def flow_to_creation_annihilation(sample: FlowSample) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +327,7 @@ def _kernel_flow(hamiltonian: QuadraticHamiltonian, t: float):
     flow = integrate_symplectic_flow(hamiltonian, t)
     # Sigma = [[0, 1], [-1, 0]] only permutes and negates, so both tests are exact:
     # Sigma C = 0 where C = 0, and (Sigma B)_10 = -B_pp
-    gens = flow._node_generators
+    gens = flow.step_generators
     if np.any(gens[:, :2, 2] != 0.0):
         raise ValueError("the position propagator needs C = 0")
     if not np.all(gens[:, 1, 0] < 0.0):

@@ -7,39 +7,36 @@ B = (beta_1,...,beta_N, beta_1*,...,beta_N*) with beta = (q + ip)/sqrt(2).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
-def _block2(upper_left, upper_right, lower_left, lower_right) -> np.ndarray:
-    """``np.block([[upper_left, upper_right], [lower_left, lower_right]])`` for square
-    blocks of one size, by slice assignment: the same bits at a third of the cost (the
-    flow stepper builds Sigma on every trial step)."""
-    n = upper_left.shape[0]
-    out = np.empty((2 * n, 2 * n),
-                   dtype=np.result_type(upper_left, upper_right, lower_left, lower_right))
-    out[:n, :n], out[:n, n:] = upper_left, upper_right
-    out[n:, :n], out[n:, n:] = lower_left, lower_right
-    return out
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
 
 
+# each block matrix is built once per mode count and shared, so it is read-only
+@functools.cache
 def symplectic_metric(n_modes: int) -> np.ndarray:
     """Dimensionless symplectic form Sigma = [[0, I], [-I, 0]]."""
-    eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return _block2(zero, eye, -eye, zero)
+    eye, zero = np.eye(n_modes), np.zeros((n_modes, n_modes))
+    return _read_only(np.block([[zero, eye], [-eye, zero]]))
 
 
+@functools.cache
 def block_swap(n_modes: int) -> np.ndarray:
     """Off-diagonal identity sigma_Nx = [[0, I], [I, 0]] swapping the two blocks."""
-    eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return _block2(zero, eye, eye, zero)
+    eye, zero = np.eye(n_modes), np.zeros((n_modes, n_modes))
+    return _read_only(np.block([[zero, eye], [eye, zero]]))
 
 
+@functools.cache
 def quadrature_rotation(n_modes: int) -> np.ndarray:
     """Unitary U with Q_beta = U B, i.e. U = 2^{-1/2} [[-iI, iI], [I, I]]."""
     eye = np.eye(n_modes)
-    return _block2(-1j * eye, 1j * eye, eye, eye) / np.sqrt(2)
+    return _read_only(np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2))
 
 
 def check_symmetric(mat: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:

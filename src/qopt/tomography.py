@@ -25,6 +25,7 @@ isotropic Gaussian of variance reg_s / 4 per axis.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ from .io import _BLOCK, PHASE_SPACE_HEADER, SINOGRAM_HEADER, read_lattice
 
 _FFT_PAD = 4
 _FFT_UPSAMPLE = 4
+_MIN_ANGLES = 32
+_EDGE_WARN = 1e-3  # slices ending above this fraction of their peak lose tails that show
 _ROW_PAD = 4  # zero spline coefficients beyond each end of the interpolated axis
 _ROW_BLOCK = 32  # x values per gather block, angles per ramp-filter block; keeps them in cache
 _SPLINE_POLE = math.sqrt(3.0) - 2.0
@@ -121,6 +124,13 @@ class Sinogram:
     @property
     def n_angles(self) -> int:
         return self.theta_grid.shape[0]
+
+    def boundary_peak_ratio(self) -> float:
+        """Largest |end sample| of a slice over that slice's largest |value| (0 if all vanish)."""
+        values = np.abs(self.values)
+        peaks, ends = values.max(axis=1), np.maximum(values[:, 0], values[:, -1])
+        return float(np.divide(ends, peaks, out=np.zeros_like(ends), where=peaks > 0)
+                     .max(initial=0.0))
 
 
 def sample_lattice(f, a_grid, b_grid) -> np.ndarray:
@@ -267,10 +277,23 @@ def _ramp_kernel(n_pad: int, dx: float) -> np.ndarray:
     return h
 
 
+def _fft_length(n: int) -> int:
+    """The smallest even length >= ``_FFT_PAD`` n without a prime factor above 5."""
+    length = _FFT_PAD * n  # even, as _FFT_PAD is
+    while True:
+        rest = length
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return length
+        length += 2
+
+
 def _ramp_response(n: int, dx: float, reg_s: float) -> np.ndarray:
     """Half spectrum of the apodized ramp filter for slices of n samples, padded to
-    ``_FFT_PAD`` n; the Nyquist bin of the padded grid at half weight (below)."""
-    n_pad = _FFT_PAD * n
+    ``_fft_length(n)``; the Nyquist bin of the padded grid at half weight (below)."""
+    n_pad = _fft_length(n)
     response = np.fft.rfft(_ramp_kernel(n_pad, dx)).real * dx
     y = 2.0 * math.pi * np.fft.rfftfreq(n_pad, d=dx)
     response *= np.exp(-reg_s * y * y / 8.0)
@@ -283,8 +306,8 @@ def _ramp_filter_slices(values: np.ndarray, response: np.ndarray) -> np.ndarray:
     """Slices filtered by ``_ramp_response(n, dx, reg_s)``, on the ``_FFT_UPSAMPLE``
     times finer x grid of step dx / ``_FFT_UPSAMPLE``."""
     n = values.shape[1]
-    n_pad = _FFT_PAD * n
-    half = n_pad // 2
+    half = response.shape[0] - 1
+    n_pad = 2 * half
     # zero-padding the half spectrum evaluates the filtered slices on a finer grid
     n_fine = _FFT_UPSAMPLE * n_pad
     spectrum = np.zeros((values.shape[0], n_fine // 2 + 1), dtype=complex)
@@ -300,26 +323,39 @@ def inverse_radon(sino: Sinogram, q_grid, p_grid, reg_s: float = 1e-2) -> Wigner
 
     Requires at least 32 angles and a positive regularization scale; smaller
     reg_s sharpens the reconstruction at the cost of noise amplification.
-    Points whose X lies beyond the filtered slices read the slices' end samples.
+    Before filtering, each slice is extended by zeros, on its own x lattice, out to the
+    grid's reach: the largest |X| of a grid corner at any angle.  A sinogram whose slices
+    end above ``_EDGE_WARN`` of their peak (``Sinogram.boundary_peak_ratio``) warns, since
+    the zeros then cut off a marginal that has not decayed.
     """
     if reg_s <= 0:
         raise ValueError("reg_s must be positive")
-    if sino.n_angles < 32:
-        raise ValueError(f"need at least 32 angles, got {sino.n_angles}")
+    if sino.n_angles < _MIN_ANGLES:
+        raise ValueError(f"need at least {_MIN_ANGLES} angles, got {sino.n_angles}")
     q_grid = _check_uniform(np.asarray(q_grid, dtype=float), "q_grid")
     p_grid = _check_uniform(np.asarray(p_grid, dtype=float), "p_grid")
+    ratio = sino.boundary_peak_ratio()
+    if ratio > _EDGE_WARN:
+        warnings.warn(f"sinogram slices end at {ratio:.2e} of their peak (above {_EDGE_WARN:.0e}); "
+                      f"the reconstruction treats the marginals as zero beyond their x range")
 
     dx = sino.x_grid[1] - sino.x_grid[0]
     dx_fine = dx / _FFT_UPSAMPLE
-    response = _ramp_response(sino.x_grid.shape[0], dx, reg_s)
+    reach = math.hypot(np.abs(q_grid[[0, -1]]).max(), np.abs(p_grid[[0, -1]]).max())
+    before = max(0, math.ceil((reach + sino.x_grid[0]) / dx))
+    after = max(0, math.ceil((reach - sino.x_grid[-1]) / dx))
+    x_start = sino.x_grid[0] - before * dx
+    n_x = sino.x_grid.shape[0] + before + after
+    response = _ramp_response(n_x, dx, reg_s)
     # per slice, each filtered sample with the slope to the next one; the last slope is 0,
-    # so a position clamped to either end reads the end sample.  The slices are filtered
-    # _ROW_BLOCK at a time, straight into the table
-    table = np.zeros((sino.n_angles, _FFT_UPSAMPLE * sino.x_grid.shape[0]), dtype=complex)
+    # so a position that round-off puts past either end reads the end sample.  The slices
+    # are extended and filtered _ROW_BLOCK at a time, straight into the table
+    table = np.zeros((sino.n_angles, _FFT_UPSAMPLE * n_x), dtype=complex)
     n_fine = table.shape[1]
     for start in range(0, sino.n_angles, _ROW_BLOCK):
         rows = table[start:start + _ROW_BLOCK]
-        rows.real = _ramp_filter_slices(sino.values[start:start + _ROW_BLOCK], response)
+        slices = np.pad(sino.values[start:start + _ROW_BLOCK], [(0, 0), (before, after)])
+        rows.real = _ramp_filter_slices(slices, response)
         np.subtract(rows.real[:, 1:], rows.real[:, :-1], out=rows.imag[:, :-1])
 
     shape = (q_grid.shape[0], p_grid.shape[0])
@@ -328,8 +364,7 @@ def inverse_radon(sino: Sinogram, q_grid, p_grid, reg_s: float = 1e-2) -> Wigner
     for theta, row in zip(sino.theta_grid, table):
         c, s = math.cos(theta), math.sin(theta)
         # position of X = q cos - p sin on the fine grid, in samples
-        np.subtract.outer((q_grid * c - sino.x_grid[0]) / dx_fine, p_grid * (s / dx_fine),
-                          out=pos)
+        np.subtract.outer((q_grid * c - x_start) / dx_fine, p_grid * (s / dx_fine), out=pos)
         np.clip(pos, 0.0, n_fine - 1.0, out=pos)
         np.copyto(cell, pos, casting="unsafe")  # truncation: the floor of pos >= 0
         pos -= cell

@@ -223,14 +223,23 @@ def cat_marginal(amplitude: complex, parity: str, theta: float, x):
     return norm2 * np.abs(amp) ** 2
 
 
+def even_5_smooth_length(n: int) -> int:
+    """The smallest even 2^a 3^b 5^c >= 4 n, by enumeration of the products."""
+    top = 8 * n
+    products = [2 ** a * 3 ** b * 5 ** c for a in range(1, top.bit_length() + 1)
+                for b in range(top.bit_length()) for c in range(top.bit_length())]
+    return min(m for m in products if m >= 4 * n)
+
+
 def ramp_filter_full_spectrum(values, dx: float, reg_s: float):
     """The apodized ramp filter of every slice on the 4x finer grid, from the full complex
-    spectrum: its positive half, and its negative half with the Nyquist bin, copied into a
-    zero-padded spectrum whose inverse FFT's real part is the filtered slice."""
-    from qopt.tomography import _FFT_PAD, _FFT_UPSAMPLE, _ramp_kernel
+    spectrum of the slices padded to ``even_5_smooth_length``: its positive half, and its
+    negative half with the Nyquist bin, copied into a zero-padded spectrum whose inverse
+    FFT's real part is the filtered slice."""
+    from qopt.tomography import _FFT_UPSAMPLE, _ramp_kernel
 
     n = values.shape[1]
-    n_pad = _FFT_PAD * n
+    n_pad = even_5_smooth_length(n)
     response = np.fft.fft(_ramp_kernel(n_pad, dx)).real * dx
     y = 2.0 * math.pi * np.fft.fftfreq(n_pad, d=dx)
     response *= np.exp(-reg_s * y * y / 8.0)
@@ -244,15 +253,24 @@ def ramp_filter_full_spectrum(values, dx: float, reg_s: float):
 
 
 def backprojection_two_gathers(sino, q_grid, p_grid, reg_s: float):
-    """Filtered backprojection values[i, j] at (q_grid[i], p_grid[j]): per angle, linear
-    interpolation between two gathered samples, the index and the fraction clipped apart."""
-    dx = sino.x_grid[1] - sino.x_grid[0]
-    filtered, dx_fine = ramp_filter_full_spectrum(sino.values, dx, reg_s)
-    n_fine = filtered.shape[1]
+    """Filtered backprojection values[i, j] at (q_grid[i], p_grid[j]): the slices, extended
+    by zeros on their x lattice to the farthest grid point from the origin, filtered, then per
+    angle linear interpolation between two gathered samples, the index and the fraction
+    clipped apart."""
+    x_grid = sino.x_grid
+    dx = x_grid[1] - x_grid[0]
     qq, pp = np.meshgrid(q_grid, p_grid, indexing="ij")
+    reach = np.sqrt(qq * qq + pp * pp).max()
+    below = np.arange(x_grid[0] - dx, -reach - dx, -dx)[::-1]  # the lattice down past -reach
+    above = np.arange(x_grid[-1] + dx, reach + dx, dx)          # and up past +reach
+    extended = np.zeros((sino.n_angles, below.size + x_grid.size + above.size))
+    extended[:, below.size:below.size + x_grid.size] = sino.values
+    filtered, dx_fine = ramp_filter_full_spectrum(extended, dx, reg_s)
+    x_first = x_grid[0] - below.size * dx
+    n_fine = filtered.shape[1]
     recon = np.zeros_like(qq)
     for i, theta in enumerate(sino.theta_grid):
-        pos = (qq * math.cos(theta) - pp * math.sin(theta) - sino.x_grid[0]) / dx_fine
+        pos = (qq * math.cos(theta) - pp * math.sin(theta) - x_first) / dx_fine
         idx = np.clip(pos.astype(int), 0, n_fine - 2)
         frac = np.clip(pos - idx, 0.0, 1.0)
         recon += (1.0 - frac) * filtered[i, idx] + frac * filtered[i, idx + 1]

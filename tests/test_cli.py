@@ -279,9 +279,10 @@ class TestDeterminismAndErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["field"] == "sinogram"
 
-    def test_module_error_surfaces_as_execution_failure(self, tmp_path, capsys):
-        # existing sinogram with too few angles fails inside the inversion
-        fwd = {"state": {"kind": "coherent", "alpha": 0.0}, "n_angles": 16,
+    @pytest.mark.parametrize("n_angles", [10, 31])
+    def test_too_few_angles_is_config_error(self, tmp_path, capsys, n_angles):
+        # an existing sinogram of fewer than 32 angles is a bad sinogram document
+        fwd = {"state": {"kind": "coherent", "alpha": 0.0}, "n_angles": n_angles,
                "x": {"min": -6, "max": 6, "num": 65}}
         assert run_cli(tmp_path, "tomo-forward", fwd) == 0
         capsys.readouterr()
@@ -289,10 +290,10 @@ class TestDeterminismAndErrors:
                "grid": {"q": {"min": -6, "max": 6, "num": 65},
                         "p": {"min": -6, "max": 6, "num": 65}}}
         code = run_cli(tmp_path, "tomo-invert", inv)
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["kind"] == "execution"
-        assert "angles" in err["error"]["message"]
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["field"]) == ("config", "sinogram")
+        assert f"at least 32 angles, got {n_angles}" in err["message"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["pnd", "--config", str(tmp_path / "nope.json"),
@@ -600,6 +601,26 @@ class TestSidecarHealth:
         meta = json.loads(execute_job(inv)["tomo-invert.meta.json"])
         assert meta["blur_variance"] == 0.02 / 4
         assert meta["reconstructed_mass"] == pytest.approx(1.0, abs=1e-2)
+        # the slices end far below their peak: the grid's corners, at 12 sqrt(2), lie past
+        # the sinogram's x range, whose marginals are zero-extended there without a warning
+        assert 0.0 <= meta["boundary_peak_ratio"] < 1e-6
+        assert "warnings" not in meta
+
+    def test_tomo_invert_warns_of_cut_marginals(self, tmp_path, capsys):
+        # a coherent state at alpha = 3.2 on x in [-6, 6]: some slices end at 11 % of their
+        # peak, so the zeros past the range cut them off
+        fwd = {"state": {"kind": "coherent", "alpha": 3.2}, "n_angles": 32,
+               "x": {"min": -6, "max": 6, "num": 65}}
+        assert run_cli(tmp_path, "tomo-forward", fwd) == 0
+        grid = {"q": {"min": -6, "max": 6, "num": 33}, "p": {"min": -6, "max": 6, "num": 33}}
+        assert run_cli(tmp_path, "tomo-invert",
+                       {"sinogram": str(tmp_path / "out" / "sinogram.csv"), "grid": grid}) == 0
+        meta = json.loads((tmp_path / "out" / "tomo-invert.meta.json").read_text())
+        assert 0.1 < meta["boundary_peak_ratio"] < 0.12
+        assert [w["category"] for w in meta["warnings"]] == ["UserWarning"]
+        assert "sinogram slices end at" in meta["warnings"][0]["message"]
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [{"warning": meta["warnings"][0]}]
 
 
 class TestStreamedLattices:

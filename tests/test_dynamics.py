@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qopt import dynamics
 from qopt.dynamics import (FlowSample, QuadraticHamiltonian, coherent_basis_propagator,
                            evolve_gaussian, flow_to_creation_annihilation,
                            fock_basis_propagator, free_particle, harmonic_oscillator,
@@ -164,6 +165,77 @@ class TestSymplecticFlow:
         flow_free = integrate_symplectic_flow(free_particle(), 5.0, tol=1e-10)
         for t in [1.0, 3.0, 5.0]:
             assert np.abs(flow_osc.at(t).lam - flow_free.at(t).lam).max() < 1e-4
+
+
+def nine_node_flow(hamiltonian, t_end, tol=1e-9):
+    """(ts, samples, error estimate) of the integrator's step control with each trial's full
+    step and two half steps taken by three separate ``_magnus_step`` calls of three nodes
+    each, nine evaluations of H where t and t + h/2 repeat; every trial here is finite."""
+    dim = 2 * hamiltonian.n_modes
+    aug, t, h, error = np.eye(dim + 1), 0.0, t_end, 0.0
+    ts, samples = [t], [aug]
+    while t != t_end:
+        last = abs(h) >= abs(t_end - t)
+        if last:
+            h = t_end - t
+        full, first, second = dynamics._magnus_step(
+            hamiltonian, np.array([t, t, t + 0.5 * h]), np.array([h, 0.5 * h, 0.5 * h]))
+        half = first @ second
+        trial = aug @ half
+        err = np.abs(aug[:dim, :dim] @ (full - half)[:dim]).max() / 15.0
+        bound = (max(tol * abs(h), dynamics._ROUND_OFF)
+                 * max(1.0, np.abs(trial[:dim, :dim]).max()))
+        floor = abs(h) < dynamics._MIN_STEP * max(1.0, abs(t))
+        if err <= bound or floor:
+            aug, t, error = trial, t_end if last else t + h, error + err
+            ts.append(t)
+            samples.append(aug)
+        factor = min(4.0, 0.9 * (bound / err) ** 0.25) if err > 0 else 4.0
+        h *= max(1.0 if floor else 0.2, factor)
+    return np.array(ts), np.array(samples), error
+
+
+def count_trial_steps(monkeypatch) -> list:
+    """A one-item list that counts the trial steps of later flow solves: one ``_expm`` each."""
+    trials = [0]
+
+    def counting_expm(mats, expm=dynamics._expm):
+        trials[0] += 1
+        return expm(mats)
+
+    monkeypatch.setattr(dynamics, "_expm", counting_expm)
+    return trials
+
+
+class TestSixNodeTrialSteps:
+    """A trial step evaluates H once per distinct node, which moves no bit of the flow."""
+
+    @pytest.mark.parametrize("hamiltonian,t_end", [
+        (parametric_oscillator(tabulated_profile(VERIFY_TABLE)), 20.0),
+        (parametric_oscillator(expression_profile("1 + 0.2*sin(t)")), 200.0),
+        (QuadraticHamiltonian(np.array([[1.0, 0.2, 0.1, 0.0], [0.2, 0.8, 0.0, 0.3],
+                                        [0.1, 0.0, 1.2, 0.1], [0.0, 0.3, 0.1, 0.9]]),
+                              np.array([0.1, 0.0, -0.2, 0.3]), 2), 3.0),
+    ], ids=["table", "expression-200", "two-mode-constant"])
+    def test_flow_is_bit_identical_to_separate_steps(self, hamiltonian, t_end, monkeypatch):
+        calls = [0]
+
+        def counting_b(s):
+            calls[0] += 1
+            return hamiltonian.b_matrix(s)
+
+        counted = QuadraticHamiltonian(counting_b, hamiltonian.c_vector, hamiltonian.n_modes)
+        want_ts, want_samples, want_error = nine_node_flow(hamiltonian, t_end)
+        trials = count_trial_steps(monkeypatch)
+        calls[0] = 0
+        flow = integrate_symplectic_flow(counted, t_end)
+        assert calls[0] <= 6 * trials[0]
+        dim = 2 * hamiltonian.n_modes
+        assert flow.ts.tobytes() == want_ts.tobytes()
+        assert flow.lams.tobytes() == want_samples[:, :dim, :dim].tobytes()
+        assert flow.deltas.tobytes() == want_samples[:, :dim, dim].tobytes()
+        assert flow.error_estimate == want_error
+        assert flow.step_generators.shape == (3 * (len(flow.ts) - 1), dim + 1, dim + 1)
 
 
 class TestConstantFlow:
@@ -532,10 +604,11 @@ class TestPositionPropagators:
             propagator_position(ham, 0.1, 0.2, lo)
         propagator_position(ham, 0.1, 0.2, lo - 1e-3)
 
-    def test_generators_are_evaluated_once_per_step_node(self):
-        # beyond its flow solve, the kernel reads B once at each of the 109 step boundaries
-        # and midpoints (the support checks and the phase bound share them), and three times
-        # for each row it evaluates: the 56 rows of the phase table and the row at t
+    def test_generators_are_evaluated_once_per_step_node(self, monkeypatch):
+        # each of the flow's 57 trial steps reads B once at each of its 6 distinct nodes;
+        # beyond its own solve of that flow, the kernel reads B only for the rows it
+        # evaluates, three times each: the 56 rows of the phase table and the row at t.  Its
+        # support checks and phase bound read the generators the flow kept
         calls = [0]
 
         def b(s):
@@ -543,12 +616,13 @@ class TestPositionPropagators:
             return np.diag([1.0, 1.0 + 0.3 * math.sin(2.0 * s)])
 
         ham = QuadraticHamiltonian(b, np.zeros(2), 1)
+        trials = count_trial_steps(monkeypatch)
         calls[0] = 0
         flow = integrate_symplectic_flow(ham, 2.0)
         solve_calls, calls[0] = calls[0], 0
+        assert len(flow.ts) == 55 and trials[0] == 57 and solve_calls == 6 * 57
         propagator_position(ham, 0.1, 0.2, 2.0)
-        assert len(flow.ts) == 55 and solve_calls == 513
-        assert calls[0] - solve_calls == 109 + 3 * (56 + 1)
+        assert calls[0] - solve_calls == 3 * (56 + 1)
 
     @pytest.mark.parametrize("system,t1,t2", [
         (free_particle(mass=1.0), 0.4, 0.9),

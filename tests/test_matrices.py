@@ -15,3 +15,11 @@ def test_fixed_blocks_match_np_block_bitwise(n_modes):
         got = build(n_modes)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("build", [symplectic_metric, block_swap, quadrature_rotation])
+def test_fixed_blocks_are_built_once_and_read_only(build):
+    mat = build(2)
+    assert build(2) is mat
+    with pytest.raises(ValueError, match="read-only"):
+        mat[0, 0] = 1.0

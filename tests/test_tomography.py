@@ -1,13 +1,14 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (backprojection_two_gathers, cat_marginal, ramp_filter_full_spectrum,
-                     wigner_from_symplectic)
+from oracles import (backprojection_two_gathers, cat_marginal, even_5_smooth_length,
+                     ramp_filter_full_spectrum, wigner_from_symplectic)
 from qopt.cats import CatState
 from qopt.gaussian import (GaussianState, make_coherent, make_squeezed_vacuum,
                            make_thermal_oscillator, wigner_eval)
@@ -246,6 +247,23 @@ class TestInverseRadon:
         err_coarse = self.roundtrip_error(coarse, wigner_fn(s))
         assert err_coarse > err_full
 
+    def test_grid_past_the_sinogram_keeps_its_mass(self):
+        # the slices of a coherent state on [-12, 12], zero-extended to each grid's reach:
+        # mass 1 and the blur's error against the closed form, also on the +-30 grid, where
+        # reading the slices' end samples gave mass -0.35, and on the +-12 grid, whose corners
+        # lie past the range too (error 7.7e-4 then)
+        s = make_coherent(0.5 + 0.3j)
+        sino = gaussian_sinogram(s, self.thetas, self.x_grid)
+        blurred = GaussianState(s.mean, s.disp + 0.25e-2 * np.eye(2))  # variance reg_s / 4
+        for reach in (30.0, 12.0, 6.0):
+            grid = np.linspace(-reach, reach, 121)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rec = inverse_radon(sino, grid, grid)
+            truth = wigner_grid_from_callable(wigner_fn(blurred), grid, grid).values
+            assert rec.mass() == pytest.approx(1.0, abs=2e-5)
+            assert np.abs(rec.values - truth).max() <= 2.5e-4 * np.abs(truth).max()
+
     def test_too_few_angles_rejected(self):
         s = make_coherent(0.0)
         sino = gaussian_sinogram(s, np.arange(16) * math.pi / 16, self.x_grid)
@@ -282,7 +300,11 @@ class TestKernelOracles:
         x_grid = np.linspace(-10.0, 10.0, n_x)
         dx = x_grid[1] - x_grid[0]
         values = self.sinogram(n_angles, x_grid).values
-        got = _ramp_filter_slices(values, _ramp_response(n_x, dx, 1e-2))
+        response = _ramp_response(n_x, dx, 1e-2)
+        # the smallest even 5-smooth length >= 4 n: 1080 = 2^3 3^3 5 for 257 (4 n = 1028)
+        n_pad = {257: 1080, 128: 512, 101: 432}[n_x]
+        assert response.shape == (n_pad // 2 + 1,) and even_5_smooth_length(n_x) == n_pad
+        got = _ramp_filter_slices(values, response)
         want, want_step = ramp_filter_full_spectrum(values, dx, 1e-2)
         assert want_step == dx / _FFT_UPSAMPLE
         assert got.shape == want.shape
@@ -318,16 +340,23 @@ class TestKernelOracles:
         want = backprojection_two_gathers(sino, q_grid, p_grid, 1e-2)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_memory_does_not_grow_with_grid_reach(self):
-        sino = self.sinogram(32, np.linspace(-10.0, 10.0, 129))
-        peaks = []
-        for reach in (5.0, 500.0):
+    def test_memory_grows_with_the_extended_table_only(self):
+        # the slices are zero-extended to the grid's reach, so the (value, slope) table grows
+        # with it; beyond the table, a block of 32 angles holds a padded spectrum and its
+        # inverse FFT, each about twice the table of 32 angles, and nothing else grows
+        x_grid = np.linspace(-10.0, 10.0, 129)
+        sino = self.sinogram(32, x_grid)
+        peaks, tables = [], []
+        for reach in (5.0, 100.0):
             grid = np.linspace(-reach, reach, 65)
             tracemalloc.start()
             inverse_radon(sino, grid, grid)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        assert peaks[1] <= 1.01 * peaks[0]
+            extension = max(0, math.ceil((math.hypot(reach, reach) - 10.0) / (20.0 / 128)))
+            tables.append(32 * _FFT_UPSAMPLE * (129 + 2 * extension) * 16)
+        assert tables[0] == 32 * _FFT_UPSAMPLE * 129 * 16
+        assert peaks[1] - peaks[0] <= 6 * (tables[1] - tables[0])
 
 
 class TestSymplecticMarginal:
