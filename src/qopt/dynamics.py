@@ -1,7 +1,7 @@
 """Linear flows of quadratic Hamiltonians, Gaussian evolution, and propagators.
 
-For H = 1/2 Q.B(t).Q + C(t).Q with Q = (p_1..p_N, q_1..q_N), the operators
-Q_0(t) = Lam(t) Q + Delta(t) stay constant in time when
+For H = 1/2 Q.B(t).Q + C(t).Q with Q = (p_1..p_N, q_1..q_N) and B, C constants or callables
+of an array of times, the operators Q_0(t) = Lam(t) Q + Delta(t) stay constant in time when
 
     dLam/dt = Lam Sigma B(t),   Lam(0) = I,
     dDelta/dt = Lam Sigma C(t), Delta(0) = 0,
@@ -9,8 +9,8 @@ Q_0(t) = Lam(t) Q + Delta(t) stay constant in time when
 with Sigma the symplectic metric.  Every flow sample comes from one engine, a fourth-order
 Magnus step: the exponential of a symplectic generator, so Lam(t) is symplectic to round-off
 and only the steps' error estimates measure accuracy.  `integrate_symplectic_flow` chains
-steps under error control, evaluating H once per distinct node of a trial step, and the flow
-keeps the generators of its accepted steps; a constant H takes one exact step from 0 to t.
+steps under error control, evaluating H once per trial step, on one stack of its 5 new nodes,
+and the flow keeps the generators of its accepted steps; a constant H takes one exact step.
 A Wigner density evolves by plain argument substitution W(Q, t) = W_0(Lam Q + Delta), which
 for Gaussian states is the pushforward
 
@@ -40,33 +40,31 @@ from .matrices import check_symmetric, quadrature_rotation, symplectic_metric
 _CAUSTIC_GUARD = 1e-8
 
 
-def _as_time_callable(obj, shape, name):
-    if callable(obj):
-        probe = np.asarray(obj(0.0), dtype=float)
-        if probe.shape != shape:
-            raise ValueError(f"{name}(t) returns shape {probe.shape}, expected {shape}")
-        return obj
-    arr = np.asarray(obj, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    return lambda t, _arr=arr: _arr
-
-
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """H = 1/2 Q.B(t).Q + C(t).Q; B and C may be constants or callables of t."""
+    """H = 1/2 Q.B(t).Q + C(t).Q.  B and C are constants, broadcast to any stack of times, or
+    callables of a time or an array of times returning the stack (..., 2N, 2N) or (..., 2N);
+    a callable that fails on two times at construction raises ``ValueError`` naming B or C."""
 
-    b_matrix: Callable[[float], np.ndarray]
-    c_vector: Callable[[float], np.ndarray]
+    b_matrix: Callable[[np.ndarray], np.ndarray]
+    c_vector: Callable[[np.ndarray], np.ndarray]
     n_modes: int
 
     def __post_init__(self):
         dim = 2 * self.n_modes
-        b = _as_time_callable(self.b_matrix, (dim, dim), "B")
-        c = _as_time_callable(self.c_vector, (dim,), "C")
-        check_symmetric(np.asarray(b(0.0)), tol=1e-10, name="B(0)")
-        object.__setattr__(self, "b_matrix", b)
-        object.__setattr__(self, "c_vector", c)
+        for field, name, shape in (("b_matrix", "B", (dim, dim)), ("c_vector", "C", (dim,))):
+            value = getattr(self, field)
+            if not callable(value):
+                arr = np.asarray(value, dtype=float)
+                value = lambda t, _arr=arr: np.broadcast_to(_arr, np.shape(t) + _arr.shape)
+                object.__setattr__(self, field, value)
+            try:
+                probe = np.shape(value(np.zeros(2)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}(t) must take an array of times: {exc}") from exc
+            if probe != (2,) + shape:
+                raise ValueError(f"{name} at two times has shape {probe}, expected {(2,) + shape}")
+        check_symmetric(self.b_matrix(0.0), tol=1e-10, name="B(0)")
 
 
 def free_particle(mass: float = 1.0) -> QuadraticHamiltonian:
@@ -79,11 +77,13 @@ def harmonic_oscillator(mass: float = 1.0, omega: float = 1.0) -> QuadraticHamil
     return QuadraticHamiltonian(np.diag([1.0 / mass, mass * omega ** 2]), np.zeros(2), 1)
 
 
-def parametric_oscillator(omega_squared: Callable[[float], float],
+def parametric_oscillator(omega_squared: Callable[[np.ndarray], np.ndarray],
                           mass: float = 1.0) -> QuadraticHamiltonian:
-    """Oscillator with time-dependent frequency, H = p^2/2m + m w^2(t) q^2 / 2."""
+    """H = p^2/2m + m w^2(t) q^2 / 2; w^2 takes a time or an array of times, or is constant."""
     def b(t):
-        return np.diag([1.0 / mass, mass * float(omega_squared(t))])
+        out = np.zeros(np.shape(t) + (2, 2))
+        out[..., 0, 0], out[..., 1, 1] = 1.0 / mass, mass * omega_squared(t)
+        return out
     return QuadraticHamiltonian(b, np.zeros(2), 1)
 
 
@@ -127,9 +127,8 @@ def _generators(hamiltonian: QuadraticHamiltonian, times: np.ndarray) -> np.ndar
     dim = 2 * hamiltonian.n_modes
     sigma = symplectic_metric(hamiltonian.n_modes)
     gens = np.zeros(times.shape + (dim + 1, dim + 1))
-    for idx, s in np.ndenumerate(times):
-        gens[idx][:dim, :dim] = sigma @ hamiltonian.b_matrix(s)
-        gens[idx][:dim, dim] = sigma @ hamiltonian.c_vector(s)
+    gens[..., :dim, :dim] = sigma @ hamiltonian.b_matrix(times)
+    gens[..., :dim, dim] = hamiltonian.c_vector(times) @ sigma.T
     return gens
 
 
@@ -255,7 +254,7 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
         raise ValueError("t_end must be finite")
     dim = 2 * hamiltonian.n_modes
     aug, t, h, error = np.eye(dim + 1), 0.0, t_end, 0.0
-    ts, samples, step_generators = [t], [aug], []
+    ts, samples, step_generators, start = [t], [aug], [], _generators(hamiltonian, np.zeros(1))
     for _ in range(_MAX_TRIAL_STEPS):
         if t == t_end:
             break
@@ -264,8 +263,8 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
             h = t_end - t
         mid = t + 0.5 * h  # the full step and its two halves share six distinct nodes
         with np.errstate(over="ignore", invalid="ignore"):
-            gens = _generators(hamiltonian, np.array(
-                [t, t + 0.25 * h, mid, mid + 0.25 * h, mid + 0.5 * h, t + h]))
+            gens = np.concatenate((start, _generators(hamiltonian, np.array(
+                [t + 0.25 * h, mid, mid + 0.25 * h, mid + 0.5 * h, t + h]))))
             full, first, second = _expm(_magnus_exponent(
                 *gens[[[0, 0, 2], [2, 1, 3], [5, 2, 4]]], np.array([h, 0.5 * h, 0.5 * h])))
             half = first @ second
@@ -279,6 +278,7 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
             ts.append(t)
             samples.append(aug)
             step_generators.extend(gens[[0, 2, 5]])
+            start = gens[5:]  # A(t), the one node the next trial shares with this one
         elif floor:
             raise NonFiniteError(f"flow step at t={t} is not finite")
         # a step taken at the floor is not shrunk further, so t keeps advancing

@@ -11,14 +11,14 @@ momentum noise of the adiabatic ground packet are |eps|^2/2 and |eps'|^2/2,
 and the photon statistics of that packet follow a one-parameter squeezed
 law.
 
-eps is not integrated on its own: it is the q-row of Lam^{-1} for the
-symplectic flow of `qopt.dynamics`, so the Wronskian is -2i det Lam, conserved
-to round-off by every flow step (``wronskian_defect``); the accuracy of eps is
-the ``error_estimate`` of the flow that ``solve_epsilon`` returns, and
-``SymplecticFlow.eps`` reads eps from it.  Every profile takes that path: a
-constant w^2, the named presets included, is one exact Magnus step (error
-estimate 0).  The Gaussian carrier of the evolved vacuum packet is the vacuum
-pushed along the same flow.
+eps is not integrated on its own: it is the q-row of Lam^{-1} for the symplectic flow of
+`qopt.dynamics`, so the Wronskian is -2i det Lam, conserved to round-off by every flow step
+(``wronskian_defect``); the accuracy of eps is the ``error_estimate`` of the flow that
+``solve_epsilon`` returns, and ``SymplecticFlow.eps`` reads eps from it.  Every profile takes
+that path, and its w^2(t) takes a time or an array of times: the flow evaluates it on stacks.
+A constant w^2, the named presets included, broadcasts and is one exact Magnus step (error
+estimate 0).  The Gaussian carrier of the evolved vacuum packet is the vacuum pushed along
+the same flow.
 
 Wavefunction evaluators need eps^{-1/2} and (eps*/eps)^{m/2}; both are taken
 with the phase of eps tracked continuously from t = 0, never the principal
@@ -49,13 +49,13 @@ _EXPR_NAMESPACE = {
 
 @dataclass(frozen=True)
 class FrequencyProfile:
-    """Time profile of the squared frequency w^2(t)."""
+    """Time profile of the squared frequency w^2(t) at a time or an array of times."""
 
-    omega_squared: Callable[[float], float]
+    omega_squared: Callable[[np.ndarray], np.ndarray]
     kind: str
 
-    def __call__(self, t: float) -> float:
-        return float(self.omega_squared(t))
+    def __call__(self, t):
+        return self.omega_squared(t)
 
 
 def preset_profile(name: str) -> FrequencyProfile:
@@ -74,15 +74,15 @@ def tabulated_profile(rows) -> FrequencyProfile:
     ts, w2s = arr[:, 0], arr[:, 1]
     if np.any(np.diff(ts) <= 0):
         raise ValueError("table times must be strictly increasing")
-    return FrequencyProfile(lambda t: float(np.interp(t, ts, w2s)), "tabulated")
+    return FrequencyProfile(lambda t: np.interp(t, ts, w2s), "tabulated")
 
 
 def expression_profile(expr: str) -> FrequencyProfile:
     """w^2(t) from an arithmetic expression in t, e.g. "1 + 0.2*sin(t)".
 
-    Evaluated in a namespace of elementary functions only; configs are
-    trusted input.  It is evaluated once at t = 0 to fail fast: a syntax error, an
-    exception at t = 0 or a non-finite w^2(0) raises ``ValueError``.
+    Evaluated elementwise on a time or an array of times ("1 + 2*(t > 3)", not a conditional),
+    in a namespace of numpy functions only; configs are trusted input.  A syntax error, an
+    exception at t = 0 or at an array of two times, or a non-finite w^2(0) raises ValueError.
     """
     try:
         code = compile(expr, "<omega_squared>", "eval")
@@ -92,17 +92,17 @@ def expression_profile(expr: str) -> FrequencyProfile:
         if name not in _EXPR_NAMESPACE and name != "t":
             raise ValueError(f"expression uses unknown name {name!r}")
 
-    def w2(t, _code=code):
-        return float(eval(_code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "t": t}))
-
+    profile = FrequencyProfile(
+        lambda t: eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "t": t}), "expression")
     try:
         with np.errstate(all="ignore"):
-            probe = w2(0.0)
+            probe = float(profile(0.0))
+            profile(np.zeros(2))  # a conditional runs on t = 0 but not on an array of times
     except Exception as exc:  # noqa: BLE001 - any failure at t = 0 is the expression's
         raise ValueError(f"expression {expr!r} fails at t = 0: {exc}") from exc
     if not math.isfinite(probe):
         raise ValueError(f"expression {expr!r} gives w^2(0) = {probe!r}, not a finite number")
-    return FrequencyProfile(w2, "expression")
+    return profile
 
 
 def solve_epsilon(profile: FrequencyProfile, t_end: float, tol: float = 1e-9) -> SymplecticFlow:

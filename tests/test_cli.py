@@ -232,6 +232,8 @@ class TestJobs:
 
 _CAT2 = {"kind": "cat", "A": [[0.9, 0.3], [0.4, -0.7]], "parity": "odd"}
 _CAT1 = {"kind": "cat", "A": [[1.0, 0.0]], "parity": "odd"}
+# conditionals: a scalar t runs them, the array of times that w^2(t) is evaluated on does not
+_CONDITIONALS = ("1 if t < 1 else 2", "0 < t < 1", "t > 1 and t < 2")
 
 
 class TestDeterminismAndErrors:
@@ -436,11 +438,11 @@ class TestDeterminismAndErrors:
                     "hamiltonian": {"preset": "parametric"}, "t_end": 1.0},
          "hamiltonian.omega_squared"),
         *(("epsilon", {"profile": {"expression": text}, "t_end": 1.0}, "profile.expression")
-          for text in ("1/t", "1e400", "sqrt(t - 1)", "1 +", "outside(t)")),
+          for text in ("1/t", "1e400", "sqrt(t - 1)", "1 +", "outside(t)", *_CONDITIONALS)),
         *(("evolve", {"state": {"kind": "coherent", "alpha": 1.0}, "t_end": 1.0,
                       "hamiltonian": {"preset": "parametric",
                                       "omega_squared": {"expression": text}}},
-           "hamiltonian.omega_squared.expression") for text in ("1/t", "1e400")),
+           "hamiltonian.omega_squared.expression") for text in ("1/t", "1e400", *_CONDITIONALS)),
         ("epsilon", {"profile": {"table": [[0, 1], [1, 2]], "expression": "1"}, "t_end": 1.0},
          "profile"),
         ("epsilon", {"profile": {}, "t_end": 1.0}, "profile"),

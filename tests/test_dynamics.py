@@ -15,8 +15,8 @@ from qopt.dynamics import (FlowSample, QuadraticHamiltonian, coherent_basis_prop
 from qopt.errors import CausticError, NonFiniteError
 from qopt.gaussian import GaussianState, make_coherent, validate_state
 from qopt.matrices import symplectic_metric
-from qopt.parametric import (expression_profile, packet_wavefunction_eval, solve_epsilon,
-                             tabulated_profile)
+from qopt.parametric import (expression_profile, packet_wavefunction_eval, preset_profile,
+                             solve_epsilon, tabulated_profile)
 
 from oracles import (complex_structure, flow_by_ode, free_propagator,
                      hamiltonian_to_creation_annihilation, oscillator_propagator,
@@ -25,8 +25,12 @@ from oracles import (complex_structure, flow_by_ode, free_propagator,
 REPULSIVE = QuadraticHamiltonian(np.diag([1.0, -1.0]), np.zeros(2), 1)
 CROSS_TERM = QuadraticHamiltonian(np.array([[1.0, 0.3], [0.3, 0.8]]), np.zeros(2), 1)
 TWO_FIELD = QuadraticHamiltonian(
-    lambda t: np.array([[1.0, 0.2 * math.sin(t)], [0.2 * math.sin(t), 1.0 + 0.5 * t]]),
-    lambda t: np.array([0.1 * t, math.cos(t)]), 1)
+    lambda t: np.stack([np.ones_like(t), 0.2 * np.sin(t), 0.2 * np.sin(t),
+                        1.0 + 0.5 * np.asarray(t)], axis=-1).reshape(np.shape(t) + (2, 2)),
+    lambda t: np.stack([0.1 * np.asarray(t), np.cos(t)], axis=-1), 1)
+TWO_MODE = QuadraticHamiltonian(np.array([[1.0, 0.2, 0.1, 0.0], [0.2, 0.8, 0.0, 0.3],
+                                          [0.1, 0.0, 1.2, 0.1], [0.0, 0.3, 0.1, 0.9]]),
+                                np.array([0.1, 0.0, -0.2, 0.3]), 2)
 VERIFY_TABLE = [[0.0, 1.0], [6.0, 0.7], [13.0, 1.3], [20.0, 0.9]]
 # (H, t_end, rows, kinks of B): the table's kinks fall between the 51 written times
 TIME_DEPENDENT = {
@@ -208,20 +212,19 @@ def count_trial_steps(monkeypatch) -> list:
 
 
 class TestSixNodeTrialSteps:
-    """A trial step evaluates H once per distinct node, which moves no bit of the flow."""
+    """A trial step evaluates H once, as one stack at the nodes it does not share with the
+    trial before, which moves no bit of the flow."""
 
     @pytest.mark.parametrize("hamiltonian,t_end", [
         (parametric_oscillator(tabulated_profile(VERIFY_TABLE)), 20.0),
         (parametric_oscillator(expression_profile("1 + 0.2*sin(t)")), 200.0),
-        (QuadraticHamiltonian(np.array([[1.0, 0.2, 0.1, 0.0], [0.2, 0.8, 0.0, 0.3],
-                                        [0.1, 0.0, 1.2, 0.1], [0.0, 0.3, 0.1, 0.9]]),
-                              np.array([0.1, 0.0, -0.2, 0.3]), 2), 3.0),
+        (TWO_MODE, 3.0),
     ], ids=["table", "expression-200", "two-mode-constant"])
     def test_flow_is_bit_identical_to_separate_steps(self, hamiltonian, t_end, monkeypatch):
         calls = [0]
 
         def counting_b(s):
-            calls[0] += 1
+            calls[0] += np.size(s)
             return hamiltonian.b_matrix(s)
 
         counted = QuadraticHamiltonian(counting_b, hamiltonian.c_vector, hamiltonian.n_modes)
@@ -229,13 +232,47 @@ class TestSixNodeTrialSteps:
         trials = count_trial_steps(monkeypatch)
         calls[0] = 0
         flow = integrate_symplectic_flow(counted, t_end)
-        assert calls[0] <= 6 * trials[0]
+        assert calls[0] <= 5 * trials[0] + 1
         dim = 2 * hamiltonian.n_modes
         assert flow.ts.tobytes() == want_ts.tobytes()
         assert flow.lams.tobytes() == want_samples[:, :dim, :dim].tobytes()
         assert flow.deltas.tobytes() == want_samples[:, :dim, dim].tobytes()
         assert flow.error_estimate == want_error
         assert flow.step_generators.shape == (3 * (len(flow.ts) - 1), dim + 1, dim + 1)
+
+
+class TestHamiltonianStacks:
+    """H on a stack of times is H at each of its times, bit for bit; B and C must take
+    arrays."""
+
+    @pytest.mark.parametrize("hamiltonian", [
+        *(parametric_oscillator(preset_profile(name))
+          for name in ("free", "oscillator", "repulsive")),
+        free_particle(2.0), harmonic_oscillator(0.5, 1.3),
+        parametric_oscillator(tabulated_profile(VERIFY_TABLE)),
+        parametric_oscillator(expression_profile("1 + 0.2*sin(t)"), 1.7),
+        parametric_oscillator(expression_profile("1")),
+        TWO_MODE,
+    ], ids=["free", "oscillator", "repulsive", "free_particle", "harmonic_oscillator",
+            "table", "expression", "constant-expression", "two-mode-constant"])
+    def test_stack_equals_per_point_evaluation(self, hamiltonian):
+        # the table's times run from before its first row to past its last
+        times = np.array([-3.0, 0.0, 0.37, 4.5, 6.0, 13.2, 20.0, 27.5, 200.0])
+        for h in (hamiltonian.b_matrix, hamiltonian.c_vector):
+            stack, points = np.asarray(h(times)), np.array([h(s) for s in times])
+            assert stack.dtype == points.dtype == float and stack.shape == points.shape
+            assert stack.tobytes() == points.tobytes()
+        gens = dynamics._generators(hamiltonian, times)
+        points = np.array([dynamics._generators(hamiltonian, np.array(s)) for s in times])
+        assert gens.tobytes() == points.tobytes()
+
+    def test_scalar_only_callables_are_rejected(self):
+        with pytest.raises(ValueError, match=r"^B\(t\) must take an array of times"):
+            QuadraticHamiltonian(lambda t: np.diag([1.0, math.cos(t)]), np.zeros(2), 1)
+        with pytest.raises(ValueError, match=r"^B\(t\) must take an array of times"):
+            parametric_oscillator(lambda t: 1.0 if t < 1.0 else 2.0)
+        with pytest.raises(ValueError, match=r"^C\(t\) must take an array of times"):
+            QuadraticHamiltonian(np.eye(2), lambda t: np.array([0.0, math.sin(t)]), 1)
 
 
 class TestConstantFlow:
@@ -334,7 +371,9 @@ class TestFlowProperties:
         n = b.shape[0] // 2
         sample = one_step(QuadraticHamiltonian(b, c, n), t)
         stepped = integrate_symplectic_flow(
-            QuadraticHamiltonian(lambda s: b, lambda s: c, n), t, tol=1e-10)
+            QuadraticHamiltonian(lambda s: np.broadcast_to(b, np.shape(s) + b.shape),
+                                 lambda s: np.broadcast_to(c, np.shape(s) + c.shape), n),
+            t, tol=1e-10)
         (ode_lam,), (ode_delta,) = flow_by_ode(QuadraticHamiltonian(b, c, n), [t])
         exact = evolve_gaussian(state, sample)
         along_stepper = evolve_gaussian(state, stepped.at(t))
@@ -550,9 +589,11 @@ class TestPositionPropagators:
         QuadraticHamiltonian(np.eye(2), np.array([0.0, 0.5]), 1),        # linear term
         QuadraticHamiltonian(np.diag([0.0, 1.0]), np.zeros(2), 1),       # no kinetic term
         # C(0) = 0, but C is nonzero at the flow's step nodes
-        QuadraticHamiltonian(np.eye(2), lambda t: np.array([0.0, 0.1 * t]), 1),
+        QuadraticHamiltonian(np.eye(2), lambda t: np.multiply.outer(t, [0.0, 0.1]), 1),
         # B_pp(t) = cos 3t turns negative after t = pi/6
-        QuadraticHamiltonian(lambda t: np.diag([math.cos(3.0 * t), 1.0]), np.zeros(2), 1),
+        QuadraticHamiltonian(lambda t: np.multiply.outer(np.cos(3.0 * np.asarray(t)),
+                                                         [[1.0, 0.0], [0.0, 0.0]])
+                             + np.diag([0.0, 1.0]), np.zeros(2), 1),
     ])
     def test_unsupported_hamiltonians_rejected(self, ham):
         with pytest.raises(ValueError):
@@ -605,22 +646,23 @@ class TestPositionPropagators:
         propagator_position(ham, 0.1, 0.2, lo - 1e-3)
 
     def test_generators_are_evaluated_once_per_step_node(self, monkeypatch):
-        # each of the flow's 57 trial steps reads B once at each of its 6 distinct nodes;
-        # beyond its own solve of that flow, the kernel reads B only for the rows it
-        # evaluates, three times each: the 56 rows of the phase table and the row at t.  Its
-        # support checks and phase bound read the generators the flow kept
-        calls = [0]
+        # each of the flow's 57 trial steps reads B at the 5 of its 6 distinct nodes that it
+        # does not share with the trial before, the first also at t = 0; beyond its own solve
+        # of that flow, the kernel reads B only for the rows it evaluates, at three points
+        # each: the 56 rows of the phase table and the row at t.  Its support checks and
+        # phase bound read the generators the flow kept
+        calls, stack = [0], parametric_oscillator(lambda s: 1.0 + 0.3 * np.sin(2.0 * s)).b_matrix
 
         def b(s):
-            calls[0] += 1
-            return np.diag([1.0, 1.0 + 0.3 * math.sin(2.0 * s)])
+            calls[0] += np.size(s)
+            return stack(s)
 
         ham = QuadraticHamiltonian(b, np.zeros(2), 1)
         trials = count_trial_steps(monkeypatch)
         calls[0] = 0
         flow = integrate_symplectic_flow(ham, 2.0)
         solve_calls, calls[0] = calls[0], 0
-        assert len(flow.ts) == 55 and trials[0] == 57 and solve_calls == 6 * 57
+        assert len(flow.ts) == 55 and trials[0] == 57 and solve_calls == 5 * 57 + 1
         propagator_position(ham, 0.1, 0.2, 2.0)
         assert calls[0] - solve_calls == 3 * (56 + 1)
 
