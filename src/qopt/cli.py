@@ -23,8 +23,11 @@ fields as field -> (parser, default), and so do ``_STATES`` (by ``kind``),
 ``_HAMILTONIANS`` (by ``preset``) and ``_PROFILES`` for the nested documents.
 ``_fields`` runs each parser once: a field that is missing, mistyped or out of
 range, at any depth, is a configuration error naming its path (exit status 2),
-and every number must be a finite JSON number.  An artifact, or a sidecar
-number, that would hold inf or nan is a ``NonFiniteError`` naming it (exit 1).
+and every number must be a finite JSON number.  Every per-field rule is in the
+tables (a command's state rule, tomography's uniform axes, the sinogram file,
+which its parser reads), so a job gets only inputs the library accepts and
+checks only rules across fields.  An artifact, or a sidecar number, that would
+hold inf or nan is a ``NonFiniteError`` naming it (exit 1).
 Library warnings raised during a job go to the sidecar's ``warnings`` key and
 to stderr as JSON lines, before the error line when the job fails.
 """
@@ -54,9 +57,10 @@ from .hermite import _near_diagonal_entries
 from .io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, LatticeText, format_table
 from .parametric import (expression_profile, preset_profile, solve_epsilon, tabulated_profile,
                          wronskian_defect)
-from .tomography import (_MIN_ANGLES, boundary_peak_ratio, forward_marginal_numeric,
-                         gaussian_sinogram, inverse_radon, lattice_mass, sample_lattice,
-                         sinogram_from_csv, wigner_grid_from_callable)
+from .tomography import (_MIN_ANGLES, _check_uniform, boundary_peak_ratio,
+                         forward_marginal_numeric, gaussian_sinogram, inverse_radon,
+                         lattice_mass, sample_lattice, sinogram_from_csv,
+                         wigner_grid_from_callable)
 from .verification import run_verification
 
 COMMANDS = ("pnd", "wigner", "qfunc", "evolve", "epsilon", "cat",
@@ -188,8 +192,15 @@ def _parse_grid(obj, path: str) -> np.ndarray:
     return grid
 
 
-def _parse_phase_grid(obj, path: str) -> tuple[np.ndarray, ...]:
-    return tuple(_fields(obj, path, {axis: (_parse_grid, _NO_DEFAULT) for axis in "qp"}).values())
+def _uniform_grid(obj, path: str) -> np.ndarray:
+    """An axis that also passes tomography's rule: uniform, of at least two points."""
+    return _check_uniform(_parse_grid(obj, path), "the axis")
+
+
+def _phase_grid(parse_axis):
+    """Parser of a ``{"q": axis, "p": axis}`` document whose axes ``parse_axis`` reads."""
+    return lambda obj, path: tuple(
+        _fields(obj, path, {axis: (parse_axis, _NO_DEFAULT) for axis in "qp"}).values())
 
 
 def _alpha(value, field: str):
@@ -225,6 +236,25 @@ def _parse_state(obj, path: str):
     if values.get("n_modes") not in (None, state.n_modes):
         raise ConfigError(f"{path}.n_modes", f"the mean and disp hold {state.n_modes} modes")
     return state
+
+
+def _state(ok, suffix: str, message: str):
+    """(parser, default) of a required state document whose state ``ok`` accepts; any other
+    state is a config error naming the field's path plus ``suffix``."""
+    def parse(obj, path: str):
+        state = _parse_state(obj, path)
+        if not ok(state):
+            raise ConfigError(path + suffix, message)
+        return state
+    return parse, _NO_DEFAULT
+
+
+def _sinogram(value, field: str):
+    """The sinogram of an existing CSV file, of at least ``_MIN_ANGLES`` angles."""
+    sino = sinogram_from_csv(_existing_file(value, field))
+    if sino.n_angles < _MIN_ANGLES:
+        raise ConfigError(field, f"needs at least {_MIN_ANGLES} angles, got {sino.n_angles}")
+    return sino
 
 
 # profile form -> parser; a profile document holds exactly one of them
@@ -280,12 +310,6 @@ def parse_config(text: str, command: str | None = None) -> JobConfig:
     return JobConfig(cmd, options, _fields(options, "", _JOBS[cmd][1]))
 
 
-def _require_one_mode(state, path):
-    if state.n_modes != 1:
-        raise ConfigError(path, "phase-space grids are defined for one-mode states")
-    return state
-
-
 def _check_finite(artifact: str, *arrays):
     """Raise NonFiniteError naming ``artifact`` when any of ``arrays`` holds inf or nan."""
     for arr in arrays:
@@ -305,9 +329,8 @@ def _grid_job(job, name: str, density_fn, title: str):
     """(artifacts, values, sidecar health figures) of a one-mode density on the config's
     grid: the mass (1 when the grid holds the state) and the boundary-to-peak ratio
     (small when it holds the support)."""
-    state = _require_one_mode(job["state"], "state")
     q_grid, p_grid = job["grid"]
-    values = sample_lattice(density_fn(state), q_grid, p_grid)
+    values = sample_lattice(density_fn(job["state"]), q_grid, p_grid)
     _check_finite(f"{name}.csv", q_grid, p_grid, values)
     artifacts = {f"{name}.csv": LatticeText(PHASE_SPACE_HEADER, q_grid, p_grid, values)}
     if job["plot"]:
@@ -346,8 +369,6 @@ def _job_qfunc(job):
 
 def _job_evolve(job):
     state, ham, t_end = job["state"], job["hamiltonian"], job["t_end"]
-    if isinstance(state, CatState):
-        raise ConfigError("state.kind", "evolve requires a Gaussian-family state")
     if 2 * ham.n_modes != state.mean.shape[0]:
         raise ConfigError("hamiltonian", "mode count does not match the state")
     flow = integrate_symplectic_flow(ham, t_end, job["tol"])
@@ -386,8 +407,6 @@ def _job_epsilon(job):
 
 def _job_cat(job):
     state = job["state"]
-    if not isinstance(state, CatState):
-        raise ConfigError("state.kind", "cat command requires a cat state")
     artifacts, meta, work = _job_pnd(job, "cat_pnd.csv")
     moments = cat_moments(state)
     moment_columns = [np.arange(state.n_modes), moments.mean_photon,
@@ -399,8 +418,7 @@ def _job_cat(job):
 
 
 def _job_tomo_forward(job):
-    state = _require_one_mode(job["state"], "state")
-    x_grid, n_angles = job["x"], job["n_angles"]
+    state, x_grid, n_angles = job["state"], job["x"], job["n_angles"]
     thetas = np.arange(n_angles) * math.pi / n_angles
     exact = job["method"] == "exact"
     if exact:
@@ -418,10 +436,7 @@ def _job_tomo_forward(job):
 
 
 def _job_tomo_invert(job):
-    sino = sinogram_from_csv(job["sinogram"])
-    if sino.n_angles < _MIN_ANGLES:
-        raise ConfigError("sinogram", f"needs at least {_MIN_ANGLES} angles, got {sino.n_angles}")
-    q_grid, p_grid = job["grid"]
+    sino, (q_grid, p_grid) = job["sinogram"], job["grid"]
     grid = inverse_radon(sino, q_grid, p_grid, reg_s=job["reg_s"])
     _check_finite("wigner_reconstructed.csv", grid.q_grid, grid.p_grid, grid.values)
     # filtered backprojection blurs W by an isotropic Gaussian of this variance per axis
@@ -453,10 +468,17 @@ def _plot_script(csv_name: str, n_q: int, n_p: int, title: str) -> str:
     ]) + "\n"
 
 
+# the state field of each command, with the rule its job needs
 _STATE = (_parse_state, _NO_DEFAULT)
+_ONE_MODE = _state(lambda state: state.n_modes == 1, "",
+                   "phase-space grids are defined for one-mode states")
+_GAUSSIAN_FAMILY = _state(lambda state: not isinstance(state, CatState), ".kind",
+                          "evolve requires a Gaussian-family state")
+_CAT = _state(lambda state: isinstance(state, CatState), ".kind",
+              "cat command requires a cat state")
 _PND_FIELDS = {"state": _STATE, "degree_cap": (_integral(0), 64),
                "mass_tol": (_number(0.0, 1.0), 1e-10)}
-_GRID_FIELDS = {"state": _STATE, "grid": (_parse_phase_grid, _NO_DEFAULT),
+_GRID_FIELDS = {"state": _ONE_MODE, "grid": (_phase_grid(_parse_grid), _NO_DEFAULT),
                 "plot": (_flag, False)}
 # command -> (job, {field: (parser, default)}); a default of None is derived in the job, and
 # a job returns (artifacts, sidecar entries, work counters)
@@ -465,19 +487,19 @@ _JOBS = {
     "wigner": (_job_wigner, _GRID_FIELDS),
     "qfunc": (_job_qfunc, _GRID_FIELDS),
     "evolve": (_job_evolve, {
-        "state": _STATE, "hamiltonian": (_parse_hamiltonian, _NO_DEFAULT),
+        "state": _GAUSSIAN_FAMILY, "hamiltonian": (_parse_hamiltonian, _NO_DEFAULT),
         "t_end": (_finite, _NO_DEFAULT), "num": (_integral(1), 51), "tol": (_positive, 1e-9)}),
     "epsilon": (_job_epsilon, {
         "profile": (_parse_profile, _NO_DEFAULT), "t_end": (_positive, _NO_DEFAULT),
         "num": (_integral(1), 201), "tol": (_positive, 1e-9)}),
-    "cat": (_job_cat, _PND_FIELDS),
+    "cat": (_job_cat, {**_PND_FIELDS, "state": _CAT}),
     "tomo-forward": (_job_tomo_forward, {
-        "state": _STATE, "n_angles": (_integral(1), 180),
-        "x": (_parse_grid, _parse_grid({"min": -12.0, "max": 12.0, "num": 257}, "x")),
+        "state": _ONE_MODE, "n_angles": (_integral(1), 180),
+        "x": (_uniform_grid, _uniform_grid({"min": -12.0, "max": 12.0, "num": 257}, "x")),
         "method": (_choice("exact", "numeric"), "exact"), "wigner_samples": (_integral(2), 513),
         "wigner_span": (_positive, None)}),
     "tomo-invert": (_job_tomo_invert, {
-        "sinogram": (_existing_file, _NO_DEFAULT), "grid": (_parse_phase_grid, _NO_DEFAULT),
+        "sinogram": (_sinogram, _NO_DEFAULT), "grid": (_phase_grid(_uniform_grid), _NO_DEFAULT),
         "reg_s": (_positive, 1e-2)}),
     "verify": (_job_verify, {}),
 }

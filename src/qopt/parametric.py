@@ -82,7 +82,8 @@ def expression_profile(expr: str) -> FrequencyProfile:
 
     Evaluated elementwise on a time or an array of times ("1 + 2*(t > 3)", not a conditional),
     in a namespace of numpy functions only; configs are trusted input.  A syntax error, an
-    exception at t = 0 or at an array of two times, or a non-finite w^2(0) raises ValueError.
+    exception at t = 0, an exception at an array of two times (which names the elementwise
+    rule) or a non-finite w^2(0) raises ValueError.
     """
     try:
         code = compile(expr, "<omega_squared>", "eval")
@@ -94,12 +95,16 @@ def expression_profile(expr: str) -> FrequencyProfile:
 
     profile = FrequencyProfile(
         lambda t: eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "t": t}), "expression")
-    try:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        try:
             probe = float(profile(0.0))
+        except Exception as exc:  # noqa: BLE001 - any failure at t = 0 is the expression's
+            raise ValueError(f"expression {expr!r} fails at t = 0: {exc}") from exc
+        try:
             profile(np.zeros(2))  # a conditional runs on t = 0 but not on an array of times
-    except Exception as exc:  # noqa: BLE001 - any failure at t = 0 is the expression's
-        raise ValueError(f"expression {expr!r} fails at t = 0: {exc}") from exc
+        except Exception as exc:  # noqa: BLE001 - as is any failure on an array of times
+            raise ValueError(f"expression {expr!r} must evaluate elementwise on an array of "
+                             f"times, as in '1 + 2*(t > 3)': {exc}") from exc
     if not math.isfinite(probe):
         raise ValueError(f"expression {expr!r} gives w^2(0) = {probe!r}, not a finite number")
     return profile

@@ -19,7 +19,9 @@ Inversion is ramp-filtered backprojection.  The formal inverse carries the
 filter |y| with a regularizer exp(s y^2 / 8) whose printed sign diverges; the
 stable realization is the s -> 0+ limit, i.e. Gaussian apodization
 exp(-reg_s y^2 / 8) of the ramp, which blurs the reconstruction by an
-isotropic Gaussian of variance reg_s / 4 per axis.
+isotropic Gaussian of variance reg_s / 4 per axis.  The grid is backprojected
+in blocks of whole rows, as ``sample_lattice`` samples one, so its work arrays
+follow the block, not the grid.
 """
 
 from __future__ import annotations
@@ -186,6 +188,9 @@ def _projector(grid: WignerGrid):
     rows = [np.pad(_cubic_spline_coefficients(np.moveaxis(grid.values, axis, 0)),
                    [(_ROW_PAD, _ROW_PAD), (0, 0)]).ravel()
             for axis in (0, 1)]
+    # the work arrays of a block of x values, flat, viewed as (x values, nodes) for each block
+    size = _ROW_BLOCK * max(grid.values.shape)
+    index, scratch = np.empty(size, dtype=np.intp), [np.empty(size) for _ in range(7)]
 
     def project(theta: float, x: np.ndarray) -> np.ndarray:
         c, s = math.cos(theta), math.sin(theta)
@@ -195,19 +200,41 @@ def _projector(grid: WignerGrid):
         along, nodes = axes[axis], axes[1 - axis]
         h, n, stride = along[1] - along[0], along.shape[0], nodes.shape[0]
         offset = nodes * (slope / h) + (_ROW_PAD - along[0] / h)
+        columns = np.arange(stride)
         taps = [rows[axis][k * stride:] for k in range(4)]  # taps -1..2 as shifted views
         out = np.empty(x.shape[0])
         for start in range(0, x.shape[0], _ROW_BLOCK):
-            t = np.add.outer(x[start:start + _ROW_BLOCK] * (lead / h), offset)
+            block = x[start:start + _ROW_BLOCK]
+            shape = (block.shape[0], stride)
+            cell, t, t2, r, r2, weight, tap, acc = (
+                work[:block.shape[0] * stride].reshape(shape) for work in (index, *scratch))
+            np.add.outer(block * (lead / h), offset, out=t)
             np.clip(t, _ROW_PAD - 2.0, n + _ROW_PAD + 1.0, out=t)  # past the grid: zero taps
-            cell = np.floor(t)
-            t -= cell
-            index = (cell.astype(np.intp) - 1) * stride + np.arange(stride)
-            t2, s = t * t, 1.0 - t  # cubic B-spline weights (times 6) of taps -1..2
-            acc = np.take(taps[0], index) * (s * s * s)
-            acc += np.take(taps[1], index) * ((3.0 * t - 6.0) * t2 + 4.0)
-            acc += np.take(taps[2], index) * ((3.0 * s - 6.0) * (s * s) + 4.0)
-            acc += np.take(taps[3], index) * (t2 * t)
+            np.floor(t, out=acc)
+            t -= acc
+            np.copyto(cell, acc, casting="unsafe")
+            cell -= 1
+            cell *= stride
+            cell += columns
+            # cubic B-spline weights (times 6) of taps -1..2: u^3 for the outer taps and
+            # (3u - 6) u^2 + 4 for the inner ones, with u = 1 - t for taps -1, 0 and u = t else
+            np.multiply(t, t, out=t2)
+            np.subtract(1.0, t, out=r)
+            np.multiply(r, r, out=r2)
+            for k, (u, u2) in enumerate([(r, r2), (t, t2), (r, r2), (t, t2)]):
+                if k in (0, 3):
+                    np.multiply(u2, u, out=weight)
+                else:
+                    np.multiply(u, 3.0, out=weight)
+                    weight -= 6.0
+                    weight *= u2
+                    weight += 4.0
+                np.take(taps[k], cell, out=tap, mode="clip")
+                if k == 0:
+                    np.multiply(tap, weight, out=acc)
+                else:
+                    tap *= weight
+                    acc += tap
             out[start:start + _ROW_BLOCK] = acc.sum(axis=1) - 0.5 * (acc[:, 0] + acc[:, -1])
         return out * ((nodes[1] - nodes[0]) / (12.0 * math.pi * abs(cross)))
 
@@ -358,20 +385,26 @@ def inverse_radon(sino: Sinogram, q_grid, p_grid, reg_s: float = 1e-2) -> Wigner
         rows.real = _ramp_filter_slices(slices, response)
         np.subtract(rows.real[:, 1:], rows.real[:, :-1], out=rows.imag[:, :-1])
 
-    shape = (q_grid.shape[0], p_grid.shape[0])
-    recon = np.zeros(shape)
-    pos, cell, value = np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape, complex)
-    for theta, row in zip(sino.theta_grid, table):
-        c, s = math.cos(theta), math.sin(theta)
-        # position of X = q cos - p sin on the fine grid, in samples
-        np.subtract.outer((q_grid * c - x_start) / dx_fine, p_grid * (s / dx_fine), out=pos)
-        np.clip(pos, 0.0, n_fine - 1.0, out=pos)
-        np.copyto(cell, pos, casting="unsafe")  # truncation: the floor of pos >= 0
-        pos -= cell
-        np.take(row, cell, out=value, mode="clip")
-        recon += value.real
-        pos *= value.imag
-        recon += pos
+    # the grid is backprojected in blocks of whole rows, the blocks of sample_lattice, with
+    # work arrays of one block; each point sums the angles in their order
+    recon = np.zeros((q_grid.shape[0], p_grid.shape[0]))
+    block_rows = max(1, _BLOCK // p_grid.shape[0])
+    shape = (min(block_rows, q_grid.shape[0]), p_grid.shape[0])
+    scratch = np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape, complex)
+    angles = [(math.cos(theta), math.sin(theta)) for theta in sino.theta_grid]
+    for start in range(0, q_grid.shape[0], block_rows):
+        out, q = recon[start:start + block_rows], q_grid[start:start + block_rows]
+        pos, cell, value = (work[:q.shape[0]] for work in scratch)
+        for (c, s), row in zip(angles, table):
+            # position of X = q cos - p sin on the fine grid, in samples
+            np.subtract.outer((q * c - x_start) / dx_fine, p_grid * (s / dx_fine), out=pos)
+            np.clip(pos, 0.0, n_fine - 1.0, out=pos)
+            np.copyto(cell, pos, casting="unsafe")  # truncation: the floor of pos >= 0
+            pos -= cell
+            np.take(row, cell, out=value, mode="clip")
+            out += value.real
+            pos *= value.imag
+            out += pos
     recon *= math.pi / sino.n_angles
     return WignerGrid(q_grid, p_grid, recon)
 

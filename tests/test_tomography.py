@@ -329,6 +329,29 @@ class TestKernelOracles:
         monkeypatch.setattr(tomography, "_ROW_BLOCK", n_angles)   # one block of every angle
         assert_bit_equal(blocked, inverse_radon(sino, q_grid, p_grid).values)
 
+    @pytest.mark.parametrize("block", [1, 77 * 500], ids=["one-row", "whole-grid"])
+    def test_backprojection_row_blocks_match_the_default(self, block, monkeypatch):
+        # 77 rows of 500 points: blocks of 32 rows by default, the last one of 13
+        sino = self.sinogram(45, np.linspace(-10.0, 10.0, 129))
+        q_grid, p_grid = np.linspace(-6.0, 7.0, 77), np.linspace(-7.0, 6.0, 500)
+        want = inverse_radon(sino, q_grid, p_grid).values
+        monkeypatch.setattr(tomography, "_BLOCK", block)
+        assert_bit_equal(inverse_radon(sino, q_grid, p_grid).values, want)
+
+    @pytest.mark.parametrize("row_block", [1, 257])
+    def test_projector_blocks_match_the_default(self, row_block, monkeypatch):
+        # 257 x values: blocks of 32 by default, the last one of 1; a grid of unequal axes
+        # and angles on both sides of the diagonal, so both axes are interpolated
+        grid = wigner_grid_from_callable(wigner_fn(CatState([1.2 + 0.5j], "odd")),
+                                         np.linspace(-7.0, 7.0, 161), np.linspace(-8.0, 8.0, 181))
+        thetas = np.arange(12) * math.pi / 12
+        x_grid = np.linspace(-9.0, 9.0, 257)
+        want = forward_marginal_numeric(grid, thetas, x_grid)
+        monkeypatch.setattr(tomography, "_ROW_BLOCK", row_block)
+        got = forward_marginal_numeric(grid, thetas, x_grid)
+        assert_bit_equal(got.values, want.values)
+        assert_bit_equal(got.normalization_defects, want.normalization_defects)
+
     @pytest.mark.parametrize("n_angles", [32, 45, 180])
     @pytest.mark.parametrize("reach, num", [(10.0, 129), (2.5, 21), (30.0, 151)],
                              ids=["sinogram-range", "inside", "past-the-sinogram"])
