@@ -427,7 +427,12 @@ def _job_tomo_forward(job):
         span = job["wigner_span"] or _positive(float(np.abs(x_grid).max()), "wigner_span")
         inner = np.linspace(-span, span, job["wigner_samples"])
         grid = wigner_grid_from_callable(_wigner_fn(state), inner, inner)
-        sino = forward_marginal_numeric(grid, thetas, x_grid)
+        try:
+            sino = forward_marginal_numeric(grid, thetas, x_grid)
+        except ValueError as exc:  # the square of half-width span cuts the state off
+            raise ConfigError("wigner_span" if job["wigner_span"] else "x",
+                              f"the sampled Wigner square [-{span:g}, {span:g}]^2 does not "
+                              f"hold the state: {exc}") from exc
     _check_finite("sinogram.csv", sino.theta_grid, sino.x_grid, sino.values)
     meta = {"n_angles": n_angles, "method": job["method"],
             "max_normalization_defect": float(sino.normalization_defects.max())}
@@ -496,7 +501,7 @@ _JOBS = {
     "tomo-forward": (_job_tomo_forward, {
         "state": _ONE_MODE, "n_angles": (_integral(1), 180),
         "x": (_uniform_grid, _uniform_grid({"min": -12.0, "max": 12.0, "num": 257}, "x")),
-        "method": (_choice("exact", "numeric"), "exact"), "wigner_samples": (_integral(2), 513),
+        "method": (_choice("exact", "numeric"), "exact"), "wigner_samples": (_integral(3), 513),
         "wigner_span": (_positive, None)}),
     "tomo-invert": (_job_tomo_invert, {
         "sinogram": (_sinogram, _NO_DEFAULT), "grid": (_phase_grid(_uniform_grid), _NO_DEFAULT),

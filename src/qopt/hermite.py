@@ -38,11 +38,12 @@ m - n = e_a + e_c from the diagonal, so the set leaves those out: about
 (1 + 3N(N + 1)/2) C(D + N, N) entries up to total degree D, where a box
 needs (D + 1)^(2N).
 The fill runs one shell of |m| + |n| per step with one gather of the 2N + 1
-terms of every entry; the gather tables depend only on N and the shell and
-are kept per process up to a fixed byte budget.  Each value sees the same
-operations however far the fill runs, so a diagonal is bitwise the same for
-every ``max_degree`` that reaches it.  The set, not a box, counts against
-``BOX_ENTRY_CAP``.
+terms of every entry, k - e_i and the k - e_i - e_j: one lowering step applied
+twice, read from a table by offset m - n (per N) and one by base (per total).
+The gather tables are kept per process up to a fixed byte budget.  Each value
+sees the same operations however far the fill runs, so a diagonal is bitwise
+the same for every ``max_degree`` that reaches it.  The set, not a box, counts
+against ``BOX_ENTRY_CAP``.
 
 Tables by total degree (the Gaussian and cat photon-number tables and the
 near-diagonal fill) share one index enumerator, ``_total_degree_indices``:
@@ -247,19 +248,6 @@ def _near_diagonal_entries(n_modes: int, max_degree: int) -> int:
             + (len(_offsets(n_modes)) - 1) * math.comb(max_degree - 1 + n_modes, n_modes))
 
 
-def _shell_entries(n_modes: int, shell: int) -> int:
-    """Entries of the near-diagonal set with |m| + |n| = ``shell``: the diagonal and the
-    offsets of norm 2 in even shells, the 2N offsets of norm 1 in odd ones."""
-    if shell < 0:
-        return 0
-    half, odd = divmod(shell, 2)
-    if odd:
-        return 2 * n_modes * math.comb(half + n_modes - 1, n_modes - 1)
-    below = math.comb(half + n_modes - 2, n_modes - 1) if half else 0
-    pairs = len(_offsets(n_modes)) - 1 - 2 * n_modes
-    return math.comb(half + n_modes - 1, n_modes - 1) + pairs * below
-
-
 @functools.lru_cache(maxsize=8)
 def _offsets(n_modes: int) -> np.ndarray:
     """The 1 + 2N + (3N^2 - N)/2 offsets d = m - n that a diagonal value reaches, by norm:
@@ -289,146 +277,105 @@ def _lex_rank(base: np.ndarray, total: np.ndarray, binom: np.ndarray) -> np.ndar
     return rank
 
 
-def _lower(diff: np.ndarray, axis: np.ndarray, n_modes: int):
-    """Lower axis ``axis`` of the 2N-index (m, n) = (b + max(d, 0), b + max(-d, 0)) with
-    offsets ``diff``: the new offsets and the lowering of the base b (e_a or 0)."""
-    side = np.where(axis < n_modes, 1, -1)  # lowering m_a lowers d_a, lowering n_a raises it
-    unit = np.eye(n_modes, dtype=np.int64)[axis % n_modes]
-    d_a = np.take_along_axis(diff, (axis % n_modes)[..., np.newaxis], axis=-1)
-    return diff - side[..., np.newaxis] * unit, unit * (side[..., np.newaxis] * d_a <= 0)
-
-
 @functools.lru_cache(maxsize=8)
-def _term_templates(n_modes: int):
-    """The recursion terms of an entry by template id 2N o + p, for offset o and pivot p.
-
-    Returns (pivots, offsets, lowering ids, lowerings): the pivot the rule picks for each
-    offset (the diagonal's depends on its base and reads 0), and for each template the
-    offsets of the terms k - e_p and k - e_p - e_j and the ids of the vectors (rows of
-    ``lowerings``) their bases sit below the entry's base.
-    """
-    dim = 2 * n_modes
+def _steps(n_modes: int):
+    """One lowering step by (offset, axis of (m, n)): the offset in ``_offsets`` it leaves
+    (-1 outside the set) and the base axis that lowers with it, N for none.  Lowering m_a
+    lowers d_a, lowering n_a raises it; the base lowers where that makes |d|_1 grow."""
     offsets = _offsets(n_modes)
-    up, down = offsets > 0, offsets < 0
-    pivots = np.where(up.any(axis=1), up.argmax(axis=1), n_modes + down.argmax(axis=1))
-    pivots[0] = 0
-    axes = np.arange(dim)
-    diff1, low1 = _lower(np.repeat(offsets[:, np.newaxis], dim, axis=1),
-                         np.broadcast_to(axes, (len(offsets), dim)), n_modes)
-    diff2, low2 = _lower(np.repeat(diff1[:, :, np.newaxis], dim, axis=2),
-                         np.broadcast_to(axes, (len(offsets), dim, dim)), n_modes)
-    diffs = np.concatenate([diff1[:, :, np.newaxis], diff2], axis=2).reshape(-1, dim + 1, n_modes)
-    lows = np.concatenate([low1[:, :, np.newaxis], low1[:, :, np.newaxis] + low2], axis=2)
-    lows = lows.reshape(-1, n_modes)  # entries 0, 1 or 2: distinct rows by base-3 key
-    _, first, low_ids = np.unique(lows @ 3 ** np.arange(n_modes), return_index=True,
-                                  return_inverse=True)
-    lowerings = lows[first]
-    keys = (offsets + 2) @ 5 ** np.arange(n_modes)
-    sorter = np.argsort(keys)
-    # a pivot the rule never picks for an offset may step out of the set; clip those rows
-    found = np.searchsorted(keys[sorter], (diffs + 2) @ 5 ** np.arange(n_modes))
-    term_offsets = sorter[np.minimum(found, len(offsets) - 1)]
-    templates = pivots, term_offsets, low_ids.reshape(diffs.shape[:2]), lowerings
-    for table in templates:
+    eye = np.eye(n_modes, dtype=np.int64)
+    moved = offsets[:, np.newaxis] - np.concatenate([eye, -eye])
+    found = (moved[:, :, np.newaxis] == offsets).all(axis=-1)
+    grows = np.abs(moved).sum(axis=-1) > np.abs(offsets).sum(axis=1)[:, np.newaxis]
+    steps = (np.where(found.any(axis=-1), found.argmax(axis=-1), -1),
+             np.where(grows, np.arange(2 * n_modes) % n_modes, n_modes))
+    for table in steps:
         table.flags.writeable = False
-    return templates
+    return steps
 
 
 @functools.lru_cache(maxsize=2)
-def _layers(n_modes: int, low: int, high: int):
-    """The bases of totals ``low`` to ``high`` (by total, then lexicographically), the
-    rank of each base lowered by each of ``_term_templates``' lowerings among the bases
-    of its own total (-1 where an entry turns negative), as (lowering, base), and the
-    layer sizes C(s + N - 1, N - 1) for s up to ``high``.  The parts of one large shell
-    share them."""
+def _base_steps(n_modes: int, low: int, high: int):
+    """The bases of totals ``low`` to ``high`` (by total, then lexicographically), the row
+    where each total starts (and the end), and by (axis, row) the row of each base lowered
+    on that axis, by ``_lex_rank``; axis N keeps the row, and row ``len(bases)`` stands for
+    a base that would turn negative.  The parts of one large shell share them."""
     bases = _total_degree_indices(n_modes, high, low)
+    total = bases.sum(axis=1)
+    start = np.searchsorted(total, np.arange(low, high + 2))
     binom = np.array([[math.comb(x, q) for q in range(n_modes)]
                       for x in range(high + n_modes + 1)], dtype=np.int64)
-    lowerings = _term_templates(n_modes)[3]
-    moved = bases.T[:, np.newaxis] - lowerings.T[:, :, np.newaxis]
-    valid = np.ones(moved.shape[1:], dtype=bool)
-    for axis in moved:
-        valid &= axis >= 0
-    layer = binom[n_modes - 1:, n_modes - 1]
-    totals = np.repeat(np.arange(low, high + 1), layer[low:high + 1])
-    moved_total = totals - lowerings.sum(axis=1)[:, np.newaxis]
-    rank = np.where(valid, _lex_rank(np.maximum(moved, 0), moved_total.clip(0), binom), -1)
-    for table in (bases, rank, layer):
+    moved = bases.T[:, np.newaxis] - np.eye(n_modes, dtype=np.int64)[:, :, np.newaxis]
+    rank = start[np.maximum(total - 1 - low, 0)] + _lex_rank(
+        np.maximum(moved, 0), np.maximum(total - 1, 0), binom)
+    down = np.full((n_modes + 1, len(bases) + 1), len(bases))
+    down[:n_modes, :-1] = np.where((bases.T > 0) & (total > low), rank, len(bases))
+    down[n_modes, :-1] = np.arange(len(bases))
+    for table in (bases, start, down):
         table.flags.writeable = False
-    return bases, rank, layer
+    return bases, start, down
 
 
 def _near_diagonal_block(n_modes: int, first: int, skip: int):
     """Gather tables of the near-diagonal set from entry ``skip`` of shell ``first`` on.
 
     A block is the rest of that shell plus whole shells after it, as far as
-    ``_BLOCK_SHELLS`` shells or ``_BLOCK_ENTRIES`` entries reach; a shell with more
-    entries left than that comes in parts of ``_BLOCK_ENTRIES``, so no table outgrows a
-    fixed size however large the shells get.  A shell lists its entries (b, d),
-    m = b + max(d, 0), n = b + max(-d, 0), by offset in ``_offsets`` order, then base b
-    lexicographically.  Each entry gets the positions of its 2N + 1 recursion terms in
-    the window [shell - 1, shell - 2, 0], the indices of their coefficients in [ry | -R]
-    flattened (row: the pivot), and their weights, sqrt(k_pivot)^-1 and
-    sqrt((k - e_pivot)_j) / sqrt(k_pivot); a term with a negative index points at the
-    trailing zero.  Returns (chunks, bytes): a chunk per shell or part of one, holding
-    (coefficient indices, positions, weights, diagonal bases, whether it ends its shell),
-    with the bases of the diagonal, which leads an even shell, on the chunk that ends it.
+    ``_BLOCK_SHELLS`` shells or ``_BLOCK_ENTRIES`` entries reach; a longer rest comes in
+    parts.  A shell lists its entries (b, d), m = b + max(d, 0), n = b + max(-d, 0), by
+    offset in ``_offsets`` order, then base b lexicographically.  Returns (chunks, bytes):
+    a chunk per shell or part of one holds, for the 2N + 1 terms of each entry, their
+    coefficients' indices in [ry | -R] flattened, their positions in the window
+    [shell - 1, shell - 2, 0] and their weights; then the bases of the diagonal if the
+    chunk ends an even shell, which the diagonal leads, and whether it ends its shell.
     """
-    dim = 2 * n_modes
-    last, entries = first, _shell_entries(n_modes, first) - skip
-    if entries > _BLOCK_ENTRIES:
-        entries = _BLOCK_ENTRIES
-    while (entries < _BLOCK_ENTRIES and last + 1 - first < _BLOCK_SHELLS
-           and entries + _shell_entries(n_modes, last + 1) <= _BLOCK_ENTRIES):
-        last += 1
-        entries += _shell_entries(n_modes, last)
-    offsets = _offsets(n_modes)
-    norm = np.abs(offsets).sum(axis=1)
-    pivots, term_offsets, low_ids, _ = _term_templates(n_modes)
-    low, high = max(0, first // 2 - 1), last // 2
-    bases, rank, layer = _layers(n_modes, low, high)
-    layer_start = np.cumsum(layer) - layer - layer[:low].sum()
-    # entries per (shell, offset) for the shells first - 2, ..., last, and where each starts
-    half, odd = np.divmod(np.arange(first - 2, last + 1)[:, np.newaxis] - norm, 2)
-    counts = np.where((odd == 0) & (half >= 0), layer[np.clip(half, 0, high)], 0)
-    starts = np.cumsum(counts, axis=1) - counts
-    sizes = counts.sum(axis=1)
-    # the block's entries skip, ..., skip + entries - 1 of its shells, group by group
-    lengths = counts[2:].ravel()
-    group_start = np.cumsum(lengths) - lengths
-    cut = np.clip(skip - group_start, 0, lengths)
-    kept = np.clip(skip + entries - group_start, 0, lengths) - cut
-    which = np.repeat(np.tile(np.arange(len(offsets)), last + 1 - first), kept)
-    shell = np.repeat(np.arange(first, last + 1), kept.reshape(-1, len(offsets)).sum(axis=1))
-    row = (np.arange(entries) - np.repeat(np.cumsum(kept) - kept, kept)
-           + np.repeat(layer_start[np.clip(half[2:].ravel(), 0, high)] + cut, kept))
+    dim, offsets = 2 * n_modes, _offsets(n_modes)
+    targets, axes = _steps(n_modes)
+    lifted = np.concatenate([np.maximum(offsets, 0), np.maximum(-offsets, 0)], axis=1)
+    # entries per (shell, offset) for the shells first - 2, first - 1, ...
+    half, odd = np.divmod(np.arange(first - 2, first + _BLOCK_SHELLS)[:, np.newaxis]
+                          - np.abs(offsets).sum(axis=1), 2)
+    layer = [math.comb(h + n_modes - 1, n_modes - 1) for h in range(first // 2 + _BLOCK_SHELLS)]
+    counts = np.where((odd == 0) & (half >= 0), np.take(layer, np.maximum(half, 0)), 0)
+    reach = np.cumsum(counts[2:].sum(axis=1)) - skip
+    shells = max(1, int(np.searchsorted(reach, _BLOCK_ENTRIES, side="right")))
+    half, counts = half[:shells + 2], counts[:shells + 2]
+    sizes, low = counts.sum(axis=1), max(0, (first - 4) // 2)  # the lowest total of a term
+    bases, start, down = _base_steps(n_modes, low, (first + shells - 1) // 2)
+    # entry e of the block: its group (shell, offset) and the row of its base
+    ends = np.cumsum(counts[2:])
+    e = np.arange(skip, skip + min(reach[shells - 1], _BLOCK_ENTRIES))
+    group = np.searchsorted(ends, e, side="right")
+    shell, which = np.divmod(group, len(offsets))
+    row = e - (ends - counts[2:].ravel())[group] + start[half[2:].ravel()[group] - low]
     base = bases.T[:, row]  # tables run axis first, entries along rows
-    pivot = np.where(which == 0, (base > 0).argmax(axis=0), pivots[which])
-    template = which * dim + pivot
-    k = np.concatenate([base + np.maximum(offsets, 0).T[:, which],
-                        base + np.maximum(-offsets, 0).T[:, which]])
-    entry = np.arange(entries)
+    pivot = np.where(which == 0, (base > 0).argmax(axis=0), (lifted > 0).argmax(axis=1)[which])
+    k = np.concatenate([base, base]) + lifted.take(which, axis=0).T
+    entry = np.arange(len(e))
     scale = 1.0 / np.sqrt(k[pivot, entry])
-    weights = np.empty((dim + 1, entries), dtype=complex)
-    weights[0] = scale
-    weights[1:] = np.sqrt(k) * scale
-    weights[1 + pivot, entry] = np.sqrt(k[pivot, entry] - 1) * scale  # k - e_pivot there
+    k[pivot, entry] -= 1  # weights sqrt(k_pivot)^-1, then sqrt((k - e_pivot)_j) / sqrt(k_pivot)
+    weights = (np.concatenate([np.ones((1, len(e))), np.sqrt(k)]) * scale).astype(complex)
     coefficients = pivot * (dim + 1) + np.arange(dim + 1)[:, np.newaxis]
-    term_rank = rank.take(low_ids.T.take(template, axis=1) * len(bases) + row)
-    # where each template's terms start in the window, shell by shell
-    term_shell = np.arange(1, last + 2 - first)[:, np.newaxis] - (np.arange(dim + 1) > 0)
-    lead = starts[term_shell[:, np.newaxis], term_offsets]
-    lead[..., 1:] += sizes[1:-1, np.newaxis, np.newaxis]
-    lead = lead.reshape(-1, dim + 1).T.take((shell - first) * len(term_offsets) + template, axis=1)
-    end = sizes[shell - first + 1] + sizes[shell - first]
-    positions = np.where(term_rank >= 0, lead + term_rank, end)
-    bounds = np.searchsorted(shell, np.arange(first, last + 2))
+    # k - e_pivot is one step from the entry and k - e_pivot - e_j the same step from there:
+    # by (offset, pivot, term), the offsets of the terms and the base axis of the second step
+    offset = np.concatenate([targets[:, :, np.newaxis], targets[targets]], axis=2)
+    axis = np.concatenate([np.full(targets.shape + (1,), n_modes), axes[targets]], axis=2)
+    # a term's position is its group's start in the window plus its row less its total's first
+    lead = np.cumsum(counts, axis=1) - counts - start[np.maximum(half - low, 0)]
+    window = np.stack([lead[1:-1], sizes[1:-1, np.newaxis] + lead[:-2]], axis=1)
+    term_lead = window[:, np.minimum(np.arange(dim + 1), 1), offset]
+    template = which * dim + pivot
+    near_row = down.take(axes.take(template) * down.shape[1] + row)
+    index = (shell * axes.size + template) * (dim + 1) + np.arange(dim + 1)[:, np.newaxis]
+    term_row = down.take(np.tile(axis * down.shape[1], (shells, 1, 1)).take(index) + near_row)
+    positions = np.where(term_row == len(bases), (sizes[1:] + sizes[:-1])[shell],
+                         term_lead.take(index) + term_row)
+    bounds = np.searchsorted(shell, np.arange(shells + 1))
     chunks = []
-    for t, lo, hi in zip(range(first, last + 1), bounds[:-1], bounds[1:]):
-        closes = t < last or skip + entries == sizes[2:].sum()
-        diagonal = None
-        if closes and t % 2 == 0:
-            diagonal = bases[layer_start[t // 2]:layer_start[t // 2] + layer[t // 2]].copy()
+    for t, lo, hi in zip(range(shells), bounds[:-1], bounds[1:]):
+        closes = t < shells - 1 or reach[t] <= _BLOCK_ENTRIES
+        total = (first + t) // 2 - low
+        diagonal = (bases[start[total]:start[total + 1]].copy()
+                    if closes and (first + t) % 2 == 0 else None)
         chunks.append(tuple(np.ascontiguousarray(table[:, lo:hi])
                             for table in (coefficients, positions, weights)) + (diagonal, closes))
     return chunks, sum(table.nbytes for chunk in chunks for table in chunk[:3])

@@ -346,6 +346,13 @@ def read_lattice(path, header, kind: str):
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
+            fh.seek(start)  # name the first ragged row; any other fault in numpy's words
+            for number, line in enumerate(fh, 2):
+                cells = line.partition("#")[0].strip()
+                if cells and cells.count(",") != len(header) - 1:
+                    raise ValueError(f"{path}, line {number}: malformed {kind} row of "
+                                     f"{cells.count(',') + 1} columns, expected "
+                                     f"{len(header)}") from None
             raise ValueError(f"{path}: malformed {kind} row: {exc}") from exc
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: rows have {data.shape[1]} columns, expected {len(header)}")

@@ -65,9 +65,21 @@ class WignerGrid:
     values: np.ndarray
 
     def __post_init__(self):
+        self._hold(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, q_grid, p_grid, values: np.ndarray) -> WignerGrid:
+        """The grid over ``values``, a fresh float array that no caller holds, taken over
+        (and frozen) without a copy."""
+        grid = cls.__new__(cls)
+        object.__setattr__(grid, "q_grid", q_grid)
+        object.__setattr__(grid, "p_grid", p_grid)
+        grid._hold(values)
+        return grid
+
+    def _hold(self, vals: np.ndarray) -> None:
         q = _check_uniform(self.q_grid, "q_grid").copy()
         p = _check_uniform(self.p_grid, "p_grid").copy()
-        vals = np.array(self.values, dtype=float)
         if vals.shape != (q.shape[0], p.shape[0]):
             raise ValueError(f"values shape {vals.shape} does not match grids "
                              f"({q.shape[0]}, {p.shape[0]})")
@@ -151,7 +163,7 @@ def sample_lattice(f, a_grid, b_grid) -> np.ndarray:
 def wigner_grid_from_callable(f, q_grid, p_grid) -> WignerGrid:
     """Sample W(q, p) = f(q, p) on the lattice by ``sample_lattice``: f must act
     pointwise and broadcast over arrays."""
-    return WignerGrid(q_grid, p_grid, sample_lattice(f, q_grid, p_grid))
+    return WignerGrid._adopt(q_grid, p_grid, sample_lattice(f, q_grid, p_grid))
 
 
 def _cubic_spline_coefficients(values) -> np.ndarray:
@@ -406,7 +418,7 @@ def inverse_radon(sino: Sinogram, q_grid, p_grid, reg_s: float = 1e-2) -> Wigner
             pos *= value.imag
             out += pos
     recon *= math.pi / sino.n_angles
-    return WignerGrid(q_grid, p_grid, recon)
+    return WignerGrid._adopt(q_grid, p_grid, recon)
 
 
 def symplectic_marginal(grid: WignerGrid, mu: float, nu: float, delta: float = 0.0,

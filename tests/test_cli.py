@@ -321,6 +321,22 @@ class TestDeterminismAndErrors:
         assert "malformed sinogram row" in err["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("span, field", [(None, "x"), (1e-9, "wigner_span")])
+    def test_numeric_square_that_cuts_the_state_off_is_config_error(self, tmp_path, capsys,
+                                                                    span, field):
+        # without wigner_span the sampled square reaches max |x| = 1e-9, far inside the state
+        config = {"state": {"kind": "coherent", "alpha": 0.5}, "method": "numeric",
+                  "x": [0.0, 1e-9]}
+        if span is not None:
+            config["wigner_span"] = span
+        assert run_cli(tmp_path, "tomo-forward", config) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["field"]) == ("config", field)
+        assert "does not hold the state" in err["message"]
+        assert not (tmp_path / "out").exists()
+        config["wigner_span"] = 8.0  # a square that holds the state
+        assert run_cli(tmp_path, "tomo-forward", config) == 0
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["pnd", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "out")])
@@ -377,6 +393,8 @@ class TestDeterminismAndErrors:
          "n_angles"),
         ("tomo-forward", {"state": {"kind": "cat", "A": [[1.0, 0.0]], "parity": "odd"},
                           "method": "numeric", "wigner_samples": 1}, "wigner_samples"),
+        ("tomo-forward", {"state": {"kind": "cat", "A": [[1.0, 0.0]], "parity": "odd"},
+                          "method": "numeric", "wigner_samples": 2}, "wigner_samples"),
         ("evolve", {"state": {"kind": "coherent", "alpha": 1.0},
                     "hamiltonian": {"preset": "oscillator"}, "t_end": 1.0, "num": 0}, "num"),
         ("epsilon", {"profile": {"preset": "free"}, "t_end": 1.0, "num": 0}, "num"),

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -197,7 +199,7 @@ class TestHermiteBox:
 
 @st.composite
 def diagonal_problems(draw):
-    n_modes = draw(st.integers(1, 3))
+    n_modes = draw(st.integers(1, 4))
     dim = 2 * n_modes
     parts = draw(st.lists(_unit_floats(), min_size=2 * dim * dim + 2 * dim,
                           max_size=2 * dim * dim + 2 * dim))
@@ -205,7 +207,7 @@ def diagonal_problems(draw):
     R = 0.5 * (a[0] + a[0].T + 1j * (a[1] + a[1].T))
     y = np.array(parts[2 * dim * dim:2 * dim * dim + dim]) \
         + 1j * np.array(parts[2 * dim * dim + dim:])
-    return R, y, draw(st.integers(0, 8 if n_modes < 3 else 6))
+    return R, y, draw(st.integers(0, {1: 8, 2: 8, 3: 6, 4: 3}[n_modes]))
 
 
 def _diagonal(R, ry, max_degree):
@@ -228,7 +230,7 @@ class TestHermiteDiagonal:
         assert np.all(np.abs(values - want) <= 1e-13 * np.abs(want) + 1e-300)
         # the series oracle expands every monomial up to 2|n|, so keep |n| small
         for idx, value in zip(indices.tolist(), values):
-            if 0 < sum(idx) <= {1: 8, 2: 4, 3: 2}[n_modes]:
+            if 0 < sum(idx) <= {1: 8, 2: 4, 3: 2, 4: 1}[n_modes]:
                 series = hermite_by_series(R, y, idx + idx) / math.prod(
                     math.factorial(k) for k in idx)
                 assert value == pytest.approx(series, rel=1e-10)
@@ -257,6 +259,59 @@ class TestHermiteDiagonal:
                 patch.setattr(hermite, "_TABLES", hermite._BlockCache(2 ** 20))
                 split = _diagonal(R, ry, 9)
             assert np.array_equal(whole[0], split[0]) and np.array_equal(whole[1], split[1])
+
+    def test_table_cache_keeps_within_its_byte_limit(self, monkeypatch):
+        # a fill whose tables outgrow the cache's limit keeps the limit and its values; blocks
+        # of 256 entries (about 40 kB for two modes) let the cache hold a few of them
+        rng = np.random.default_rng(45)
+        a = rng.normal(size=(2, 4, 4))
+        R, ry = 0.3 * (a[0] + a[0].T + 1j * (a[1] + a[1].T)), rng.normal(size=4) + 0j
+        whole = _diagonal(R, ry, 30)
+        limit, built, build = 2 ** 18, [], hermite._near_diagonal_block
+        cache = hermite._BlockCache(limit)
+        monkeypatch.setattr(hermite, "_BLOCK_ENTRIES", 256)
+        monkeypatch.setattr(hermite, "_TABLES", cache)
+        monkeypatch.setattr(hermite, "_near_diagonal_block",
+                            lambda *key: built.append(build(*key)) or built[-1])
+        for _ in range(2):
+            got = _diagonal(R, ry, 30)
+            assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
+            assert 0 < cache._bytes <= limit
+            assert cache._bytes == sum(size for _, size in cache._blocks.values())
+        assert sum(size for _, size in built) > 2 * limit
+
+    def test_threads_filling_one_table_get_the_one_thread_values(self, monkeypatch):
+        # four threads on two cores, switching every microsecond, build and share one
+        # cache's blocks; each gets the one-thread values and the cache's byte count holds
+        rng = np.random.default_rng(46)
+        a = rng.normal(size=(2, 6, 6))
+        R = 0.3 * (a[0] + a[0].T + 1j * (a[1] + a[1].T))
+        ry = rng.normal(size=6) + 1j * rng.normal(size=6)
+        want = _diagonal(R, ry, 14)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for entries in (7, 2 ** 15):  # parts of a few entries, then the default blocks
+                monkeypatch.setattr(hermite, "_BLOCK_ENTRIES", entries)
+                cache = hermite._BlockCache(2 ** 25)
+                monkeypatch.setattr(hermite, "_TABLES", cache)
+                start, got = threading.Barrier(4), [None] * 4
+
+                def fill(i):
+                    start.wait(timeout=60)
+                    got[i] = _diagonal(R, ry, 14)
+
+                threads = [threading.Thread(target=fill, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                for indices, values in got:
+                    assert np.array_equal(indices, want[0]) and np.array_equal(values, want[1])
+                assert cache._bytes == sum(size for _, size in cache._blocks.values())
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_stops_where_the_caller_stops(self):
         shells = hermite_diagonal(2 * np.eye(2), np.ones(2), 10 ** 6)

@@ -273,6 +273,20 @@ class TestLatticeReader:
         with pytest.raises(ValueError, match="wide.csv.*columns"):
             wigner_grid_from_csv(path)
 
+    @pytest.mark.parametrize("line", [3, 2])
+    def test_ragged_row_names_the_line_and_the_columns(self, tmp_path, line):
+        # numpy's own text for a ragged row advises `usecols`, which a lattice file never needs
+        rows = ["0.0,0.0,1.0", "0.0,1.0,2.0", "1.0,0.0,3.0", "1.0,1.0,4.0"]
+        rows[line - 2] = rows[line - 2].rsplit(",", 1)[0]
+        path = tmp_path / "ragged.csv"
+        path.write_text("\n".join(["theta,x,value", *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            sinogram_from_csv(path)
+        message = str(info.value)
+        assert message == (f"{path}, line {line}: malformed sinogram row of 2 columns, "
+                           f"expected 3")
+        assert "usecols" not in message
+
     def test_unparsable_cell_names_the_path(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("q,p,value\n0.0,1.0,oops\n", encoding="utf-8")
