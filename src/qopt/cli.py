@@ -8,10 +8,15 @@ shortest round-trip decimal (Python repr), JSON keys are sorted, and nothing
 depends on wall-clock time or randomized defaults.  Jobs run serially;
 ``--threads`` is accepted for old scripts and ignored.  Lattice files are
 written block by block as they are formatted, so a job's memory follows its
-grid, not the size of its text.  ``--trace`` also writes
-``<command>.trace.json``, outside the byte-stable set: the wall seconds of the
-import (from the start of the ``qopt`` package to the end of this module),
-the parse, the compute (small tables are formatted there) and the write
+grid, not the size of its text.  ``import qopt`` loads no submodule, and this
+module loads only ``errors``, ``gaussian`` (with ``hermite`` and ``matrices``)
+and ``io``: a command imports the other modules it runs (``cats``,
+``dynamics``, ``parametric``, ``tomography``, ``verification``) where its parser
+or its job first uses them, and looks their functions up at call time.
+``--trace`` also writes ``<command>.trace.json``, outside the byte-stable set:
+the wall seconds of the import (from the start of the ``qopt`` package to the
+end of this module; a command's other modules load inside the parse or the
+compute), the parse, the compute (small tables are formatted there) and the write
 (which formats the lattice files), the peak RSS of the process, and the job's
 work counters (photon rows and Hermite entries, flow steps, lines integrated or
 points backprojected).
@@ -47,21 +52,11 @@ from pathlib import Path
 import numpy as np
 
 from . import _IMPORT_START, __version__
-from .cats import CatState, cat_moments
-from .dynamics import (FlowSample, QuadraticHamiltonian, evolve_gaussian, free_particle,
-                       harmonic_oscillator, integrate_symplectic_flow, parametric_oscillator)
 from .errors import NonFiniteError
 from .gaussian import (QREP_CONVENTION, GaussianState, make_coherent, make_squeezed_vacuum,
                        make_thermal_oscillator, photon_pnd_table, q_eval, wigner_eval)
 from .hermite import _near_diagonal_entries
 from .io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, LatticeText, format_table
-from .parametric import (expression_profile, preset_profile, solve_epsilon, tabulated_profile,
-                         wronskian_defect)
-from .tomography import (_MIN_ANGLES, _check_uniform, boundary_peak_ratio,
-                         forward_marginal_numeric, gaussian_sinogram, inverse_radon,
-                         lattice_mass, sample_lattice, sinogram_from_csv,
-                         wigner_grid_from_callable)
-from .verification import run_verification
 
 COMMANDS = ("pnd", "wigner", "qfunc", "evolve", "epsilon", "cat",
             "tomo-forward", "tomo-invert", "verify")
@@ -84,6 +79,14 @@ class JobConfig:
     options: dict
     values: dict
     work: dict = field(default_factory=dict, compare=False)
+
+
+def _lib(module: str):
+    """The library module ``qopt.<module>``, imported on its first use; the parser tables
+    look their constructors up through it when a document is parsed."""
+    name = f"{__package__}.{module}"
+    __import__(name)  # as an import statement does, so that `python -X importtime` lists it
+    return sys.modules[name]
 
 
 def _object(obj, path: str) -> dict:
@@ -194,6 +197,8 @@ def _parse_grid(obj, path: str) -> np.ndarray:
 
 def _uniform_grid(obj, path: str) -> np.ndarray:
     """An axis that also passes tomography's rule: uniform, of at least two points."""
+    from .tomography import _check_uniform
+
     return _check_uniform(_parse_grid(obj, path), "the axis")
 
 
@@ -221,7 +226,7 @@ _STATES = {
                                           "omega": (_positive, 1.0)}),
     "squeezed_vacuum": (make_squeezed_vacuum, {"r": (_finite, _NO_DEFAULT)}),
     # each [re, im] row, read as one complex number
-    "cat": (lambda A, parity: CatState(A.view(complex)[:, 0], parity), {
+    "cat": (lambda A, parity: _lib("cats").CatState(A.view(complex)[:, 0], parity), {
         "A": (_pairs, _NO_DEFAULT), "parity": (_choice("even", "odd"), _NO_DEFAULT)}),
 }
 _STATE_KIND = _choice(*_STATES)
@@ -251,6 +256,8 @@ def _state(ok, suffix: str, message: str):
 
 def _sinogram(value, field: str):
     """The sinogram of an existing CSV file, of at least ``_MIN_ANGLES`` angles."""
+    from .tomography import _MIN_ANGLES, sinogram_from_csv
+
     sino = sinogram_from_csv(_existing_file(value, field))
     if sino.n_angles < _MIN_ANGLES:
         raise ConfigError(field, f"needs at least {_MIN_ANGLES} angles, got {sino.n_angles}")
@@ -258,9 +265,9 @@ def _sinogram(value, field: str):
 
 
 # profile form -> parser; a profile document holds exactly one of them
-_PROFILES = {"preset": _string(preset_profile),
-             "table": lambda v, field: tabulated_profile(_numbers(v, field)),
-             "expression": _string(expression_profile)}
+_PROFILES = {"preset": _string(lambda name: _lib("parametric").preset_profile(name)),
+             "table": lambda v, field: _lib("parametric").tabulated_profile(_numbers(v, field)),
+             "expression": _string(lambda text: _lib("parametric").expression_profile(text))}
 
 
 def _parse_profile(obj, path: str):
@@ -272,12 +279,14 @@ def _parse_profile(obj, path: str):
 
 # Hamiltonian preset -> (constructor, {field: (parser, default)}); None is H = Q.B.Q/2 + C.Q
 _HAMILTONIANS = {
-    "free": (free_particle, {"mass": (_positive, 1.0)}),
-    "oscillator": (harmonic_oscillator, {"mass": (_positive, 1.0), "omega": (_finite, 1.0)}),
-    "parametric": (parametric_oscillator, {"mass": (_positive, 1.0),
-                                           "omega_squared": (_parse_profile, _NO_DEFAULT)}),
-    None: (lambda B, C: QuadraticHamiltonian(B, np.zeros(len(B)) if C is None else C,
-                                             len(B) // 2),
+    "free": (lambda **fields: _lib("dynamics").free_particle(**fields),
+             {"mass": (_positive, 1.0)}),
+    "oscillator": (lambda **fields: _lib("dynamics").harmonic_oscillator(**fields),
+                   {"mass": (_positive, 1.0), "omega": (_finite, 1.0)}),
+    "parametric": (lambda **fields: _lib("dynamics").parametric_oscillator(**fields),
+                   {"mass": (_positive, 1.0), "omega_squared": (_parse_profile, _NO_DEFAULT)}),
+    None: (lambda B, C: _lib("dynamics").QuadraticHamiltonian(
+               B, np.zeros(len(B)) if C is None else C, len(B) // 2),
            {"B": (_square, _NO_DEFAULT), "C": (_vector, None)}),
 }
 _PRESET = _choice(*filter(None, _HAMILTONIANS))
@@ -329,6 +338,8 @@ def _grid_job(job, name: str, density_fn, title: str):
     """(artifacts, values, sidecar health figures) of a one-mode density on the config's
     grid: the mass (1 when the grid holds the state) and the boundary-to-peak ratio
     (small when it holds the support)."""
+    from .tomography import boundary_peak_ratio, lattice_mass, sample_lattice
+
     q_grid, p_grid = job["grid"]
     values = sample_lattice(density_fn(job["state"]), q_grid, p_grid)
     _check_finite(f"{name}.csv", q_grid, p_grid, values)
@@ -351,8 +362,8 @@ def _job_pnd(job, artifact: str = "pnd.csv"):
     meta = {"cumulative_probability": table.cumulative,
             "max_total_degree": table.max_total_degree, "cap_hit": table.cap_hit}
     # a cat's shells come from a closed-form kernel, a Gaussian's from the near-diagonal fill
-    entries = (0 if isinstance(job["state"], CatState)
-               else _near_diagonal_entries(job["state"].n_modes, table.max_total_degree))
+    entries = (_near_diagonal_entries(job["state"].n_modes, table.max_total_degree)
+               if isinstance(job["state"], GaussianState) else 0)
     return ({artifact: format_table(header, [*counts.T, table.probabilities[order]])}, meta,
             {"photon_rows": len(table.probabilities), "hermite_entries": entries})
 
@@ -368,6 +379,8 @@ def _job_qfunc(job):
 
 
 def _job_evolve(job):
+    from .dynamics import FlowSample, evolve_gaussian, integrate_symplectic_flow
+
     state, ham, t_end = job["state"], job["hamiltonian"], job["t_end"]
     if 2 * ham.n_modes != state.mean.shape[0]:
         raise ConfigError("hamiltonian", "mode count does not match the state")
@@ -393,6 +406,8 @@ def _job_evolve(job):
 
 
 def _job_epsilon(job):
+    from .parametric import solve_epsilon, wronskian_defect
+
     flow = solve_epsilon(job["profile"], job["t_end"], job["tol"])
     times = np.linspace(0.0, job["t_end"], job["num"])
     eps, epsdot = flow.eps(times)
@@ -406,6 +421,8 @@ def _job_epsilon(job):
 
 
 def _job_cat(job):
+    from .cats import cat_moments
+
     state = job["state"]
     artifacts, meta, work = _job_pnd(job, "cat_pnd.csv")
     moments = cat_moments(state)
@@ -418,6 +435,8 @@ def _job_cat(job):
 
 
 def _job_tomo_forward(job):
+    from .tomography import forward_marginal_numeric, gaussian_sinogram, wigner_grid_from_callable
+
     state, x_grid, n_angles = job["state"], job["x"], job["n_angles"]
     thetas = np.arange(n_angles) * math.pi / n_angles
     exact = job["method"] == "exact"
@@ -441,6 +460,8 @@ def _job_tomo_forward(job):
 
 
 def _job_tomo_invert(job):
+    from .tomography import inverse_radon
+
     sino, (q_grid, p_grid) = job["sinogram"], job["grid"]
     grid = inverse_radon(sino, q_grid, p_grid, reg_s=job["reg_s"])
     _check_finite("wigner_reconstructed.csv", grid.q_grid, grid.p_grid, grid.values)
@@ -454,6 +475,8 @@ def _job_tomo_invert(job):
 
 
 def _job_verify(job):
+    from .verification import run_verification
+
     results = run_verification()
     all_passed = all(r["passed"] for r in results)
     doc = {"passed": all_passed, "checks": results, "version": __version__}
@@ -477,9 +500,10 @@ def _plot_script(csv_name: str, n_q: int, n_p: int, title: str) -> str:
 _STATE = (_parse_state, _NO_DEFAULT)
 _ONE_MODE = _state(lambda state: state.n_modes == 1, "",
                    "phase-space grids are defined for one-mode states")
-_GAUSSIAN_FAMILY = _state(lambda state: not isinstance(state, CatState), ".kind",
+# every kind but "cat" builds a GaussianState
+_GAUSSIAN_FAMILY = _state(lambda state: isinstance(state, GaussianState), ".kind",
                           "evolve requires a Gaussian-family state")
-_CAT = _state(lambda state: isinstance(state, CatState), ".kind",
+_CAT = _state(lambda state: not isinstance(state, GaussianState), ".kind",
               "cat command requires a cat state")
 _PND_FIELDS = {"state": _STATE, "degree_cap": (_integral(0), 64),
                "mass_tol": (_number(0.0, 1.0), 1e-10)}
@@ -500,7 +524,7 @@ _JOBS = {
     "cat": (_job_cat, {**_PND_FIELDS, "state": _CAT}),
     "tomo-forward": (_job_tomo_forward, {
         "state": _ONE_MODE, "n_angles": (_integral(1), 180),
-        "x": (_uniform_grid, _uniform_grid({"min": -12.0, "max": 12.0, "num": 257}, "x")),
+        "x": (_uniform_grid, _parse_grid({"min": -12.0, "max": 12.0, "num": 257}, "x")),
         "method": (_choice("exact", "numeric"), "exact"), "wigner_samples": (_integral(3), 513),
         "wigner_span": (_positive, None)}),
     "tomo-invert": (_job_tomo_invert, {

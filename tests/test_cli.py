@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -552,9 +553,12 @@ class TestDeterminismAndErrors:
     ])
     def test_non_finite_value_names_artifact(self, tmp_path, capsys, monkeypatch, command,
                                              config, target, artifact):
-        import qopt.cli
-
-        real = getattr(qopt.cli, target)
+        # qopt.cli binds the gaussian functions at import and looks the others up in their
+        # modules when the job runs
+        owner = {"evolve_gaussian": "qopt.dynamics", "gaussian_sinogram": "qopt.tomography",
+                 "solve_epsilon": "qopt.parametric"}.get(target, "qopt.cli")
+        module = importlib.import_module(owner)
+        real = getattr(module, target)
 
         def poisoned(*args, **kwargs):
             out = real(*args, **kwargs)
@@ -570,7 +574,7 @@ class TestDeterminismAndErrors:
                 return out
             return np.full_like(out, np.nan)
 
-        monkeypatch.setattr(qopt.cli, target, poisoned)
+        monkeypatch.setattr(module, target, poisoned)
         assert run_cli(tmp_path, command, config) == 1
         err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
         assert err["type"] == "NonFiniteError"
@@ -605,13 +609,13 @@ class TestDeterminismAndErrors:
     def test_failed_job_reports_its_warnings(self, tmp_path, capsys, monkeypatch):
         # a job that warns and then fails on a non-finite sidecar number prints its warnings
         # before the error line
-        import qopt.cli
+        import qopt.parametric
 
         def overflowing(flow):
             warnings.warn("overflow encountered in multiply", RuntimeWarning)
             return math.inf
 
-        monkeypatch.setattr(qopt.cli, "wronskian_defect", overflowing)
+        monkeypatch.setattr(qopt.parametric, "wronskian_defect", overflowing)
         config = {"profile": {"preset": "repulsive"}, "t_end": 6.0, "num": 3}
         assert run_cli(tmp_path, "epsilon", config) == 1
         *warned, last = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
@@ -813,6 +817,32 @@ class TestInProcessReuse:
         assert run_cli(tmp_path, "cat", {"state": {"kind": "cat", "A": [[0.5, 0.0]],
                                                    "parity": "even"}}) == 0
         assert built == ["qopt"]
+
+    def test_deferred_functions_are_looked_up_when_called(self, tmp_path, monkeypatch):
+        # qopt.cli imports parametric and tomography inside the jobs that run them, so a job
+        # calls the function its module holds then (bench/tracer.py rebinds them the same way)
+        import qopt.parametric
+        import qopt.tomography
+
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module, name in [(qopt.parametric, "solve_epsilon"),
+                             (qopt.tomography, "inverse_radon")]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        axis = {"min": -6, "max": 6, "num": 65}
+        assert run_cli(tmp_path, "epsilon", {"profile": {"preset": "oscillator"},
+                                             "t_end": 6}) == 0
+        assert run_cli(tmp_path, "tomo-forward", {"state": {"kind": "coherent", "alpha": 0.5},
+                                                  "n_angles": 32, "x": axis}) == 0
+        assert run_cli(tmp_path, "tomo-invert", {"sinogram": str(tmp_path / "out" / "sinogram.csv"),
+                                                 "grid": {"q": axis, "p": axis}}) == 0
+        assert calls == ["solve_epsilon", "inverse_radon"]
 
     def test_help_and_bad_arguments_after_a_job(self, tmp_path, capsys):
         assert run_cli(tmp_path, "pnd", {"state": {"kind": "coherent", "alpha": 0.5}}) == 0
