@@ -27,11 +27,11 @@ The one schema of config documents is here: ``_JOBS`` lists each command's
 fields as field -> (parser, default), and so do ``_STATES`` (by ``kind``),
 ``_HAMILTONIANS`` (by ``preset``) and ``_PROFILES`` for the nested documents.
 ``_fields`` runs each parser once: a field that is missing, mistyped or out of
-range, at any depth, is a configuration error naming its path (exit status 2),
-and every number must be a finite JSON number.  Every per-field rule is in the
-tables (a command's state rule, tomography's uniform axes, the sinogram file,
-which its parser reads), so a job gets only inputs the library accepts and
-checks only rules across fields.  An artifact, or a sidecar number, that would
+range, and a key that its table does not list (a misspelled field), at any depth,
+is a configuration error naming its path (exit status 2), and every number must be
+a finite JSON number.  Every per-field rule is in the tables (a command's state
+rule, tomography's uniform axes, the sinogram file, which its parser reads), so a
+job gets only inputs the library accepts and checks only rules across fields.  An artifact, or a sidecar number, that would
 hold inf or nan is a ``NonFiniteError`` naming it (exit 1).
 Library warnings raised during a job go to the sidecar's ``warnings`` key and
 to stderr as JSON lines, before the error line when the job fails.
@@ -95,13 +95,24 @@ def _object(obj, path: str) -> dict:
     return obj
 
 
-def _fields(obj, path: str, table: dict) -> dict:
+def _path(path: str, field: str) -> str:
+    return f"{path}.{field}" if path else field
+
+
+def _fields(obj, path: str, table: dict, selector: str | None = None) -> dict:
     """{field: parser(obj[field], "path.field")} over a table {field: (parser, default)};
-    a missing field takes its default, or is an error when that is ``_NO_DEFAULT``, and
-    a parser's ValueError, TypeError, KeyError or ArithmeticError names the field."""
+    a key that is neither in the table nor the ``selector`` that chose it is an error naming
+    it, before any parser runs; a missing field takes its default, or is an error when that
+    is ``_NO_DEFAULT``; and a parser's ValueError, TypeError, KeyError or ArithmeticError
+    names the field."""
     values, obj = {}, _object(obj, path)
+    known = [*([selector] if selector else []), *table]
+    for key in obj:
+        if key not in known:
+            expected = f"one of {', '.join(map(repr, known))}" if known else "no field"
+            raise ConfigError(_path(path, key), f"unknown field; expected {expected}")
     for field, (parse, default) in table.items():
-        name = f"{path}.{field}" if path else field
+        name = _path(path, field)
         if field not in obj:
             if default is _NO_DEFAULT:
                 raise ConfigError(name, "missing required field")
@@ -114,6 +125,13 @@ def _fields(obj, path: str, table: dict) -> dict:
         except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             raise ConfigError(name, str(exc)) from exc
     return values
+
+
+def _select(obj, path: str, selector: str, parse, default):
+    """The ``selector`` field of a document, which picks the table of its other fields."""
+    obj = _object(obj, path)
+    return _fields({selector: obj[selector]} if selector in obj else {}, path,
+                   {selector: (parse, default)})[selector]
 
 
 def _rule(ok, expected: str, convert=None):
@@ -235,8 +253,8 @@ _STATE_KIND = _choice(*_STATES)
 def _parse_state(obj, path: str):
     """Gaussian-family or cat state from its JSON document; ``kind`` picks the table."""
     kind_default = "gaussian" if "disp" in _object(obj, path) else _NO_DEFAULT
-    build, table = _STATES[_fields(obj, path, {"kind": (_STATE_KIND, kind_default)})["kind"]]
-    values = _fields(obj, path, table)
+    build, table = _STATES[_select(obj, path, "kind", _STATE_KIND, kind_default)]
+    values = _fields(obj, path, table, "kind")
     state = build(**values)
     if values.get("n_modes") not in (None, state.n_modes):
         raise ConfigError(f"{path}.n_modes", f"the mean and disp hold {state.n_modes} modes")
@@ -293,11 +311,11 @@ _PRESET = _choice(*filter(None, _HAMILTONIANS))
 
 
 def _parse_hamiltonian(obj, path: str):
-    preset = _fields(obj, path, {"preset": (_PRESET, None)})["preset"]
+    preset = _select(obj, path, "preset", _PRESET, None)
     if preset is not None and "B" in obj:
         raise ConfigError(path, "give either 'preset' or 'B', not both")
     build, table = _HAMILTONIANS[preset]
-    return build(**_fields(obj, path, table))
+    return build(**_fields(obj, path, table, "preset"))
 
 
 def parse_config(text: str, command: str | None = None) -> JobConfig:
@@ -379,20 +397,20 @@ def _job_qfunc(job):
 
 
 def _job_evolve(job):
-    from .dynamics import FlowSample, evolve_gaussian, integrate_symplectic_flow
+    from .dynamics import (FlowSample, evolve_gaussian, integrate_symplectic_flow,
+                           symplectic_defect)
 
     state, ham, t_end = job["state"], job["hamiltonian"], job["t_end"]
     if 2 * ham.n_modes != state.mean.shape[0]:
         raise ConfigError("hamiltonian", "mode count does not match the state")
     flow = integrate_symplectic_flow(ham, t_end, job["tol"])
     times = np.linspace(0.0, t_end, job["num"])
-    state_rows, flow_rows, defect = [], [], 0.0
-    for t, lam, delta in zip(times, *flow.evaluate(times)):
-        sample = FlowSample(float(t), lam, delta)
-        st = evolve_gaussian(state, sample)
-        defect = max(defect, sample.symplectic_defect())
+    lams, deltas = flow.evaluate(times)
+    state_rows = []
+    for t, lam, delta in zip(times, lams, deltas):
+        st = evolve_gaussian(state, FlowSample(float(t), lam, delta))
         state_rows.append(np.concatenate([[t], st.mean, st.disp.ravel()]))
-        flow_rows.append(np.concatenate([[t], sample.lam.ravel(), sample.delta]))
+    flow_rows = np.column_stack([times, lams.reshape(len(times), -1), deltas])
     _check_finite("evolve.csv", state_rows)
     _check_finite("flow.csv", flow_rows)
     axes = range(2 * ham.n_modes)
@@ -400,8 +418,8 @@ def _job_evolve(job):
     state_header = ["t", *(f"mean_{i}" for i in axes), *(f"disp_{ij}" for ij in pairs)]
     flow_header = ["t", *(f"lam_{ij}" for ij in pairs), *(f"delta_{i}" for i in axes)]
     artifacts = {"evolve.csv": format_table(state_header, np.array(state_rows).T),
-                 "flow.csv": format_table(flow_header, np.array(flow_rows).T)}
-    return artifacts, {"tol": job["tol"], "symplectic_defect": defect,
+                 "flow.csv": format_table(flow_header, flow_rows.T)}
+    return artifacts, {"tol": job["tol"], "symplectic_defect": symplectic_defect(lams),
                        "error_estimate": flow.error_estimate}, {"flow_steps": len(flow.ts) - 1}
 
 

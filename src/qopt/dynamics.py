@@ -9,8 +9,8 @@ of an array of times, the operators Q_0(t) = Lam(t) Q + Delta(t) stay constant i
 with Sigma the symplectic metric.  Every flow sample comes from one engine, a fourth-order
 Magnus step: the exponential of a symplectic generator, so Lam(t) is symplectic to round-off
 and only the steps' error estimates measure accuracy.  `integrate_symplectic_flow` chains
-steps under error control, evaluating H once per trial step, on one stack of its 5 new nodes,
-and the flow keeps the generators of its accepted steps; a constant H takes one exact step.
+steps under error control, evaluating H once per trial step, on one stack of its 5 new nodes;
+a constant H takes one exact step.  The flow keeps its samples, not H's generators.
 A Wigner density evolves by plain argument substitution W(Q, t) = W_0(Lam Q + Delta), which
 for Gaussian states is the pushforward
 
@@ -95,10 +95,11 @@ class FlowSample:
     lam: np.ndarray
     delta: np.ndarray
 
-    def symplectic_defect(self) -> float:
-        n = self.lam.shape[0] // 2
-        sigma = symplectic_metric(n)
-        return float(np.abs(self.lam @ sigma @ self.lam.T - sigma).max())
+
+def symplectic_defect(lams) -> float:
+    """max |Lam Sigma Lam^T - Sigma| over one matrix Lam or a stack of them."""
+    sigma = symplectic_metric(np.shape(lams)[-1] // 2)
+    return float(np.abs(lams @ sigma @ np.swapaxes(lams, -1, -2) - sigma).max())
 
 
 _MAX_TRIAL_STEPS = 25_000  # per solve: 25 times the most any test, example or benchmark flow takes
@@ -148,26 +149,29 @@ def _magnus_step(hamiltonian: QuadraticHamiltonian, t, h) -> np.ndarray:
 
 
 class SymplecticFlow:
-    """Flow samples [[Lam, Delta], [0, 1]] at the accepted step boundaries ``ts``, the sum
-    ``error_estimate`` of the steps' error estimates, and ``step_generators``: A(s) at each
-    step's start, midpoint and end."""
+    """Flow samples [[Lam, Delta], [0, 1]] of ``hamiltonian`` at the accepted step boundaries
+    ``ts``, and the sum ``error_estimate`` of the steps' error estimates.  It holds nothing
+    that H gives back: every generator A(s) it reads is evaluated from H."""
 
-    def __init__(self, hamiltonian: QuadraticHamiltonian, ts, samples, error_estimate: float,
-                 step_generators):
+    def __init__(self, hamiltonian: QuadraticHamiltonian, ts, samples, error_estimate: float):
         self.hamiltonian = hamiltonian
         self.ts = np.array(ts, dtype=float)
         self._samples = np.array(samples, dtype=float)
         self.error_estimate = float(error_estimate)
         dim = 2 * hamiltonian.n_modes
-        self.step_generators = np.reshape(step_generators, (-1, dim + 1, dim + 1))
         self.lams = self._samples[:, :dim, :dim]
         self.deltas = self._samples[:, :dim, dim]
-        for arr in (self.ts, self._samples, self.step_generators):
+        for arr in (self.ts, self._samples):
             arr.flags.writeable = False
 
     @property
     def t_end(self) -> float:
         return float(self.ts[-1])
+
+    def _node_generators(self) -> np.ndarray:
+        """A(s) at the step boundaries and midpoints, evaluated from H."""
+        mids = self.ts[:-1] + 0.5 * np.diff(self.ts)
+        return _generators(self.hamiltonian, np.concatenate((self.ts, mids)))
 
     def evaluate(self, t):
         """(Lam, Delta) at one time or an array of times: the last boundary sample at or
@@ -218,16 +222,11 @@ class SymplecticFlow:
         """(times, unwrapped arg eps), built on first use."""
         if self.hamiltonian.n_modes != 1 or self.t_end < 0:
             raise ValueError("arg eps is tracked on a forward one-mode flow only")
-        gens = self.step_generators[:, :2, :2]
-        omega = max(1.0, np.linalg.norm(gens, ord=2, axis=(1, 2)).max(initial=0.0))
+        gens = self._node_generators()[:, :2, :2]
+        omega = max(1.0, np.linalg.norm(gens, ord=2, axis=(1, 2)).max())
         num = math.ceil(self.t_end / (0.5 * math.pi / omega)) + 1
         phase_ts = np.union1d(self.ts, np.linspace(0.0, self.t_end, num))
         return phase_ts, np.unwrap(np.angle(self.eps(phase_ts)[0]))
-
-    def max_symplectic_defect(self) -> float:
-        sigma = symplectic_metric(self.hamiltonian.n_modes)
-        prods = np.einsum("tij,jk,tlk->til", self.lams, sigma, self.lams)
-        return float(np.abs(prods - sigma).max())
 
 
 def _eps_epsdot(lam):
@@ -254,7 +253,7 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
         raise ValueError("t_end must be finite")
     dim = 2 * hamiltonian.n_modes
     aug, t, h, error = np.eye(dim + 1), 0.0, t_end, 0.0
-    ts, samples, step_generators, start = [t], [aug], [], _generators(hamiltonian, np.zeros(1))
+    ts, samples, start = [t], [aug], _generators(hamiltonian, np.zeros(1))
     for _ in range(_MAX_TRIAL_STEPS):
         if t == t_end:
             break
@@ -277,7 +276,6 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
             aug, t, error = trial, t_end if last else t + h, error + err
             ts.append(t)
             samples.append(aug)
-            step_generators.extend(gens[[0, 2, 5]])
             start = gens[5:]  # A(t), the one node the next trial shares with this one
         elif floor:
             raise NonFiniteError(f"flow step at t={t} is not finite")
@@ -287,7 +285,7 @@ def integrate_symplectic_flow(hamiltonian: QuadraticHamiltonian, t_end: float,
     if t != t_end:
         raise ResourceLimitError(f"flow stopped at t={t} of {t_end} after "
                                  f"{_MAX_TRIAL_STEPS} trial steps")
-    return SymplecticFlow(hamiltonian, ts, samples, error, step_generators)
+    return SymplecticFlow(hamiltonian, ts, samples, error)
 
 
 def flow_to_creation_annihilation(sample: FlowSample) -> tuple[np.ndarray, np.ndarray]:
@@ -327,7 +325,7 @@ def _kernel_flow(hamiltonian: QuadraticHamiltonian, t: float):
     flow = integrate_symplectic_flow(hamiltonian, t)
     # Sigma = [[0, 1], [-1, 0]] only permutes and negates, so both tests are exact:
     # Sigma C = 0 where C = 0, and (Sigma B)_10 = -B_pp
-    gens = flow.step_generators
+    gens = flow._node_generators()
     if np.any(gens[:, :2, 2] != 0.0):
         raise ValueError("the position propagator needs C = 0")
     if not np.all(gens[:, 1, 0] < 0.0):

@@ -157,7 +157,6 @@ class QRep:
 class StateDiagnostics:
     """Report of validate_state; never raises."""
 
-    symmetry_defect: float
     min_uncertainty_eigenvalue: float
     purity: float
     uncertainty_ok: bool
@@ -186,13 +185,12 @@ def make_squeezed_vacuum(r: float) -> GaussianState:
 
 
 def validate_state(s: GaussianState) -> StateDiagnostics:
-    """Symmetry defect, minimum uncertainty eigenvalue, and purity of a state."""
+    """Minimum uncertainty eigenvalue, purity and uncertainty verdict of a state."""
     n = s.n_modes
-    defect = float(np.abs(s.disp - s.disp.T).max())
     min_eig = float(np.linalg.eigvalsh(s.disp + 0.5j * symplectic_metric(n)).min())
     det = np.linalg.det(s.disp)
     purity = float(np.clip((4.0 ** n * det) ** -0.5, 0.0, 1.0)) if det > 0 else 0.0
-    return StateDiagnostics(defect, min_eig, purity, _uncertainty_ok(s.disp))
+    return StateDiagnostics(min_eig, purity, _uncertainty_ok(s.disp))
 
 
 def _uncertainty_ok(disp: np.ndarray) -> bool:

@@ -38,6 +38,7 @@ from .io import _BLOCK, PHASE_SPACE_HEADER, SINOGRAM_HEADER, read_lattice
 _FFT_PAD = 4
 _FFT_UPSAMPLE = 4
 _MIN_ANGLES = 32
+_BOUNDARY_TOL = 1e-8  # a Wigner grid whose boundary passes this fraction of its peak cuts the state
 _EDGE_WARN = 1e-3  # slices ending above this fraction of their peak lose tails that show
 _ROW_PAD = 4  # zero spline coefficients beyond each end of the interpolated axis
 _ROW_BLOCK = 32  # x values per gather block, angles per ramp-filter block; keeps them in cache
@@ -273,18 +274,17 @@ def gaussian_sinogram(state, theta_grid, x_grid) -> Sinogram:
     return Sinogram(theta_grid, x_grid, values / np.sqrt(2.0 * np.pi * var))
 
 
-def forward_marginal_numeric(grid: WignerGrid, theta_grid, x_grid=None,
-                             boundary_tol: float = 1e-8) -> Sinogram:
+def forward_marginal_numeric(grid: WignerGrid, theta_grid, x_grid=None) -> Sinogram:
     """Marginals w(X, Theta) by line integration of a sampled Wigner density.
 
     Each slice is renormalized to unit mass; the pre-normalization defect is
     kept in the sinogram.  The grid must contain the state's support: the
-    boundary-to-peak ratio is checked against ``boundary_tol``.
+    boundary-to-peak ratio must be at most ``_BOUNDARY_TOL``, or it raises ``ValueError``.
     """
     ratio = grid.boundary_peak_ratio()
-    if ratio > boundary_tol:
+    if ratio > _BOUNDARY_TOL:
         raise ValueError(f"Wigner grid boundary carries {ratio:.2e} of the peak; "
-                         f"support is not covered (tolerance {boundary_tol:.1e})")
+                         f"support is not covered (tolerance {_BOUNDARY_TOL:.1e})")
     theta_grid = np.asarray(theta_grid, dtype=float)
     x_grid = _check_uniform(grid.q_grid if x_grid is None else x_grid, "x_grid")
 

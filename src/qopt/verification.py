@@ -13,7 +13,7 @@ import numpy as np
 
 from .cats import CatState, cat_moments
 from .dynamics import (QuadraticHamiltonian, _expm, free_particle, harmonic_oscillator,
-                       integrate_symplectic_flow)
+                       integrate_symplectic_flow, symplectic_defect)
 from .gaussian import (GaussianState, from_qrep, make_coherent, make_thermal_oscillator,
                        photon_pnd, q_eval, to_qrep, wigner_eval)
 from .hermite import HermiteParams, mv_hermite_eval
@@ -84,7 +84,7 @@ def _thermal_q_function():
 
 def _symplectic_defect():
     flow = integrate_symplectic_flow(harmonic_oscillator(), 20.0, tol=1e-9)
-    return _check("symplectic_defect_oscillator", flow.max_symplectic_defect(), 1e-7)
+    return _check("symplectic_defect_oscillator", symplectic_defect(flow.lams), 1e-7)
 
 
 def _constant_flow():

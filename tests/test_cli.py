@@ -284,6 +284,48 @@ class TestDeterminismAndErrors:
         assert err["error"]["kind"] == "config"
         assert "state" in err["error"]["field"]
 
+    @pytest.mark.parametrize("command, config, field", [
+        ("pnd", {"state": {"kind": "coherent", "alpha": 1.0, "alhpa": 3}, "degre_cap": 2},
+         "degre_cap"),
+        ("pnd", {"state": {"kind": "coherent", "alpha": 1.0, "alhpa": 3}}, "state.alhpa"),
+        # a misspelled required field is named by its misspelling, not as missing
+        ("pnd", {"state": {"kind": "coherent", "alhpa": 3}}, "state.alhpa"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0}, "t_end": 1.0,
+                    "hamiltonian": {"preset": "free", "mas": 2.0}}, "hamiltonian.mas"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0}, "t_end": 1.0,
+                    "hamiltonian": {"B": [[1, 0], [0, 1]], "c": [0, 1]}}, "hamiltonian.c"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0}, "t_end": 1.0,
+                    "hamiltonian": {"preset": "parametric", "omega_squared": {
+                        "expression": "1", "expresion": "2"}}},
+         "hamiltonian.omega_squared.expresion"),
+        ("wigner", {"state": {"kind": "coherent", "alpha": 1.0},
+                    "grid": {"q": {"min": -1, "max": 1, "nmu": 5}, "p": [0, 1]}}, "grid.q.nmu"),
+        ("wigner", {"state": {"kind": "coherent", "alpha": 1.0},
+                    "grid": {"q": [0, 1], "pp": [0, 1]}}, "grid.pp"),
+        ("verify", {"checks": 3}, "checks"),
+    ])
+    def test_misspelled_field_names_its_path(self, tmp_path, capsys, command, config, field):
+        assert run_cli(tmp_path, command, config) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["field"]) == ("config", field)
+        assert "unknown field" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config, field, message", [
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0}, "t_end": 1.0,
+                    "hamiltonian": {"preset": "free", "B": [[1, 0], [0, 1]]}},
+         "hamiltonian", "give either 'preset' or 'B'"),
+        ("epsilon", {"profile": {"expression": "1", "tabel": [[0, 1], [1, 1]]}, "t_end": 1.0},
+         "profile.tabel", "unknown field"),
+        ("epsilon", {"profile": {"expresion": "1"}, "t_end": 1.0}, "profile", "exactly one"),
+    ])
+    def test_form_rules_keep_their_messages(self, tmp_path, capsys, command, config, field,
+                                            message):
+        # the preset-or-B and one-profile-form rules run before the unknown-key check
+        assert run_cli(tmp_path, command, config) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["field"] == field and message in err["message"]
+
     def test_execution_error_exit_code_and_json(self, tmp_path, capsys):
         # valid config, but the inversion input file is missing
         code = run_cli(tmp_path, "tomo-invert",
