@@ -26,13 +26,15 @@ parser is built on the first call and reused by every later one.
 The one schema of config documents is here: ``_JOBS`` lists each command's
 fields as field -> (parser, default), and so do ``_STATES`` (by ``kind``),
 ``_HAMILTONIANS`` (by ``preset``) and ``_PROFILES`` for the nested documents.
-``_fields`` runs each parser once: a field that is missing, mistyped or out of
-range, and a key that its table does not list (a misspelled field), at any depth,
-is a configuration error naming its path (exit status 2), and every number must be
-a finite JSON number.  Every per-field rule is in the tables (a command's state
-rule, tomography's uniform axes, the sinogram file, which its parser reads), so a
-job gets only inputs the library accepts and checks only rules across fields.  An artifact, or a sidecar number, that would
-hold inf or nan is a ``NonFiniteError`` naming it (exit 1).
+Every document is one closed table, read by one ``_fields`` call, which runs each
+parser once: a key that no table of the document lists (a misspelled field, ``kind``,
+``preset`` or profile form) is found first, then a field that is missing, mistyped or
+out of range; either, at any depth, is a configuration error naming its path (exit
+status 2), and every number must be a finite JSON number.  Every per-field rule is
+in the tables (the kinds a command's state may name, tomography's uniform axes, the
+sinogram file, which its parser reads), so a job gets only inputs the library
+accepts and checks only rules across fields.  An artifact, or a sidecar number, that
+would hold inf or nan is a ``NonFiniteError`` naming it (exit 1).
 Library warnings raised during a job go to the sidecar's ``warnings`` key and
 to stderr as JSON lines, before the error line when the job fails.
 """
@@ -57,10 +59,6 @@ from .gaussian import (QREP_CONVENTION, GaussianState, make_coherent, make_squee
                        make_thermal_oscillator, photon_pnd_table, q_eval, wigner_eval)
 from .hermite import _near_diagonal_entries
 from .io import PHASE_SPACE_HEADER, SINOGRAM_HEADER, LatticeText, format_table
-
-COMMANDS = ("pnd", "wigner", "qfunc", "evolve", "epsilon", "cat",
-            "tomo-forward", "tomo-invert", "verify")
-
 
 class ConfigError(ValueError):
     """Configuration problem, carrying the offending field path."""
@@ -99,14 +97,16 @@ def _path(path: str, field: str) -> str:
     return f"{path}.{field}" if path else field
 
 
-def _fields(obj, path: str, table: dict, selector: str | None = None) -> dict:
-    """{field: parser(obj[field], "path.field")} over a table {field: (parser, default)};
-    a key that is neither in the table nor the ``selector`` that chose it is an error naming
-    it, before any parser runs; a missing field takes its default, or is an error when that
-    is ``_NO_DEFAULT``; and a parser's ValueError, TypeError, KeyError or ArithmeticError
-    names the field."""
+def _fields(obj, path: str, table: dict, variants: dict | None = None) -> dict:
+    """{field: parser(obj[field], "path.field")} over a table {field: (parser, default)}; a
+    key in no table of the document is an error naming it, before any parser runs; a missing
+    field takes its default, or is an error when that is ``_NO_DEFAULT``; and a parser's
+    ValueError, TypeError, KeyError or ArithmeticError names the field.  A document of
+    ``variants`` ({choice: (constructor, table)}) has its one selector field in ``table``,
+    and the table of the variant that the selector's value chooses reads its other keys."""
     values, obj = {}, _object(obj, path)
-    known = [*([selector] if selector else []), *table]
+    known = dict.fromkeys([*table, *(key for _, fields in (variants or {}).values()
+                                    for key in fields)])
     for key in obj:
         if key not in known:
             expected = f"one of {', '.join(map(repr, known))}" if known else "no field"
@@ -124,14 +124,11 @@ def _fields(obj, path: str, table: dict, selector: str | None = None) -> dict:
             raise
         except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             raise ConfigError(name, str(exc)) from exc
+    if variants:
+        (choice,) = values.values()
+        rest = {key: value for key, value in obj.items() if key not in table}
+        values.update(_fields(rest, path, variants[choice][1]))
     return values
-
-
-def _select(obj, path: str, selector: str, parse, default):
-    """The ``selector`` field of a document, which picks the table of its other fields."""
-    obj = _object(obj, path)
-    return _fields({selector: obj[selector]} if selector in obj else {}, path,
-                   {selector: (parse, default)})[selector]
 
 
 def _rule(ok, expected: str, convert=None):
@@ -247,27 +244,23 @@ _STATES = {
     "cat": (lambda A, parity: _lib("cats").CatState(A.view(complex)[:, 0], parity), {
         "A": (_pairs, _NO_DEFAULT), "parity": (_choice("even", "odd"), _NO_DEFAULT)}),
 }
-_STATE_KIND = _choice(*_STATES)
 
 
-def _parse_state(obj, path: str):
-    """Gaussian-family or cat state from its JSON document; ``kind`` picks the table."""
-    kind_default = "gaussian" if "disp" in _object(obj, path) else _NO_DEFAULT
-    build, table = _STATES[_select(obj, path, "kind", _STATE_KIND, kind_default)]
-    values = _fields(obj, path, table, "kind")
-    state = build(**values)
-    if values.get("n_modes") not in (None, state.n_modes):
-        raise ConfigError(f"{path}.n_modes", f"the mean and disp hold {state.n_modes} modes")
-    return state
+def _state(kinds, one_mode: bool = False):
+    """(parser, default) of a required state document whose ``kind`` is one of ``kinds``,
+    and of one mode when ``one_mode``; ``kind`` may be left out when ``disp`` is given and
+    ``gaussian`` is accepted."""
+    kind = _choice(*kinds)
 
-
-def _state(ok, suffix: str, message: str):
-    """(parser, default) of a required state document whose state ``ok`` accepts; any other
-    state is a config error naming the field's path plus ``suffix``."""
     def parse(obj, path: str):
-        state = _parse_state(obj, path)
-        if not ok(state):
-            raise ConfigError(path + suffix, message)
+        given_disp = "disp" in _object(obj, path)
+        default = "gaussian" if given_disp and "gaussian" in kinds else _NO_DEFAULT
+        values = _fields(obj, path, {"kind": (kind, default)}, _STATES)
+        state = _STATES[values.pop("kind")][0](**values)
+        if values.get("n_modes") not in (None, state.n_modes):
+            raise ConfigError(f"{path}.n_modes", f"the mean and disp hold {state.n_modes} modes")
+        if one_mode and state.n_modes != 1:
+            raise ConfigError(path, "phase-space grids are defined for one-mode states")
         return state
     return parse, _NO_DEFAULT
 
@@ -282,17 +275,18 @@ def _sinogram(value, field: str):
     return sino
 
 
-# profile form -> parser; a profile document holds exactly one of them
-_PROFILES = {"preset": _string(lambda name: _lib("parametric").preset_profile(name)),
-             "table": lambda v, field: _lib("parametric").tabulated_profile(_numbers(v, field)),
-             "expression": _string(lambda text: _lib("parametric").expression_profile(text))}
+# profile form -> (parser, default); a profile document holds exactly one of them
+_PROFILES = {
+    "preset": (_string(lambda name: _lib("parametric").preset_profile(name)), None),
+    "table": (lambda v, field: _lib("parametric").tabulated_profile(_numbers(v, field)), None),
+    "expression": (_string(lambda text: _lib("parametric").expression_profile(text)), None)}
 
 
 def _parse_profile(obj, path: str):
-    forms = [form for form in _PROFILES if form in _object(obj, path)]
+    forms = [form for form in _fields(obj, path, _PROFILES).values() if form is not None]
     if len(forms) != 1:
         raise ConfigError(path, f"needs exactly one of {', '.join(map(repr, _PROFILES))}")
-    return _fields(obj, path, {forms[0]: (_PROFILES[forms[0]], _NO_DEFAULT)})[forms[0]]
+    return forms[0]
 
 
 # Hamiltonian preset -> (constructor, {field: (parser, default)}); None is H = Q.B.Q/2 + C.Q
@@ -307,15 +301,14 @@ _HAMILTONIANS = {
                B, np.zeros(len(B)) if C is None else C, len(B) // 2),
            {"B": (_square, _NO_DEFAULT), "C": (_vector, None)}),
 }
-_PRESET = _choice(*filter(None, _HAMILTONIANS))
+_PRESET = {"preset": (_choice(*filter(None, _HAMILTONIANS)), None)}
 
 
 def _parse_hamiltonian(obj, path: str):
-    preset = _select(obj, path, "preset", _PRESET, None)
-    if preset is not None and "B" in obj:
+    if "preset" in _object(obj, path) and "B" in obj:
         raise ConfigError(path, "give either 'preset' or 'B', not both")
-    build, table = _HAMILTONIANS[preset]
-    return build(**_fields(obj, path, table, "preset"))
+    values = _fields(obj, path, _PRESET, _HAMILTONIANS)
+    return _HAMILTONIANS[values.pop("preset")][0](**values)
 
 
 def parse_config(text: str, command: str | None = None) -> JobConfig:
@@ -514,19 +507,11 @@ def _plot_script(csv_name: str, n_q: int, n_p: int, title: str) -> str:
     ]) + "\n"
 
 
-# the state field of each command, with the rule its job needs
-_STATE = (_parse_state, _NO_DEFAULT)
-_ONE_MODE = _state(lambda state: state.n_modes == 1, "",
-                   "phase-space grids are defined for one-mode states")
-# every kind but "cat" builds a GaussianState
-_GAUSSIAN_FAMILY = _state(lambda state: isinstance(state, GaussianState), ".kind",
-                          "evolve requires a Gaussian-family state")
-_CAT = _state(lambda state: not isinstance(state, GaussianState), ".kind",
-              "cat command requires a cat state")
-_PND_FIELDS = {"state": _STATE, "degree_cap": (_integral(0), 64),
+# a command's state rule is the kinds its state document may name, and for a grid one mode
+_PND_FIELDS = {"state": _state(_STATES), "degree_cap": (_integral(0), 64),
                "mass_tol": (_number(0.0, 1.0), 1e-10)}
-_GRID_FIELDS = {"state": _ONE_MODE, "grid": (_phase_grid(_parse_grid), _NO_DEFAULT),
-                "plot": (_flag, False)}
+_GRID_FIELDS = {"state": _state(_STATES, one_mode=True),
+                "grid": (_phase_grid(_parse_grid), _NO_DEFAULT), "plot": (_flag, False)}
 # command -> (job, {field: (parser, default)}); a default of None is derived in the job, and
 # a job returns (artifacts, sidecar entries, work counters)
 _JOBS = {
@@ -534,14 +519,15 @@ _JOBS = {
     "wigner": (_job_wigner, _GRID_FIELDS),
     "qfunc": (_job_qfunc, _GRID_FIELDS),
     "evolve": (_job_evolve, {
-        "state": _GAUSSIAN_FAMILY, "hamiltonian": (_parse_hamiltonian, _NO_DEFAULT),
+        "state": _state([kind for kind in _STATES if kind != "cat"]),
+        "hamiltonian": (_parse_hamiltonian, _NO_DEFAULT),
         "t_end": (_finite, _NO_DEFAULT), "num": (_integral(1), 51), "tol": (_positive, 1e-9)}),
     "epsilon": (_job_epsilon, {
         "profile": (_parse_profile, _NO_DEFAULT), "t_end": (_positive, _NO_DEFAULT),
         "num": (_integral(1), 201), "tol": (_positive, 1e-9)}),
-    "cat": (_job_cat, {**_PND_FIELDS, "state": _CAT}),
+    "cat": (_job_cat, {**_PND_FIELDS, "state": _state(("cat",))}),
     "tomo-forward": (_job_tomo_forward, {
-        "state": _ONE_MODE, "n_angles": (_integral(1), 180),
+        "state": _state(_STATES, one_mode=True), "n_angles": (_integral(1), 180),
         "x": (_uniform_grid, _parse_grid({"min": -12.0, "max": 12.0, "num": 257}, "x")),
         "method": (_choice("exact", "numeric"), "exact"), "wigner_samples": (_integral(3), 513),
         "wigner_span": (_positive, None)}),
@@ -550,6 +536,7 @@ _JOBS = {
         "reg_s": (_positive, 1e-2)}),
     "verify": (_job_verify, {}),
 }
+COMMANDS = tuple(_JOBS)
 
 
 def execute_job(cfg: JobConfig) -> dict[str, str | LatticeText]:

@@ -249,7 +249,6 @@ def to_qrep(s: GaussianState) -> QRep:
     logdet = np.linalg.slogdet(s.disp + 0.5 * np.eye(2 * n))[1]
     Ainv = np.linalg.inv(2.0 * s.disp + np.eye(2 * n))
     R = 2.0 * U.T @ Ainv @ U - block_swap(n)
-    R = 0.5 * (R + R.T)
     ry = 2.0 * U.T @ (Ainv @ s.mean)
     p0 = math.exp(-0.5 * logdet - float(s.mean @ Ainv @ s.mean))
     return QRep(R, ry, min(p0, 1.0))
@@ -326,10 +325,11 @@ def photon_pnd_table(state, mass_tol: float = _DEFAULT_MASS_TOL,
     1 - mass_tol is covered.
 
     Enumeration walks the state's shells of constant total photon number
-    (``state.photon_shells``); it stops on the mass target, on the configured
-    degree cap, or where the state stops its shells before its table would
-    outgrow ``BOX_ENTRY_CAP`` entries, whichever comes first.  A truncation is
-    flagged in the result and warned about, never silent.
+    (``state.photon_shells``); it stops on the mass target, on the degree cap
+    ``degree_cap_per_mode * state.n_modes`` of the total photon number (a cap on the
+    total, so one mode may hold all of it), or where the state stops its shells before
+    its table would outgrow ``BOX_ENTRY_CAP`` entries, whichever comes first.  A
+    truncation is flagged in the result and warned about, never silent.
 
     The mass is checked after each shell, and a shell does not depend on how far
     the enumeration runs, so every row equals ``photon_pnd`` bit for bit.

@@ -36,7 +36,6 @@ import numpy as np
 
 from .dynamics import (SymplecticFlow, _eps_epsdot, evolve_gaussian,
                        integrate_symplectic_flow, parametric_oscillator)
-from .errors import NonFiniteError
 from .gaussian import GaussianState
 from .hermite import fock_wavefunction_eval
 
@@ -133,22 +132,17 @@ def wronskian_defect(flow: SymplecticFlow) -> float:
 
 
 def variances_correlation(flow: SymplecticFlow, t: float) -> tuple[float, float, float]:
-    """(sigma_x, sigma_p, r): noise of the ground packet and its x-p correlation.
+    """(sigma_x, sigma_p, r): noise of the ground packet and its x-p correlation, read
+    from the dispersion matrix of its carrier ``to_gaussian_state(flow, t)``.
 
     sigma_x sigma_p (1 - r^2) = 1/4 holds identically up to the Wronskian
-    defect; the correlation sign follows sign(Re eps* epsdot) = sign(sigma_xp).
+    defect; r has the sign of sigma_xp and is clipped to [-1, 1].
     A noise figure beyond double range raises ``NonFiniteError`` naming t.
     """
-    eps, epsdot = flow.eps(t)
-    try:
-        sigma_x = 0.5 * abs(eps) ** 2
-        sigma_p = 0.5 * abs(epsdot) ** 2
-    except OverflowError as exc:
-        raise NonFiniteError(f"ground-packet noise at t={t} is beyond double range") from exc
-    product = sigma_x * sigma_p
-    arg = max(0.0, 1.0 - 0.25 / product)
-    r = math.copysign(math.sqrt(arg), np.real(np.conj(eps) * epsdot))
-    return sigma_x, sigma_p, r
+    disp = to_gaussian_state(flow, t).disp
+    sigma_x, sigma_p = float(disp[1, 1]), float(disp[0, 0])  # axes (p, q)
+    r = float(disp[0, 1]) / math.sqrt(sigma_x) / math.sqrt(sigma_p)
+    return sigma_x, sigma_p, min(1.0, max(-1.0, r))
 
 
 def _mu(eps: complex, epsdot: complex) -> complex:

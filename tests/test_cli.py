@@ -290,6 +290,13 @@ class TestDeterminismAndErrors:
         ("pnd", {"state": {"kind": "coherent", "alpha": 1.0, "alhpa": 3}}, "state.alhpa"),
         # a misspelled required field is named by its misspelling, not as missing
         ("pnd", {"state": {"kind": "coherent", "alhpa": 3}}, "state.alhpa"),
+        # a misspelled selector or profile form is named too, and a field of another kind
+        ("pnd", {"state": {"knd": "coherent", "alpha": 1.0}}, "state.knd"),
+        ("pnd", {"state": {"kind": "coherent", "alpha": 1.0, "r": 0.5}}, "state.r"),
+        ("epsilon", {"profile": {"expresion": "1"}, "t_end": 1.0}, "profile.expresion"),
+        ("evolve", {"state": {"kind": "coherent", "alpha": 1.0}, "t_end": 1.0,
+                    "hamiltonian": {"preset": "parametric", "omega_squared": {
+                        "expresion": "1"}}}, "hamiltonian.omega_squared.expresion"),
         ("evolve", {"state": {"kind": "coherent", "alpha": 1.0}, "t_end": 1.0,
                     "hamiltonian": {"preset": "free", "mas": 2.0}}, "hamiltonian.mas"),
         ("evolve", {"state": {"kind": "coherent", "alpha": 1.0}, "t_end": 1.0,
@@ -317,11 +324,12 @@ class TestDeterminismAndErrors:
          "hamiltonian", "give either 'preset' or 'B'"),
         ("epsilon", {"profile": {"expression": "1", "tabel": [[0, 1], [1, 1]]}, "t_end": 1.0},
          "profile.tabel", "unknown field"),
-        ("epsilon", {"profile": {"expresion": "1"}, "t_end": 1.0}, "profile", "exactly one"),
+        ("epsilon", {"profile": {"expresion": "1"}, "t_end": 1.0}, "profile.expresion",
+         "unknown field"),
     ])
     def test_form_rules_keep_their_messages(self, tmp_path, capsys, command, config, field,
                                             message):
-        # the preset-or-B and one-profile-form rules run before the unknown-key check
+        # the preset-or-B rule runs before the unknown-key check; a misspelled form is unknown
         assert run_cli(tmp_path, command, config) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["field"] == field and message in err["message"]
@@ -546,6 +554,8 @@ class TestDeterminismAndErrors:
         ("evolve", {"state": _CAT1, "hamiltonian": {"preset": "oscillator"}, "t_end": 1.0},
          "state.kind"),
         ("cat", {"state": {"kind": "coherent", "alpha": 1.0}}, "state.kind"),
+        # the kind is checked before the fields it selects
+        ("cat", {"state": {"kind": "coherent", "alpha": "x"}}, "state.kind"),
         # tomography's axes are uniform and hold at least two points
         ("tomo-forward", {"state": _CAT1, "x": [-6, -5, -3, 0, 2, 6]}, "x"),
         ("tomo-forward", {"state": _CAT1, "x": [1.0]}, "x"),

@@ -165,6 +165,13 @@ class TestVariances:
             assert sp == pytest.approx(0.5, abs=1e-9)
             assert abs(r) < 1e-4
 
+    def test_minimal_packet_has_no_rounding_correlation(self):
+        # the pushed vacuum's disp_pq stays at rounding level where sigma_x sigma_p = 1/4;
+        # sqrt(1 - 1/(4 sigma_x sigma_p)) would return the root of that residue, near 1e-8
+        flow = make_flow("oscillator", t_end=10.0)
+        for t in np.linspace(0.0, 10.0, 30):
+            assert abs(variances_correlation(flow, t)[2]) <= 1e-12
+
     def test_free_motion_correlates(self):
         sx, sp, r = variances_correlation(make_flow("free"), 1.0)
         assert sx == pytest.approx(1.0, abs=1e-9)
