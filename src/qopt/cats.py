@@ -66,19 +66,21 @@ class CatState:
         """Rows of the shells up to ``max_degree``: C(max_degree + N, N)."""
         return math.comb(max_degree + self.n_modes, self.n_modes)
 
-    def photon_shells(self, max_degree: int):
-        """Iterator over the shells of total t = 0, 1, ..., ``max_degree`` of pairs (indices, P),
-        the rows of ``indices`` lexicographic; raises ``ResourceLimitError`` past the cap."""
+    def photon_shells(self, max_degree: int, min_degree: int = 0):
+        """Iterator over the shells of total t = ``min_degree``, ..., ``max_degree`` of pairs
+        (indices, P), the rows of ``indices`` lexicographic; each row is evaluated on its own,
+        so no shell below ``min_degree`` is built.  Raises ``ResourceLimitError`` when the
+        table to ``max_degree`` would pass the cap."""
         _check_cap(self.photon_table_size(max_degree), f"a cat table to degree {max_degree}")
         probabilities, n = _cat_probabilities(self, max_degree), self.n_modes
-        return ((indices, probabilities(indices)) for indices in _shell_rows(n, max_degree))
+        return ((indices, probabilities(indices))
+                for indices in _shell_rows(n, max_degree, min_degree))
 
 
-def _shell_rows(n: int, top: int):
-    """Iterator over the index rows of the shells of total 0, 1, ..., ``top`` of ``n`` modes,
+def _shell_rows(n: int, top: int, lo: int):
+    """Iterator over the index rows of the shells of total ``lo``, ..., ``top`` of ``n`` modes,
     each shell a slice of one ``_total_degree_indices`` block of consecutive shells that
     holds at most ``_SHELL_BLOCK_ROWS`` rows, or the one shell that holds more."""
-    lo = 0
     while lo <= top:
         below = math.comb(lo - 1 + n, n)  # rows of the totals under lo
         hi = lo

@@ -37,14 +37,18 @@ would pass ``BOX_ENTRY_CAP``.  For a Gaussian state P(n) = P0 G_(n,n) with G the
 renormalized Hermite family of (R, R y), and ``qopt.hermite.hermite_diagonal`` fills only
 a near-diagonal set of indices (m, n) with |m - n|_1 <= 2, one total-degree shell at a time.
 ``photon_pnd_table`` runs one loop over the shells of any state up to its reach, the degree
-cap lowered to the highest total whose table fits; it checks the mass after each shell and
-stops on the mass target or at the reach.  ``photon_pnd`` reads a row of the same shells, so
-a table row and a single value agree bit for bit.  Photon-number mean and variance come in
-closed form from each mode's 2 x 2 marginal.
+cap lowered to the highest total whose table fits (found by bisection, as the size never
+falls as the total grows); it checks the mass after each shell and stops on the mass target
+or at the reach.  ``photon_pnd`` reads its row of the one shell of its total
+(``photon_shells(|n|, |n|)``: a Gaussian state fills the shells below, a cat only that
+shell), so a table row and a single value agree bit for bit.  Photon-number mean and
+variance come in closed form from each mode's 2 x 2 marginal.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -97,15 +101,17 @@ class GaussianState:
         """Entries of the near-diagonal Hermite set behind the shells up to ``max_degree``."""
         return _near_diagonal_entries(self.n_modes, max_degree)
 
-    def photon_shells(self, max_degree: int):
-        """Iterator over the shells |n| = 0, 1, ..., ``max_degree`` of pairs (indices,
-        p0 G_(n,n)), the rows of ``indices`` lexicographic; raises ``ResourceLimitError`` past
-        the entry cap and ``NonFiniteError`` when p0 underflows, so that every P(n) reads 0."""
+    def photon_shells(self, max_degree: int, min_degree: int = 0):
+        """Iterator over the shells |n| = ``min_degree``, ..., ``max_degree`` of pairs
+        (indices, p0 G_(n,n)), the rows of ``indices`` lexicographic (the recursion fills the
+        shells below too); raises ``ResourceLimitError`` past the entry cap and
+        ``NonFiniteError`` when p0 underflows, so that every P(n) reads 0."""
         rep = to_qrep(self)
         if rep.p0 == 0.0:
             raise NonFiniteError("vacuum probability p0 underflows to 0; every P(n) would read 0")
+        shells = hermite_diagonal(rep.R, rep.ry, max_degree)
         return ((indices, rep.p0 * diagonal)
-                for indices, diagonal in hermite_diagonal(rep.R, rep.ry, max_degree))
+                for indices, diagonal in itertools.islice(shells, min_degree, None))
 
 
 class GaussianDyads(NamedTuple):
@@ -288,9 +294,10 @@ def _checked_probabilities(raw: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 def photon_pnd(state, n) -> float:
     """Probability of the outcome n = (n_1, ..., n_N) of a Gaussian or cat state: its row of
-    ``state.photon_shells(|n|)``, which raises ResourceLimitError past the entry cap."""
+    the shell ``state.photon_shells(|n|, |n|)``, which raises ResourceLimitError when the
+    table to |n| would pass the entry cap."""
     idx = as_index(n, length=state.n_modes)
-    *_, (indices, raw) = state.photon_shells(sum(idx))
+    [(indices, raw)] = state.photon_shells(sum(idx), sum(idx))
     row = np.flatnonzero((indices == idx).all(axis=1))
     return float(_checked_probabilities(raw[row], indices[row])[0])
 
@@ -326,9 +333,10 @@ def photon_pnd_table(state, mass_tol: float = DEFAULT_MASS_TOL,
     """
     if degree_cap_per_mode < 0:
         raise ValueError("degree_cap_per_mode must be nonnegative")
-    cap = reach = degree_cap_per_mode * state.n_modes
-    while reach > 0 and state.photon_table_size(reach) > hermite.BOX_ENTRY_CAP:
-        reach -= 1
+    cap = degree_cap_per_mode * state.n_modes
+    # the highest total up to the cap whose table fits, by bisection: the size never falls
+    reach = bisect.bisect_right(range(1, cap + 1), hermite.BOX_ENTRY_CAP,
+                                key=state.photon_table_size)
     shells, cumulative = [], 0.0
     for degree, (indices, raw) in enumerate(state.photon_shells(reach)):
         shells.append((indices, raw))

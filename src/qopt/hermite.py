@@ -40,9 +40,10 @@ needs (D + 1)^(2N).
 The fill runs one shell of |m| + |n| per step with one gather of the 2N + 1
 terms of every entry, k - e_i and the k - e_i - e_j: one lowering step applied
 twice, read from a table by offset m - n (per N) and one by base (per total).
-The gather tables are kept per process up to a fixed byte budget.  Each value
-sees the same operations however far the fill runs, so a diagonal is bitwise
-the same for every ``max_degree`` that reaches it.  The set, not a box, counts
+The gather tables come in blocks of at most ``_BLOCK_TERMS`` terms (1 MiB), of
+which a ``functools.lru_cache`` keeps the last 32 per process.  Each value sees
+the same operations however far the fill runs, so a diagonal is bitwise the
+same for every ``max_degree`` that reaches it.  The set, not a box, counts
 against ``BOX_ENTRY_CAP``; ``_near_diagonal_entries`` gives its size, which is a
 Gaussian state's ``photon_table_size``.
 
@@ -57,7 +58,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,17 +322,23 @@ def _base_steps(n_modes: int, low: int, high: int):
     return bases, start, down
 
 
+_BLOCK_SHELLS = 32
+_BLOCK_TERMS = 2 ** 15  # 32 bytes a term (two int64 indices and a complex weight): 1 MiB
+
+
+@functools.lru_cache(maxsize=32)
 def _near_diagonal_block(n_modes: int, first: int, skip: int):
     """Gather tables of the near-diagonal set from entry ``skip`` of shell ``first`` on.
 
     A block is the rest of that shell plus whole shells after it, as far as
-    ``_BLOCK_SHELLS`` shells or ``_BLOCK_ENTRIES`` entries reach; a longer rest comes in
-    parts.  A shell lists its entries (b, d), m = b + max(d, 0), n = b + max(-d, 0), by
-    offset in ``_offsets`` order, then base b lexicographically.  Returns (chunks, bytes):
-    a chunk per shell or part of one holds, for the 2N + 1 terms of each entry, their
-    coefficients' indices in [ry | -R] flattened, their positions in the window
+    ``_BLOCK_SHELLS`` shells or ``_BLOCK_TERMS`` gather terms (2N + 1 per entry) reach; a
+    longer rest comes in parts.  A shell lists its entries (b, d), m = b + max(d, 0),
+    n = b + max(-d, 0), by offset in ``_offsets`` order, then base b lexicographically.
+    Returns the chunks, one per shell or part of one: for the 2N + 1 terms of each entry,
+    their coefficients' indices in [ry | -R] flattened, their positions in the window
     [shell - 1, shell - 2, 0] and their weights; then the bases of the diagonal if the
     chunk ends an even shell, which the diagonal leads, and whether it ends its shell.
+    The last 32 stay cached; two threads in a race may both build a block, alike.
     """
     dim, offsets = 2 * n_modes, _offsets(n_modes)
     targets, axes = _steps(n_modes)
@@ -342,14 +348,14 @@ def _near_diagonal_block(n_modes: int, first: int, skip: int):
                           - np.abs(offsets).sum(axis=1), 2)
     layer = [math.comb(h + n_modes - 1, n_modes - 1) for h in range(first // 2 + _BLOCK_SHELLS)]
     counts = np.where((odd == 0) & (half >= 0), np.take(layer, np.maximum(half, 0)), 0)
-    reach = np.cumsum(counts[2:].sum(axis=1)) - skip
-    shells = max(1, int(np.searchsorted(reach, _BLOCK_ENTRIES, side="right")))
+    reach, limit = np.cumsum(counts[2:].sum(axis=1)) - skip, _BLOCK_TERMS // (dim + 1)
+    shells = max(1, int(np.searchsorted(reach, limit, side="right")))
     half, counts = half[:shells + 2], counts[:shells + 2]
     sizes, low = counts.sum(axis=1), max(0, (first - 4) // 2)  # the lowest total of a term
     bases, start, down = _base_steps(n_modes, low, (first + shells - 1) // 2)
     # entry e of the block: its group (shell, offset) and the row of its base
     ends = np.cumsum(counts[2:])
-    e = np.arange(skip, skip + min(reach[shells - 1], _BLOCK_ENTRIES))
+    e = np.arange(skip, skip + min(reach[shells - 1], limit))
     group = np.searchsorted(ends, e, side="right")
     shell, which = np.divmod(group, len(offsets))
     row = e - (ends - counts[2:].ravel())[group] + start[half[2:].ravel()[group] - low]
@@ -378,51 +384,25 @@ def _near_diagonal_block(n_modes: int, first: int, skip: int):
     bounds = np.searchsorted(shell, np.arange(shells + 1))
     chunks = []
     for t, lo, hi in zip(range(shells), bounds[:-1], bounds[1:]):
-        closes = t < shells - 1 or reach[t] <= _BLOCK_ENTRIES
+        closes = t < shells - 1 or reach[t] <= limit
         total = (first + t) // 2 - low
-        diagonal = (bases[start[total]:start[total + 1]].copy()
-                    if closes and (first + t) % 2 == 0 else None)
+        diagonal = None
+        if closes and (first + t) % 2 == 0:  # the caller sees it: a read-only copy
+            diagonal = bases[start[total]:start[total + 1]].copy()
+            diagonal.flags.writeable = False
         chunks.append(tuple(np.ascontiguousarray(table[:, lo:hi])
                             for table in (coefficients, positions, weights)) + (diagonal, closes))
-    return chunks, sum(table.nbytes for chunk in chunks for table in chunk[:3])
+    return tuple(chunks)
 
 
-class _BlockCache:
-    """Gather tables of near-diagonal blocks by (modes, first shell, first entry); the
-    least recently used leave once the kept ones exceed ``limit`` bytes."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self._blocks: dict[tuple[int, int, int], tuple[list, int]] = {}
-        self._bytes = 0
-        self._lock = threading.Lock()
-
-    def chunks(self, n_modes: int):
-        """The table chunks of shells 1, 2, ... in order, built a block at a time."""
-        shell, skip = 1, 0
-        while True:
-            key = (n_modes, shell, skip)
-            with self._lock:
-                block = self._blocks.pop(key, None)
-                if block is not None:
-                    self._blocks[key] = block
-            if block is None:
-                block = _near_diagonal_block(n_modes, shell, skip)
-                with self._lock:
-                    if key not in self._blocks:
-                        self._blocks[key] = block
-                        self._bytes += block[1]
-                    while self._bytes > self.limit:
-                        self._bytes -= self._blocks.pop(next(iter(self._blocks)))[1]
-            for chunk in block[0]:
-                yield chunk
-                terms, *_, closes = chunk
-                shell, skip = (shell + 1, 0) if closes else (shell, skip + terms.shape[1])
-
-
-_BLOCK_SHELLS = 32
-_BLOCK_ENTRIES = 2 ** 15
-_TABLES = _BlockCache(2 ** 25)
+def _chunks(n_modes: int):
+    """The table chunks of shells 1, 2, ... in order, built a block at a time."""
+    shell, skip = 1, 0
+    while True:
+        for chunk in _near_diagonal_block(n_modes, shell, skip):
+            yield chunk
+            terms, *_, closes = chunk
+            shell, skip = (shell + 1, 0) if closes else (shell, skip + terms.shape[1])
 
 
 def hermite_diagonal(R, ry, max_degree: int):
@@ -455,7 +435,7 @@ def _fill_diagonal(R: np.ndarray, ry: np.ndarray, max_degree: int):
     zero = np.zeros(1, dtype=complex)
     below, above = np.zeros(0, dtype=complex), np.ones(1, dtype=complex)
     yield np.zeros((1, n_modes), dtype=np.int64), above
-    chunks = _TABLES.chunks(n_modes)
+    chunks = _chunks(n_modes)
     for degree in range(1, max_degree + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(2):  # the odd shell, then the even one that holds the diagonal

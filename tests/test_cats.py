@@ -45,6 +45,13 @@ class TestNormalization:
         with pytest.raises(ValueError):
             CatState([0.0], "odd")
 
+    @pytest.mark.parametrize("amplitudes, parity, match", [
+        ([], "even", "nonempty complex vector"),
+        ([1.0], "neutral", "parity must be 'even' or 'odd', got 'neutral'")])
+    def test_malformed_rejected(self, amplitudes, parity, match):
+        with pytest.raises(ValueError, match=match):
+            CatState(amplitudes, parity)
+
     def test_odd_underflowing_norm_rejected(self):
         # |A|^2 = 1e-400 is 0 in double precision, so sinh |A|^2 cannot normalize
         with pytest.raises(ValueError, match="not normalizable"):
@@ -272,6 +279,19 @@ class TestPhotonPnd:
     def test_bright_cat_stays_finite(self):
         p = photon_pnd(CatState([30.0], "even"), [900])
         assert math.isfinite(p) and p == cat_pnd_by_index(CatState([30.0], "even"), [900])
+
+    def test_one_outcome_evaluates_only_its_shell(self, monkeypatch):
+        # (60, 60, 60) lies in the shell of total 180: the kernel sees its 16,471 rows,
+        # not the 1,004,731 of the table up to that total
+        c, kernel, rows = CatState([3, 2, 1], "even"), cats._cat_probabilities, []
+
+        def counted(state, top):
+            probabilities = kernel(state, top)
+            return lambda indices: rows.append(len(indices)) or probabilities(indices)
+
+        monkeypatch.setattr(cats, "_cat_probabilities", counted)
+        assert photon_pnd(c, (60, 60, 60)) == cat_pnd_by_index(c, (60, 60, 60))
+        assert 0 < sum(rows) <= math.comb(180 + 2, 2) == 16471
 
     def test_entry_capped_shell_raises(self, monkeypatch):
         # a smaller cap stands in for 2**24: a table to total 12 fits (91 rows of 2 modes)

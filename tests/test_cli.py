@@ -397,6 +397,34 @@ class TestDeterminismAndErrors:
         assert err["error"]["field"] == "--config"
         assert "does not exist" in err["error"]["message"]
 
+    @pytest.mark.parametrize("config, field, message", [
+        ([{"state": {"kind": "vacuum"}}], "<document>", "top level must be an object"),
+        ({"state": 3}, "state", "must be an object"),
+        ({"state": {"kind": "coherent", "alpha": [1, 2, 3]}}, "state.alpha",
+         "expected a number, [re, im] or a list of pairs")])
+    def test_malformed_document_names_its_path(self, tmp_path, capsys, config, field, message):
+        assert run_cli(tmp_path, "pnd", config) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["field"]) == ("config", field) and message in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_command_is_required(self, tmp_path, capsys):
+        # the CLI passes its command to parse_config; a caller that passes none must name it
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps({"state": {"kind": "coherent", "alpha": 1.0}}))
+        assert err.value.field == "command"
+        assert main(["pnd", "--out-dir", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["field"]) == ("config", "--config")
+        assert not (tmp_path / "out").exists()
+
+    def test_verbose_prints_the_written_paths(self, tmp_path, capsys):
+        config = {"state": {"kind": "coherent", "alpha": 0.5}}
+        assert run_cli(tmp_path, "pnd", config, extra=["--verbose"]) == 0
+        printed = capsys.readouterr().out.split()
+        assert sorted(map(Path, printed)) == sorted((tmp_path / "out").iterdir())
+        assert [Path(path).name for path in printed] == ["pnd.csv", "pnd.meta.json"]
+
     def test_config_path_naming_a_directory(self, tmp_path, capsys):
         (tmp_path / "job.json").mkdir()
         code = main(["pnd", "--config", str(tmp_path / "job.json"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,37 @@ class TestQRep:
         rep = QRep(-np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2), 1.0)
         with pytest.raises(ValueError):
             from_qrep(rep)
+
+
+class TestInputChecks:
+    """Each malformed argument raises ValueError with its own message."""
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: GaussianState([0.0, 0.0, 0.0], np.eye(3)), "even positive length, got 3"),
+        (lambda: GaussianState([], np.eye(2)), "even positive length, got 0"),
+        (lambda: GaussianState([0.0, 0.0], np.eye(4)), r"disp shape \(4, 4\) does not match"),
+        (lambda: QRep(np.zeros((2, 2)), np.zeros(3), 1.0), "ry has length 3"),
+        (lambda: QRep(np.zeros((3, 3)), np.zeros(3), 1.0), "R must be 2N x 2N"),
+        (lambda: QRep(np.zeros((2, 2)), np.zeros(2), 1.5), r"p0 must lie in \[0, 1\]"),
+        (lambda: QRep(np.zeros((2, 2)), np.zeros(2), -0.1), r"p0 must lie in \[0, 1\]"),
+        # a complex R whose state would have a complex dispersion matrix
+        (lambda: from_qrep(QRep([[0.3j, 0.2], [0.2, -0.1j]], np.zeros(2), 1.0)),
+         "dispersion matrix has a large imaginary residue"),
+        # a coherent state's R with its linear vector turned a quarter: a complex mean
+        (lambda: from_qrep(QRep(np.zeros((2, 2)), [0.5j + 0.2, 0.5j - 0.2], 1.0)),
+         "mean has a large imaginary residue"),
+        (lambda: q_eval(make_coherent(0.0), [0.0, 0.0]), "beta must have last dimension 1"),
+        (lambda: photon_moments(make_coherent([0.0, 1.0]), 2), "mode index 2 out of range"),
+        (lambda: photon_moments(make_coherent(0.0), -1), "mode index -1 out of range"),
+    ])
+    def test_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_bare_int_outcome_of_one_mode(self):
+        for state in (make_coherent(1.0), CatState([1.0], "odd")):
+            assert photon_pnd(state, 3) == photon_pnd(state, [3])
+        assert photon_pnd(make_coherent(1.0), 3) == pytest.approx(math.exp(-1.0) / 6, rel=1e-14)
 
 
 class TestWignerErrors:
@@ -530,6 +562,10 @@ class TestPhotonTableContract:
             assert len(shells) == degree + 1
             for total, (indices, _) in enumerate(shells):
                 assert np.array_equal(indices, _total_degree_indices(state.n_modes, total, total))
+            tail = list(state.photon_shells(degree, degree // 2))  # its last shells alone
+            assert len(tail) == len(shells[degree // 2:])
+            for (indices, raw), (want_indices, want) in zip(tail, shells[degree // 2:]):
+                assert np.array_equal(indices, want_indices) and np.array_equal(raw, want)
         with pytest.raises(ResourceLimitError, match=f"exceeding the cap {hermite.BOX_ENTRY_CAP}"):
             state.photon_shells(6)
         with pytest.raises(ResourceLimitError):
@@ -542,6 +578,52 @@ class TestPhotonTableContract:
         row = np.flatnonzero((table.indices == outcome).all(axis=1))[0]
         assert photon_pnd(state, outcome) == table.probabilities[row]
 
+    @pytest.mark.parametrize("state", _contract_states(),
+                             ids=lambda s: f"{type(s).__name__}-{s.n_modes}")
+    def test_reach_is_bisected(self, state):
+        # a degree cap of 10**6 per mode costs a few dozen size calls, not millions, and
+        # gives the default cap's table: the mass target stops both long before either reach
+        counted = _Counted(state)
+        table = photon_pnd_table(counted, degree_cap_per_mode=10 ** 6)
+        assert counted.sizes <= 25
+        reach, cap = counted.reach, 10 ** 6 * state.n_modes
+        assert state.photon_table_size(reach) <= hermite.BOX_ENTRY_CAP
+        assert reach == cap or state.photon_table_size(reach + 1) > hermite.BOX_ENTRY_CAP
+        default = photon_pnd_table(state)
+        assert not table.cap_hit and table.max_total_degree == default.max_total_degree
+        assert np.array_equal(table.indices, default.indices)
+        assert np.array_equal(table.probabilities, default.probabilities)
+
+    @pytest.mark.parametrize("state", _contract_states(),
+                             ids=lambda s: f"{type(s).__name__}-{s.n_modes}")
+    def test_reach_is_that_of_the_linear_search(self, monkeypatch, state):
+        # entry caps just under and at the table to each degree 1..7, against a degree cap
+        # of 4 per mode: the reach is the one a search down from the cap finds, and the
+        # table, which stops there short of the mass target, says which cap stopped it
+        cap = 4 * state.n_modes
+        for degree in range(1, 8):
+            for entries in (state.photon_table_size(degree) - 1,
+                            state.photon_table_size(degree)):
+                monkeypatch.setattr(hermite, "BOX_ENTRY_CAP", entries)
+                linear = cap
+                while linear > 0 and state.photon_table_size(linear) > entries:
+                    linear -= 1
+                counted = _Counted(state)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    table = photon_pnd_table(counted, degree_cap_per_mode=4)
+                assert counted.reach == linear
+                assert table.cap_hit and table.max_total_degree == linear
+                mass = f"{table.cumulative:.12f}"
+                if linear == cap:
+                    want = [f"photon enumeration hit the degree cap {cap} with cumulative "
+                            f"mass {mass}"]
+                else:
+                    want = [f"photon enumeration stopped at total degree {linear}: the "
+                            f"state's table to total degree {linear + 1} would exceed "
+                            f"{entries} entries (cumulative mass {mass})"]
+                assert [str(w.message) for w in caught] == want
+
     @pytest.mark.parametrize("state, degree", [
         (random_valid_state(3, np.random.default_rng(3)), 200),
         (CatState([0.9, 0.4j, 0.3], "even"), 1000)])
@@ -551,6 +633,22 @@ class TestPhotonTableContract:
         assert state.photon_table_size(degree) > hermite.BOX_ENTRY_CAP
         with pytest.raises(ResourceLimitError, match="exceeding the cap 16777216"):
             state.photon_shells(degree)
+
+
+class _Counted:
+    """A state that counts its ``photon_table_size`` calls and records the reach, the
+    ``max_degree`` of its ``photon_shells`` call."""
+
+    def __init__(self, state):
+        self.state, self.n_modes, self.sizes, self.reach = state, state.n_modes, 0, None
+
+    def photon_table_size(self, max_degree):
+        self.sizes += 1
+        return self.state.photon_table_size(max_degree)
+
+    def photon_shells(self, max_degree, min_degree=0):
+        self.reach = max_degree
+        return self.state.photon_shells(max_degree, min_degree)
 
 
 class _StandIn:
@@ -564,9 +662,9 @@ class _StandIn:
     def photon_table_size(self, max_degree):
         return max_degree + 1
 
-    def photon_shells(self, max_degree):
+    def photon_shells(self, max_degree, min_degree=0):
         rows = [np.array([0.5 + 0j]), np.array([self.bad])]
-        return ((np.array([[t]]), rows[t]) for t in range(max_degree + 1))
+        return ((np.array([[t]]), rows[t]) for t in range(min_degree, max_degree + 1))
 
 
 class TestCheckedProbabilities:

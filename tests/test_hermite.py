@@ -210,6 +210,15 @@ def diagonal_problems(draw):
     return R, y, draw(st.integers(0, {1: 8, 2: 8, 3: 6, 4: 3}[n_modes]))
 
 
+@pytest.fixture
+def fresh_blocks():
+    """The near-diagonal block cache, emptied before and after the test."""
+    blocks = hermite._near_diagonal_block
+    blocks.cache_clear()
+    yield blocks
+    blocks.cache_clear()
+
+
 def _diagonal(R, ry, max_degree):
     """(indices, values) of hermite_diagonal, every shell joined."""
     shells = list(hermite_diagonal(R, ry, max_degree))
@@ -246,7 +255,7 @@ class TestHermiteDiagonal:
                 _, near = _diagonal(R, ry, max_degree)
                 assert np.array_equal(far[:len(near)], near)
 
-    def test_values_do_not_depend_on_how_shells_are_split(self, monkeypatch):
+    def test_values_do_not_depend_on_how_shells_are_split(self, monkeypatch, fresh_blocks):
         # parts of 7 entries split every shell past the first few, across block bounds
         rng = np.random.default_rng(43)
         for n_modes in (1, 2, 3):
@@ -255,34 +264,45 @@ class TestHermiteDiagonal:
             ry = rng.normal(size=2 * n_modes) + 1j * rng.normal(size=2 * n_modes)
             whole = _diagonal(R, ry, 9)
             with monkeypatch.context() as patch:
-                patch.setattr(hermite, "_BLOCK_ENTRIES", 7)
-                patch.setattr(hermite, "_TABLES", hermite._BlockCache(2 ** 20))
+                patch.setattr(hermite, "_BLOCK_TERMS", 7 * (2 * n_modes + 1))
+                fresh_blocks.cache_clear()
                 split = _diagonal(R, ry, 9)
+            fresh_blocks.cache_clear()
             assert np.array_equal(whole[0], split[0]) and np.array_equal(whole[1], split[1])
 
-    def test_table_cache_keeps_within_its_byte_limit(self, monkeypatch):
-        # a fill whose tables outgrow the cache's limit keeps the limit and its values; blocks
-        # of 256 entries (about 40 kB for two modes) let the cache hold a few of them
-        rng = np.random.default_rng(45)
-        a = rng.normal(size=(2, 4, 4))
-        R, ry = 0.3 * (a[0] + a[0].T + 1j * (a[1] + a[1].T)), rng.normal(size=4) + 0j
-        whole = _diagonal(R, ry, 30)
-        limit, built, build = 2 ** 18, [], hermite._near_diagonal_block
-        cache = hermite._BlockCache(limit)
-        monkeypatch.setattr(hermite, "_BLOCK_ENTRIES", 256)
-        monkeypatch.setattr(hermite, "_TABLES", cache)
+    def test_block_cache_stays_bounded(self, monkeypatch, fresh_blocks):
+        # two modes to degree 210 are 221,761 entries, 38 blocks of at most 2**15 / 5 entries:
+        # the fill outgrows the cache, which keeps at most 32 blocks of at most _BLOCK_TERMS
+        # terms each, and a second fill, whose first blocks were dropped, gets the same values
+        R = np.diag([0.1, -0.1, 0.1j, 0.05j]) + 0.8 * np.eye(4, k=2) + 0.8 * np.eye(4, k=-2)
+        R[0, 1] = R[1, 0] = R[2, 3] = R[3, 2] = 0.05
+        ry = np.array([0.3 + 0.1j, 0.2 - 0.4j, 0.1, -0.2j])
+        whole = _diagonal(R, ry, 210)
+        assert fresh_blocks.cache_info().misses > 32
+        seen = {}
         monkeypatch.setattr(hermite, "_near_diagonal_block",
-                            lambda *key: built.append(build(*key)) or built[-1])
-        for _ in range(2):
-            got = _diagonal(R, ry, 30)
-            assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
-            assert 0 < cache._bytes <= limit
-            assert cache._bytes == sum(size for _, size in cache._blocks.values())
-        assert sum(size for _, size in built) > 2 * limit
+                            lambda *key: seen.setdefault(key, fresh_blocks(*key)))
+        got = _diagonal(R, ry, 210)
+        assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
+        info = fresh_blocks.cache_info()
+        assert len(seen) > 32 and info.misses > 64 and info.currsize <= 32
+        assert all(sum(terms.size for terms, *_ in block) <= hermite._BLOCK_TERMS
+                   for block in seen.values())
 
-    def test_threads_filling_one_table_get_the_one_thread_values(self, monkeypatch):
+    def test_shell_indices_are_read_only(self):
+        # past shell 0 a shell's indices are the cached block's own: writing to them must
+        # raise, not change the indices of every later fill
+        shells = hermite_diagonal(np.zeros((4, 4)), np.ones(4), 3)
+        for indices, _ in list(shells)[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                indices += 1
+        assert np.array_equal(_diagonal(np.zeros((4, 4)), np.ones(4), 3)[0],
+                              _total_degree_indices(2, 3))
+
+    def test_threads_filling_one_table_get_the_one_thread_values(self, monkeypatch,
+                                                                 fresh_blocks):
         # four threads on two cores, switching every microsecond, build and share one
-        # cache's blocks; each gets the one-thread values and the cache's byte count holds
+        # cache's blocks; each gets the one-thread values and the cache stays bounded
         rng = np.random.default_rng(46)
         a = rng.normal(size=(2, 6, 6))
         R = 0.3 * (a[0] + a[0].T + 1j * (a[1] + a[1].T))
@@ -291,10 +311,9 @@ class TestHermiteDiagonal:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for entries in (7, 2 ** 15):  # parts of a few entries, then the default blocks
-                monkeypatch.setattr(hermite, "_BLOCK_ENTRIES", entries)
-                cache = hermite._BlockCache(2 ** 25)
-                monkeypatch.setattr(hermite, "_TABLES", cache)
+            for terms in (7 * 7, 2 ** 15):  # parts of 7 entries, then the default blocks
+                monkeypatch.setattr(hermite, "_BLOCK_TERMS", terms)
+                fresh_blocks.cache_clear()
                 start, got = threading.Barrier(4), [None] * 4
 
                 def fill(i):
@@ -309,7 +328,7 @@ class TestHermiteDiagonal:
                     assert not thread.is_alive()
                 for indices, values in got:
                     assert np.array_equal(indices, want[0]) and np.array_equal(values, want[1])
-                assert cache._bytes == sum(size for _, size in cache._blocks.values())
+                assert 0 < fresh_blocks.cache_info().currsize <= 32
         finally:
             sys.setswitchinterval(interval)
 
