@@ -35,6 +35,8 @@ class CatState:
         amp = np.atleast_1d(np.array(self.amplitudes, dtype=complex))
         if amp.ndim != 1 or amp.shape[0] < 1:
             raise ValueError("amplitudes must be a nonempty complex vector")
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes must be finite")
         if self.parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
         if self.parity == "odd" and np.sum(np.abs(amp) ** 2) == 0.0:

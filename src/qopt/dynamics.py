@@ -312,7 +312,7 @@ def evolve_gaussian(state: GaussianState, sample: FlowSample) -> GaussianState:
         disp = inverse @ state.disp @ inverse.T
     if not all(np.isfinite(a).all() for a in (lam, delta, mean, disp)):
         raise NonFiniteError(f"flow sample or evolved state at t={sample.t} is not finite")
-    return GaussianState(mean, 0.5 * (disp + disp.T))
+    return GaussianState(mean, 0.5 * disp + 0.5 * disp.T)
 
 
 def _kernel_flow(hamiltonian: QuadraticHamiltonian, t: float):

@@ -79,7 +79,11 @@ class GaussianState:
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(-1)
-        disp = check_symmetric(np.asarray(self.disp, dtype=float), tol=1e-10, name="disp")
+        disp = np.asarray(self.disp, dtype=float)
+        for name, arr in (("mean", mean), ("disp", disp)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+        disp = check_symmetric(disp, tol=1e-10, name="disp")
         if mean.shape[0] % 2 != 0 or mean.shape[0] == 0:
             raise ValueError(f"mean must have even positive length, got {mean.shape[0]}")
         if disp.shape != (mean.shape[0], mean.shape[0]):

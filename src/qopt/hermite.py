@@ -40,8 +40,9 @@ needs (D + 1)^(2N).
 The fill runs one shell of |m| + |n| per step with one gather of the 2N + 1
 terms of every entry, k - e_i and the k - e_i - e_j: one lowering step applied
 twice, read from a table by offset m - n (per N) and one by base (per total).
-The gather tables come in blocks of at most ``_BLOCK_TERMS`` terms (1 MiB), of
-which a ``functools.lru_cache`` keeps the last 32 per process.  Each value sees
+The gather tables come in blocks of at most ``_BLOCK_TERMS`` terms (1 MiB).  A
+``functools.lru_cache`` holds 32 per process: a fill caches its first 32 and builds
+any later ones uncached, so a refill finds its first blocks cached.  Each value sees
 the same operations however far the fill runs, so a diagonal is bitwise the
 same for every ``max_degree`` that reaches it.  The set, not a box, counts
 against ``BOX_ENTRY_CAP``; ``_near_diagonal_entries`` gives its size, which is a
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -270,19 +272,6 @@ def _offsets(n_modes: int) -> np.ndarray:
     return out
 
 
-def _lex_rank(base: np.ndarray, total: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Position of each multi-index among those with the same total, in lexicographic
-    order; ``base`` holds the entries axis first, ``binom[x, q]`` holds C(x, q).  Axis i
-    adds the count of completions with a smaller entry there, C(r + q, q) - C(r - b_i + q,
-    q), with r the total left at axis i and q the axes after it."""
-    rank, left = np.zeros_like(total), total
-    for i, after in enumerate(range(len(base) - 1, 0, -1)):
-        column = binom[:, after]
-        rank = rank + column.take(left + after) - column.take(left - base[i] + after)
-        left = left - base[i]
-    return rank
-
-
 @functools.lru_cache(maxsize=8)
 def _steps(n_modes: int):
     """One lowering step by (offset, axis of (m, n)): the offset in ``_offsets`` it leaves
@@ -304,16 +293,16 @@ def _steps(n_modes: int):
 def _base_steps(n_modes: int, low: int, high: int):
     """The bases of totals ``low`` to ``high`` (by total, then lexicographically), the row
     where each total starts (and the end), and by (axis, row) the row of each base lowered
-    on that axis, by ``_lex_rank``; axis N keeps the row, and row ``len(bases)`` stands for
-    a base that would turn negative.  The parts of one large shell share them."""
+    on that axis; axis N keeps the row, and row ``len(bases)`` stands for a base that would
+    turn negative or fall below ``low``.  Read as the digits of one number in base
+    ``high + 1``, a base's total and entries grow along the rows, so one search finds every
+    lowered base.  The parts of one large shell share them."""
     bases = _total_degree_indices(n_modes, high, low)
     total = bases.sum(axis=1)
     start = np.searchsorted(total, np.arange(low, high + 2))
-    binom = np.array([[math.comb(x, q) for q in range(n_modes)]
-                      for x in range(high + n_modes + 1)], dtype=np.int64)
-    moved = bases.T[:, np.newaxis] - np.eye(n_modes, dtype=np.int64)[:, :, np.newaxis]
-    rank = start[np.maximum(total - 1 - low, 0)] + _lex_rank(
-        np.maximum(moved, 0), np.maximum(total - 1, 0), binom)
+    radix = (high + 1) ** np.arange(n_modes, -1, -1, dtype=np.int64)
+    key = np.column_stack([total, bases]) @ radix
+    rank = np.searchsorted(key, key - radix[0] - radix[1:, np.newaxis])
     down = np.full((n_modes + 1, len(bases) + 1), len(bases))
     down[:n_modes, :-1] = np.where((bases.T > 0) & (total > low), rank, len(bases))
     down[n_modes, :-1] = np.arange(len(bases))
@@ -324,9 +313,10 @@ def _base_steps(n_modes: int, low: int, high: int):
 
 _BLOCK_SHELLS = 32
 _BLOCK_TERMS = 2 ** 15  # 32 bytes a term (two int64 indices and a complex weight): 1 MiB
+_CACHED_BLOCKS = 32
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=_CACHED_BLOCKS)
 def _near_diagonal_block(n_modes: int, first: int, skip: int):
     """Gather tables of the near-diagonal set from entry ``skip`` of shell ``first`` on.
 
@@ -338,7 +328,7 @@ def _near_diagonal_block(n_modes: int, first: int, skip: int):
     their coefficients' indices in [ry | -R] flattened, their positions in the window
     [shell - 1, shell - 2, 0] and their weights; then the bases of the diagonal if the
     chunk ends an even shell, which the diagonal leads, and whether it ends its shell.
-    The last 32 stay cached; two threads in a race may both build a block, alike.
+    Two threads in a race may both build a block, alike.
     """
     dim, offsets = 2 * n_modes, _offsets(n_modes)
     targets, axes = _steps(n_modes)
@@ -396,10 +386,13 @@ def _near_diagonal_block(n_modes: int, first: int, skip: int):
 
 
 def _chunks(n_modes: int):
-    """The table chunks of shells 1, 2, ... in order, built a block at a time."""
+    """The table chunks of shells 1, 2, ... in order, built a block at a time.  The first
+    ``_CACHED_BLOCKS`` blocks go through the cache and later ones are built uncached, so a
+    table longer than the cache keeps its first blocks there for the next fill."""
     shell, skip = 1, 0
-    while True:
-        for chunk in _near_diagonal_block(n_modes, shell, skip):
+    for block in itertools.count():
+        build = _near_diagonal_block if block < _CACHED_BLOCKS else _near_diagonal_block.__wrapped__
+        for chunk in build(n_modes, shell, skip):
             yield chunk
             terms, *_, closes = chunk
             shell, skip = (shell + 1, 0) if closes else (shell, skip + terms.shape[1])
@@ -434,6 +427,7 @@ def _fill_diagonal(R: np.ndarray, ry: np.ndarray, max_degree: int):
     coef = np.concatenate([ry[:, np.newaxis], -R], axis=1).ravel()  # row i: [ry_i, -R_i.]
     zero = np.zeros(1, dtype=complex)
     below, above = np.zeros(0, dtype=complex), np.ones(1, dtype=complex)
+    above.flags.writeable = False  # the caller's values feed the next shells: read-only
     yield np.zeros((1, n_modes), dtype=np.int64), above
     chunks = _chunks(n_modes)
     for degree in range(1, max_degree + 1):
@@ -448,6 +442,7 @@ def _fill_diagonal(R: np.ndarray, ry: np.ndarray, max_degree: int):
         diagonal = above[:len(bases)]
         if not np.isfinite(diagonal).all():
             raise NonFiniteError(f"Hermite recursion overflowed at total degree {degree}")
+        diagonal.flags.writeable = False
         yield bases, diagonal
 
 

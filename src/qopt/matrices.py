@@ -43,13 +43,14 @@ def check_symmetric(mat: np.ndarray, tol: float = 1e-12, name: str = "matrix") -
     """Symmetrize ``mat``, rejecting asymmetry defects larger than ``tol``.
 
     The defect is measured relative to the matrix scale so that rescaling a
-    valid input cannot flip the verdict.
+    valid input cannot flip the verdict.  Each half is scaled before the sum, so
+    no finite entry overflows.
     """
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    scale = max(np.abs(mat).max(), 1.0)
-    defect = np.abs(mat - mat.T).max()
+    scale = max(np.abs(mat).max(initial=0.0), 1.0)
+    defect = np.abs(mat - mat.T).max(initial=0.0)
     if defect > tol * scale:
         raise ValueError(f"{name} is not symmetric (defect {defect:.3e})")
-    return 0.5 * (mat + mat.T)
+    return 0.5 * mat + 0.5 * mat.T

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .gaussian import _dyad_sum
 from .io import _BLOCK, PHASE_SPACE_HEADER, SINOGRAM_HEADER, read_lattice
 
@@ -103,9 +104,12 @@ def lattice_mass(q_grid, p_grid, values) -> float:
 
 
 def boundary_peak_ratio(values) -> float:
-    """Largest |value| on the lattice's edge over the largest anywhere (0 if all vanish)."""
+    """Largest |value| on the lattice's edge over the largest anywhere (0 if all vanish,
+    nan if one is not finite)."""
     values = np.asarray(values)
     peak = np.abs(values).max()
+    if not math.isfinite(peak):
+        return math.nan
     edge = max(np.abs(values[0]).max(), np.abs(values[-1]).max(),
                np.abs(values[:, 0]).max(), np.abs(values[:, -1]).max())
     return float(edge / peak) if peak > 0 else 0.0
@@ -279,9 +283,12 @@ def forward_marginal_numeric(grid: WignerGrid, theta_grid, x_grid=None) -> Sinog
 
     Each slice is renormalized to unit mass; the pre-normalization defect is
     kept in the sinogram.  The grid must contain the state's support: the
-    boundary-to-peak ratio must be at most ``_BOUNDARY_TOL``, or it raises ``ValueError``.
+    boundary-to-peak ratio must be at most ``_BOUNDARY_TOL``, or it raises ``ValueError``;
+    a grid holding a value that is not finite raises ``NonFiniteError``.
     """
     ratio = grid.boundary_peak_ratio()
+    if math.isnan(ratio):
+        raise NonFiniteError("Wigner grid holds a value that is not finite")
     if ratio > _BOUNDARY_TOL:
         raise ValueError(f"Wigner grid boundary carries {ratio:.2e} of the peak; "
                          f"support is not covered (tolerance {_BOUNDARY_TOL:.1e})")

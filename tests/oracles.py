@@ -15,12 +15,14 @@ is rotated to the (a, a^dag) basis by hand, and filtered
 backprojection is the direct form: a full complex spectrum and a
 two-gather linear interpolation with clipped indices.  A second inversion,
 ``wigner_from_symplectic``, assembles the characteristic function from the
-Fourier transforms of the marginals, and ``pure_gaussian_state`` reads the
-Wigner moments of a pure wavefunction exp(-x.m.x + c.x) off m and c.
+Fourier transforms of the marginals, ``pure_gaussian_state`` reads the
+Wigner moments of a pure wavefunction exp(-x.m.x + c.x) off m and c, and the
+rows of lowered multi-indices come from a dictionary of index tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -77,6 +79,23 @@ def hermite_by_series(R, y, n) -> complex:
         for i in range(2, k + 1):
             fact *= i
     return coeff * fact
+
+
+def base_steps_by_dict(n_modes: int, low: int, high: int):
+    """(bases, start, down) as ``qopt.hermite._base_steps`` gives them, from a dictionary of
+    every base tuple to its row: the bases of totals ``low`` to ``high`` sorted by (total,
+    base), where each total starts, and by (axis, row) the row of the base lowered on that
+    axis (axis N keeps the row), ``len(bases)`` where the lowered base is not a key."""
+    bases = sorted((b for b in itertools.product(range(high + 1), repeat=n_modes)
+                    if low <= sum(b) <= high), key=lambda b: (sum(b), b))
+    row = {b: i for i, b in enumerate(bases)}
+    start = [sum(sum(b) < total for b in bases) for total in range(low, high + 2)]
+    down = np.full((n_modes + 1, len(bases) + 1), len(bases))
+    for i, b in enumerate(bases):
+        for axis in range(n_modes):
+            down[axis, i] = row.get(b[:axis] + (b[axis] - 1,) + b[axis + 1:], len(bases))
+        down[n_modes, i] = i
+    return np.array(bases, dtype=np.int64).reshape(-1, n_modes), np.array(start), down
 
 
 def trapz_nd(f, grids) -> complex:

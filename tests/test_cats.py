@@ -47,7 +47,9 @@ class TestNormalization:
 
     @pytest.mark.parametrize("amplitudes, parity, match", [
         ([], "even", "nonempty complex vector"),
-        ([1.0], "neutral", "parity must be 'even' or 'odd', got 'neutral'")])
+        ([1.0], "neutral", "parity must be 'even' or 'odd', got 'neutral'"),
+        ([np.nan], "even", "amplitudes must be finite"),
+        ([1.0, complex(0.0, np.inf)], "odd", "amplitudes must be finite")])
     def test_malformed_rejected(self, amplitudes, parity, match):
         with pytest.raises(ValueError, match=match):
             CatState(amplitudes, parity)

@@ -230,6 +230,16 @@ class TestJobs:
         out = capsys.readouterr().out
         assert out.count("[pass]") == len(doc["checks"])
 
+    def test_verify_exits_1_when_a_check_fails(self, tmp_path, capsys, monkeypatch):
+        from qopt import verification
+
+        monkeypatch.setattr(verification, "_free_flow_anchor",
+                            lambda: verification._check("free_flow_anchor", 1.0, 0.5))
+        assert run_cli(tmp_path, "verify") == 1
+        doc = json.loads((tmp_path / "out" / "verify.json").read_text())
+        assert not doc["passed"]
+        assert "[FAIL] free_flow_anchor: 1.000e+00 (tolerance 5.0e-01)" in capsys.readouterr().out
+
 
 _CAT2 = {"kind": "cat", "A": [[0.9, 0.3], [0.4, -0.7]], "parity": "odd"}
 _CAT1 = {"kind": "cat", "A": [[1.0, 0.0]], "parity": "odd"}
@@ -651,8 +661,9 @@ class TestDeterminismAndErrors:
             if target == "photon_pnd_table":
                 return dataclasses.replace(out, probabilities=np.full_like(out.probabilities,
                                                                            np.nan))
-            if target == "evolve_gaussian":
-                return type(out)(out.mean, np.full_like(out.disp, np.inf))
+            if target == "evolve_gaussian":  # a state refuses an infinite disp: set it
+                object.__setattr__(out, "disp", np.full_like(out.disp, np.inf))
+                return out
             if target == "gaussian_sinogram":
                 return type(out)(out.theta_grid, out.x_grid, np.full_like(out.values, np.nan))
             if target == "solve_epsilon":

@@ -283,6 +283,14 @@ class TestHamiltonianStacks:
         points = np.array([dynamics._generators(hamiltonian, np.array(s)) for s in times])
         assert gens.tobytes() == points.tobytes()
 
+    @pytest.mark.parametrize("b, c, match", [
+        (np.eye(4), np.zeros(2), r"^B at two times has shape \(2, 4, 4\), expected \(2, 2, 2\)"),
+        (np.eye(2), np.zeros(3), r"^C at two times has shape \(2, 3\), expected \(2, 2\)"),
+    ])
+    def test_wrong_shapes_are_rejected(self, b, c, match):
+        with pytest.raises(ValueError, match=match):
+            QuadraticHamiltonian(b, c, 1)
+
     def test_scalar_only_callables_are_rejected(self):
         with pytest.raises(ValueError, match=r"^B\(t\) must take an array of times"):
             QuadraticHamiltonian(lambda t: np.diag([1.0, math.cos(t)]), np.zeros(2), 1)
@@ -549,6 +557,11 @@ class TestFlowPhase:
         two_mode = integrate_symplectic_flow(QuadraticHamiltonian(np.eye(4), np.zeros(4), 2), 1.0)
         with pytest.raises(ValueError, match="forward one-mode"):
             two_mode.phase(0.5)
+        with pytest.raises(ValueError, match="one-mode flow only"):
+            two_mode.eps(0.5)
+        for t_end in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="t_end must be finite"):
+                integrate_symplectic_flow(free_particle(), t_end)
         with pytest.raises(ValueError, match="forward one-mode"):
             integrate_symplectic_flow(harmonic_oscillator(), -1.0).phase(-0.5)
 
@@ -731,6 +744,12 @@ class TestBasisPropagators:
         total *= math.exp(-0.5 * alpha ** 2 - 0.5 * beta ** 2)
         assert coherent_basis_propagator(alpha, beta, omega, t) == pytest.approx(
             total, abs=1e-12)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            coherent_basis_propagator(0.5, 0.5, 1.0, -0.1)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            fock_basis_propagator(1, 1, 1.0, -0.1)
 
     def test_coherent_zero_time_is_overlap(self):
         a, b = 0.7 + 0.2j, -0.1 + 0.9j

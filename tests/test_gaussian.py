@@ -219,6 +219,11 @@ class TestInputChecks:
         (lambda: GaussianState([0.0, 0.0, 0.0], np.eye(3)), "even positive length, got 3"),
         (lambda: GaussianState([], np.eye(2)), "even positive length, got 0"),
         (lambda: GaussianState([0.0, 0.0], np.eye(4)), r"disp shape \(4, 4\) does not match"),
+        (lambda: GaussianState([np.nan, 0.0], 0.5 * np.eye(2)), "mean must be finite"),
+        (lambda: GaussianState([0.0, np.inf], 0.5 * np.eye(2)), "mean must be finite"),
+        (lambda: GaussianState([0.0, 0.0], [[np.inf, 0.0], [0.0, 0.5]]), "disp must be finite"),
+        (lambda: GaussianState([0.0, 0.0], [[0.5, np.nan], [np.nan, 0.5]]),
+         "disp must be finite"),
         (lambda: QRep(np.zeros((2, 2)), np.zeros(3), 1.0), "ry has length 3"),
         (lambda: QRep(np.zeros((3, 3)), np.zeros(3), 1.0), "R must be 2N x 2N"),
         (lambda: QRep(np.zeros((2, 2)), np.zeros(2), 1.5), r"p0 must lie in \[0, 1\]"),
@@ -236,6 +241,13 @@ class TestInputChecks:
     def test_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
+
+    def test_largest_finite_dispersion_stays_finite(self):
+        # symmetrizing [[1e308, 0], [0, 0.5]] once overflowed to an infinite dispersion
+        disp = np.array([[1e308, 0.0], [0.0, 0.5]])
+        state = GaussianState([0.0, 0.0], disp)
+        assert np.array_equal(state.disp, disp)
+        assert wigner_eval(state, [0.0, 0.0]) == pytest.approx(0.5e308 ** -0.5, rel=1e-12)
 
     def test_bare_int_outcome_of_one_mode(self):
         for state in (make_coherent(1.0), CatState([1.0], "odd")):

@@ -16,7 +16,7 @@ from qopt.hermite import (BOX_ENTRY_CAP, HermiteParams, OverlapSpec, _total_degr
                           fock_wavefunction_eval, gaussian_hermite_overlap,
                           hermite_box, hermite_diagonal, mv_hermite_eval)
 
-from oracles import gauss_box, hermite_by_series, trapz_nd
+from oracles import base_steps_by_dict, gauss_box, hermite_by_series, trapz_nd
 
 
 def classical_hermite(n, x):
@@ -134,6 +134,17 @@ class TestMultivariableHermite:
         params = HermiteParams(R=[[2.0, 0.0], [0.0, 2.0]], y=[1.0, 0.0])
         with pytest.raises(ValueError):
             mv_hermite_eval(params, (1, -1))
+
+    def test_rejects_mismatched_or_empty_context(self):
+        with pytest.raises(ValueError, match=r"R is \(2, 2\) but y has length 1"):
+            HermiteParams(R=np.eye(2), y=[0.0])
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            HermiteParams(R=np.zeros((0, 0)), y=[])
+
+    def test_value_past_double_range_raises(self):
+        # G_400 is about e^-46, but H_400(0) = G_400 sqrt(400!) is about e^771
+        with pytest.raises(NonFiniteError, match=r"H_\(400,\)"):
+            mv_hermite_eval(HermiteParams([[2.0]], [0.0]), [400])
 
 
 def _unit_floats():
@@ -272,20 +283,23 @@ class TestHermiteDiagonal:
 
     def test_block_cache_stays_bounded(self, monkeypatch, fresh_blocks):
         # two modes to degree 210 are 221,761 entries, 38 blocks of at most 2**15 / 5 entries:
-        # the fill outgrows the cache, which keeps at most 32 blocks of at most _BLOCK_TERMS
-        # terms each, and a second fill, whose first blocks were dropped, gets the same values
+        # a fill caches its first 32 blocks and builds the rest uncached, so the cache holds
+        # at most 32 blocks of at most _BLOCK_TERMS terms each, and a second fill finds its
+        # first 32 blocks cached and gets the same values
         R = np.diag([0.1, -0.1, 0.1j, 0.05j]) + 0.8 * np.eye(4, k=2) + 0.8 * np.eye(4, k=-2)
         R[0, 1] = R[1, 0] = R[2, 3] = R[3, 2] = 0.05
         ry = np.array([0.3 + 0.1j, 0.2 - 0.4j, 0.1, -0.2j])
         whole = _diagonal(R, ry, 210)
-        assert fresh_blocks.cache_info().misses > 32
+        info = fresh_blocks.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 32, 32)
         seen = {}
-        monkeypatch.setattr(hermite, "_near_diagonal_block",
-                            lambda *key: seen.setdefault(key, fresh_blocks(*key)))
+        spy = lambda *key: seen.setdefault(key, fresh_blocks(*key))
+        spy.__wrapped__ = lambda *key: seen.setdefault(key, fresh_blocks.__wrapped__(*key))
+        monkeypatch.setattr(hermite, "_near_diagonal_block", spy)
         got = _diagonal(R, ry, 210)
         assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
         info = fresh_blocks.cache_info()
-        assert len(seen) > 32 and info.misses > 64 and info.currsize <= 32
+        assert len(seen) == 38 and (info.hits, info.misses, info.currsize) == (32, 32, 32)
         assert all(sum(terms.size for terms, *_ in block) <= hermite._BLOCK_TERMS
                    for block in seen.values())
 
@@ -298,6 +312,26 @@ class TestHermiteDiagonal:
                 indices += 1
         assert np.array_equal(_diagonal(np.zeros((4, 4)), np.ones(4), 3)[0],
                               _total_degree_indices(2, 3))
+
+    def test_shell_values_are_read_only(self):
+        # a shell's values feed the window of the next shells: writing to them must raise,
+        # not change the later shells of this fill
+        R, ry = np.array([[0.3, 0.9], [0.9, -0.2j]]), np.array([0.5 + 0.1j, -0.3])
+        want = _diagonal(R, ry, 6)
+        for _, values in hermite_diagonal(R, ry, 6):
+            with pytest.raises(ValueError, match="read-only"):
+                values *= 2
+        assert np.array_equal(_diagonal(R, ry, 6)[1], want[1])
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+    def test_base_steps_match_a_dictionary_of_rows(self, n_modes):
+        # low > 0 leaves rows whose lowering falls below low; spans of 0 to 6 totals
+        for low, high in [(0, 0), (0, 4), (1, 1), (1, 5), (3, 3), (2, 7), (4, 6)]:
+            if n_modes == 5 and high > 5:
+                continue
+            got = hermite._base_steps(n_modes, low, high)
+            for table, want in zip(got, base_steps_by_dict(n_modes, low, high)):
+                assert np.array_equal(table, want) and not table.flags.writeable
 
     def test_threads_filling_one_table_get_the_one_thread_values(self, monkeypatch,
                                                                  fresh_blocks):

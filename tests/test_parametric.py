@@ -192,6 +192,13 @@ class TestSqueezedVacuumPnd:
         for n in range(1, 6):
             assert squeezed_vacuum_pnd(flow, 0.0, n) == pytest.approx(0.0, abs=1e-10)
 
+    def test_negative_photon_number_or_level_rejected(self):
+        flow = make_flow()
+        with pytest.raises(ValueError, match="photon number must be nonnegative"):
+            squeezed_vacuum_pnd(flow, 0.5, -1)
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            squeezed_number_wavefunction(flow, 0.5, -1, 0.0)
+
     def test_odd_terms_vanish_exactly(self):
         flow = make_flow("repulsive", t_end=3.0)
         for m in range(10):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (backprojection_two_gathers, cat_marginal, even_5_smooth_length,
                      ramp_filter_full_spectrum, wigner_from_symplectic)
 from qopt.cats import CatState
+from qopt.errors import NonFiniteError
 from qopt.gaussian import (GaussianState, make_coherent, make_squeezed_vacuum,
                            make_thermal_oscillator, wigner_eval)
 from qopt import tomography
@@ -149,6 +150,16 @@ class TestForwardNumeric:
         numeric = forward_marginal_numeric(w, thetas, x)
         exact = cat_marginals(alpha, "even", thetas, x)
         assert np.abs(numeric.values - exact).max() < 1e-4
+
+    def test_non_finite_grid_rejected(self):
+        # a NaN anywhere once read as a boundary ratio of 0, which passed the support check
+        q = np.linspace(-8.0, 8.0, 33)
+        values = np.array(wigner_grid_from_callable(wigner_fn(make_coherent(0.0)), q, q).values)
+        values[16, 16] = np.nan
+        grid = WignerGrid(q, q, values)
+        assert math.isnan(grid.boundary_peak_ratio())
+        with pytest.raises(NonFiniteError, match="not finite"):
+            forward_marginal_numeric(grid, self.thetas)
 
     def test_insufficient_support_rejected(self):
         tight = np.linspace(-1.5, 1.5, 31)
@@ -561,3 +572,11 @@ class TestCsvRoundTrips:
             WignerGrid(np.array([0.0, 1.0, 1.5]), np.array([0.0, 1.0]), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             Sinogram(np.array([0.0, 4.0]), np.array([0.0, 1.0]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="q_grid must be strictly increasing"):
+            WignerGrid(np.array([1.0, 0.5, 0.0]), np.array([0.0, 1.0]), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"values shape \(2, 2\) does not match grids "
+                                             r"\(2, 3\)"):
+            WignerGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"values shape \(2, 2\) does not match grids "
+                                             r"\(2, 3\)"):
+            Sinogram(np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]), np.zeros((2, 2)))
