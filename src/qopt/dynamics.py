@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CausticError, NonFiniteError, ResourceLimitError
 from .gaussian import GaussianState
-from .matrices import check_symmetric, quadrature_rotation, symplectic_metric
+from .matrices import check_symmetric, quadrature_rotation, symmetric_part, symplectic_metric
 
 _CAUSTIC_GUARD = 1e-8
 
@@ -312,7 +312,7 @@ def evolve_gaussian(state: GaussianState, sample: FlowSample) -> GaussianState:
         disp = inverse @ state.disp @ inverse.T
     if not all(np.isfinite(a).all() for a in (lam, delta, mean, disp)):
         raise NonFiniteError(f"flow sample or evolved state at t={sample.t} is not finite")
-    return GaussianState(mean, 0.5 * disp + 0.5 * disp.T)
+    return GaussianState(mean, symmetric_part(disp))
 
 
 def _kernel_flow(hamiltonian: QuadraticHamiltonian, t: float):

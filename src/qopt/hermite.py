@@ -294,15 +294,15 @@ def _base_steps(n_modes: int, low: int, high: int):
     """The bases of totals ``low`` to ``high`` (by total, then lexicographically), the row
     where each total starts (and the end), and by (axis, row) the row of each base lowered
     on that axis; axis N keeps the row, and row ``len(bases)`` stands for a base that would
-    turn negative or fall below ``low``.  Read as the digits of one number in base
-    ``high + 1``, a base's total and entries grow along the rows, so one search finds every
-    lowered base.  The parts of one large shell share them."""
+    turn negative or fall below ``low``.  Lowering axis i maps the bases of one total with
+    b_i > 0, in order, onto all bases of the total below, in order (a shift keeps the
+    lexicographic order), so a base's lowered row counts the rows above it in its total with
+    b_i > 0.  The parts of one large shell share them."""
     bases = _total_degree_indices(n_modes, high, low)
     total = bases.sum(axis=1)
     start = np.searchsorted(total, np.arange(low, high + 2))
-    radix = (high + 1) ** np.arange(n_modes, -1, -1, dtype=np.int64)
-    key = np.column_stack([total, bases]) @ radix
-    rank = np.searchsorted(key, key - radix[0] - radix[1:, np.newaxis])
+    above = np.cumsum(bases > 0, axis=0) - (bases > 0)  # by row and axis: rows with b_i > 0
+    rank = start[np.maximum(total - 1 - low, 0)] + (above - above[start[total - low]]).T
     down = np.full((n_modes + 1, len(bases) + 1), len(bases))
     down[:n_modes, :-1] = np.where((bases.T > 0) & (total > low), rank, len(bases))
     down[n_modes, :-1] = np.arange(len(bases))

@@ -43,8 +43,7 @@ def check_symmetric(mat: np.ndarray, tol: float = 1e-12, name: str = "matrix") -
     """Symmetrize ``mat``, rejecting asymmetry defects larger than ``tol``.
 
     The defect is measured relative to the matrix scale so that rescaling a
-    valid input cannot flip the verdict.  Each half is scaled before the sum, so
-    no finite entry overflows.
+    valid input cannot flip the verdict.
     """
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -53,4 +52,13 @@ def check_symmetric(mat: np.ndarray, tol: float = 1e-12, name: str = "matrix") -
     defect = np.abs(mat - mat.T).max(initial=0.0)
     if defect > tol * scale:
         raise ValueError(f"{name} is not symmetric (defect {defect:.3e})")
-    return 0.5 * mat + 0.5 * mat.T
+    return symmetric_part(mat)
+
+
+def symmetric_part(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat^T) / 2, with no overflow for a finite ``mat``: the sum is halved where it
+    is finite, and only where it overflows are the halves added, since halving first
+    rounds subnormal entries."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is not taken
+        total = mat + mat.T
+        return np.where(np.isfinite(total), 0.5 * total, 0.5 * mat + 0.5 * mat.T)

@@ -86,8 +86,9 @@ def base_steps_by_dict(n_modes: int, low: int, high: int):
     every base tuple to its row: the bases of totals ``low`` to ``high`` sorted by (total,
     base), where each total starts, and by (axis, row) the row of the base lowered on that
     axis (axis N keeps the row), ``len(bases)`` where the lowered base is not a key."""
-    bases = sorted((b for b in itertools.product(range(high + 1), repeat=n_modes)
-                    if low <= sum(b) <= high), key=lambda b: (sum(b), b))
+    bases = sorted((tuple(map(combo.count, range(n_modes))) for total in range(low, high + 1)
+                    for combo in itertools.combinations_with_replacement(range(n_modes), total)),
+                   key=lambda b: (sum(b), b))
     row = {b: i for i, b in enumerate(bases)}
     start = [sum(sum(b) < total for b in bases) for total in range(low, high + 2)]
     down = np.full((n_modes + 1, len(bases) + 1), len(bases))

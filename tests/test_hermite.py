@@ -333,6 +333,14 @@ class TestHermiteDiagonal:
             for table, want in zip(got, base_steps_by_dict(n_modes, low, high)):
                 assert np.array_equal(table, want) and not table.flags.writeable
 
+    @pytest.mark.parametrize("n_modes, low, high", [(31, 0, 3), (31, 1, 3), (40, 0, 2),
+                                                    (63, 0, 1), (64, 1, 2)])
+    def test_base_steps_of_many_modes_match_a_dictionary_of_rows(self, n_modes, low, high):
+        # one number of N + 1 digits in base high + 1 would pass 2**63 for each of these
+        got = hermite._base_steps(n_modes, low, high)
+        for table, want in zip(got, base_steps_by_dict(n_modes, low, high)):
+            assert np.array_equal(table, want)
+
     def test_threads_filling_one_table_get_the_one_thread_values(self, monkeypatch,
                                                                  fresh_blocks):
         # four threads on two cores, switching every microsecond, build and share one

@@ -30,10 +30,10 @@ def test_check_symmetric_rejects_a_non_square_matrix():
         check_symmetric(np.zeros((2, 3)), name="disp")
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1.2e308])
-def test_check_symmetric_halves_before_adding(scale):
-    # 0.5 (M + M^T) wherever that is finite, and finite where the sum overflows, which it
-    # does for some entries at the largest scale
+@pytest.mark.parametrize("scale", [1e-320, 1e-300, 1.0, 1e300, 1.2e308])
+def test_check_symmetric_is_the_plain_sum_unless_it_overflows(scale):
+    # 0.5 (M + M^T) bit for bit wherever that is finite, subnormal entries included, and
+    # finite where the sum overflows, which it does for some entries at the largest scale
     rng = np.random.default_rng(7)
     overflowed = False
     for _ in range(50):
@@ -47,3 +47,9 @@ def test_check_symmetric_halves_before_adding(scale):
         overflowed |= not finite.all()
         assert np.isfinite(got).all() and np.array_equal(got[finite], want[finite])
     assert overflowed == (scale > 1e308)
+
+
+def test_check_symmetric_keeps_the_smallest_subnormal():
+    # halving 5e-324 alone would round it to 0
+    tiny = np.nextafter(0.0, 1.0)
+    assert np.array_equal(check_symmetric(np.diag([tiny, 1.0])), np.diag([tiny, 1.0]))
