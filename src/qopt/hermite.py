@@ -39,7 +39,8 @@ m - n = e_a + e_c from the diagonal, so the set leaves those out: about
 needs (D + 1)^(2N).
 The fill runs one shell of |m| + |n| per step with one gather of the 2N + 1
 terms of every entry, k - e_i and the k - e_i - e_j: one lowering step applied
-twice, read from a table by offset m - n (per N) and one by base (per total).
+twice, read from a table by offset m - n (``_steps``, built once per N by dictionary
+lookup) and one by base (``_base_steps``, per range of totals).
 The gather tables come in blocks of at most ``_BLOCK_TERMS`` terms (1 MiB).  A
 ``functools.lru_cache`` holds 32 per process: a fill caches its first 32 and builds
 any later ones uncached, so a refill finds its first blocks cached.  Each value sees
@@ -251,42 +252,41 @@ def _total_degree_indices(dim: int, max_total: int, min_total: int = 0) -> np.nd
 
 def _near_diagonal_entries(n_modes: int, max_degree: int) -> int:
     """Size of the near-diagonal set that :func:`hermite_diagonal` fills for ``max_degree``:
-    the (m, n) at the ``_offsets`` with |m| + |n| <= 2 max_degree."""
+    the (m, n) at the 1 + 3N(N + 1)/2 offsets of ``_steps`` with |m| + |n| <= 2 max_degree."""
     return (math.comb(max_degree + n_modes, n_modes)
-            + (len(_offsets(n_modes)) - 1) * math.comb(max_degree - 1 + n_modes, n_modes))
-
-
-@functools.lru_cache(maxsize=8)
-def _offsets(n_modes: int) -> np.ndarray:
-    """The 1 + 2N + (3N^2 - N)/2 offsets d = m - n that a diagonal value reaches, by norm:
-    zero, the +-e_a, then the sums of two of those that do not cancel and keep a negative
-    entry.  The pivot rule lowers m first wherever m - n > 0, so no recursion from the
-    diagonal steps onto d = e_a + e_c; the other offsets of norm at most 2 are closed
-    under its lowering steps."""
-    eye = np.eye(n_modes, dtype=np.int64)
-    steps = np.concatenate([eye, -eye])
-    pairs = np.add(*steps[np.array(np.triu_indices(2 * n_modes))])  # each sum once
-    pairs = pairs[(np.abs(pairs).sum(axis=1) == 2) & (pairs < 0).any(axis=1)]
-    out = np.concatenate([np.zeros((1, n_modes), dtype=np.int64), steps, pairs])
-    out.flags.writeable = False
-    return out
+            + 3 * n_modes * (n_modes + 1) // 2 * math.comb(max_degree - 1 + n_modes, n_modes))
 
 
 @functools.lru_cache(maxsize=8)
 def _steps(n_modes: int):
-    """One lowering step by (offset, axis of (m, n)): the offset in ``_offsets`` it leaves
-    (-1 outside the set) and the base axis that lowers with it, N for none.  Lowering m_a
-    lowers d_a, lowering n_a raises it; the base lowers where that makes |d|_1 grow."""
-    offsets = _offsets(n_modes)
-    eye = np.eye(n_modes, dtype=np.int64)
-    moved = offsets[:, np.newaxis] - np.concatenate([eye, -eye])
-    found = (moved[:, :, np.newaxis] == offsets).all(axis=-1)
+    """The offsets d = m - n that a diagonal value reaches and one lowering step from each.
+
+    The 1 + 3N(N + 1)/2 offsets come by norm: zero, the +-e_a, then the sums of two of those
+    that do not cancel and keep a negative entry.  The pivot rule lowers m first wherever
+    m - n > 0, so no recursion from the diagonal steps onto d = e_a + e_c; the other offsets
+    of norm at most 2 are closed under its lowering steps.  Returns by offset its lift
+    (max(d, 0), max(-d, 0)), and by (offset, step) the offset the step leaves (-1 outside
+    the set) and the base axis that lowers with it, N for none.  Step 0 stays; step 1 + i
+    lowers axis i of (m, n): lowering m_a lowers d_a, lowering n_a raises it, and the base
+    lowers where that makes |d|_1 grow.  So the 2N + 1 terms of an entry are the pivot's
+    step and then every step of the row it leaves.  A dictionary from each offset to its row
+    finds each step's target, so the tables, K x (2N + 1) for K offsets, are all it holds.
+    """
+    eye = np.eye(n_modes, dtype=np.int8)  # the entries of an offset run from -2 to 2
+    steps = np.concatenate([eye, -eye])
+    pairs = np.add(*steps[np.array(np.triu_indices(2 * n_modes))])  # each sum once
+    pairs = pairs[(np.abs(pairs).sum(axis=1) == 2) & (pairs < 0).any(axis=1)]
+    offsets = np.concatenate([np.zeros((1, n_modes), dtype=np.int8), steps, pairs])
+    moved = offsets[:, np.newaxis] - offsets[:2 * n_modes + 1]  # stay, then each step
+    row = {d.tobytes(): i for i, d in enumerate(offsets)}
+    targets = np.array([row.get(d.tobytes(), -1) for d in moved.reshape(-1, n_modes)])
     grows = np.abs(moved).sum(axis=-1) > np.abs(offsets).sum(axis=1)[:, np.newaxis]
-    steps = (np.where(found.any(axis=-1), found.argmax(axis=-1), -1),
-             np.where(grows, np.arange(2 * n_modes) % n_modes, n_modes))
-    for table in steps:
+    tables = (np.concatenate([np.maximum(offsets, 0), np.maximum(-offsets, 0)], axis=1),
+              targets.reshape(grows.shape),
+              np.where(grows, (np.arange(2 * n_modes + 1) - 1) % n_modes, n_modes))
+    for table in tables:
         table.flags.writeable = False
-    return steps
+    return tables
 
 
 @functools.lru_cache(maxsize=2)
@@ -323,20 +323,22 @@ def _near_diagonal_block(n_modes: int, first: int, skip: int):
     A block is the rest of that shell plus whole shells after it, as far as
     ``_BLOCK_SHELLS`` shells or ``_BLOCK_TERMS`` gather terms (2N + 1 per entry) reach; a
     longer rest comes in parts.  A shell lists its entries (b, d), m = b + max(d, 0),
-    n = b + max(-d, 0), by offset in ``_offsets`` order, then base b lexicographically.
+    n = b + max(-d, 0), by offset in ``_steps`` order, then base b lexicographically.
+    Each entry reads its terms' offsets and base axes from the rows of ``_steps`` with flat
+    takes, so every array here grows with the block's terms alone.
     Returns the chunks, one per shell or part of one: for the 2N + 1 terms of each entry,
     their coefficients' indices in [ry | -R] flattened, their positions in the window
     [shell - 1, shell - 2, 0] and their weights; then the bases of the diagonal if the
     chunk ends an even shell, which the diagonal leads, and whether it ends its shell.
     Two threads in a race may both build a block, alike.
     """
-    dim, offsets = 2 * n_modes, _offsets(n_modes)
-    targets, axes = _steps(n_modes)
-    lifted = np.concatenate([np.maximum(offsets, 0), np.maximum(-offsets, 0)], axis=1)
-    # entries per (shell, offset) for the shells first - 2, first - 1, ...
+    dim, (lifted, targets, axes) = 2 * n_modes, _steps(n_modes)
+    # entries per (shell, offset) for the shells first - 2, first - 1, ...; a base count
+    # past 2**40, which no table reaches, is clipped so the sums stay in int64
     half, odd = np.divmod(np.arange(first - 2, first + _BLOCK_SHELLS)[:, np.newaxis]
-                          - np.abs(offsets).sum(axis=1), 2)
-    layer = [math.comb(h + n_modes - 1, n_modes - 1) for h in range(first // 2 + _BLOCK_SHELLS)]
+                          - lifted.sum(axis=1), 2)
+    layer = [min(math.comb(h + n_modes - 1, n_modes - 1), 2 ** 40)
+             for h in range(first // 2 + _BLOCK_SHELLS)]
     counts = np.where((odd == 0) & (half >= 0), np.take(layer, np.maximum(half, 0)), 0)
     reach, limit = np.cumsum(counts[2:].sum(axis=1)) - skip, _BLOCK_TERMS // (dim + 1)
     shells = max(1, int(np.searchsorted(reach, limit, side="right")))
@@ -347,7 +349,7 @@ def _near_diagonal_block(n_modes: int, first: int, skip: int):
     ends = np.cumsum(counts[2:])
     e = np.arange(skip, skip + min(reach[shells - 1], limit))
     group = np.searchsorted(ends, e, side="right")
-    shell, which = np.divmod(group, len(offsets))
+    shell, which = np.divmod(group, len(lifted))
     row = e - (ends - counts[2:].ravel())[group] + start[half[2:].ravel()[group] - low]
     base = bases.T[:, row]  # tables run axis first, entries along rows
     pivot = np.where(which == 0, (base > 0).argmax(axis=0), (lifted > 0).argmax(axis=1)[which])
@@ -355,22 +357,21 @@ def _near_diagonal_block(n_modes: int, first: int, skip: int):
     entry = np.arange(len(e))
     scale = 1.0 / np.sqrt(k[pivot, entry])
     k[pivot, entry] -= 1  # weights sqrt(k_pivot)^-1, then sqrt((k - e_pivot)_j) / sqrt(k_pivot)
-    weights = (np.concatenate([np.ones((1, len(e))), np.sqrt(k)]) * scale).astype(complex)
+    weights = np.empty((dim + 1, len(e)), dtype=complex)
+    weights[0], weights[1:] = scale, np.sqrt(k) * scale
     coefficients = pivot * (dim + 1) + np.arange(dim + 1)[:, np.newaxis]
-    # k - e_pivot is one step from the entry and k - e_pivot - e_j the same step from there:
-    # by (offset, pivot, term), the offsets of the terms and the base axis of the second step
-    offset = np.concatenate([targets[:, :, np.newaxis], targets[targets]], axis=2)
-    axis = np.concatenate([np.full(targets.shape + (1,), n_modes), axes[targets]], axis=2)
+    # k - e_pivot is the pivot's step from the entry, and the terms every step from there
+    near = which * (dim + 1) + 1 + pivot
+    near_row = down.take(axes.take(near) * down.shape[1] + row)
+    step = targets.take(near) * (dim + 1) + np.arange(dim + 1)[:, np.newaxis]
+    term_row = down.take(axes.take(step) * down.shape[1] + near_row)
     # a term's position is its group's start in the window plus its row less its total's first
     lead = np.cumsum(counts, axis=1) - counts - start[np.maximum(half - low, 0)]
     window = np.stack([lead[1:-1], sizes[1:-1, np.newaxis] + lead[:-2]], axis=1)
-    term_lead = window[:, np.minimum(np.arange(dim + 1), 1), offset]
-    template = which * dim + pivot
-    near_row = down.take(axes.take(template) * down.shape[1] + row)
-    index = (shell * axes.size + template) * (dim + 1) + np.arange(dim + 1)[:, np.newaxis]
-    term_row = down.take(np.tile(axis * down.shape[1], (shells, 1, 1)).take(index) + near_row)
+    # by shell, the leads in shell - 1 and in shell - 2: term 0 reads the first, the rest the second
+    level = 2 * len(lifted) * shell + len(lifted) * np.minimum(np.arange(dim + 1), 1)[:, np.newaxis]
     positions = np.where(term_row == len(bases), (sizes[1:] + sizes[:-1])[shell],
-                         term_lead.take(index) + term_row)
+                         window.take(level + targets.take(step)) + term_row)
     bounds = np.searchsorted(shell, np.arange(shells + 1))
     chunks = []
     for t, lo, hi in zip(range(shells), bounds[:-1], bounds[1:]):
@@ -404,8 +405,8 @@ def hermite_diagonal(R, ry, max_degree: int):
     R is 2N x 2N and the generating function exp(-1/2 a.R.a + a.ry) with a = (a_m, a_n).
     Returns an iterator over the shells |n| = 0, 1, ..., ``max_degree``: pairs (indices,
     values), the rows of ``indices`` lexicographic; a caller may stop early.  Only the
-    near-diagonal set (``_offsets``) is filled, one shell of |m| + |n| per step, about
-    (1 + 3N(N + 1)/2) C(D + N, N) entries against the (D + 1)^(2N) of a box.  Raises
+    near-diagonal set (the offsets of ``_steps``) is filled, one shell of |m| + |n| per
+    step, about (1 + 3N(N + 1)/2) C(D + N, N) entries against the (D + 1)^(2N) of a box.  Raises
     ``ResourceLimitError`` up front when the set exceeds ``BOX_ENTRY_CAP`` entries and
     ``NonFiniteError`` at the first shell whose values overflow.
     """
@@ -458,7 +459,8 @@ def gaussian_hermite_overlap(spec: OverlapSpec, n, m_idx) -> complex:
 
     The result is pi^{N/2} det(m)^{-1/2} exp(c.m^{-1}.c / 4) H_{(n,m)}^{rho}(y)
     with the coupled 2N x 2N matrix rho and argument y assembled from the
-    spec; the first index block belongs to the R-side polynomial.
+    spec; the first index block belongs to the R-side polynomial.  Raises
+    ``NonFiniteError`` when the result leaves double range (the prefactor overflows first).
     """
     N = spec.n_dim
     idx_n = as_index(n, length=N)
@@ -484,8 +486,11 @@ def gaussian_hermite_overlap(spec: OverlapSpec, n, m_idx) -> complex:
 
     eigvals = np.linalg.eigvals(spec.m)
     det_root = np.exp(0.5 * np.sum(np.log(eigvals)))  # branch continuous from real PD m
-    prefactor = math.pi ** (N / 2) / det_root * np.exp(0.25 * spec.c @ minv @ spec.c)
-
     combined = idx_n + idx_m
     box = hermite_box(rho, linear, [k + 1 for k in combined])
-    return complex(prefactor * _from_renormalized(box[combined], combined))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefactor = math.pi ** (N / 2) / det_root * np.exp(0.25 * spec.c @ minv @ spec.c)
+        out = complex(prefactor * _from_renormalized(box[combined], combined))
+    if not cmath.isfinite(out):
+        raise NonFiniteError(f"the overlap of H_{idx_n} and H_{idx_m} is not a finite double")
+    return out

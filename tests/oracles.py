@@ -16,8 +16,11 @@ backprojection is the direct form: a full complex spectrum and a
 two-gather linear interpolation with clipped indices.  A second inversion,
 ``wigner_from_symplectic``, assembles the characteristic function from the
 Fourier transforms of the marginals, ``pure_gaussian_state`` reads the
-Wigner moments of a pure wavefunction exp(-x.m.x + c.x) off m and c, and the
-rows of lowered multi-indices come from a dictionary of index tuples.
+Wigner moments of a pure wavefunction exp(-x.m.x + c.x) off m and c, the
+rows of lowered multi-indices come from a dictionary of index tuples, the
+lowering steps between near-diagonal offsets from comparing every moved offset
+with every offset, and the photon probabilities of a product coherent state
+are the Poisson product.
 """
 
 from __future__ import annotations
@@ -97,6 +100,28 @@ def base_steps_by_dict(n_modes: int, low: int, high: int):
             down[axis, i] = row.get(b[:axis] + (b[axis] - 1,) + b[axis + 1:], len(bases))
         down[n_modes, i] = i
     return np.array(bases, dtype=np.int64).reshape(-1, n_modes), np.array(start), down
+
+
+def steps_by_all_pairs(offsets):
+    """(targets, axes) by (row of ``offsets``, axis of (m, n)), from comparing every moved
+    offset with every offset: lowering m_a lowers d_a and lowering n_a raises it; the
+    target is the row of the moved offset (-1 if no row matches), and the base axis is a
+    (N for none) where the step makes |d|_1 grow.  Memory grows as N^6: keep N small."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n_modes = offsets.shape[1]
+    eye = np.eye(n_modes, dtype=np.int64)
+    moved = offsets[:, np.newaxis] - np.concatenate([eye, -eye])
+    found = (moved[:, :, np.newaxis] == offsets).all(axis=-1)
+    grows = np.abs(moved).sum(axis=-1) > np.abs(offsets).sum(axis=1)[:, np.newaxis]
+    return (np.where(found.any(axis=-1), found.argmax(axis=-1), -1),
+            np.where(grows, np.arange(2 * n_modes) % n_modes, n_modes))
+
+
+def coherent_product_pnd(alpha, n) -> float:
+    """P(n) of the product coherent state |alpha_1> ... |alpha_N>: the product of the
+    Poisson probabilities e^{-|alpha_j|^2} |alpha_j|^{2 n_j} / n_j!, in Python floats."""
+    return math.prod(math.exp(-abs(a) ** 2) * abs(a) ** (2 * k) / math.factorial(k)
+                     for a, k in zip(alpha, n))
 
 
 def trapz_nd(f, grids) -> complex:

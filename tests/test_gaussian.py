@@ -15,7 +15,7 @@ from qopt.errors import ConventionError, NonFiniteError, QoptError, ResourceLimi
 from qopt.hermite import _near_diagonal_entries, _total_degree_indices
 from qopt.matrices import symplectic_metric
 
-from oracles import pure_gaussian_state, trapz_nd
+from oracles import coherent_product_pnd, pure_gaussian_state, trapz_nd
 
 
 def random_symplectic(n_modes, rng, scale=0.4):
@@ -397,6 +397,25 @@ class TestPhotonStatistics:
         # the raw Hermite value and n! both overflow here; G_(n,n) does not
         want = math.exp(-144.0 + n * math.log(144.0) - math.lgamma(n + 1))
         assert photon_pnd(make_coherent(12.0), [n]) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n_modes", [20, 40])
+    def test_many_modes_match_the_poisson_product(self, n_modes):
+        # the near-diagonal set to total 2 holds 1 + 3N(N + 1)/2 offsets: 101,721 entries
+        # at 40 modes, whose step table is built by lookup, not by comparing every pair
+        alpha = 0.3 * np.exp(1j * np.arange(1, n_modes + 1))
+        n = [1] + [0] * (n_modes - 2) + [1]
+        want = coherent_product_pnd(alpha, n)
+        assert abs(photon_pnd(make_coherent(alpha), n) - want) <= 1e-13 * want
+
+    def test_forty_mode_shells_match_the_poisson_product(self):
+        alpha = 0.3 * np.exp(1j * np.arange(1, 41))
+        shells = list(make_coherent(alpha).photon_shells(2))
+        assert [len(indices) for indices, _ in shells] == [1, 40, 820]
+        indices = np.concatenate([indices for indices, _ in shells])
+        assert np.array_equal(indices, _total_degree_indices(40, 2))
+        got = np.concatenate([values for _, values in shells])
+        want = np.array([coherent_product_pnd(alpha, n) for n in indices.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     def test_overflow_raises_typed_error(self):
         with pytest.raises(NonFiniteError):

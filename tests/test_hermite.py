@@ -16,7 +16,8 @@ from qopt.hermite import (BOX_ENTRY_CAP, HermiteParams, OverlapSpec, _total_degr
                           fock_wavefunction_eval, gaussian_hermite_overlap,
                           hermite_box, hermite_diagonal, mv_hermite_eval)
 
-from oracles import base_steps_by_dict, gauss_box, hermite_by_series, trapz_nd
+from oracles import (base_steps_by_dict, gauss_box, hermite_by_series, steps_by_all_pairs,
+                     trapz_nd)
 
 
 def classical_hermite(n, x):
@@ -323,6 +324,31 @@ class TestHermiteDiagonal:
                 values *= 2
         assert np.array_equal(_diagonal(R, ry, 6)[1], want[1])
 
+    @pytest.mark.parametrize("n_modes", range(1, 9))
+    def test_steps_match_an_all_pairs_search(self, n_modes):
+        lifted, targets, axes = hermite._steps(n_modes)
+        offsets = lifted[:, :n_modes].astype(np.int64) - lifted[:, n_modes:]
+        # 1 + 3N(N + 1)/2 distinct offsets of norm at most 2, by norm, each of norm 2 with a
+        # negative entry: every such offset, e_a + e_c and 2 e_a left out
+        norms = np.abs(offsets).sum(axis=1)
+        assert len(offsets) == 1 + 3 * n_modes * (n_modes + 1) // 2
+        assert len(np.unique(offsets, axis=0)) == len(offsets)
+        assert norms[0] == 0 and np.all(np.diff(norms) >= 0) and norms[-1] <= 2
+        assert np.all((offsets < 0).any(axis=1) | (norms < 2))
+        # step 0 stays; steps 1.. are the all-pairs search's first steps
+        want_targets, want_axes = steps_by_all_pairs(offsets)
+        assert np.array_equal(targets[:, 0], np.arange(len(offsets)))
+        assert np.all(axes[:, 0] == n_modes)
+        assert np.array_equal(targets[:, 1:], want_targets)
+        assert np.array_equal(axes[:, 1:], want_axes)
+        # each template (offset, pivot) whose step stays in the set: the offsets and base
+        # axes of its 2N + 1 terms are the row of that step's target
+        near = want_targets[want_targets >= 0]
+        assert np.array_equal(targets[near], np.column_stack([near, want_targets[near]]))
+        assert np.array_equal(axes[near], np.column_stack([np.full(len(near), n_modes),
+                                                           want_axes[near]]))
+        assert not any(table.flags.writeable for table in (lifted, targets, axes))
+
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
     def test_base_steps_match_a_dictionary_of_rows(self, n_modes):
         # low > 0 leaves rows whose lowering falls below low; spans of 0 to 6 totals
@@ -436,6 +462,25 @@ class TestHermiteTable:
 
 
 class TestGaussianHermiteOverlap:
+    @pytest.mark.parametrize("n", [[0], [1]])
+    def test_overflowing_prefactor_raises(self, n):
+        # exp(c.m^-1.c / 4) has the exponent 900,000: the overlap is past double range
+        I = np.eye(1)
+        spec = OverlapSpec(2 * I, 2 * I, I, [0.0], [60.0], 0.001 * I)
+        with pytest.raises(NonFiniteError, match="finite double"):
+            gaussian_hermite_overlap(spec, n, n)
+
+    @pytest.mark.parametrize("n, want, moment", [([0], 2.0998845206920968e+110, 1.0),
+                                                 ([1], 2.104084289733481e+116, 1_002_000.0)])
+    def test_prefactor_that_fits_keeps_its_value(self, n, want, moment):
+        # the exponent 250 fits, and the values stay bit for bit: sqrt(1000 pi) e^250 times
+        # 1, and times 4 (1/2m + c^2/4m^2) for int (2x)^2 exp(-m x^2 + c x) dx
+        I = np.eye(1)
+        spec = OverlapSpec(2 * I, 2 * I, I, [0.0], [1.0], 0.001 * I)
+        assert gaussian_hermite_overlap(spec, n, n) == complex(want)
+        assert want == pytest.approx(math.sqrt(1000 * math.pi) * math.exp(250) * moment,
+                                     rel=1e-12)
+
     def test_bare_gaussian_integral(self):
         spec = OverlapSpec(R=[[2.0]], r=[[2.0]], lam=[[1.0]], d=[0.0], c=[0.0], m=[[1.0]])
         assert gaussian_hermite_overlap(spec, [0], [0]) == pytest.approx(
